@@ -36,15 +36,17 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_GRID_STEPS = 1000
 
 
 @dataclass(frozen=True)
 class OuterBound:
-    """Region {R1, R2 >= 0 : R1 <= r1_max, R2 <= r2_max, R1+R2 <= sum_max}.
+    """Pentagon {R1, R2 >= 0 : R1 <= r1_max, R2 <= r2_max, R1+R2 <= sum_max}.
 
-    The three constraints are independent; sum_max may exceed
-    r1_max + r2_max (then it is simply not binding).
+    The one pentagon type of the package: the outer bounds, the strong-IC
+    region, receiver cooperation's phase-1 joint-decoding region and its
+    infinite-gain multiple-access region.  The three constraints are
+    independent; sum_max may exceed r1_max + r2_max (then it is simply not
+    binding).
     """
 
     r1_max: float
@@ -59,15 +61,28 @@ class OuterBound:
     def contains(self, r1: float, r2: float, tol: float = 0.0) -> bool:
         return self.violation(r1, r2) <= tol
 
+    def corner(self, weight: float) -> tuple[float, float]:
+        """Dominant corner maximizing r1 + weight*r2.
+
+        weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
+        user-1-favoring corner.
+        """
+        a1, a2, a12 = self.r1_max, self.r2_max, self.sum_max
+        c1 = min(a1, a12)
+        corner_a = (c1, min(a2, max(a12 - c1, 0.0)))
+        c2 = min(a2, a12)
+        corner_b = (min(a1, max(a12 - c2, 0.0)), c2)
+        if math.isinf(weight):
+            return corner_b if corner_b[1] > corner_a[1] else corner_a
+        va = corner_a[0] + weight * corner_a[1]
+        vb = corner_b[0] + weight * corner_b[1]
+        return corner_a if va >= vb else corner_b
+
     def vertices(self) -> list[tuple[float, float]]:
-        """Pareto vertices of the region, r1 descending."""
-        if math.isinf(self.sum_max) or self.sum_max >= self.r1_max + self.r2_max:
-            return [(self.r1_max, self.r2_max)]
-        x1 = min(self.r1_max, self.sum_max)
-        v1 = (x1, min(self.r2_max, self.sum_max - x1))
-        y2 = min(self.r2_max, self.sum_max)
-        v2 = (min(self.r1_max, self.sum_max - y2), y2)
-        return [v1] if v1 == v2 else [v1, v2]
+        """Distinct Pareto corners, r1 descending (the corners at weights 0 and inf)."""
+        v1, v2 = self.corner(0.0), self.corner(math.inf)
+        # Equal abscissae: the weight-inf corner has the larger r2.
+        return [v2] if v1[0] <= v2[0] else [v1, v2]
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -90,21 +105,6 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
             fd = f(d)
         best = max(best, fc, fd)
     return best
-
-
-def _grid_golden_max(f, lo: float, hi: float) -> float:
-    """Dense-grid scan followed by golden-section refinement around the best cell."""
-    if hi <= lo:
-        return f(lo)
-    step = (hi - lo) / _GRID_STEPS
-    best_i, best_v = 0, -math.inf
-    for i in range(_GRID_STEPS + 1):
-        v = f(lo + i * step)
-        if v > best_v:
-            best_i, best_v = i, v
-    a = lo + max(0, best_i - 1) * step
-    b = lo + min(_GRID_STEPS, best_i + 1) * step
-    return max(best_v, _golden_max(f, a, b))
 
 
 def _cutset_cuts(sd: float, sr: float, rd: float, p_src: float, p_rel: float,
@@ -218,8 +218,9 @@ def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,
 def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
     """Sum-rate cap of the pooled-power two-antenna broadcast channel.
 
-    Maximizes log2 det(I + q1 g1^T g1 + q2 g2^T g2) over q1 + q2 = p_total
-    by a dense grid plus golden-section refinement.
+    Maximizes log2 det(I + q1 g1^T g1 + q2 g2^T g2) over q1 + q2 = p_total.
+    The objective is concave in q1, so golden-section search is global; the
+    two endpoints are evaluated exactly because the search never reaches them.
     """
     if p_total < 0.0:
         raise ValueError(f"p_total must be nonnegative, got {p_total}")
@@ -229,7 +230,7 @@ def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
     def f(q: float) -> float:
         return logdet2(Sym2.outer(g.g1, q) + Sym2.outer(g.g2, p_total - q))
 
-    return _grid_golden_max(f, 0.0, p_total)
+    return max(f(0.0), f(p_total), _golden_max(f, 0.0, p_total))
 
 
 def mimo_mac_sum_bound(g: ChannelGains, p: PowerBudget) -> float:

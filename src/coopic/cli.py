@@ -53,7 +53,6 @@ DEFAULT_CONFIG = {
     "weights": 33,
     "restarts": 32,
     "max_iter": 400,
-    "ftol": 1e-9,
     "seed": 0,
     "weight": 1.0,
     "allocation": None,
@@ -69,6 +68,24 @@ class ValidationFailure(Exception):
     """Raised for anything the config layer rejects (exit code 2)."""
 
 
+def _valid(what: str, build, *args, **kwargs):
+    """build(*args, **kwargs), with the TypeError, ValueError or OverflowError
+    of a bad config value (an EvaluatorError is a ValueError) reported as a
+    validation failure."""
+    try:
+        return build(*args, **kwargs)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationFailure(f"{what}: {exc}") from exc
+
+
+def _count(key: str, value) -> int:
+    """A count or seed: a nonnegative integer (an integral float is accepted)."""
+    n = _valid(key, int, value)
+    if n < 0 or (isinstance(value, float) and n != value):
+        raise ValidationFailure(f"{key} must be a nonnegative integer, got {value!r}")
+    return n
+
+
 def _coerce_gain(key: str, value) -> float:
     if isinstance(value, str):
         if value.strip().lower() in ("inf", "+inf", "infinity"):
@@ -76,7 +93,7 @@ def _coerce_gain(key: str, value) -> float:
                 raise ValidationFailure(f"{key} must be finite; only c12/c34 accept inf")
             return math.inf
         raise ValidationFailure(f"{key}: cannot parse {value!r} as a gain")
-    return float(value)
+    return _valid(key, float, value)
 
 
 def load_config(path: str | None) -> dict:
@@ -100,42 +117,41 @@ def load_config(path: str | None) -> dict:
 
 
 def build_gains(config: dict) -> ChannelGains:
-    try:
-        return ChannelGains(**{k: _coerce_gain(k, config[k]) for k in _GAIN_KEYS})
-    except EvaluatorError as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return _valid("gains", ChannelGains,
+                  **{k: _coerce_gain(k, config[k]) for k in _GAIN_KEYS})
 
 
 def build_powers(config: dict) -> PowerBudget:
-    try:
-        return PowerBudget(**{k: float(config[k]) for k in _POWER_KEYS})
-    except (EvaluatorError, ValueError) as exc:
-        raise ValidationFailure(str(exc)) from exc
+    return _valid("powers", PowerBudget,
+                  **{k: _valid(k, float, config[k]) for k in _POWER_KEYS})
 
 
 def build_options(config: dict) -> frontier.TraceOptions:
-    try:
-        return frontier.TraceOptions(
-            weights=frontier.default_weights(int(config["weights"])),
-            restarts=int(config["restarts"]),
-            max_iter=int(config["max_iter"]),
-            ftol=float(config["ftol"]),
-            seed=int(config["seed"]),
-        )
-    except (TypeError, ValueError) as exc:
-        raise ValidationFailure(f"bad optimizer option: {exc}") from exc
+    return frontier.TraceOptions(
+        weights=frontier.default_weights(_count("weights", config["weights"])),
+        restarts=_count("restarts", config["restarts"]),
+        max_iter=_count("max_iter", config["max_iter"]),
+        seed=_count("seed", config["seed"]),
+    )
 
 
+# Allocation keys with their simplex sizes, in sidecar order; "lambda" is
+# the allocation's ``lam`` field.
 _TC_ALLOC_KEYS = {"lambda": 3, "kappa": 2, "gamma": 2, "alpha": 2, "beta": 2,
                   "mu": 3, "eta": 3}
 _RC_ALLOC_KEYS = {"lambda": 3, "mu": 3, "eta": 3, "alpha": 2, "beta": 2}
+
+
+def _field(key: str) -> str:
+    return "lam" if key == "lambda" else key
 
 
 def build_allocation(scheme: str, spec: dict):
     """Build a Tc/RcAllocation from the config's allocation mapping."""
     if not isinstance(spec, dict):
         raise ValidationFailure("allocation must be a JSON object")
-    expected = _TC_ALLOC_KEYS if scheme in ("TC", "RDPC") else _RC_ALLOC_KEYS
+    tc = scheme in ("TC", "RDPC")
+    expected = _TC_ALLOC_KEYS if tc else _RC_ALLOC_KEYS
     unknown = sorted(set(spec) - set(expected))
     if unknown:
         raise ValidationFailure(f"unknown allocation keys: {', '.join(unknown)}")
@@ -147,29 +163,16 @@ def build_allocation(scheme: str, spec: dict):
         values = spec[key]
         if not isinstance(values, (list, tuple)) or len(values) != size:
             raise ValidationFailure(f"allocation {key} must be a list of {size} numbers")
+        what = f"allocation {key}"
         cls = Simplex2 if size == 2 else Simplex3
-        try:
-            parts[key] = cls(*[float(v) for v in values])
-        except EvaluatorError as exc:
-            raise ValidationFailure(f"allocation {key}: {exc}") from exc
-    if scheme in ("TC", "RDPC"):
-        return TcAllocation(lam=parts["lambda"], kappa=parts["kappa"],
-                            gamma=parts["gamma"], alpha=parts["alpha"],
-                            beta=parts["beta"], mu=parts["mu"], eta=parts["eta"])
-    return RcAllocation(lam=parts["lambda"], mu=parts["mu"], eta=parts["eta"],
-                        alpha=parts["alpha"], beta=parts["beta"])
+        parts[_field(key)] = _valid(what, cls, *[_valid(what, float, v) for v in values])
+    return (TcAllocation if tc else RcAllocation)(**parts)
 
 
 def _allocation_to_dict(alloc) -> dict | None:
-    if alloc is None:
-        return None
-    if isinstance(alloc, TcAllocation):
-        return {"lambda": list(alloc.lam), "kappa": list(alloc.kappa),
-                "gamma": list(alloc.gamma), "alpha": list(alloc.alpha),
-                "beta": list(alloc.beta), "mu": list(alloc.mu), "eta": list(alloc.eta)}
-    if isinstance(alloc, RcAllocation):
-        return {"lambda": list(alloc.lam), "mu": list(alloc.mu), "eta": list(alloc.eta),
-                "alpha": list(alloc.alpha), "beta": list(alloc.beta)}
+    if isinstance(alloc, (TcAllocation, RcAllocation)):
+        keys = _TC_ALLOC_KEYS if isinstance(alloc, TcAllocation) else _RC_ALLOC_KEYS
+        return {key: list(getattr(alloc, _field(key))) for key in keys}
     if isinstance(alloc, tuple) and len(alloc) == 3:  # limit-mode (mu, eta, order)
         return {"mu": list(alloc[0]), "eta": list(alloc[1]), "user1_clean": alloc[2]}
     return None
@@ -200,7 +203,7 @@ def cmd_eval(args) -> int:
         pair = txcoop.tc_rate_pair(g, p, alloc) if scheme == "TC" \
             else txcoop.rdpc_rate_pair(g, p, alloc)
     else:
-        weight = float(config["weight"])
+        weight = _valid("weight", float, config["weight"])
         rates = rxcoop.rc_phase_rates(g, p, alloc, weight=weight)
         pair = rxcoop.rc_rate_pair(g, p, alloc, weight=weight)
     record = {

@@ -57,6 +57,9 @@ _PENALTY = 1e9
 # nonzero coordinate, 0.00025 for a zero one) barely moves the allocation and
 # cannot leave a corner start's face.
 _SIMPLEX_STEP = 0.5
+# Nelder-Mead stopping tolerances on the objective and on the vertices.
+_FATOL = 1e-9
+_XATOL = 1e-8
 _TC_DIM = 17
 _RC_DIM = 13
 _LIMIT_DIM = 6
@@ -78,7 +81,6 @@ class TraceOptions:
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
     max_iter: int = 400
-    ftol: float = 1e-9
     seed: int = 0
 
 
@@ -220,7 +222,7 @@ def _sweep(evaluate, dim: int, corners, opts: TraceOptions):
             result = minimize(
                 neg_objective, x0, method="Nelder-Mead",
                 options={"maxiter": opts.max_iter, "maxfev": 2 * opts.max_iter,
-                         "fatol": opts.ftol, "xatol": 1e-8, "adaptive": False,
+                         "fatol": _FATOL, "xatol": _XATOL, "adaptive": False,
                          "initial_simplex": _initial_simplex(x0)})
             try:
                 r1, r2, alloc = evaluate(result.x, w)
@@ -311,14 +313,15 @@ def trace_rc_limit(g: ChannelGains, p: PowerBudget,
     """Frontier of receiver cooperation at c34 = +inf.
 
     The limit region is the fixed two-antenna multiple-access pentagon, so
-    the weight grid just selects supporting corners; no search is needed.
+    its frontier is the pentagon's two corners, taken at weights 0 and +inf
+    (one vertex when they coincide); no search is needed and the weights of
+    ``opts`` are not used.
     """
-    opts = _limit_options(opts)
     candidates = []
-    for w in opts.weights:
+    for w in (0.0, math.inf):
         pair = rxcoop.rc_limit_rate_pair(g, p, weight=w)
         candidates.append((pair.r1, pair.r2, w, None))
-    return _build_frontier(candidates, "RC_inf", opts)
+    return _build_frontier(candidates, "RC_inf", _limit_options(opts))
 
 
 # ---------------------------------------------------------------------------

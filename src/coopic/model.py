@@ -38,6 +38,7 @@ __all__ = [
     "quad_form",
     "logdet2",
     "inv2",
+    "phase_power",
 ]
 
 _SIMPLEX_SUM_TOL = 1e-9
@@ -334,3 +335,12 @@ def inv2(m: Sym2) -> Sym2:
     if abs(d) < _DET_TOL:
         raise Singular(f"2x2 determinant {d} below tolerance")
     return Sym2(m.a22 / d, -m.a12 / d, m.a11 / d)
+
+
+def phase_power(share: float, total: float, duration: float, what: str) -> float:
+    """Burst power share*total/duration; zero share means a silent phase."""
+    if share == 0.0:
+        return 0.0
+    if duration == 0.0:
+        raise InvalidAllocation(f"{what}: positive power share {share} on zero-duration phase")
+    return share * total / duration

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from . import bounds
 from .model import (
     ChannelGains,
     InfiniteGain,
@@ -28,6 +29,7 @@ from .model import (
     Sym2,
     cap,
     logdet2,
+    phase_power,
     quad_form,
 )
 
@@ -41,7 +43,6 @@ __all__ = [
     "rc_rate_pair",
     "rc_limit_rate_pair",
     "rc_limit_region",
-    "pentagon_corner",
 ]
 
 
@@ -95,14 +96,6 @@ class EquivalentMimoIc:
     inr2: Sym2
 
 
-def _phase_power(share: float, total: float, duration: float, what: str) -> float:
-    if share == 0.0:
-        return 0.0
-    if duration == 0.0:
-        raise InvalidAllocation(f"{what}: positive power share {share} on zero-duration phase")
-    return share * total / duration
-
-
 def _check_finite_conferencing(g: ChannelGains) -> None:
     if math.isinf(g.c34):
         raise InfiniteGain("c34 is infinite; use rc_limit_region / rc_limit_rate_pair")
@@ -117,10 +110,10 @@ def rc_phase23_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation) -> RcPhas
     """
     _check_finite_conferencing(g)
     lam2, lam3 = a.lam.w2, a.lam.w3
-    p1_2 = _phase_power(a.mu.w2, p.p1, lam2, "mu2")
-    p2_2 = _phase_power(a.eta.w2, p.p2, lam2, "eta2")
-    p1_3 = _phase_power(a.mu.w3, p.p1, lam3, "mu3")
-    p2_3 = _phase_power(a.eta.w3, p.p2, lam3, "eta3")
+    p1_2 = phase_power(a.mu.w2, p.p1, lam2, "mu2")
+    p2_2 = phase_power(a.eta.w2, p.p2, lam2, "eta2")
+    p1_3 = phase_power(a.mu.w3, p.p1, lam3, "mu3")
+    p2_3 = phase_power(a.eta.w3, p.p2, lam3, "eta3")
     # Receiver helpers spend their whole budget inside one phase; with a
     # zero-duration phase that budget is simply unusable.
     p4_1 = a.alpha.w1 * p.p4 / lam2 if lam2 > 0.0 else 0.0
@@ -178,8 +171,8 @@ def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     lam1 = a.lam.w1
     if lam1 == 0.0:
         raise InvalidAllocation("compression requires a positive phase-1 duration")
-    p1_1 = _phase_power(a.mu.w1, p.p1, lam1, "mu1")
-    p2_1 = _phase_power(a.eta.w1, p.p2, lam1, "eta1")
+    p1_1 = phase_power(a.mu.w1, p.p1, lam1, "mu1")
+    p2_1 = phase_power(a.eta.w1, p.p2, lam1, "eta1")
     sigma_x = Sym2.diag(p1_1, p2_1)
     at3 = 1.0 + quad_form(g.g1, sigma_x)
     at4 = 1.0 + quad_form(g.g2, sigma_x)
@@ -204,23 +197,6 @@ def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     )
 
 
-def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[float, float]:
-    """Dominant corner of {r1 <= a1, r2 <= a2, r1 + r2 <= a12} maximizing r1 + weight*r2.
-
-    weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
-    user-1-favoring corner.
-    """
-    c1 = min(a1, a12)
-    corner_a = (c1, min(a2, max(a12 - c1, 0.0)))
-    c2 = min(a2, a12)
-    corner_b = (min(a1, max(a12 - c2, 0.0)), c2)
-    if math.isinf(weight):
-        return corner_b if corner_b[1] > corner_a[1] else corner_a
-    va = corner_a[0] + weight * corner_a[1]
-    vb = corner_b[0] + weight * corner_b[1]
-    return corner_a if va >= vb else corner_b
-
-
 def _logratio(snr: Sym2, inr: Sym2) -> float:
     """log2 |I + SNR + INR| - log2 |I + INR|: decode treating interference as noise."""
     return logdet2(snr + inr) - logdet2(inr)
@@ -231,10 +207,10 @@ def rc_phase1_rates(eq: EquivalentMimoIc, lambda1: float,
     """Phase-1 rate pair from the four-case equivalent-channel analysis.
 
     Cases by `equivalent` interference strength (ties count as strong):
-    both strong -> joint decoding at both receivers (a pentagon; the corner
-    is picked by ``weight``); one strong -> that receiver decodes and
-    cancels the interference while the other treats it as noise; both weak
-    -> both treat interference as noise.
+    both strong -> joint decoding at both receivers (a ``bounds.OuterBound``
+    pentagon; the corner is picked by ``weight``); one strong -> that
+    receiver decodes and cancels the interference while the other treats it
+    as noise; both weak -> both treat interference as noise.
     """
     if lambda1 == 0.0:
         return (0.0, 0.0)
@@ -248,7 +224,7 @@ def rc_phase1_rates(eq: EquivalentMimoIc, lambda1: float,
         a1 = lambda1 * logdet2(eq.snr1)
         a2 = lambda1 * logdet2(eq.snr2)
         a12 = lambda1 * min(logdet2(eq.snr1 + eq.inr1), logdet2(eq.snr2 + eq.inr2))
-        return pentagon_corner(a1, a2, a12, weight)
+        return bounds.OuterBound(a1, a2, a12, kind="RC_phase1").corner(weight)
     if strong_at_4:
         return (lambda1 * _logratio(eq.snr1, eq.inr1), lambda1 * logdet2(eq.snr2))
     if strong_at_3:
@@ -296,11 +272,10 @@ def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> 
     """
     if not math.isinf(g.c34):
         raise NotInfinite("c34 is finite; use rc_rate_pair")
-    a1 = logdet2(Sym2.outer(g.h1, p.p1))
-    a2 = logdet2(Sym2.outer(g.h2, p.p2))
-    a12 = logdet2(Sym2.outer(g.h1, p.p1) + Sym2.outer(g.h2, p.p2))
-    r1, r2 = pentagon_corner(a1, a2, a12, weight)
-    return RatePair(r1, r2)
+    mac = bounds.OuterBound(r1_max=logdet2(Sym2.outer(g.h1, p.p1)),
+                            r2_max=logdet2(Sym2.outer(g.h2, p.p2)),
+                            sum_max=bounds.mimo_mac_sum_bound(g, p), kind="RC_inf")
+    return RatePair(*mac.corner(weight))
 
 
 def rc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

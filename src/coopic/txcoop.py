@@ -42,6 +42,7 @@ from .model import (
     TcAllocation,
     cap,
     inv2,
+    phase_power,
     quad_form,
 )
 
@@ -106,15 +107,6 @@ class TcCovariances:
 _AUDIT_RTOL = 1e-12
 
 
-def _phase_power(share: float, total: float, duration: float, what: str) -> float:
-    """Burst power share*total/duration; zero share means a silent phase."""
-    if share == 0.0:
-        return 0.0
-    if duration == 0.0:
-        raise InvalidAllocation(f"{what}: positive power share {share} on zero-duration phase")
-    return share * total / duration
-
-
 def _check_finite_conferencing(g: ChannelGains) -> None:
     if math.isinf(g.c12):
         raise InfiniteGain("c12 is infinite; use tc_limit_region / tc_limit_rate_pair")
@@ -122,8 +114,8 @@ def _check_finite_conferencing(g: ChannelGains) -> None:
 
 def _phase3_powers(p: PowerBudget, a: TcAllocation) -> tuple[float, float]:
     """Phase-3 burst power allotted to sources 1 and 2."""
-    return (_phase_power(a.kappa.w2, p.p1, a.lam.w3, "kappa2"),
-            _phase_power(a.gamma.w2, p.p2, a.lam.w3, "gamma2"))
+    return (phase_power(a.kappa.w2, p.p1, a.lam.w3, "kappa2"),
+            phase_power(a.gamma.w2, p.p2, a.lam.w3, "gamma2"))
 
 
 def _phase3_streams(p: PowerBudget, a: TcAllocation):
@@ -131,6 +123,14 @@ def _phase3_streams(p: PowerBudget, a: TcAllocation):
     p1_3, p2_3 = _phase3_powers(p, a)
     return ((a.mu.w1 * p1_3, a.eta.w1 * p2_3), (a.mu.w2 * p1_3, a.eta.w3 * p2_3),
             (a.mu.w3 * p1_3, a.eta.w2 * p2_3))
+
+
+def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
+    """Per-source joint-stream powers for a covariance rule; checks c12 and lam3 first."""
+    _check_finite_conferencing(g)
+    if a.lam.w3 == 0.0:
+        raise DegeneratePhase("phase 3 has zero duration")
+    return _phase3_streams(p, a)[1:]
 
 
 def _user1_clean(g: ChannelGains) -> bool:
@@ -146,8 +146,8 @@ def tc_phase12_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcPhas
     """
     _check_finite_conferencing(g)
     lam1, lam2 = a.lam.w1, a.lam.w2
-    p1_1 = _phase_power(a.kappa.w1, p.p1, lam1, "kappa1")
-    p2_1 = _phase_power(a.gamma.w1, p.p2, lam2, "gamma1")
+    p1_1 = phase_power(a.kappa.w1, p.p1, lam1, "kappa1")
+    p2_1 = phase_power(a.gamma.w1, p.p2, lam2, "gamma1")
 
     # Phase 1: source 1 broadcasts; DPC order set by c13 > c14.
     r1_r1 = lam1 * cap(g.c12 ** 2 * a.alpha.w1 * p1_1)
@@ -203,10 +203,7 @@ def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
 
     Raises DegeneratePhase when the joint phase has zero duration.
     """
-    _check_finite_conferencing(g)
-    if a.lam.w3 == 0.0:
-        raise DegeneratePhase("phase 3 has zero duration")
-    _, joint1, joint2 = _phase3_streams(p, a)
+    joint1, joint2 = _joint_streams(g, p, a)
     return _duality_covariances(g, sum(joint1), sum(joint2), _user1_clean(g))
 
 
@@ -232,10 +229,7 @@ def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
 
     Raises DegeneratePhase when the joint phase has zero duration.
     """
-    _check_finite_conferencing(g)
-    if a.lam.w3 == 0.0:
-        raise DegeneratePhase("phase 3 has zero duration")
-    _, joint1, joint2 = _phase3_streams(p, a)
+    joint1, joint2 = _joint_streams(g, p, a)
     user1_clean = _user1_clean(g)
     if user1_clean:
         clean, first, (x, y) = joint1, joint2, g.g2
@@ -255,10 +249,7 @@ def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCova
     Equivalent to random, unsynchronized carrier phases between the sources,
     which reduces the scheme to recycled/parallel DPC.
     """
-    _check_finite_conferencing(g)
-    if a.lam.w3 == 0.0:
-        raise DegeneratePhase("phase 3 has zero duration")
-    _, joint1, joint2 = (Sym2.diag(*powers) for powers in _phase3_streams(p, a))
+    joint1, joint2 = (Sym2.diag(*powers) for powers in _joint_streams(g, p, a))
     if _user1_clean(g):
         return TcCovariances(sigma1=joint1, sigma2=joint2, user1_clean=True)
     return TcCovariances(sigma1=joint2, sigma2=joint1, user1_clean=False)

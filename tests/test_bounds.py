@@ -137,8 +137,13 @@ def test_outer_bound_geometry():
     assert not region.contains(3.0, 1.0 + 1e-6)
     assert region.violation(3.5, 1.0) == pytest.approx(0.5)
     assert region.vertices() == [(3.0, 1.0), (2.0, 2.0)]
+    assert region.corner(0.0) == (3.0, 1.0)
+    assert region.corner(math.inf) == (2.0, 2.0)
+    assert region.corner(1.0) == (3.0, 1.0)  # both corners sum to 4: the tie goes to user 1
+    assert region.corner(1.5) == (2.0, 2.0)
     loose = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=5.0, kind="TC")
     assert loose.vertices() == [(1.0, 1.0)]
+    assert all(loose.corner(w) == (1.0, 1.0) for w in (0.0, 1.0, math.inf))
 
 
 def test_strong_ic_region(ref_gains, ref_powers):

@@ -96,6 +96,34 @@ def test_eval_rc_tiny_forwarding_share(tmp_path, capsys):
     assert math.isfinite(record["r1_bits"]) and math.isfinite(record["r2_bits"])
 
 
+RC_ALLOCATION = {"lambda": [0.4, 0.3, 0.3], "mu": [0.4, 0.3, 0.3],
+                 "eta": [0.4, 0.3, 0.3], "alpha": [0.5, 0.5], "beta": [0.5, 0.5]}
+SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
+
+
+@pytest.mark.parametrize("command, config, flags", [
+    ("region", {"schemes": ["IC"], "weights": math.inf}, []),  # written as 1e400
+    ("region", {"schemes": ["IC"], "restarts": math.inf}, []),
+    ("region", {"schemes": ["IC"], "p1": None}, []),
+    ("region", {"schemes": ["IC"], "c13": [1]}, []),
+    ("region", dict(SMALL_TC, seed=-1), []),  # more restarts than corner starts
+    ("region", SMALL_TC, ["--seed", "-1"]),
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": "x"}, []),
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": None}, []),
+    ("eval", {"allocation": dict(TC_ALLOCATION, mu=["a", 0.5, 0.5])}, []),
+    ("eval", {"allocation": dict(TC_ALLOCATION, mu=[None, 0.5, 0.5])}, []),
+])
+def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config).replace("Infinity", "1e400"))
+    args = [command, "--config", str(path), *flags]
+    if command == "region":
+        args += ["--out", str(tmp_path / "region.csv")]
+    assert run(args) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_eval_infinite_gain_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, allocation=TC_ALLOCATION, c12="inf")
     assert run(["eval", "--config", cfg]) == cli.EXIT_EVALUATOR

@@ -210,3 +210,7 @@ def test_limit_traces(ref_powers):
     assert rc_inf.points[0].r1 == pytest.approx(4.0, rel=1e-12)
     assert max(x + y for x, y in rc_inf.vertices()) == pytest.approx(
         math.log2(56.0), rel=1e-12)
+    for pt in rc_inf.points:
+        assert pt.weight in (0.0, math.inf)
+        pair = rxcoop.rc_limit_rate_pair(g34, ref_powers, weight=pt.weight)
+        assert (pair.r1, pair.r2) == (pt.r1, pt.r2)
