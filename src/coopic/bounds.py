@@ -26,6 +26,7 @@ from .model import (
 
 __all__ = [
     "OuterBound",
+    "pentagon_corner",
     "relay_cutset_bound",
     "mimo_bc_sum_bound",
     "mimo_mac_sum_bound",
@@ -62,27 +63,31 @@ class OuterBound:
         return self.violation(r1, r2) <= tol
 
     def corner(self, weight: float) -> tuple[float, float]:
-        """Dominant corner maximizing r1 + weight*r2.
-
-        weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
-        user-1-favoring corner.
-        """
-        a1, a2, a12 = self.r1_max, self.r2_max, self.sum_max
-        c1 = min(a1, a12)
-        corner_a = (c1, min(a2, max(a12 - c1, 0.0)))
-        c2 = min(a2, a12)
-        corner_b = (min(a1, max(a12 - c2, 0.0)), c2)
-        if math.isinf(weight):
-            return corner_b if corner_b[1] > corner_a[1] else corner_a
-        va = corner_a[0] + weight * corner_a[1]
-        vb = corner_b[0] + weight * corner_b[1]
-        return corner_a if va >= vb else corner_b
+        """Dominant corner maximizing r1 + weight*r2 (see ``pentagon_corner``)."""
+        return pentagon_corner(self.r1_max, self.r2_max, self.sum_max, weight)
 
     def vertices(self) -> list[tuple[float, float]]:
         """Distinct Pareto corners, r1 descending (the corners at weights 0 and inf)."""
         v1, v2 = self.corner(0.0), self.corner(math.inf)
         # Equal abscissae: the weight-inf corner has the larger r2.
         return [v2] if v1[0] <= v2[0] else [v1, v2]
+
+
+def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[float, float]:
+    """Corner of {R1 <= a1, R2 <= a2, R1 + R2 <= a12} maximizing r1 + weight*r2.
+
+    weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
+    user-1-favoring corner.  Float form of ``OuterBound.corner``.
+    """
+    c1 = min(a1, a12)
+    corner_a = (c1, min(a2, max(a12 - c1, 0.0)))
+    c2 = min(a2, a12)
+    corner_b = (min(a1, max(a12 - c2, 0.0)), c2)
+    if math.isinf(weight):
+        return corner_b if corner_b[1] > corner_a[1] else corner_a
+    va = corner_a[0] + weight * corner_a[1]
+    vb = corner_b[0] + weight * corner_b[1]
+    return corner_a if va >= vb else corner_b
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:

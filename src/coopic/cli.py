@@ -5,7 +5,8 @@ Subcommands:
 * ``eval``    -- evaluate one scheme at one explicit allocation and print a
                  machine-readable per-stream rate record (JSON).
 * ``region``  -- trace frontiers for the configured schemes and write a CSV
-                 (plus a JSON sidecar with the achieving allocations).
+                 (plus a JSON sidecar with the achieving allocations and
+                 each trace's ``Frontier.stats``).
 * ``bounds``  -- print the outer-bound constants for the configured channel.
 * ``compare`` -- trace two configurations and report the dominance verdict.
 
@@ -84,6 +85,20 @@ def _count(key: str, value) -> int:
     if n < 0 or (isinstance(value, float) and n != value):
         raise ValidationFailure(f"{key} must be a nonnegative integer, got {value!r}")
     return n
+
+
+def _text(key: str, value) -> str:
+    """A config value that must be a string."""
+    if not isinstance(value, str):
+        raise ValidationFailure(f"{key} must be a string, got {value!r}")
+    return value
+
+
+def _scheme_list(value) -> list[str]:
+    """The region scheme list: a JSON list of scheme names."""
+    if not isinstance(value, list):
+        raise ValidationFailure(f"schemes must be a list of scheme names, got {value!r}")
+    return [_text("schemes entry", s).upper() for s in value]
 
 
 def _coerce_gain(key: str, value) -> float:
@@ -189,7 +204,7 @@ def _fmt(value: float) -> str:
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
-    scheme = (args.scheme[0] if args.scheme else config["scheme"]).upper()
+    scheme = (args.scheme[0] if args.scheme else _text("scheme", config["scheme"])).upper()
     if scheme not in ("TC", "RDPC", "RC"):
         raise ValidationFailure(f"eval supports TC, RDPC or RC, got {scheme!r}")
     if config["allocation"] is None:
@@ -229,7 +244,8 @@ def _trace_scheme(scheme: str, g: ChannelGains, p: PowerBudget,
 def cmd_region(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
-    schemes = [s.upper() for s in (args.scheme or config["schemes"])]
+    schemes = [s.upper() for s in args.scheme] if args.scheme \
+        else _scheme_list(config["schemes"])
     if not schemes:
         raise ValidationFailure("empty scheme list")
     for s in schemes:
@@ -239,6 +255,7 @@ def cmd_region(args) -> int:
     p = build_powers(config)
     opts = build_options(config)
     seed = opts.seed
+    out = Path(args.out or _text("out", config["out"]))
 
     rows: list[tuple[float, float, str, float | None]] = []
     sidecar: dict = {"seed": seed, "schemes": {}, "bounds": {}}
@@ -260,6 +277,7 @@ def cmd_region(args) -> int:
                        for pt in fr.points],
             "weights": [_fmt(w) for w in opts.weights],
             "restarts": opts.restarts,
+            "stats": asdict(fr.stats),
         }
     if any(s in ("TC", "RDPC") for s in schemes):
         region = bounds_mod.tc_outer_region(g, p)
@@ -274,7 +292,6 @@ def cmd_region(args) -> int:
         sidecar["bounds"]["RC"] = {"r1_max": region.r1_max, "r2_max": region.r2_max,
                                    "sum_max": region.sum_max}
 
-    out = Path(args.out or config["out"])
     lines = ["r1_bits,r2_bits,scheme,weight,seed"]
     for r1, r2, scheme, weight in rows:
         lines.append(f"{_fmt(r1)},{_fmt(r2)},{scheme},{_fmt(weight)},{seed}")
@@ -313,7 +330,7 @@ def cmd_compare(args) -> int:
     for path in (args.config_a, args.config_b):
         config = load_config(path)
         _apply_flag_overrides(config, args)
-        scheme = (args.scheme[0] if args.scheme else config["scheme"]).upper()
+        scheme = (args.scheme[0] if args.scheme else _text("scheme", config["scheme"])).upper()
         if scheme not in ("TC", "RDPC", "RC"):
             raise ValidationFailure(f"compare supports TC, RDPC or RC, got {scheme!r}")
         g = build_gains(config)

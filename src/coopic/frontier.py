@@ -10,6 +10,15 @@ unit scale, so it can leave the face of a corner start.  The hull is the
 time-shared closure of the achievable set only when every weight's search
 finds the global maximizer; otherwise it is an inner approximation.
 
+Each evaluation of the search decodes the vector once (``x.tolist()``) into
+the shares the allocation's simplices would store and scores them with the
+scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
+no dataclass is built per evaluation.  Each Nelder-Mead result is then
+re-validated through the public decoder and rate pair, which build the
+returned allocation and give the same floats.  ``Frontier.stats`` counts
+the evaluations, the penalized ones by error type, and the runs that did not
+converge.
+
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
 """
@@ -17,6 +26,7 @@ function of (seed, j, k), so growing the restart budget only appends starts.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -26,16 +36,19 @@ from .model import (
     ChannelGains,
     EvaluatorError,
     InfiniteGain,
+    NotInfinite,
     PowerBudget,
     RcAllocation,
     Simplex2,
     Simplex3,
     TcAllocation,
+    simplex_weights,
 )
 from . import rxcoop, txcoop
 
 __all__ = [
     "TraceOptions",
+    "TraceStats",
     "FrontierPoint",
     "Frontier",
     "default_weights",
@@ -60,9 +73,13 @@ _SIMPLEX_STEP = 0.5
 # Nelder-Mead stopping tolerances on the objective and on the vertices.
 _FATOL = 1e-9
 _XATOL = 1e-8
-_TC_DIM = 17
-_RC_DIM = 13
-_LIMIT_DIM = 6
+# Simplex block sizes of each search vector, in allocation field order.
+_TC_BLOCKS = (3, 2, 2, 2, 2, 3, 3)
+_RC_BLOCKS = (3, 3, 3, 2, 2)
+_LIMIT_BLOCKS = (3, 3)
+_TC_DIM = sum(_TC_BLOCKS)
+_RC_DIM = sum(_RC_BLOCKS)
+_LIMIT_DIM = sum(_LIMIT_BLOCKS)
 
 
 def default_weights(n: int = 33, span: float = 6.0) -> tuple[float, ...]:
@@ -85,6 +102,27 @@ class TraceOptions:
 
 
 @dataclass(frozen=True)
+class TraceStats:
+    """How a trace got its answer.
+
+    evaluations -- objective evaluations over all Nelder-Mead runs (sum of nfev)
+    penalized   -- evaluations that raised, by EvaluatorError subclass name
+    runs        -- Nelder-Mead runs
+    unconverged -- runs that ended with success=False (evaluation budget spent)
+    """
+
+    evaluations: int = 0
+    penalized: dict[str, int] = field(default_factory=dict)
+    runs: int = 0
+    unconverged: int = 0
+
+    def __add__(self, other: "TraceStats") -> "TraceStats":
+        penalized = Counter(self.penalized) + Counter(other.penalized)
+        return TraceStats(self.evaluations + other.evaluations, dict(sorted(penalized.items())),
+                          self.runs + other.runs, self.unconverged + other.unconverged)
+
+
+@dataclass(frozen=True)
 class FrontierPoint:
     """One frontier vertex with the allocation and weight that produced it."""
 
@@ -101,6 +139,7 @@ class Frontier:
     points: tuple[FrontierPoint, ...]
     scheme: str
     options: TraceOptions | None = None
+    stats: TraceStats = field(default_factory=TraceStats, compare=False)
 
     def vertices(self) -> list[tuple[float, float]]:
         return [(pt.r1, pt.r2) for pt in self.points]
@@ -110,46 +149,50 @@ class Frontier:
 # Simplex reparameterization (unconstrained vector -> allocation)
 
 
-def _squared_block(xs) -> tuple[float, ...]:
-    total = 0.0
-    for x in xs:
-        total += x * x
-    if total < 1e-300:
-        n = len(xs)
-        return tuple(1.0 / n for _ in xs)
-    return tuple(x * x / total for x in xs)
+def _squares(xs: list[float], blocks) -> list[list[float]]:
+    """Per block, x_i^2 / sum(x^2); uniform when the block is all (near) zero."""
+    out = []
+    start = 0
+    for n in blocks:
+        block = xs[start:start + n]
+        start += n
+        total = 0.0
+        for x in block:
+            total += x * x
+        out.append([1.0 / n] * n if total < 1e-300 else [x * x / total for x in block])
+    return out
+
+
+def _decode(xs: list[float], blocks) -> list[float]:
+    """The shares the decoded allocation's simplices store, flat in field order."""
+    shares = []
+    for block in _squares(xs, blocks):
+        shares += simplex_weights(block)
+    return shares
+
+
+def _simplices(x, blocks) -> list:
+    return [(Simplex2 if len(block) == 2 else Simplex3)(*block)
+            for block in _squares([float(v) for v in x], blocks)]
 
 
 def tc_allocation_from_vector(x) -> TcAllocation:
     """Map an unconstrained 17-vector to a transmitter-cooperation allocation."""
     if len(x) != _TC_DIM:
         raise ValueError(f"expected {_TC_DIM} coordinates, got {len(x)}")
-    return TcAllocation(
-        lam=Simplex3(*_squared_block(x[0:3])),
-        kappa=Simplex2(*_squared_block(x[3:5])),
-        gamma=Simplex2(*_squared_block(x[5:7])),
-        alpha=Simplex2(*_squared_block(x[7:9])),
-        beta=Simplex2(*_squared_block(x[9:11])),
-        mu=Simplex3(*_squared_block(x[11:14])),
-        eta=Simplex3(*_squared_block(x[14:17])),
-    )
+    return TcAllocation(*_simplices(x, _TC_BLOCKS))
 
 
 def rc_allocation_from_vector(x) -> RcAllocation:
     """Map an unconstrained 13-vector to a receiver-cooperation allocation."""
     if len(x) != _RC_DIM:
         raise ValueError(f"expected {_RC_DIM} coordinates, got {len(x)}")
-    return RcAllocation(
-        lam=Simplex3(*_squared_block(x[0:3])),
-        mu=Simplex3(*_squared_block(x[3:6])),
-        eta=Simplex3(*_squared_block(x[6:9])),
-        alpha=Simplex2(*_squared_block(x[9:11])),
-        beta=Simplex2(*_squared_block(x[11:13])),
-    )
+    return RcAllocation(*_simplices(x, _RC_BLOCKS))
 
 
 def _limit_splits_from_vector(x) -> tuple[Simplex3, Simplex3]:
-    return (Simplex3(*_squared_block(x[0:3])), Simplex3(*_squared_block(x[3:6])))
+    mu, eta = _simplices(x, _LIMIT_BLOCKS)
+    return mu, eta
 
 
 # Explicit boundary starts: zero-duration phases always paired with zero
@@ -201,19 +244,24 @@ def _scalarize(r1: float, r2: float, weight: float) -> float:
     return r1 + weight * r2
 
 
-def _sweep(evaluate, dim: int, corners, opts: TraceOptions):
-    """Multi-start direct search per weight; returns all re-validated maximizers.
+def _sweep(score, revalidate, dim: int, corners, opts: TraceOptions):
+    """Multi-start direct search per weight.
 
-    ``evaluate(x, weight)`` maps an unconstrained vector to (r1, r2,
-    allocation) or raises EvaluatorError.
+    ``score(xs, weight)`` maps the coordinates of a search vector (a list of
+    floats) to (r1, r2) or raises EvaluatorError; ``revalidate(x, weight)``
+    maps a search result to (r1, r2, allocation) through the public API.
+    Returns the re-validated maximizers and the search's ``TraceStats``.
     """
     candidates: list[tuple[float, float, float, object]] = []
+    penalized: Counter = Counter()
+    evaluations = runs = unconverged = 0
     for widx, w in enumerate(opts.weights):
 
         def neg_objective(x, _w=w):
             try:
-                r1, r2, _ = evaluate(x, _w)
-            except EvaluatorError:
+                r1, r2 = score(x.tolist(), _w)
+            except EvaluatorError as exc:
+                penalized[type(exc).__name__] += 1
                 return _PENALTY
             return -_scalarize(r1, r2, _w)
 
@@ -224,15 +272,20 @@ def _sweep(evaluate, dim: int, corners, opts: TraceOptions):
                 options={"maxiter": opts.max_iter, "maxfev": 2 * opts.max_iter,
                          "fatol": _FATOL, "xatol": _XATOL, "adaptive": False,
                          "initial_simplex": _initial_simplex(x0)})
+            evaluations += result.nfev
+            runs += 1
+            unconverged += not result.success
             try:
-                r1, r2, alloc = evaluate(result.x, w)
+                r1, r2, alloc = revalidate(result.x, w)
             except EvaluatorError:
                 continue
             candidates.append((r1, r2, w, alloc))
-    return candidates
+    stats = TraceStats(evaluations, dict(sorted(penalized.items())), runs, unconverged)
+    return candidates, stats
 
 
-def _build_frontier(candidates, scheme: str, opts: TraceOptions) -> Frontier:
+def _build_frontier(candidates, scheme: str, opts: TraceOptions,
+                    stats: TraceStats) -> Frontier:
     by_vertex: dict[tuple[float, float], tuple[float, object]] = {}
     for r1, r2, w, alloc in candidates:
         by_vertex.setdefault((r1, r2), (w, alloc))
@@ -241,7 +294,56 @@ def _build_frontier(candidates, scheme: str, opts: TraceOptions) -> Frontier:
     for v in vertices:
         w, alloc = by_vertex.get(v, (None, None))
         points.append(FrontierPoint(r1=v[0], r2=v[1], weight=w, allocation=alloc))
-    return Frontier(points=tuple(points), scheme=scheme, options=opts)
+    return Frontier(points=tuple(points), scheme=scheme, options=opts, stats=stats)
+
+
+def _tc_search(scheme: str, g: ChannelGains, p: PowerBudget):
+    """(score, revalidate) of a TC or RDPC search (see ``_sweep``)."""
+    c, pw = txcoop.kernel_args(g, p)
+    kernel = txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel
+
+    def score(xs, _w):
+        return kernel(c, pw, _decode(xs, _TC_BLOCKS))
+
+    def revalidate(x, _w):
+        alloc = tc_allocation_from_vector(x)
+        pair_fn = txcoop.tc_rate_pair if scheme == "TC" else txcoop.rdpc_rate_pair
+        pair = pair_fn(g, p, alloc)
+        return pair.r1, pair.r2, alloc
+
+    return score, revalidate
+
+
+def _rc_search(g: ChannelGains, p: PowerBudget):
+    """(score, revalidate) of an RC search (see ``_sweep``)."""
+    c, pw = rxcoop.kernel_args(g, p)
+    kernel = rxcoop.rc_kernel
+
+    def score(xs, w):
+        return kernel(c, pw, _decode(xs, _RC_BLOCKS), w)
+
+    def revalidate(x, w):
+        alloc = rc_allocation_from_vector(x)
+        pair = rxcoop.rc_rate_pair(g, p, alloc, weight=w)
+        return pair.r1, pair.r2, alloc
+
+    return score, revalidate
+
+
+def _tc_limit_search(g: ChannelGains, p: PowerBudget, user1_clean: bool):
+    """(score, revalidate) of a c12 = +inf search in one encoding order."""
+    c, pw = txcoop.kernel_args(g, p)
+    kernel = txcoop.tc_limit_kernel
+
+    def score(xs, _w):
+        return kernel(c, pw, _decode(xs, _LIMIT_BLOCKS), user1_clean)
+
+    def revalidate(x, _w):
+        mu, eta = _limit_splits_from_vector(x)
+        pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, user1_clean)
+        return pair.r1, pair.r2, (mu, eta, user1_clean)
+
+    return score, revalidate
 
 
 def trace(scheme: str, g: ChannelGains, p: PowerBudget,
@@ -257,27 +359,14 @@ def trace(scheme: str, g: ChannelGains, p: PowerBudget,
     if scheme in ("TC", "RDPC"):
         if math.isinf(g.c12):
             raise InfiniteGain("c12 is infinite; use tc_limit_region")
-        pair_fn = txcoop.tc_rate_pair if scheme == "TC" else txcoop.rdpc_rate_pair
-
-        def evaluate(x, _w):
-            alloc = tc_allocation_from_vector(x)
-            pair = pair_fn(g, p, alloc)
-            return pair.r1, pair.r2, alloc
-
-        candidates = _sweep(evaluate, _TC_DIM, _TC_CORNER_STARTS, opts)
+        candidates, stats = _sweep(*_tc_search(scheme, g, p), _TC_DIM, _TC_CORNER_STARTS, opts)
     elif scheme == "RC":
         if math.isinf(g.c34):
             raise InfiniteGain("c34 is infinite; use rc_limit_region")
-
-        def evaluate(x, w):
-            alloc = rc_allocation_from_vector(x)
-            pair = rxcoop.rc_rate_pair(g, p, alloc, weight=w)
-            return pair.r1, pair.r2, alloc
-
-        candidates = _sweep(evaluate, _RC_DIM, _RC_CORNER_STARTS, opts)
+        candidates, stats = _sweep(*_rc_search(g, p), _RC_DIM, _RC_CORNER_STARTS, opts)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")
-    return _build_frontier(candidates, scheme, opts)
+    return _build_frontier(candidates, scheme, opts, stats)
 
 
 def _limit_options(opts: TraceOptions | None) -> TraceOptions:
@@ -294,18 +383,18 @@ def trace_tc_limit(g: ChannelGains, p: PowerBudget,
 
     Sweeps the joint-phase power splits under both encoding orders (the two
     sources act as one two-antenna transmitter, so the order is free).
+    Raises NotInfinite when c12 is finite.
     """
+    if not math.isinf(g.c12):
+        raise NotInfinite("c12 is finite; use frontier.trace")
     opts = _limit_options(opts)
-    candidates = []
+    candidates, stats = [], TraceStats()
     for user1_clean in (True, False):
-
-        def evaluate(x, _w, _order=user1_clean):
-            mu, eta = _limit_splits_from_vector(x)
-            pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, _order)
-            return pair.r1, pair.r2, (mu, eta, _order)
-
-        candidates.extend(_sweep(evaluate, _LIMIT_DIM, _LIMIT_CORNER_STARTS, opts))
-    return _build_frontier(candidates, "TC_inf", opts)
+        found, order_stats = _sweep(*_tc_limit_search(g, p, user1_clean), _LIMIT_DIM,
+                                    _LIMIT_CORNER_STARTS, opts)
+        candidates += found
+        stats += order_stats
+    return _build_frontier(candidates, "TC_inf", opts, stats)
 
 
 def trace_rc_limit(g: ChannelGains, p: PowerBudget,
@@ -321,7 +410,7 @@ def trace_rc_limit(g: ChannelGains, p: PowerBudget,
     for w in (0.0, math.inf):
         pair = rxcoop.rc_limit_rate_pair(g, p, weight=w)
         candidates.append((pair.r1, pair.r2, w, None))
-    return _build_frontier(candidates, "RC_inf", _limit_options(opts))
+    return _build_frontier(candidates, "RC_inf", _limit_options(opts), TraceStats())
 
 
 # ---------------------------------------------------------------------------

@@ -35,10 +35,15 @@ __all__ = [
     "Sym2",
     "RatePair",
     "cap",
+    "quad",
     "quad_form",
+    "logdet",
     "logdet2",
+    "inverse",
     "inv2",
     "phase_power",
+    "simplex_weights",
+    "checked_pair",
 ]
 
 _SIMPLEX_SUM_TOL = 1e-9
@@ -151,14 +156,15 @@ class PowerBudget:
                 raise EvaluatorError(f"{name} must be finite, got {value}")
 
 
-def _normalize(weights: tuple[float, ...]) -> tuple[float, ...]:
+def simplex_weights(weights) -> list[float]:
+    """The weights a Simplex2/Simplex3 stores: checked, then divided by their fsum."""
     for w in weights:
         if not w >= 0.0:
             raise InvalidAllocation(f"negative simplex weight {w}")
     total = math.fsum(weights)
     if abs(total - 1.0) > _SIMPLEX_SUM_TOL:
         raise InvalidAllocation(f"simplex sum {total} not within {_SIMPLEX_SUM_TOL} of 1")
-    return tuple(w / total for w in weights)
+    return [w / total for w in weights]
 
 
 @dataclass(frozen=True)
@@ -169,7 +175,7 @@ class Simplex2:
     w2: float
 
     def __post_init__(self) -> None:
-        w1, w2 = _normalize((self.w1, self.w2))
+        w1, w2 = simplex_weights((self.w1, self.w2))
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
 
@@ -186,7 +192,7 @@ class Simplex3:
     w3: float
 
     def __post_init__(self) -> None:
-        w1, w2, w3 = _normalize((self.w1, self.w2, self.w3))
+        w1, w2, w3 = simplex_weights((self.w1, self.w2, self.w3))
         object.__setattr__(self, "w1", w1)
         object.__setattr__(self, "w2", w2)
         object.__setattr__(self, "w3", w3)
@@ -291,8 +297,7 @@ class RatePair:
     r2: float
 
     def __post_init__(self) -> None:
-        _check_nonneg("r1", self.r1)
-        _check_nonneg("r2", self.r2)
+        checked_pair(self.r1, self.r2)
 
     @property
     def total(self) -> float:
@@ -302,39 +307,66 @@ class RatePair:
         return iter((self.r1, self.r2))
 
 
+def checked_pair(r1: float, r2: float) -> tuple[float, float]:
+    """(r1, r2) after RatePair's check; raises EvaluatorError on a negative or NaN rate."""
+    _check_nonneg("r1", r1)
+    _check_nonneg("r2", r2)
+    return r1, r2
+
+
+_LN2 = math.log(2.0)
+
+
 def cap(x: float) -> float:
     """Gaussian capacity log2(1 + x) for an SNR x >= 0; maps +inf to +inf."""
     if x < 0.0:
         if x < -1e-12:
             raise NegativeSnr(f"negative SNR {x}")
         x = 0.0
-    if math.isinf(x):
-        return math.inf
-    return math.log1p(x) / math.log(2.0)
+    return math.log1p(x) / _LN2
 
 
-def quad_form(v: tuple[float, float], m: Sym2) -> float:
-    """v M v^T; tiny negatives from roundoff (within 1e-10) clamp to zero."""
-    q = v[0] * v[0] * m.a11 + 2.0 * v[0] * v[1] * m.a12 + v[1] * v[1] * m.a22
+# Float forms of the 2x2 operations: a symmetric matrix is passed as its
+# entries (a11, a12, a22).  The Sym2 forms below are views over them.
+
+
+def quad(v0: float, v1: float, a11: float, a12: float, a22: float) -> float:
+    """v A v^T; tiny negatives from roundoff (within 1e-10) clamp to zero."""
+    q = v0 * v0 * a11 + 2.0 * v0 * v1 * a12 + v1 * v1 * a22
     if -_PSD_TOL <= q < 0.0:
         return 0.0
     return q
 
 
-def logdet2(m: Sym2) -> float:
-    """log2 det(I + M); raises NonPositiveDefinite when det(I + M) <= 0."""
-    d = (1.0 + m.a11) * (1.0 + m.a22) - m.a12 * m.a12
+def logdet(a11: float, a12: float, a22: float) -> float:
+    """log2 det(I + A); raises NonPositiveDefinite when det(I + A) <= 0."""
+    d = (1.0 + a11) * (1.0 + a22) - a12 * a12
     if d <= 0.0:
         raise NonPositiveDefinite(f"det(I + M) = {d} <= 0")
     return math.log2(d)
 
 
-def inv2(m: Sym2) -> Sym2:
-    """Matrix inverse by adjugate; raises Singular when |det| < 1e-14."""
-    d = m.det()
+def inverse(a11: float, a12: float, a22: float) -> tuple[float, float, float]:
+    """Entries of A^-1 by adjugate; raises Singular when |det A| < 1e-14."""
+    d = a11 * a22 - a12 * a12
     if abs(d) < _DET_TOL:
         raise Singular(f"2x2 determinant {d} below tolerance")
-    return Sym2(m.a22 / d, -m.a12 / d, m.a11 / d)
+    return (a22 / d, -a12 / d, a11 / d)
+
+
+def quad_form(v: tuple[float, float], m: Sym2) -> float:
+    """v M v^T; tiny negatives from roundoff (within 1e-10) clamp to zero."""
+    return quad(v[0], v[1], m.a11, m.a12, m.a22)
+
+
+def logdet2(m: Sym2) -> float:
+    """log2 det(I + M); raises NonPositiveDefinite when det(I + M) <= 0."""
+    return logdet(m.a11, m.a12, m.a22)
+
+
+def inv2(m: Sym2) -> Sym2:
+    """Matrix inverse by adjugate; raises Singular when |det| < 1e-14."""
+    return Sym2(*inverse(m.a11, m.a12, m.a22))
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:

@@ -9,6 +9,16 @@ two-receive-antenna interference channel formed by each receiver's own
 observation and the compressed copy of its peer's, split into four cases by
 equivalent interference strength.
 
+Each rate formula exists once, as a kernel on plain floats: gains
+``c = (c13, c14, c23, c24, c34)`` and powers ``pw = (p1, p2, p3, p4)`` from
+``kernel_args``, and the 13 allocation shares ``s`` flat in field order
+(lam1..3, mu1..3, eta1..3, alpha1..2, beta1..2).  ``rc_kernel`` returns the
+rate pair as floats; the frontier search scores every evaluation with it.
+The dataclass API (``rc_rate_pair``, ``rc_phase_rates``, ``rc_compression``,
+...) is a thin view: it unpacks its arguments, calls the kernels and wraps
+the result, raising the same errors in the same order.  The kernels do not
+check c34: the views and the tracer do, once.
+
 All functions are pure; rates are bits per channel use.
 """
 
@@ -28,14 +38,18 @@ from .model import (
     RcAllocation,
     Sym2,
     cap,
+    checked_pair,
+    logdet,
     logdet2,
     phase_power,
-    quad_form,
+    quad,
 )
 
 __all__ = [
     "RcPhaseRates",
     "EquivalentMimoIc",
+    "kernel_args",
+    "rc_kernel",
     "rc_phase23_rates",
     "rc_compression",
     "rc_phase1_rates",
@@ -96,47 +110,45 @@ class EquivalentMimoIc:
     inr2: Sym2
 
 
-def _check_finite_conferencing(g: ChannelGains) -> None:
-    if math.isinf(g.c34):
-        raise InfiniteGain("c34 is infinite; use rc_limit_region / rc_limit_rate_pair")
+# ---------------------------------------------------------------------------
+# Kernels (plain floats)
 
 
-def rc_phase23_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation) -> RcPhaseRates:
-    """Phase 2-3 rates by direct SINR evaluation.
+def kernel_args(g: ChannelGains, p: PowerBudget):
+    """The kernels' gains ``c`` and powers ``pw``."""
+    return (g.c13, g.c14, g.c23, g.c24, g.c34), (p.p1, p.p2, p.p3, p.p4)
 
-    The forwarding node of a zero-duration phase (node 4 in phase 2, node 3
-    in phase 3) simply stays silent; source power shares on a zero-duration
-    phase raise InvalidAllocation.
-    """
-    _check_finite_conferencing(g)
-    lam2, lam3 = a.lam.w2, a.lam.w3
-    p1_2 = phase_power(a.mu.w2, p.p1, lam2, "mu2")
-    p2_2 = phase_power(a.eta.w2, p.p2, lam2, "eta2")
-    p1_3 = phase_power(a.mu.w3, p.p1, lam3, "mu3")
-    p2_3 = phase_power(a.eta.w3, p.p2, lam3, "eta3")
+
+def _phase23(c, pw, s):
+    """Phase 2-3 rates, the first eight ``RcPhaseRates`` fields in order."""
+    c13, c14, c23, c24, c34 = c
+    p1, p2, p3, p4 = pw
+    lam2, lam3 = s[1], s[2]
+    p1_2 = phase_power(s[4], p1, lam2, "mu2")
+    p2_2 = phase_power(s[7], p2, lam2, "eta2")
+    p1_3 = phase_power(s[5], p1, lam3, "mu3")
+    p2_3 = phase_power(s[8], p2, lam3, "eta3")
     # Receiver helpers spend their whole budget inside one phase; with a
     # zero-duration phase that budget is simply unusable.
-    p4_1 = a.alpha.w1 * p.p4 / lam2 if lam2 > 0.0 else 0.0
-    p4_2 = a.alpha.w2 * p.p4 / lam2 if lam2 > 0.0 else 0.0
-    p3_1 = a.beta.w1 * p.p3 / lam3 if lam3 > 0.0 else 0.0
-    p3_2 = a.beta.w2 * p.p3 / lam3 if lam3 > 0.0 else 0.0
+    p4_1 = s[9] * p4 / lam2 if lam2 > 0.0 else 0.0
+    p4_2 = s[10] * p4 / lam2 if lam2 > 0.0 else 0.0
+    p3_1 = s[11] * p3 / lam3 if lam3 > 0.0 else 0.0
+    p3_2 = s[12] * p3 / lam3 if lam3 > 0.0 else 0.0
 
     # Phase 2: receiver 3 listens to sources 1, 2 and helper 4.
-    base2 = 1.0 + g.c13 ** 2 * p1_2 + g.c23 ** 2 * p2_2
-    r1_2r2 = lam2 * cap(g.c34 ** 2 * p4_2 / (base2 + g.c34 ** 2 * p4_1))
-    r1_s = lam2 * cap(g.c34 ** 2 * p4_1 / base2)
-    r2_2r1 = lam2 * cap(g.c23 ** 2 * p2_2 / (1.0 + g.c13 ** 2 * p1_2))
-    r1_d = lam2 * cap(g.c13 ** 2 * p1_2)
+    base2 = 1.0 + c13 ** 2 * p1_2 + c23 ** 2 * p2_2
+    r1_2r2 = lam2 * cap(c34 ** 2 * p4_2 / (base2 + c34 ** 2 * p4_1))
+    r1_s = lam2 * cap(c34 ** 2 * p4_1 / base2)
+    r2_2r1 = lam2 * cap(c23 ** 2 * p2_2 / (1.0 + c13 ** 2 * p1_2))
+    r1_d = lam2 * cap(c13 ** 2 * p1_2)
 
     # Phase 3: receiver 4 listens to sources 1, 2 and helper 3.
-    base3 = 1.0 + g.c14 ** 2 * p1_3 + g.c24 ** 2 * p2_3
-    r2_2r2 = lam3 * cap(g.c34 ** 2 * p3_2 / (base3 + g.c34 ** 2 * p3_1))
-    r2_s = lam3 * cap(g.c34 ** 2 * p3_1 / base3)
-    r1_2r1 = lam3 * cap(g.c14 ** 2 * p1_3 / (1.0 + g.c24 ** 2 * p2_3))
-    r2_d = lam3 * cap(g.c24 ** 2 * p2_3)
-
-    return RcPhaseRates(r1_d=r1_d, r2_d=r2_d, r1_s=r1_s, r2_s=r2_s,
-                        r1_2r1=r1_2r1, r1_2r2=r1_2r2, r2_2r1=r2_2r1, r2_2r2=r2_2r2)
+    base3 = 1.0 + c14 ** 2 * p1_3 + c24 ** 2 * p2_3
+    r2_2r2 = lam3 * cap(c34 ** 2 * p3_2 / (base3 + c34 ** 2 * p3_1))
+    r2_s = lam3 * cap(c34 ** 2 * p3_1 / base3)
+    r1_2r1 = lam3 * cap(c14 ** 2 * p1_3 / (1.0 + c24 ** 2 * p2_3))
+    r2_d = lam3 * cap(c24 ** 2 * p2_3)
+    return (r1_d, r2_d, r1_s, r2_s, r1_2r1, r1_2r2, r2_2r1, r2_2r2)
 
 
 _LN2 = math.log(2.0)
@@ -160,23 +172,22 @@ def _compression_noise(num: float, exponent: float, denom: float) -> float:
     return float(num) / float(denom) / growth
 
 
-def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
-                   r1_s: float, r2_s: float) -> EquivalentMimoIc:
-    """Wyner-Ziv compression noises and the equivalent two-antenna channel.
+def _outer(v0: float, v1: float, scale: float):
+    return (scale * v0 * v0, scale * v0 * v1, scale * v1 * v1)
 
-    A zero forwarding rate yields infinite compression noise and a dead
-    borrowed antenna (zeta = 0); no special-casing is needed downstream
-    because the equivalent gains then contain exact zeros.
-    """
-    lam1 = a.lam.w1
+
+def _compression(c, pw, s, r1_s: float, r2_s: float):
+    """The equivalent two-antenna channel, ``EquivalentMimoIc`` fields in order
+    (vectors as pairs, matrices as their entries (a11, a12, a22))."""
+    c13, c14, c23, c24, _ = c
+    lam1 = s[0]
     if lam1 == 0.0:
         raise InvalidAllocation("compression requires a positive phase-1 duration")
-    p1_1 = phase_power(a.mu.w1, p.p1, lam1, "mu1")
-    p2_1 = phase_power(a.eta.w1, p.p2, lam1, "eta1")
-    sigma_x = Sym2.diag(p1_1, p2_1)
-    at3 = 1.0 + quad_form(g.g1, sigma_x)
-    at4 = 1.0 + quad_form(g.g2, sigma_x)
-    cross = g.c13 * g.c14 * p1_1 + g.c23 * g.c24 * p2_1
+    p1_1 = phase_power(s[3], pw[0], lam1, "mu1")
+    p2_1 = phase_power(s[6], pw[1], lam1, "eta1")
+    at3 = 1.0 + quad(c13, c23, p1_1, 0.0, p2_1)
+    at4 = 1.0 + quad(c14, c24, p1_1, 0.0, p2_1)
+    cross = c13 * c14 * p1_1 + c23 * c24 * p2_1
     num = at3 * at4 - cross * cross
 
     sigma1_sq = _compression_noise(num, r2_s / lam1, at4)
@@ -185,21 +196,100 @@ def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     zeta2 = 0.0 if math.isinf(sigma2_sq) else 1.0 / (1.0 + sigma2_sq)
 
     rz1, rz2 = math.sqrt(zeta1), math.sqrt(zeta2)
-    c13v = (g.c13, rz2 * g.c14)
-    c23v = (g.c23, rz2 * g.c24)
-    c14v = (rz1 * g.c13, g.c14)
-    c24v = (rz1 * g.c23, g.c24)
-    return EquivalentMimoIc(
-        sigma1_sq=sigma1_sq, sigma2_sq=sigma2_sq, zeta1=zeta1, zeta2=zeta2,
-        c13v=c13v, c23v=c23v, c14v=c14v, c24v=c24v,
-        snr1=Sym2.outer(c13v, p1_1), inr1=Sym2.outer(c23v, p2_1),
-        snr2=Sym2.outer(c24v, p2_1), inr2=Sym2.outer(c14v, p1_1),
-    )
+    c13v = (c13, rz2 * c14)
+    c23v = (c23, rz2 * c24)
+    c14v = (rz1 * c13, c14)
+    c24v = (rz1 * c23, c24)
+    return (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v,
+            _outer(*c13v, p1_1), _outer(*c23v, p2_1), _outer(*c24v, p2_1), _outer(*c14v, p1_1))
 
 
-def _logratio(snr: Sym2, inr: Sym2) -> float:
+def _add(m, n):
+    return (m[0] + n[0], m[1] + n[1], m[2] + n[2])
+
+
+def _logratio(snr, inr) -> float:
     """log2 |I + SNR + INR| - log2 |I + INR|: decode treating interference as noise."""
-    return logdet2(snr + inr) - logdet2(inr)
+    return logdet(*_add(snr, inr)) - logdet(*inr)
+
+
+def _sqnorm(v) -> float:
+    return v[0] * v[0] + v[1] * v[1]
+
+
+def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
+    """Phase-1 rate pair from the last eight fields of the equivalent channel."""
+    if lambda1 == 0.0:
+        return (0.0, 0.0)
+    c13v, c23v, c14v, c24v, snr1, inr1, snr2, inr2 = eq
+    strong_at_4 = _sqnorm(c14v) >= _sqnorm(c13v)
+    strong_at_3 = _sqnorm(c23v) >= _sqnorm(c24v)
+    if strong_at_4 and strong_at_3:
+        a1 = lambda1 * logdet(*snr1)
+        a2 = lambda1 * logdet(*snr2)
+        a12 = lambda1 * min(logdet(*_add(snr1, inr1)), logdet(*_add(snr2, inr2)))
+        return bounds.pentagon_corner(a1, a2, a12, weight)
+    if strong_at_4:
+        return (lambda1 * _logratio(snr1, inr1), lambda1 * logdet(*snr2))
+    if strong_at_3:
+        return (lambda1 * logdet(*snr1), lambda1 * _logratio(snr2, inr2))
+    return (lambda1 * _logratio(snr1, inr1), lambda1 * _logratio(snr2, inr2))
+
+
+def _stream_rates(c, pw, s, weight: float):
+    """All ten stream rates in ``RcPhaseRates`` field order."""
+    rates = _phase23(c, pw, s)
+    lam1 = s[0]
+    if lam1 == 0.0:
+        if s[3] > 0.0 or s[6] > 0.0:
+            raise InvalidAllocation("positive phase-1 power share on zero-duration phase")
+        return rates + (0.0, 0.0)
+    eq = _compression(c, pw, s, rates[2], rates[3])
+    return rates + _phase1(eq[4:], lam1, weight)
+
+
+def rc_kernel(c, pw, s, weight: float = 1.0) -> tuple[float, float]:
+    """(R1, R2) of receiver cooperation; float form of ``rc_rate_pair``."""
+    rates = _stream_rates(c, pw, s, weight)
+    r1_d, r2_d, _, _, r1_2r1, r1_2r2, r2_2r1, r2_2r2, r1_r1, r2_r1 = rates
+    return checked_pair(r1_d + r1_r1 + min(r1_2r1, r1_2r2), r2_d + r2_r1 + min(r2_2r1, r2_2r2))
+
+
+# ---------------------------------------------------------------------------
+# Dataclass views
+
+
+def _shares(a: RcAllocation) -> tuple[float, ...]:
+    return (*a.lam, *a.mu, *a.eta, *a.alpha, *a.beta)
+
+
+def _unpack(g: ChannelGains, p: PowerBudget, a: RcAllocation):
+    """Kernel arguments (c, pw, s); raises InfiniteGain at c34 = +inf."""
+    if math.isinf(g.c34):
+        raise InfiniteGain("c34 is infinite; use rc_limit_region / rc_limit_rate_pair")
+    return (*kernel_args(g, p), _shares(a))
+
+
+def rc_phase23_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation) -> RcPhaseRates:
+    """Phase 2-3 rates by direct SINR evaluation.
+
+    The forwarding node of a zero-duration phase (node 4 in phase 2, node 3
+    in phase 3) simply stays silent; source power shares on a zero-duration
+    phase raise InvalidAllocation.
+    """
+    return RcPhaseRates(*_phase23(*_unpack(g, p, a)))
+
+
+def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
+                   r1_s: float, r2_s: float) -> EquivalentMimoIc:
+    """Wyner-Ziv compression noises and the equivalent two-antenna channel.
+
+    A zero forwarding rate yields infinite compression noise and a dead
+    borrowed antenna (zeta = 0); no special-casing is needed downstream
+    because the equivalent gains then contain exact zeros.
+    """
+    eq = _compression(*kernel_args(g, p), _shares(a), r1_s, r2_s)
+    return EquivalentMimoIc(*eq[:8], *(Sym2(*m) for m in eq[8:]))
 
 
 def rc_phase1_rates(eq: EquivalentMimoIc, lambda1: float,
@@ -207,47 +297,19 @@ def rc_phase1_rates(eq: EquivalentMimoIc, lambda1: float,
     """Phase-1 rate pair from the four-case equivalent-channel analysis.
 
     Cases by `equivalent` interference strength (ties count as strong):
-    both strong -> joint decoding at both receivers (a ``bounds.OuterBound``
-    pentagon; the corner is picked by ``weight``); one strong -> that
+    both strong -> joint decoding at both receivers (a pentagon; the corner
+    is picked by ``weight``, ``bounds.pentagon_corner``); one strong -> that
     receiver decodes and cancels the interference while the other treats it
     as noise; both weak -> both treat interference as noise.
     """
-    if lambda1 == 0.0:
-        return (0.0, 0.0)
-
-    def sqnorm(v: tuple[float, float]) -> float:
-        return v[0] * v[0] + v[1] * v[1]
-
-    strong_at_4 = sqnorm(eq.c14v) >= sqnorm(eq.c13v)
-    strong_at_3 = sqnorm(eq.c23v) >= sqnorm(eq.c24v)
-    if strong_at_4 and strong_at_3:
-        a1 = lambda1 * logdet2(eq.snr1)
-        a2 = lambda1 * logdet2(eq.snr2)
-        a12 = lambda1 * min(logdet2(eq.snr1 + eq.inr1), logdet2(eq.snr2 + eq.inr2))
-        return bounds.OuterBound(a1, a2, a12, kind="RC_phase1").corner(weight)
-    if strong_at_4:
-        return (lambda1 * _logratio(eq.snr1, eq.inr1), lambda1 * logdet2(eq.snr2))
-    if strong_at_3:
-        return (lambda1 * logdet2(eq.snr1), lambda1 * _logratio(eq.snr2, eq.inr2))
-    return (lambda1 * _logratio(eq.snr1, eq.inr1), lambda1 * _logratio(eq.snr2, eq.inr2))
+    matrices = tuple((m.a11, m.a12, m.a22) for m in (eq.snr1, eq.inr1, eq.snr2, eq.inr2))
+    return _phase1((eq.c13v, eq.c23v, eq.c14v, eq.c24v, *matrices), lambda1, weight)
 
 
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,
                    weight: float = 1.0) -> RcPhaseRates:
     """All per-stream rates of the receiver-cooperation scheme."""
-    rates = rc_phase23_rates(g, p, a)
-    if a.lam.w1 == 0.0:
-        if a.mu.w1 > 0.0 or a.eta.w1 > 0.0:
-            raise InvalidAllocation("positive phase-1 power share on zero-duration phase")
-        return rates
-    eq = rc_compression(g, p, a, rates.r1_s, rates.r2_s)
-    r1_r1, r2_r1 = rc_phase1_rates(eq, a.lam.w1, weight)
-    return RcPhaseRates(
-        r1_d=rates.r1_d, r2_d=rates.r2_d, r1_s=rates.r1_s, r2_s=rates.r2_s,
-        r1_2r1=rates.r1_2r1, r1_2r2=rates.r1_2r2,
-        r2_2r1=rates.r2_2r1, r2_2r2=rates.r2_2r2,
-        r1_r1=r1_r1, r2_r1=r2_r1,
-    )
+    return RcPhaseRates(*_stream_rates(*_unpack(g, p, a), weight))
 
 
 def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
@@ -258,9 +320,7 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     ``weight`` picks the operating corner of the phase-1 joint-decoding
     pentagon when both equivalent interferences are strong.
     """
-    r = rc_phase_rates(g, p, a, weight)
-    return RatePair(r.r1_d + r.r1_r1 + min(r.r1_2r1, r.r1_2r2),
-                    r.r2_d + r.r2_r1 + min(r.r2_2r1, r.r2_2r2))
+    return RatePair(*rc_kernel(*_unpack(g, p, a), weight))
 
 
 def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> RatePair:

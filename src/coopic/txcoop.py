@@ -20,13 +20,25 @@ with a pooled budget.
 Also provides the recycled/parallel-DPC baseline (diagonal covariances, no
 coherent combining) and the infinite-conferencing limit of the scheme.
 
+Each rate formula exists once, as a kernel on plain floats: gains
+``c = (c12, c13, c14, c23, c24)`` and powers ``pw = (p1, p2)`` from
+``kernel_args``, the 17 allocation shares ``s`` flat in field order (lam1..3,
+kappa1..2, gamma1..2, alpha1..2, beta1..2, mu1..3, eta1..3), and a
+covariance as ``(sigma1, sigma2, user1_clean)`` with each sigma given by
+its entries (a11, a12, a22).  ``tc_kernel``, ``rdpc_kernel`` and
+``tc_limit_kernel`` return the rate pair as floats; the frontier search
+scores every evaluation with them.  The dataclass API is a thin view: it
+unpacks its arguments, calls the kernels and wraps the result, raising the
+same errors in the same order.  The kernels do not check c12: the views and
+the tracer do, once.
+
 All functions are pure; rates are bits per channel use.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 from .model import (
     ChannelGains,
@@ -36,20 +48,24 @@ from .model import (
     NotInfinite,
     PowerBudget,
     RatePair,
-    Simplex2,
     Simplex3,
     Sym2,
     TcAllocation,
     cap,
-    inv2,
+    checked_pair,
+    inverse,
     phase_power,
-    quad_form,
+    quad,
 )
 
 __all__ = [
     "TcPhaseRates",
     "TcCovariances",
     "Phase3PowerAudit",
+    "kernel_args",
+    "tc_kernel",
+    "rdpc_kernel",
+    "tc_limit_kernel",
     "tc_phase12_rates",
     "tc_phase3_covariances",
     "tc_budget_covariances",
@@ -107,71 +123,69 @@ class TcCovariances:
 _AUDIT_RTOL = 1e-12
 
 
-def _check_finite_conferencing(g: ChannelGains) -> None:
-    if math.isinf(g.c12):
-        raise InfiniteGain("c12 is infinite; use tc_limit_region / tc_limit_rate_pair")
+# ---------------------------------------------------------------------------
+# Kernels (plain floats)
 
 
-def _phase3_powers(p: PowerBudget, a: TcAllocation) -> tuple[float, float]:
-    """Phase-3 burst power allotted to sources 1 and 2."""
-    return (phase_power(a.kappa.w2, p.p1, a.lam.w3, "kappa2"),
-            phase_power(a.gamma.w2, p.p2, a.lam.w3, "gamma2"))
+def kernel_args(g: ChannelGains, p: PowerBudget):
+    """The kernels' gains ``c`` and powers ``pw``."""
+    return (g.c12, g.c13, g.c14, g.c23, g.c24), (p.p1, p.p2)
 
 
-def _phase3_streams(p: PowerBudget, a: TcAllocation):
-    """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2 streams."""
-    p1_3, p2_3 = _phase3_powers(p, a)
-    return ((a.mu.w1 * p1_3, a.eta.w1 * p2_3), (a.mu.w2 * p1_3, a.eta.w3 * p2_3),
-            (a.mu.w3 * p1_3, a.eta.w2 * p2_3))
-
-
-def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
-    """Per-source joint-stream powers for a covariance rule; checks c12 and lam3 first."""
-    _check_finite_conferencing(g)
-    if a.lam.w3 == 0.0:
-        raise DegeneratePhase("phase 3 has zero duration")
-    return _phase3_streams(p, a)[1:]
-
-
-def _user1_clean(g: ChannelGains) -> bool:
+def _user1_clean(c) -> bool:
     """Encoding order: user 1 gets the clean slot iff receiver 3's combined gain is larger."""
-    return g.c13 + g.c23 > g.c14 + g.c24
+    return c[1] + c[3] > c[2] + c[4]
 
 
-def tc_phase12_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcPhaseRates:
-    """Phase 1-2 rates (conferencing and relayed-stream listening).
-
-    A zero-duration phase contributes zero rate and must carry zero power
-    share (kappa1 for phase 1, gamma1 for phase 2), else InvalidAllocation.
-    """
-    _check_finite_conferencing(g)
-    lam1, lam2 = a.lam.w1, a.lam.w2
-    p1_1 = phase_power(a.kappa.w1, p.p1, lam1, "kappa1")
-    p2_1 = phase_power(a.gamma.w1, p.p2, lam2, "gamma1")
+def _phase12(c, pw, s):
+    """Phase 1-2 rates (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)."""
+    c12, c13, c14, c23, c24 = c
+    lam1, lam2 = s[0], s[1]
+    alpha1, alpha2, beta1, beta2 = s[7], s[8], s[9], s[10]
+    p1_1 = phase_power(s[3], pw[0], lam1, "kappa1")
+    p2_1 = phase_power(s[5], pw[1], lam2, "gamma1")
 
     # Phase 1: source 1 broadcasts; DPC order set by c13 > c14.
-    r1_r1 = lam1 * cap(g.c12 ** 2 * a.alpha.w1 * p1_1)
-    if g.c13 > g.c14:
-        r1_1 = lam1 * cap(g.c13 ** 2 * a.alpha.w1 * p1_1)
-        r2_1 = lam1 * cap(g.c14 ** 2 * a.alpha.w2 * p1_1 / (1.0 + g.c14 ** 2 * a.alpha.w1 * p1_1))
+    r1_r1 = lam1 * cap(c12 ** 2 * alpha1 * p1_1)
+    if c13 > c14:
+        r1_1 = lam1 * cap(c13 ** 2 * alpha1 * p1_1)
+        r2_1 = lam1 * cap(c14 ** 2 * alpha2 * p1_1 / (1.0 + c14 ** 2 * alpha1 * p1_1))
     else:
-        r1_1 = lam1 * cap(g.c13 ** 2 * a.alpha.w1 * p1_1 / (1.0 + g.c13 ** 2 * a.alpha.w2 * p1_1))
-        r2_1 = lam1 * cap(g.c14 ** 2 * a.alpha.w2 * p1_1)
+        r1_1 = lam1 * cap(c13 ** 2 * alpha1 * p1_1 / (1.0 + c13 ** 2 * alpha2 * p1_1))
+        r2_1 = lam1 * cap(c14 ** 2 * alpha2 * p1_1)
 
     # Phase 2: source 2 broadcasts; DPC order set by c24 > c23.
-    r2_r1 = lam2 * cap(g.c12 ** 2 * a.beta.w1 * p2_1)
-    if g.c24 > g.c23:
-        r2_2 = lam2 * cap(g.c24 ** 2 * a.beta.w1 * p2_1)
-        r1_2 = lam2 * cap(g.c23 ** 2 * a.beta.w2 * p2_1 / (1.0 + g.c23 ** 2 * a.beta.w1 * p2_1))
+    r2_r1 = lam2 * cap(c12 ** 2 * beta1 * p2_1)
+    if c24 > c23:
+        r2_2 = lam2 * cap(c24 ** 2 * beta1 * p2_1)
+        r1_2 = lam2 * cap(c23 ** 2 * beta2 * p2_1 / (1.0 + c23 ** 2 * beta1 * p2_1))
     else:
-        r2_2 = lam2 * cap(g.c24 ** 2 * a.beta.w1 * p2_1 / (1.0 + g.c24 ** 2 * a.beta.w2 * p2_1))
-        r1_2 = lam2 * cap(g.c23 ** 2 * a.beta.w2 * p2_1)
+        r2_2 = lam2 * cap(c24 ** 2 * beta1 * p2_1 / (1.0 + c24 ** 2 * beta2 * p2_1))
+        r1_2 = lam2 * cap(c23 ** 2 * beta2 * p2_1)
+    return (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)
 
-    return TcPhaseRates(r1_r1=r1_r1, r2_r1=r2_r1, r1_1=r1_1, r2_1=r2_1, r1_2=r1_2, r2_2=r2_2)
+
+def _phase3_powers(pw, s) -> tuple[float, float]:
+    """Phase-3 burst power allotted to sources 1 and 2."""
+    return (phase_power(s[4], pw[0], s[2], "kappa2"),
+            phase_power(s[6], pw[1], s[2], "gamma2"))
 
 
-def _duality_covariances(g: ChannelGains, s_joint1: float, s_joint2: float,
-                         user1_clean: bool) -> TcCovariances:
+def _phase3_split(pw, s):
+    """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2 streams."""
+    p1_3, p2_3 = _phase3_powers(pw, s)
+    return ((s[11] * p1_3, s[14] * p2_3), (s[12] * p1_3, s[16] * p2_3),
+            (s[13] * p1_3, s[15] * p2_3))
+
+
+def _joint(pw, s):
+    """Per-source joint-stream powers for a covariance rule; checks lam3 first."""
+    if s[2] == 0.0:
+        raise DegeneratePhase("phase 3 has zero duration")
+    return _phase3_split(pw, s)[1:]
+
+
+def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
     """Joint-stream covariances from the dual multiple-access construction.
 
     The clean stream's covariance is shaped by the inverse of
@@ -180,31 +194,174 @@ def _duality_covariances(g: ChannelGains, s_joint1: float, s_joint2: float,
     scale is inflated by the clean stream's leakage into the peer receiver.
     """
     if user1_clean:
-        b = Sym2.identity() + Sym2.outer(g.h2, s_joint2)
-        sigma1 = inv2(b) * s_joint1
-        a_scale = 1.0 + quad_form(g.h2, sigma1)
-        sigma2 = Sym2.identity(a_scale * s_joint2)
+        u0, u1, s_clean, s_other = c[3], c[4], s_joint1, s_joint2
     else:
-        b = Sym2.identity() + Sym2.outer(g.h1, s_joint1)
-        sigma1 = inv2(b) * s_joint2
-        a_scale = 1.0 + quad_form(g.h1, sigma1)
-        sigma2 = Sym2.identity(a_scale * s_joint1)
-    return TcCovariances(sigma1=sigma1, sigma2=sigma2, user1_clean=user1_clean)
+        u0, u1, s_clean, s_other = c[1], c[2], s_joint2, s_joint1
+    b11, b12, b22 = inverse(1.0 + s_other * u0 * u0, s_other * u0 * u1,
+                            1.0 + s_other * u1 * u1)
+    sigma1 = (b11 * s_clean, b12 * s_clean, b22 * s_clean)
+    a_scale = 1.0 + quad(u0, u1, *sigma1)
+    return (sigma1, (a_scale * s_other, 0.0, a_scale * s_other), user1_clean)
+
+
+def _budget_cov(c, joint1, joint2):
+    """Per-source-budget covariances (see ``tc_budget_covariances``)."""
+    user1_clean = _user1_clean(c)
+    if user1_clean:
+        clean, first, x, y = joint1, joint2, c[2], c[4]
+    else:
+        clean, first, x, y = joint2, joint1, c[1], c[3]
+    s = first[0] + first[1]
+    rho_dual = -s * x * y / math.sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
+    rho = 1.0 + 2.0 * rho_dual
+    f0, f1 = math.sqrt(first[0]), math.sqrt(first[1])
+    return ((clean[0], rho * math.sqrt(clean[0] * clean[1]), clean[1]),
+            (f0 * f0, f0 * f1, f1 * f1), user1_clean)
+
+
+def _rdpc_cov(c, joint1, joint2):
+    """Diagonal covariances (see ``rdpc_covariances``)."""
+    diag1, diag2 = (joint1[0], 0.0, joint1[1]), (joint2[0], 0.0, joint2[1])
+    if _user1_clean(c):
+        return (diag1, diag2, True)
+    return (diag2, diag1, False)
+
+
+def _phase3(c, lam3: float, fresh, cov):
+    """Phase-3 rates (r1_3, r2_3, r1_d, r2_d) under the covariances ``cov``.
+
+    The receiver of the clean stream decodes its joint stream first (only
+    its own fresh stream plus noise in the denominator), then its fresh
+    stream interference-free.  The other receiver sees the clean stream's
+    leakage plus both fresh streams as noise.
+    """
+    _, c13, c14, c23, c24 = c
+    sigma1, sigma2, user1_clean = cov
+    fresh1, fresh2 = fresh
+    i1_at3 = c13 ** 2 * fresh1
+    i1_at4 = c14 ** 2 * fresh1
+    i2_at4 = c24 ** 2 * fresh2
+    i2_at3 = c23 ** 2 * fresh2
+    if user1_clean:
+        r1_3 = lam3 * cap(quad(c13, c23, *sigma1) / (1.0 + i1_at3))
+        r1_d = lam3 * cap(i1_at3)
+        leak = quad(c14, c24, *sigma1)
+        r2_3 = lam3 * cap(quad(c14, c24, *sigma2) / (1.0 + leak + i1_at4 + i2_at4))
+        r2_d = lam3 * cap(i2_at4 / (1.0 + leak + i1_at4))
+    else:
+        r2_3 = lam3 * cap(quad(c14, c24, *sigma1) / (1.0 + i2_at4))
+        r2_d = lam3 * cap(i2_at4)
+        leak = quad(c13, c23, *sigma1)
+        r1_3 = lam3 * cap(quad(c13, c23, *sigma2) / (1.0 + leak + i1_at3 + i2_at3))
+        r1_d = lam3 * cap(i1_at3 / (1.0 + leak + i2_at3))
+    return (r1_3, r2_3, r1_d, r2_d)
+
+
+def _stream_rates(c, pw, s, cov=None):
+    """All ten stream rates in ``TcPhaseRates`` field order.
+
+    ``cov`` defaults to the per-source-budget covariances.
+    """
+    rates = _phase12(c, pw, s)
+    lam3 = s[2]
+    if lam3 == 0.0:
+        if s[4] > 0.0 or s[6] > 0.0:
+            raise InvalidAllocation("positive phase-3 power share on zero-duration phase")
+        return rates + (0.0, 0.0, 0.0, 0.0)
+    fresh, joint1, joint2 = _phase3_split(pw, s)
+    if cov is None:
+        cov = _budget_cov(c, joint1, joint2)
+    return rates + _phase3(c, lam3, fresh, cov)
+
+
+def _pair(rates) -> tuple[float, float]:
+    # Each user's relayed stream is limited both by the conferencing hop and
+    # by what its receiver collects across the three phases.
+    r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2, r1_3, r2_3, r1_d, r2_d = rates
+    return checked_pair(r1_d + min(r1_r1, r1_1 + r1_2 + r1_3),
+                        r2_d + min(r2_r1, r2_1 + r2_2 + r2_3))
+
+
+def tc_kernel(c, pw, s) -> tuple[float, float]:
+    """(R1, R2) of transmitter cooperation; float form of ``tc_rate_pair``."""
+    return _pair(_stream_rates(c, pw, s))
+
+
+def rdpc_kernel(c, pw, s) -> tuple[float, float]:
+    """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``.
+
+    Raises DegeneratePhase at lam3 = 0 before any phase-1/2 check.
+    """
+    return _pair(_stream_rates(c, pw, s, _rdpc_cov(c, *_joint(pw, s))))
+
+
+def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
+    """(R1, R2) at c12 = +inf for the joint-phase splits s = (mu1..3, eta1..3).
+
+    Float form of ``tc_limit_rate_pair``: the joint phase fills the block
+    (lam3 = 1, all power in phase 3) with the pooled duality covariances.
+    """
+    p1, p2 = pw
+    s_joint1 = s[1] * p1 + s[5] * p2
+    s_joint2 = s[2] * p1 + s[4] * p2
+    cov = _duality_cov(c, s_joint1, s_joint2, user1_clean)
+    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (s[0] * p1, s[3] * p2), cov)
+    return checked_pair(r1_d + r1_3, r2_d + r2_3)
+
+
+# ---------------------------------------------------------------------------
+# Dataclass views
+
+
+def _shares(a: TcAllocation) -> tuple[float, ...]:
+    return (*a.lam, *a.kappa, *a.gamma, *a.alpha, *a.beta, *a.mu, *a.eta)
+
+
+def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
+    """Kernel arguments (c, pw, s); raises InfiniteGain at c12 = +inf."""
+    if math.isinf(g.c12):
+        raise InfiniteGain("c12 is infinite; use tc_limit_region / tc_limit_rate_pair")
+    return (*kernel_args(g, p), _shares(a))
+
+
+def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
+    """Kernel gains and per-source joint-stream powers; checks c12 and lam3 first."""
+    c, pw, s = _unpack(g, p, a)
+    return (c, *_joint(pw, s))
+
+
+def _cov_view(cov) -> TcCovariances:
+    sigma1, sigma2, user1_clean = cov
+    return TcCovariances(sigma1=Sym2(*sigma1), sigma2=Sym2(*sigma2), user1_clean=user1_clean)
+
+
+def _cov_floats(cov: TcCovariances):
+    return ((cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22),
+            (cov.sigma2.a11, cov.sigma2.a12, cov.sigma2.a22), cov.user1_clean)
+
+
+def tc_phase12_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcPhaseRates:
+    """Phase 1-2 rates (conferencing and relayed-stream listening).
+
+    A zero-duration phase contributes zero rate and must carry zero power
+    share (kappa1 for phase 1, gamma1 for phase 2), else InvalidAllocation.
+    """
+    return TcPhaseRates(*_phase12(*_unpack(g, p, a)))
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
     """The paper's phase-3 covariances for the two joint streams.
 
     Built from the dual multiple-access solution at the pooled stream powers
-    (``_duality_covariances``): the clean stream is inverse-shaped and the
-    other is a scaled identity, so a source can radiate more than its own
-    phase-3 allotment (see ``phase3_power_audit``).  ``tc_rate_pair`` uses
+    (``_duality_cov``): the clean stream is inverse-shaped and the other is
+    a scaled identity, so a source can radiate more than its own phase-3
+    allotment (see ``phase3_power_audit``).  ``tc_rate_pair`` uses
     ``tc_budget_covariances`` instead.
 
     Raises DegeneratePhase when the joint phase has zero duration.
     """
-    joint1, joint2 = _joint_streams(g, p, a)
-    return _duality_covariances(g, sum(joint1), sum(joint2), _user1_clean(g))
+    c, joint1, joint2 = _joint_streams(g, p, a)
+    return _cov_view(_duality_cov(c, sum(joint1), sum(joint2), _user1_clean(c)))
 
 
 def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -229,18 +386,7 @@ def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
 
     Raises DegeneratePhase when the joint phase has zero duration.
     """
-    joint1, joint2 = _joint_streams(g, p, a)
-    user1_clean = _user1_clean(g)
-    if user1_clean:
-        clean, first, (x, y) = joint1, joint2, g.g2
-    else:
-        clean, first, (x, y) = joint2, joint1, g.g1
-    s = sum(first)
-    rho_dual = -s * x * y / math.sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
-    rho = 1.0 + 2.0 * rho_dual
-    sigma1 = Sym2(clean[0], rho * math.sqrt(clean[0] * clean[1]), clean[1])
-    sigma2 = Sym2.outer((math.sqrt(first[0]), math.sqrt(first[1])))
-    return TcCovariances(sigma1=sigma1, sigma2=sigma2, user1_clean=user1_clean)
+    return _cov_view(_budget_cov(*_joint_streams(g, p, a)))
 
 
 def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -249,41 +395,18 @@ def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCova
     Equivalent to random, unsynchronized carrier phases between the sources,
     which reduces the scheme to recycled/parallel DPC.
     """
-    joint1, joint2 = (Sym2.diag(*powers) for powers in _joint_streams(g, p, a))
-    if _user1_clean(g):
-        return TcCovariances(sigma1=joint1, sigma2=joint2, user1_clean=True)
-    return TcCovariances(sigma1=joint2, sigma2=joint1, user1_clean=False)
+    return _cov_view(_rdpc_cov(*_joint_streams(g, p, a)))
 
 
 def tc_phase3_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
                     cov: TcCovariances) -> TcPhaseRates:
-    """Phase-3 joint and fresh stream rates under the given covariances.
-
-    The receiver of the clean stream decodes its joint stream first (only
-    its own fresh stream plus noise in the denominator), then its fresh
-    stream interference-free.  The other receiver sees the clean stream's
-    leakage plus both fresh streams as noise.
-    """
+    """Phase-3 joint and fresh stream rates under the given covariances."""
     lam3 = a.lam.w3
     if lam3 == 0.0:
         return TcPhaseRates()
-    (fresh1, fresh2), _, _ = _phase3_streams(p, a)
-    i1_at3 = g.c13 ** 2 * fresh1
-    i1_at4 = g.c14 ** 2 * fresh1
-    i2_at4 = g.c24 ** 2 * fresh2
-    i2_at3 = g.c23 ** 2 * fresh2
-    if cov.user1_clean:
-        r1_3 = lam3 * cap(quad_form(g.g1, cov.sigma1) / (1.0 + i1_at3))
-        r1_d = lam3 * cap(i1_at3)
-        leak = quad_form(g.g2, cov.sigma1)
-        r2_3 = lam3 * cap(quad_form(g.g2, cov.sigma2) / (1.0 + leak + i1_at4 + i2_at4))
-        r2_d = lam3 * cap(i2_at4 / (1.0 + leak + i1_at4))
-    else:
-        r2_3 = lam3 * cap(quad_form(g.g2, cov.sigma1) / (1.0 + i2_at4))
-        r2_d = lam3 * cap(i2_at4)
-        leak = quad_form(g.g1, cov.sigma1)
-        r1_3 = lam3 * cap(quad_form(g.g1, cov.sigma2) / (1.0 + leak + i1_at3 + i2_at3))
-        r1_d = lam3 * cap(i1_at3 / (1.0 + leak + i2_at3))
+    c, pw = kernel_args(g, p)
+    fresh = _phase3_split(pw, _shares(a))[0]
+    r1_3, r2_3, r1_d, r2_d = _phase3(c, lam3, fresh, _cov_floats(cov))
     return TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
 
 
@@ -316,10 +439,11 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
         return Phase3PowerAudit(radiated=(0.0, 0.0), allotted=(0.0, 0.0))
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
-    (fresh1, fresh2), _, _ = _phase3_streams(p, a)
+    pw, s = (p.p1, p.p2), _shares(a)
+    fresh1, fresh2 = _phase3_split(pw, s)[0]
     radiated = (fresh1 + cov.sigma1.a11 + cov.sigma2.a11,
                 fresh2 + cov.sigma1.a22 + cov.sigma2.a22)
-    return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(p, a))
+    return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, s))
 
 
 def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
@@ -330,37 +454,22 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     budget-respecting ``tc_budget_covariances``; pass
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
-    p12 = tc_phase12_rates(g, p, a)
-    if a.lam.w3 == 0.0:
-        if a.kappa.w2 > 0.0 or a.gamma.w2 > 0.0:
-            raise InvalidAllocation("positive phase-3 power share on zero-duration phase")
-        return p12
-    if cov is None:
-        cov = tc_budget_covariances(g, p, a)
-    p3 = tc_phase3_rates(g, p, a, cov)
-    return TcPhaseRates(
-        r1_r1=p12.r1_r1, r2_r1=p12.r2_r1,
-        r1_1=p12.r1_1, r2_1=p12.r2_1, r1_2=p12.r1_2, r2_2=p12.r2_2,
-        r1_3=p3.r1_3, r2_3=p3.r2_3, r1_d=p3.r1_d, r2_d=p3.r2_d,
-    )
+    c, pw, s = _unpack(g, p, a)
+    return TcPhaseRates(*_stream_rates(c, pw, s, None if cov is None else _cov_floats(cov)))
 
 
 def _combine(r: TcPhaseRates) -> RatePair:
-    # Each user's relayed stream is limited both by the conferencing hop and
-    # by what its receiver collects across the three phases.
-    r1 = r.r1_d + min(r.r1_r1, r.r1_1 + r.r1_2 + r.r1_3)
-    r2 = r.r2_d + min(r.r2_r1, r.r2_1 + r.r2_2 + r.r2_3)
-    return RatePair(r1, r2)
+    return RatePair(*_pair(astuple(r)))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
-    return _combine(tc_phase_rates(g, p, a))
+    return RatePair(*tc_kernel(*_unpack(g, p, a)))
 
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return _combine(tc_phase_rates(g, p, a, cov=rdpc_covariances(g, p, a)))
+    return RatePair(*rdpc_kernel(*_unpack(g, p, a)))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,
@@ -375,14 +484,7 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     """
     if not math.isinf(g.c12):
         raise NotInfinite("c12 is finite; use tc_rate_pair")
-    s_joint1 = mu.w2 * p.p1 + eta.w3 * p.p2
-    s_joint2 = mu.w3 * p.p1 + eta.w2 * p.p2
-    cov = _duality_covariances(g, s_joint1, s_joint2, user1_clean)
-    a = TcAllocation(lam=Simplex3(0.0, 0.0, 1.0), kappa=Simplex2(0.0, 1.0),
-                     gamma=Simplex2(0.0, 1.0), alpha=Simplex2(0.5, 0.5),
-                     beta=Simplex2(0.5, 0.5), mu=mu, eta=eta)
-    rates = tc_phase3_rates(g, p, a, cov)
-    return RatePair(rates.r1_d + rates.r1_3, rates.r2_d + rates.r2_3)
+    return RatePair(*tc_limit_kernel(*kernel_args(g, p), (*mu, *eta), user1_clean))
 
 
 def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

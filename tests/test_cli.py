@@ -124,6 +124,20 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("command, config", [
+    ("region", {"schemes": 5}),
+    ("region", {"schemes": ["TC", 5]}),
+    ("region", {"schemes": ["IC"], "out": 5}),
+    ("eval", {"scheme": 5, "allocation": TC_ALLOCATION}),
+])
+def test_bad_config_types_exit_2(tmp_path, capsys, command, config):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert run([command, "--config", str(path)]) == cli.EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
+
+
 def test_eval_infinite_gain_exits_3(tmp_path, capsys):
     cfg = write_config(tmp_path, allocation=TC_ALLOCATION, c12="inf")
     assert run(["eval", "--config", cfg]) == cli.EXIT_EVALUATOR
@@ -156,6 +170,11 @@ def test_region_csv_layout_and_roundtrip(tmp_path, capsys):
     assert "TC" in sidecar["schemes"]
     assert sidecar["schemes"]["TC"]["points"][0]["allocation"] is not None
     assert "TC" in sidecar["bounds"]
+    stats = sidecar["schemes"]["TC"]["stats"]
+    assert stats["runs"] == len(frontier.default_weights(3)) * 2
+    assert stats["evaluations"] >= stats["runs"] * 18  # each run evaluates its initial simplex
+    assert 0 <= stats["unconverged"] <= stats["runs"]
+    assert all(isinstance(n, int) for n in stats["penalized"].values())
 
 
 def test_region_limit_mode_tagging(tmp_path):

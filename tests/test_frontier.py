@@ -1,11 +1,13 @@
 """Frontier tracing, hull geometry, region comparison."""
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
-from coopic.model import ChannelGains, InfiniteGain, PowerBudget
+from conftest import random_gains, random_powers
+from coopic.model import ChannelGains, EvaluatorError, InfiniteGain, NotInfinite, PowerBudget
 from coopic import frontier, txcoop, rxcoop
 
 SQRT2 = math.sqrt(2.0)
@@ -129,6 +131,65 @@ def test_random_vectors_yield_valid_allocations():
             assert math.fsum(weights) == pytest.approx(1.0, abs=1e-12)
 
 
+def _outcome(fn):
+    """(r1, r2), or the EvaluatorError subclass that fn raised."""
+    try:
+        r1, r2 = fn()
+    except EvaluatorError as exc:
+        return type(exc)
+    return (r1, r2)
+
+
+def _search_vector(rng, dim):
+    x = rng.standard_normal(dim)
+    x[rng.random(dim) < 0.15] = 0.0  # zero blocks and zero-duration phases
+    return x
+
+
+def _public_pair(pair):
+    return (pair.r1, pair.r2)
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_search_objective_matches_public_rate_pair(scheme):
+    # The search scores each evaluation with the float kernels; the public
+    # decode plus rate pair must give exactly the same floats, or raise the
+    # same EvaluatorError subclass.
+    rng = np.random.default_rng(55)
+    outcomes = set()
+    for _ in range(1500):
+        g, p = random_gains(rng), random_powers(rng)
+        if scheme == "TC_inf":
+            g = dataclasses.replace(g, c12=math.inf)
+            x = _search_vector(rng, 6)
+            for order in (True, False):
+                score, _ = frontier._tc_limit_search(g, p, order)
+                mu, eta = frontier._limit_splits_from_vector(x)
+                want = _outcome(lambda: _public_pair(
+                    txcoop.tc_limit_rate_pair(g, p, mu, eta, order)))
+                assert _outcome(lambda: score(x.tolist(), 1.0)) == want
+                outcomes.add(want if isinstance(want, type) else tuple)
+        elif scheme == "RC":
+            score, _ = frontier._rc_search(g, p)
+            x = _search_vector(rng, 13)
+            for w in (0.0, 1.0, 2.5, math.inf):
+                want = _outcome(lambda: _public_pair(rxcoop.rc_rate_pair(
+                    g, p, frontier.rc_allocation_from_vector(x), weight=w)))
+                assert _outcome(lambda: score(x.tolist(), w)) == want
+                outcomes.add(want if isinstance(want, type) else tuple)
+        else:
+            score, _ = frontier._tc_search(scheme, g, p)
+            pair_fn = txcoop.tc_rate_pair if scheme == "TC" else txcoop.rdpc_rate_pair
+            x = _search_vector(rng, 17)
+            want = _outcome(lambda: _public_pair(
+                pair_fn(g, p, frontier.tc_allocation_from_vector(x))))
+            assert _outcome(lambda: score(x.tolist(), 1.0)) == want
+            outcomes.add(want if isinstance(want, type) else tuple)
+    assert tuple in outcomes
+    if scheme != "TC_inf":  # zeroed coordinates reach the error paths
+        assert len(outcomes) >= 2
+
+
 # ---------------------------------------------------------------------------
 # tracing
 
@@ -144,6 +205,53 @@ def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers):
     g_inf = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
     with pytest.raises(InfiniteGain):
         frontier.trace("TC", g_inf, ref_powers, FAST)
+
+
+def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
+    # Count the kernel calls made inside Nelder-Mead runs (not the one
+    # re-validation per run), and their raises, independently of the trace.
+    searching, calls, raised = [False], [0], {}
+    kernel, minimize = txcoop.tc_kernel, frontier.minimize
+
+    def counting_kernel(c, pw, s):
+        calls[0] += searching[0]
+        try:
+            return kernel(c, pw, s)
+        except EvaluatorError as exc:
+            if searching[0]:
+                raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
+            raise
+
+    def flagged_minimize(*args, **kwargs):
+        searching[0] = True
+        try:
+            return minimize(*args, **kwargs)
+        finally:
+            searching[0] = False
+
+    monkeypatch.setattr(txcoop, "tc_kernel", counting_kernel)
+    monkeypatch.setattr(frontier, "minimize", flagged_minimize)
+    opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=8,
+                                 max_iter=40, seed=0)
+    stats = frontier.trace("TC", ref_gains, ref_powers, opts).stats
+    assert stats.runs == len(opts.weights) * opts.restarts
+    assert stats.evaluations == calls[0]
+    assert stats.penalized == raised and sum(raised.values()) > 0  # corner starts hit faces
+    assert stats.unconverged == stats.runs  # 40 iterations never meet the tolerances
+
+
+def test_limit_trace_stats(ref_powers):
+    opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=2,
+                                 max_iter=30, seed=0)
+    g12 = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
+    stats = frontier.trace_tc_limit(g12, ref_powers, opts).stats
+    assert stats.runs == 2 * len(opts.weights) * opts.restarts  # both encoding orders
+    assert stats.evaluations >= stats.runs * 7  # each run evaluates its initial simplex
+    g34 = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=math.inf)
+    assert frontier.trace_rc_limit(g34, ref_powers, opts).stats == frontier.TraceStats()
+    with pytest.raises(NotInfinite):
+        frontier.trace_tc_limit(ChannelGains(10.0, 1.0, SQRT2, SQRT2, 1.0, 10.0),
+                                ref_powers, opts)
 
 
 def test_trace_deterministic(ref_gains, ref_powers):
