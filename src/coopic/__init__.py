@@ -17,9 +17,7 @@ from .model import (
     Sym2,
     TcAllocation,
     cap,
-    inv2,
     logdet2,
-    quad_form,
 )
 from .txcoop import (
     TcCovariances,
@@ -27,20 +25,14 @@ from .txcoop import (
     rdpc_rate_pair,
     tc_limit_rate_pair,
     tc_limit_region,
-    tc_phase12_rates,
     tc_phase3_covariances,
-    tc_phase3_rates,
     tc_phase_rates,
     tc_rate_pair,
 )
 from .rxcoop import (
-    EquivalentMimoIc,
     RcPhaseRates,
-    rc_compression,
     rc_limit_rate_pair,
     rc_limit_region,
-    rc_phase1_rates,
-    rc_phase23_rates,
     rc_phase_rates,
     rc_rate_pair,
 )

@@ -12,8 +12,9 @@ Subcommands:
 
 Configuration is a flat JSON file; every key has a default mirroring the
 reference symmetric setup (direct gains 1, cross gains sqrt(2), powers 5,
-conferencing gains 10).  "inf" is accepted for c12/c34 and routes tracing
-to the limit-mode evaluators.
+conferencing gains 10).  "inf" is accepted for c12/c34, and
+``frontier.trace`` routes it to the limit-mode tracers.  Gains and powers
+outside the range ``ChannelGains`` and ``PowerBudget`` accept exit 2.
 
 Exit codes: 0 success, 2 validation failure, 3 evaluator error,
 4 unwritable output path.
@@ -231,16 +232,6 @@ def cmd_eval(args) -> int:
     return 0
 
 
-def _trace_scheme(scheme: str, g: ChannelGains, p: PowerBudget,
-                  opts: frontier.TraceOptions):
-    """Trace one scheme, routing infinite conferencing gains to limit mode."""
-    if scheme == "TC" and math.isinf(g.c12):
-        return txcoop.tc_limit_region(g, p, opts)
-    if scheme == "RC" and math.isinf(g.c34):
-        return rxcoop.rc_limit_region(g, p, opts)
-    return frontier.trace(scheme, g, p, opts)
-
-
 def cmd_region(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
@@ -268,7 +259,7 @@ def cmd_region(args) -> int:
                 "r1_max": region.r1_max, "r2_max": region.r2_max,
                 "sum_max": region.sum_max}
             continue
-        fr = _trace_scheme(scheme, g, p, opts)
+        fr = frontier.trace(scheme, g, p, opts)
         for pt in fr.points:
             rows.append((pt.r1, pt.r2, fr.scheme, pt.weight))
         sidecar["schemes"][fr.scheme] = {
@@ -335,7 +326,7 @@ def cmd_compare(args) -> int:
             raise ValidationFailure(f"compare supports TC, RDPC or RC, got {scheme!r}")
         g = build_gains(config)
         p = build_powers(config)
-        frontiers.append(_trace_scheme(scheme, g, p, build_options(config)))
+        frontiers.append(frontier.trace(scheme, g, p, build_options(config)))
     fa, fb = frontiers
     b_outside_a = frontier.region_deviation(fb, fa)
     a_outside_b = frontier.region_deviation(fa, fb)

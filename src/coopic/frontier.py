@@ -9,6 +9,7 @@ returned.  Each search starts from a simplex at the reparameterization's
 unit scale, so it can leave the face of a corner start.  The hull is the
 time-shared closure of the achievable set only when every weight's search
 finds the global maximizer; otherwise it is an inner approximation.
+``trace`` also routes infinite conferencing gains to the limit tracers.
 
 Each evaluation of the search decodes the vector once (``x.tolist()``) into
 the shares the allocation's simplices would store and scores them with the
@@ -348,21 +349,26 @@ def _tc_limit_search(g: ChannelGains, p: PowerBudget, user1_clean: bool):
 
 def trace(scheme: str, g: ChannelGains, p: PowerBudget,
           opts: TraceOptions | None = None) -> Frontier:
-    """Trace the Pareto frontier of an achievable scheme at finite gains.
+    """Trace the Pareto frontier of an achievable scheme.
 
     ``scheme`` is "TC", "RDPC" (transmitter cooperation and its
     no-coherent-combining baseline) or "RC" (receiver cooperation).
-    Infinite conferencing gains must go through the limit-mode tracers.
+    This is the one place that routes infinite conferencing gains: TC at
+    c12 = +inf goes to ``trace_tc_limit`` and RC at c34 = +inf to
+    ``trace_rc_limit``, each with its own defaults when ``opts`` is None.
+    RDPC has no limit mode and raises InfiniteGain at c12 = +inf.
     """
-    opts = opts or TraceOptions()
     scheme = scheme.upper()
+    if scheme == "TC" and math.isinf(g.c12):
+        return trace_tc_limit(g, p, opts)
+    if scheme == "RC" and math.isinf(g.c34):
+        return trace_rc_limit(g, p, opts)
+    opts = opts or TraceOptions()
     if scheme in ("TC", "RDPC"):
         if math.isinf(g.c12):
-            raise InfiniteGain("c12 is infinite; use tc_limit_region")
+            raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
         candidates, stats = _sweep(*_tc_search(scheme, g, p), _TC_DIM, _TC_CORNER_STARTS, opts)
     elif scheme == "RC":
-        if math.isinf(g.c34):
-            raise InfiniteGain("c34 is infinite; use rc_limit_region")
         candidates, stats = _sweep(*_rc_search(g, p), _RC_DIM, _RC_CORNER_STARTS, opts)
     else:
         raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")

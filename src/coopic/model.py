@@ -36,19 +36,25 @@ __all__ = [
     "RatePair",
     "cap",
     "quad",
-    "quad_form",
     "logdet",
     "logdet2",
     "inverse",
-    "inv2",
     "phase_power",
     "simplex_weights",
     "checked_pair",
+    "GAIN_MAX",
+    "POWER_MAX",
 ]
 
 _SIMPLEX_SUM_TOL = 1e-9
 _PSD_TOL = 1e-10
 _DET_TOL = 1e-14
+
+# Largest finite gain and power accepted: every SNR c^2 * P at the budget is
+# then at most 1e24 and every det(I + M) at most about 1e49, far inside the
+# float range, so no rate or bound overflows to inf or NaN.
+GAIN_MAX = 1e8
+POWER_MAX = 1e8
 
 
 class EvaluatorError(ValueError):
@@ -87,18 +93,18 @@ class NotStrongInterference(EvaluatorError):
     """Cross gains do not dominate direct gains, so the strong-IC baseline does not apply."""
 
 
-def _check_nonneg(name: str, value: float) -> None:
-    if not value >= 0.0:
-        raise EvaluatorError(f"{name} must be nonnegative, got {value}")
+def _check_range(name: str, value: float, limit: float = math.inf) -> None:
+    if not 0.0 <= value <= limit:
+        raise EvaluatorError(f"{name} must be in [0, {limit:g}], got {value}")
 
 
 @dataclass(frozen=True)
 class ChannelGains:
     """Link amplitude gains c_ik between nodes 1..4 (3 = receiver of 1, 4 of 2).
 
-    Only the conferencing links c12 (between the transmitters) and c34
-    (between the receivers) may be +inf; that routes evaluation to the
-    dedicated limit-mode code paths.
+    Each gain lies in [0, GAIN_MAX]; only the conferencing links c12 (between
+    the transmitters) and c34 (between the receivers) may also be +inf,
+    which ``frontier.trace`` routes to the dedicated limit-mode code paths.
     """
 
     c12: float
@@ -109,13 +115,10 @@ class ChannelGains:
     c34: float
 
     def __post_init__(self) -> None:
-        for name in ("c13", "c14", "c23", "c24"):
+        for name in ("c12", "c13", "c14", "c23", "c24", "c34"):
             value = getattr(self, name)
-            _check_nonneg(name, value)
-            if math.isinf(value):
-                raise EvaluatorError(f"{name} must be finite, got {value}")
-        for name in ("c12", "c34"):
-            _check_nonneg(name, getattr(self, name))
+            if not (name in ("c12", "c34") and value == math.inf):
+                _check_range(name, value, GAIN_MAX)
 
     # The four derived 2-vectors are recomputed on demand, never cached.
     @property
@@ -141,7 +144,7 @@ class ChannelGains:
 
 @dataclass(frozen=True)
 class PowerBudget:
-    """Per-node average power constraints, noise-normalized (linear scale)."""
+    """Per-node average powers in [0, POWER_MAX], noise-normalized (linear scale)."""
 
     p1: float
     p2: float
@@ -150,10 +153,7 @@ class PowerBudget:
 
     def __post_init__(self) -> None:
         for name in ("p1", "p2", "p3", "p4"):
-            value = getattr(self, name)
-            _check_nonneg(name, value)
-            if math.isinf(value):
-                raise EvaluatorError(f"{name} must be finite, got {value}")
+            _check_range(name, getattr(self, name), POWER_MAX)
 
 
 def simplex_weights(weights) -> list[float]:
@@ -252,41 +252,12 @@ class Sym2:
     a22: float
 
     @classmethod
-    def zero(cls) -> "Sym2":
-        return cls(0.0, 0.0, 0.0)
-
-    @classmethod
-    def identity(cls, scale: float = 1.0) -> "Sym2":
-        return cls(scale, 0.0, scale)
-
-    @classmethod
-    def diag(cls, a: float, b: float) -> "Sym2":
-        return cls(a, 0.0, b)
-
-    @classmethod
     def outer(cls, v: tuple[float, float], scale: float = 1.0) -> "Sym2":
         """scale * v v^T (rank one, PSD for scale >= 0)."""
         return cls(scale * v[0] * v[0], scale * v[0] * v[1], scale * v[1] * v[1])
 
     def __add__(self, other: "Sym2") -> "Sym2":
         return Sym2(self.a11 + other.a11, self.a12 + other.a12, self.a22 + other.a22)
-
-    def __mul__(self, scale: float) -> "Sym2":
-        return Sym2(self.a11 * scale, self.a12 * scale, self.a22 * scale)
-
-    __rmul__ = __mul__
-
-    def det(self) -> float:
-        return self.a11 * self.a22 - self.a12 * self.a12
-
-    def eigenvalues(self) -> tuple[float, float]:
-        """Eigenvalues in ascending order (closed form)."""
-        mean = 0.5 * (self.a11 + self.a22)
-        dev = math.hypot(0.5 * (self.a11 - self.a22), self.a12)
-        return (mean - dev, mean + dev)
-
-    def is_psd(self, tol: float = _PSD_TOL) -> bool:
-        return self.eigenvalues()[0] >= -tol
 
 
 @dataclass(frozen=True)
@@ -309,8 +280,8 @@ class RatePair:
 
 def checked_pair(r1: float, r2: float) -> tuple[float, float]:
     """(r1, r2) after RatePair's check; raises EvaluatorError on a negative or NaN rate."""
-    _check_nonneg("r1", r1)
-    _check_nonneg("r2", r2)
+    _check_range("r1", r1)
+    _check_range("r2", r2)
     return r1, r2
 
 
@@ -327,7 +298,7 @@ def cap(x: float) -> float:
 
 
 # Float forms of the 2x2 operations: a symmetric matrix is passed as its
-# entries (a11, a12, a22).  The Sym2 forms below are views over them.
+# entries (a11, a12, a22).  ``logdet2`` is the Sym2 view of ``logdet``.
 
 
 def quad(v0: float, v1: float, a11: float, a12: float, a22: float) -> float:
@@ -354,19 +325,9 @@ def inverse(a11: float, a12: float, a22: float) -> tuple[float, float, float]:
     return (a22 / d, -a12 / d, a11 / d)
 
 
-def quad_form(v: tuple[float, float], m: Sym2) -> float:
-    """v M v^T; tiny negatives from roundoff (within 1e-10) clamp to zero."""
-    return quad(v[0], v[1], m.a11, m.a12, m.a22)
-
-
 def logdet2(m: Sym2) -> float:
     """log2 det(I + M); raises NonPositiveDefinite when det(I + M) <= 0."""
     return logdet(m.a11, m.a12, m.a22)
-
-
-def inv2(m: Sym2) -> Sym2:
-    """Matrix inverse by adjugate; raises Singular when |det| < 1e-14."""
-    return Sym2(*inverse(m.a11, m.a12, m.a22))
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:

@@ -14,10 +14,11 @@ Each rate formula exists once, as a kernel on plain floats: gains
 ``kernel_args``, and the 13 allocation shares ``s`` flat in field order
 (lam1..3, mu1..3, eta1..3, alpha1..2, beta1..2).  ``rc_kernel`` returns the
 rate pair as floats; the frontier search scores every evaluation with it.
-The dataclass API (``rc_rate_pair``, ``rc_phase_rates``, ``rc_compression``,
-...) is a thin view: it unpacks its arguments, calls the kernels and wraps
-the result, raising the same errors in the same order.  The kernels do not
-check c34: the views and the tracer do, once.
+The dataclass API (``rc_rate_pair`` and ``rc_phase_rates``) is a thin view:
+it unpacks its arguments, calls the kernels and wraps the result, raising
+the same errors in the same order.  The kernels do not check c34: the views
+and the tracer do, once.  ``frontier.trace`` routes c34 = +inf to the
+limit's tracer, which uses ``rc_limit_rate_pair``.
 
 All functions are pure; rates are bits per channel use.
 """
@@ -47,12 +48,8 @@ from .model import (
 
 __all__ = [
     "RcPhaseRates",
-    "EquivalentMimoIc",
     "kernel_args",
     "rc_kernel",
-    "rc_phase23_rates",
-    "rc_compression",
-    "rc_phase1_rates",
     "rc_phase_rates",
     "rc_rate_pair",
     "rc_limit_rate_pair",
@@ -82,32 +79,6 @@ class RcPhaseRates:
     r2_2r2: float = 0.0
     r1_r1: float = 0.0
     r2_r1: float = 0.0
-
-
-@dataclass(frozen=True)
-class EquivalentMimoIc:
-    """Equivalent 1-transmit/2-receive-antenna interference channel.
-
-    sigma1_sq / sigma2_sq are the compression-noise variances of the
-    observations reconstructed at the peer receiver (+inf when nothing was
-    forwarded); zeta_i = 1/(1 + sigma_i_sq) scales the borrowed antenna.
-    The four gain vectors give each (transmitter, receiver) pair's channel
-    into the receiver's two effective antennas, and the SNR/INR matrices are
-    the matching rank-one signal and interference covariances.
-    """
-
-    sigma1_sq: float
-    sigma2_sq: float
-    zeta1: float
-    zeta2: float
-    c13v: tuple[float, float]
-    c23v: tuple[float, float]
-    c14v: tuple[float, float]
-    c24v: tuple[float, float]
-    snr1: Sym2
-    inr1: Sym2
-    snr2: Sym2
-    inr2: Sym2
 
 
 # ---------------------------------------------------------------------------
@@ -177,8 +148,11 @@ def _outer(v0: float, v1: float, scale: float):
 
 
 def _compression(c, pw, s, r1_s: float, r2_s: float):
-    """The equivalent two-antenna channel, ``EquivalentMimoIc`` fields in order
-    (vectors as pairs, matrices as their entries (a11, a12, a22))."""
+    """The equivalent one-transmit/two-receive-antenna interference channel
+    (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, snr1, inr1,
+    snr2, inr2), vectors as pairs and matrices as entries (a11, a12, a22).
+    sigma_i_sq is the compression noise of the peer's observation (+inf when
+    nothing was forwarded, leaving exact zeros in the gains)."""
     c13, c14, c23, c24, _ = c
     lam1 = s[0]
     if lam1 == 0.0:
@@ -218,7 +192,12 @@ def _sqnorm(v) -> float:
 
 
 def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
-    """Phase-1 rate pair from the last eight fields of the equivalent channel."""
+    """Phase-1 rate pair from the last eight fields of the equivalent channel.
+
+    Both interferences strong (ties count as strong): joint decoding, the
+    pentagon corner picked by ``weight``; one strong: that receiver cancels
+    it, the other treats it as noise; both weak: both treat it as noise.
+    """
     if lambda1 == 0.0:
         return (0.0, 0.0)
     c13v, c23v, c14v, c24v, snr1, inr1, snr2, inr2 = eq
@@ -266,44 +245,9 @@ def _shares(a: RcAllocation) -> tuple[float, ...]:
 def _unpack(g: ChannelGains, p: PowerBudget, a: RcAllocation):
     """Kernel arguments (c, pw, s); raises InfiniteGain at c34 = +inf."""
     if math.isinf(g.c34):
-        raise InfiniteGain("c34 is infinite; use rc_limit_region / rc_limit_rate_pair")
+        raise InfiniteGain("c34 is infinite; trace the limit with frontier.trace "
+                           "or evaluate it with rc_limit_rate_pair")
     return (*kernel_args(g, p), _shares(a))
-
-
-def rc_phase23_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation) -> RcPhaseRates:
-    """Phase 2-3 rates by direct SINR evaluation.
-
-    The forwarding node of a zero-duration phase (node 4 in phase 2, node 3
-    in phase 3) simply stays silent; source power shares on a zero-duration
-    phase raise InvalidAllocation.
-    """
-    return RcPhaseRates(*_phase23(*_unpack(g, p, a)))
-
-
-def rc_compression(g: ChannelGains, p: PowerBudget, a: RcAllocation,
-                   r1_s: float, r2_s: float) -> EquivalentMimoIc:
-    """Wyner-Ziv compression noises and the equivalent two-antenna channel.
-
-    A zero forwarding rate yields infinite compression noise and a dead
-    borrowed antenna (zeta = 0); no special-casing is needed downstream
-    because the equivalent gains then contain exact zeros.
-    """
-    eq = _compression(*kernel_args(g, p), _shares(a), r1_s, r2_s)
-    return EquivalentMimoIc(*eq[:8], *(Sym2(*m) for m in eq[8:]))
-
-
-def rc_phase1_rates(eq: EquivalentMimoIc, lambda1: float,
-                    weight: float = 1.0) -> tuple[float, float]:
-    """Phase-1 rate pair from the four-case equivalent-channel analysis.
-
-    Cases by `equivalent` interference strength (ties count as strong):
-    both strong -> joint decoding at both receivers (a pentagon; the corner
-    is picked by ``weight``, ``bounds.pentagon_corner``); one strong -> that
-    receiver decodes and cancels the interference while the other treats it
-    as noise; both weak -> both treat interference as noise.
-    """
-    matrices = tuple((m.a11, m.a12, m.a22) for m in (eq.snr1, eq.inr1, eq.snr2, eq.inr2))
-    return _phase1((eq.c13v, eq.c23v, eq.c14v, eq.c24v, *matrices), lambda1, weight)
 
 
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,
@@ -339,9 +283,8 @@ def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> 
 
 
 def rc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):
-    """Frontier of the infinite-conferencing receiver-cooperation region."""
-    if not math.isinf(g.c34):
-        raise NotInfinite("c34 is finite; use frontier.trace")
+    """Frontier of the infinite-conferencing receiver-cooperation region:
+    ``frontier.trace("RC", g, p, opts)`` at c34 = +inf; NotInfinite if finite."""
     from . import frontier
 
     return frontier.trace_rc_limit(g, p, opts)

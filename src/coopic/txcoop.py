@@ -18,7 +18,8 @@ keeps the pooled construction: there the two sources act as one transmitter
 with a pooled budget.
 
 Also provides the recycled/parallel-DPC baseline (diagonal covariances, no
-coherent combining) and the infinite-conferencing limit of the scheme.
+coherent combining) and the infinite-conferencing limit of the scheme;
+``frontier.trace`` routes c12 = +inf to the limit's tracer.
 
 Each rate formula exists once, as a kernel on plain floats: gains
 ``c = (c12, c13, c14, c23, c24)`` and powers ``pw = (p1, p2)`` from
@@ -38,7 +39,7 @@ All functions are pure; rates are bits per channel use.
 from __future__ import annotations
 
 import math
-from dataclasses import astuple, dataclass
+from dataclasses import dataclass
 
 from .model import (
     ChannelGains,
@@ -66,11 +67,9 @@ __all__ = [
     "tc_kernel",
     "rdpc_kernel",
     "tc_limit_kernel",
-    "tc_phase12_rates",
     "tc_phase3_covariances",
     "tc_budget_covariances",
     "phase3_power_audit",
-    "tc_phase3_rates",
     "tc_phase_rates",
     "tc_rate_pair",
     "rdpc_covariances",
@@ -320,7 +319,8 @@ def _shares(a: TcAllocation) -> tuple[float, ...]:
 def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """Kernel arguments (c, pw, s); raises InfiniteGain at c12 = +inf."""
     if math.isinf(g.c12):
-        raise InfiniteGain("c12 is infinite; use tc_limit_region / tc_limit_rate_pair")
+        raise InfiniteGain("c12 is infinite; trace the limit with frontier.trace "
+                           "or evaluate it with tc_limit_rate_pair")
     return (*kernel_args(g, p), _shares(a))
 
 
@@ -338,15 +338,6 @@ def _cov_view(cov) -> TcCovariances:
 def _cov_floats(cov: TcCovariances):
     return ((cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22),
             (cov.sigma2.a11, cov.sigma2.a12, cov.sigma2.a22), cov.user1_clean)
-
-
-def tc_phase12_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcPhaseRates:
-    """Phase 1-2 rates (conferencing and relayed-stream listening).
-
-    A zero-duration phase contributes zero rate and must carry zero power
-    share (kappa1 for phase 1, gamma1 for phase 2), else InvalidAllocation.
-    """
-    return TcPhaseRates(*_phase12(*_unpack(g, p, a)))
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -398,18 +389,6 @@ def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCova
     return _cov_view(_rdpc_cov(*_joint_streams(g, p, a)))
 
 
-def tc_phase3_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
-                    cov: TcCovariances) -> TcPhaseRates:
-    """Phase-3 joint and fresh stream rates under the given covariances."""
-    lam3 = a.lam.w3
-    if lam3 == 0.0:
-        return TcPhaseRates()
-    c, pw = kernel_args(g, p)
-    fresh = _phase3_split(pw, _shares(a))[0]
-    r1_3, r2_3, r1_d, r2_d = _phase3(c, lam3, fresh, _cov_floats(cov))
-    return TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
-
-
 @dataclass(frozen=True)
 class Phase3PowerAudit:
     """Phase-3 burst power of each source: radiated by the streams vs allotted.
@@ -458,10 +437,6 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     return TcPhaseRates(*_stream_rates(c, pw, s, None if cov is None else _cov_floats(cov)))
 
 
-def _combine(r: TcPhaseRates) -> RatePair:
-    return RatePair(*_pair(astuple(r)))
-
-
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
     return RatePair(*tc_kernel(*_unpack(g, p, a)))
@@ -492,10 +467,9 @@ def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):
 
     Sweeps the joint-phase power splits (and both encoding orders) with the
     generic frontier machinery; the result coincides with the pooled-power
-    two-antenna broadcast region.
+    two-antenna broadcast region.  ``frontier.trace("TC", g, p, opts)`` at
+    c12 = +inf; raises NotInfinite when c12 is finite.
     """
-    if not math.isinf(g.c12):
-        raise NotInfinite("c12 is finite; use frontier.trace")
     from . import frontier
 
     return frontier.trace_tc_limit(g, p, opts)

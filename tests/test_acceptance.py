@@ -36,7 +36,7 @@ from coopic.model import (
     Simplex3,
     Sym2,
     cap,
-    inv2,
+    inverse,
     logdet2,
 )
 from reference_eval import rc_reference, tc_reference
@@ -86,7 +86,7 @@ def test_criterion_1_tc_limit_equivalence():
     """TC at infinite conferencing gain meets the pooled broadcast region."""
     with report("criterion 1: TC limit equivalence"):
         start = time.monotonic()
-        fr = txcoop.tc_limit_region(ref_gains_with(c12=math.inf), REF_POWERS)
+        fr = frontier.trace("TC", ref_gains_with(c12=math.inf), REF_POWERS)
         elapsed = time.monotonic() - start
         max_sum = max(r1 + r2 for r1, r2 in fr.vertices())
         bc_sum = bounds.mimo_bc_sum_bound(ref_gains_with(), 10.0)
@@ -103,7 +103,7 @@ def test_criterion_1_tc_limit_equivalence():
 def test_criterion_2_rc_limit_equivalence():
     """RC at infinite conferencing gain meets the multiple-access region."""
     with report("criterion 2: RC limit equivalence"):
-        fr = rxcoop.rc_limit_region(ref_gains_with(c34=math.inf), REF_POWERS)
+        fr = frontier.trace("RC", ref_gains_with(c34=math.inf), REF_POWERS)
         max_sum = max(r1 + r2 for r1, r2 in fr.vertices())
         assert abs(max_sum - LOG2_56) <= 1e-2
         corner_r1 = fr.points[0].r1
@@ -234,12 +234,12 @@ def test_criterion_9_property_suites():
         for _ in range(200):
             l11, l21, l22 = rng.uniform(-3.0, 3.0, size=3)
             bump = rng.uniform(0.1, 2.0)
-            m = Sym2(l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump)
-            inv = inv2(m)
+            m11, m12, m22 = l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump
+            i11, i12, i22 = inverse(m11, m12, m22)
             prod_err = max(
-                abs(m.a11 * inv.a11 + m.a12 * inv.a12 - 1.0),
-                abs(m.a11 * inv.a12 + m.a12 * inv.a22),
-                abs(m.a12 * inv.a12 + m.a22 * inv.a22 - 1.0))
+                abs(m11 * i11 + m12 * i12 - 1.0),
+                abs(m11 * i12 + m12 * i22),
+                abs(m12 * i12 + m22 * i22 - 1.0))
             assert prod_err < 1e-10
         # hull idempotence
         for _ in range(20):

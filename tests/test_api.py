@@ -1,0 +1,29 @@
+"""Public API surface: ``__all__`` lists and the package re-exports agree."""
+
+import ast
+import importlib
+import pkgutil
+from pathlib import Path
+
+import pytest
+
+import coopic
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(coopic.__path__))
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_every_exported_name_resolves(name):
+    module = importlib.import_module(f"coopic.{name}")
+    missing = [attr for attr in getattr(module, "__all__", ()) if not hasattr(module, attr)]
+    assert not missing, f"coopic.{name}.__all__ names undefined {missing}"
+
+
+def test_package_imports_only_exported_names():
+    tree = ast.parse(Path(coopic.__file__).read_text())
+    imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]
+    assert imports
+    for node in imports:
+        exported = importlib.import_module(f"coopic.{node.module}").__all__
+        stale = [alias.name for alias in node.names if alias.name not in exported]
+        assert not stale, f"coopic imports {stale} from coopic.{node.module}, not in its __all__"

@@ -112,6 +112,10 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": None}, []),
     ("eval", {"allocation": dict(TC_ALLOCATION, mu=["a", 0.5, 0.5])}, []),
     ("eval", {"allocation": dict(TC_ALLOCATION, mu=[None, 0.5, 0.5])}, []),
+    # finite values whose c^2 * P or det(I + M) overflows a float
+    ("eval", {"c13": 1e200, "allocation": TC_ALLOCATION}, []),
+    ("region", dict(SMALL_TC, c13=1e150, p1=1e10), []),
+    ("bounds", {"c13": 1e150, "c14": 1e150, "p1": 1e10}, []),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"

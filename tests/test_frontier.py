@@ -199,12 +199,31 @@ def test_trace_zero_powers(ref_gains):
     assert fr.vertices() == [(0.0, 0.0)]
 
 
-def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers):
+def _same_frontier(a, b):
+    assert a.scheme == b.scheme and a.options == b.options and a.stats == b.stats
+    assert [(pt.r1, pt.r2, pt.weight, pt.allocation) for pt in a.points] == \
+        [(pt.r1, pt.r2, pt.weight, pt.allocation) for pt in b.points]
+
+
+def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, monkeypatch):
     with pytest.raises(ValueError):
         frontier.trace("XX", ref_gains, ref_powers, FAST)
-    g_inf = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
-    with pytest.raises(InfiniteGain):
-        frontier.trace("TC", g_inf, ref_powers, FAST)
+    # trace routes an infinite conferencing gain to the limit tracer
+    g12 = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
+    g34 = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=math.inf)
+    _same_frontier(frontier.trace("TC", g12, ref_powers, FAST),
+                   frontier.trace_tc_limit(g12, ref_powers, FAST))
+    _same_frontier(frontier.trace("rc", g34, ref_powers, FAST),
+                   frontier.trace_rc_limit(g34, ref_powers, FAST))
+    # RDPC has no limit mode
+    with pytest.raises(InfiniteGain, match="frontier.trace"):
+        frontier.trace("RDPC", g12, ref_powers, FAST)
+    # without options the limits keep their own defaults, not TraceOptions()
+    limit_defaults = frontier._limit_options(None)
+    assert limit_defaults != frontier.TraceOptions()
+    assert frontier.trace("RC", g34, ref_powers).options == limit_defaults
+    monkeypatch.setattr(frontier, "_sweep", lambda *args: ([], frontier.TraceStats()))
+    assert frontier.trace("TC", g12, ref_powers).options == limit_defaults
 
 
 def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
@@ -309,11 +328,11 @@ def test_limit_traces(ref_powers):
     g12 = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
     opts = frontier.TraceOptions(weights=frontier.default_weights(9),
                                  restarts=4, max_iter=150, seed=0)
-    tc_inf = txcoop.tc_limit_region(g12, ref_powers, opts)
+    tc_inf = frontier.trace("TC", g12, ref_powers, opts)
     assert tc_inf.scheme == "TC_inf"
     assert tc_inf.points[0].r1 == pytest.approx(math.log2(31.0), rel=1e-6)
     g34 = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=math.inf)
-    rc_inf = rxcoop.rc_limit_region(g34, ref_powers, opts)
+    rc_inf = frontier.trace("RC", g34, ref_powers, opts)
     assert rc_inf.scheme == "RC_inf"
     assert rc_inf.points[0].r1 == pytest.approx(4.0, rel=1e-12)
     assert max(x + y for x, y in rc_inf.vertices()) == pytest.approx(

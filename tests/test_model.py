@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coopic.model import (
+    GAIN_MAX,
+    POWER_MAX,
     ChannelGains,
     EvaluatorError,
     InvalidAllocation,
@@ -19,9 +21,9 @@ from coopic.model import (
     Singular,
     Sym2,
     cap,
-    inv2,
+    inverse,
     logdet2,
-    quad_form,
+    quad,
 )
 
 SQRT2 = math.sqrt(2.0)
@@ -44,22 +46,22 @@ def test_cap_infinite_and_negative():
 
 
 # ---------------------------------------------------------------------------
-# quad_form / logdet2 / inv2
+# quad / logdet2 / inverse
 
 
 def test_quad_form_examples():
-    assert quad_form((1.0, 0.0), Sym2.identity()) == 1.0
-    assert quad_form((1.0, SQRT2), Sym2.diag(5.0, 5.0)) == pytest.approx(15.0, rel=1e-15)
-    assert quad_form((1.0, 1.0), Sym2(1.0, 0.5, 1.0)) == pytest.approx(3.0, rel=1e-15)
+    assert quad(1.0, 0.0, 1.0, 0.0, 1.0) == 1.0
+    assert quad(1.0, SQRT2, 5.0, 0.0, 5.0) == pytest.approx(15.0, rel=1e-15)
+    assert quad(1.0, 1.0, 1.0, 0.5, 1.0) == pytest.approx(3.0, rel=1e-15)
 
 
 def test_quad_form_clamps_tiny_negative():
-    assert quad_form((1.0, 0.0), Sym2(-5e-11, 0.0, 1.0)) == 0.0
+    assert quad(1.0, 0.0, -5e-11, 0.0, 1.0) == 0.0
 
 
 def test_logdet2_examples():
-    assert logdet2(Sym2.zero()) == 0.0
-    assert logdet2(Sym2.diag(1.0, 3.0)) == pytest.approx(3.0, rel=1e-15)
+    assert logdet2(Sym2(0.0, 0.0, 0.0)) == 0.0
+    assert logdet2(Sym2(1.0, 0.0, 3.0)) == pytest.approx(3.0, rel=1e-15)
     # g1^T*5*g1 + g2^T*5*g2 for the reference channel: det(I+M) = 56
     m = Sym2(15.0, 10.0 * SQRT2, 15.0)
     assert logdet2(m) == pytest.approx(math.log2(56.0), rel=1e-15)
@@ -67,31 +69,31 @@ def test_logdet2_examples():
 
 def test_logdet2_rejects_nonpositive():
     with pytest.raises(NonPositiveDefinite):
-        logdet2(Sym2.diag(-1.0, 0.0))
+        logdet2(Sym2(-1.0, 0.0, 0.0))
 
 
 def test_inv2_examples():
-    assert inv2(Sym2.identity()) == Sym2.identity()
-    assert inv2(Sym2.diag(2.0, 4.0)) == Sym2.diag(0.5, 0.25)
-    inv = inv2(Sym2(2.0, 1.0, 2.0))
-    assert inv.a11 == pytest.approx(2.0 / 3.0, rel=1e-15)
-    assert inv.a12 == pytest.approx(-1.0 / 3.0, rel=1e-15)
-    assert inv.a22 == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert inverse(1.0, 0.0, 1.0) == (1.0, -0.0, 1.0)
+    assert inverse(2.0, 0.0, 4.0) == (0.5, -0.0, 0.25)
+    a11, a12, a22 = inverse(2.0, 1.0, 2.0)
+    assert a11 == pytest.approx(2.0 / 3.0, rel=1e-15)
+    assert a12 == pytest.approx(-1.0 / 3.0, rel=1e-15)
+    assert a22 == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 def test_inv2_singular():
     with pytest.raises(Singular):
-        inv2(Sym2.outer((1.0, 1.0)))
+        inverse(1.0, 1.0, 1.0)
 
 
 @given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 3))
 def test_inv2_round_trip(l11, l21, l22, bump):
-    """m * inv2(m) = I within 1e-10 for well-conditioned PSD inputs."""
+    """m * inverse(m) = I within 1e-10 for well-conditioned PSD inputs."""
     # L L^T + bump*I is symmetric positive definite
-    m = Sym2(l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump)
-    inv = inv2(m)
-    prod = np.array([[m.a11, m.a12], [m.a12, m.a22]]) @ \
-        np.array([[inv.a11, inv.a12], [inv.a12, inv.a22]])
+    m = (l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump)
+    inv = inverse(*m)
+    prod = np.array([[m[0], m[1]], [m[1], m[2]]]) @ \
+        np.array([[inv[0], inv[1]], [inv[1], inv[2]]])
     assert np.max(np.abs(prod - np.eye(2))) < 1e-10
 
 
@@ -99,20 +101,12 @@ def test_inv2_round_trip(l11, l21, l22, bump):
        st.floats(-5, 5), st.floats(-5, 5))
 def test_quad_form_nonnegative_on_psd(a, b, c, v0, v1):
     """v M v^T >= 0 when M = L L^T."""
-    m = Sym2(a * a + b * b, b * c, c * c)
-    assert quad_form((v0, v1), m) >= 0.0
+    assert quad(v0, v1, a * a + b * b, b * c, c * c) >= 0.0
 
 
 @given(st.floats(0, 100))
 def test_logdet2_scaled_identity(a):
-    assert logdet2(Sym2.identity(a)) == pytest.approx(2.0 * math.log2(1.0 + a), rel=1e-12)
-
-
-def test_sym2_eigenvalues_and_psd():
-    lo, hi = Sym2(2.0, 1.0, 2.0).eigenvalues()
-    assert (lo, hi) == pytest.approx((1.0, 3.0), rel=1e-14)
-    assert Sym2.outer((1.0, -2.0)).is_psd()
-    assert not Sym2.diag(-1.0, 1.0).is_psd()
+    assert logdet2(Sym2(a, 0.0, a)) == pytest.approx(2.0 * math.log2(1.0 + a), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -168,6 +162,14 @@ def test_channel_gains_validation():
     # only the conferencing links may be infinite
     g = ChannelGains(c12=math.inf, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=math.inf)
     assert math.isinf(g.c12) and math.isinf(g.c34)
+    # finite gains above GAIN_MAX, where c^2 * P could overflow, are rejected
+    assert ChannelGains(*[GAIN_MAX] * 6).c13 == GAIN_MAX
+    for name in ("c12", "c13", "c14", "c23", "c24", "c34"):
+        for value in (1e200, GAIN_MAX * (1.0 + 1e-15), math.nan, -math.inf):
+            gains = dict(c12=1.0, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=1.0)
+            gains[name] = value
+            with pytest.raises(EvaluatorError, match=name):
+                ChannelGains(**gains)
 
 
 def test_power_budget_validation():
@@ -176,6 +178,13 @@ def test_power_budget_validation():
     with pytest.raises(EvaluatorError):
         PowerBudget(math.inf, 1.0)
     assert PowerBudget(1.0, 2.0).p3 == 0.0
+    assert PowerBudget(*[POWER_MAX] * 4).p4 == POWER_MAX
+    for index in range(4):
+        for value in (1e200, POWER_MAX * (1.0 + 1e-15), math.nan):
+            powers = [1.0] * 4
+            powers[index] = value
+            with pytest.raises(EvaluatorError, match=f"p{index + 1}"):
+                PowerBudget(*powers)
 
 
 def test_rate_pair():

@@ -1,6 +1,8 @@
 """Receiver-cooperation evaluator."""
 
 import math
+from collections import namedtuple
+from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -40,14 +42,27 @@ def make_alloc(lam=(1 / 3, 1 / 3, 1 / 3), mu=(1 / 3, 1 / 3, 1 / 3),
                         alpha=Simplex2(*alpha), beta=Simplex2(*beta))
 
 
-def make_eq(snr1, inr1, snr2, inr2, zeta1=0.0, zeta2=0.0,
-            c13v=(1.0, 0.0), c23v=(1.0, 0.0), c14v=(0.0, 1.0), c24v=(0.0, 1.0)):
-    s1 = math.inf if zeta1 == 0.0 else 1.0 / zeta1 - 1.0
-    s2 = math.inf if zeta2 == 0.0 else 1.0 / zeta2 - 1.0
-    return rxcoop.EquivalentMimoIc(
-        sigma1_sq=s1, sigma2_sq=s2, zeta1=zeta1, zeta2=zeta2,
-        c13v=c13v, c23v=c23v, c14v=c14v, c24v=c24v,
-        snr1=snr1, inr1=inr1, snr2=snr2, inr2=inr2)
+# The equivalent channel ``rxcoop._compression`` returns, by field name.
+EquivalentChannel = namedtuple("EquivalentChannel", "sigma1_sq sigma2_sq zeta1 zeta2 "
+                               "c13v c23v c14v c24v snr1 inr1 snr2 inr2")
+
+
+def phase23(g, p, a) -> rxcoop.RcPhaseRates:
+    """Phase 2-3 fields of RcPhaseRates from the kernel."""
+    c, pw = rxcoop.kernel_args(g, p)
+    return rxcoop.RcPhaseRates(*rxcoop._phase23(c, pw, rxcoop._shares(a)))
+
+
+def compression(g, p, a, r1_s, r2_s) -> EquivalentChannel:
+    c, pw = rxcoop.kernel_args(g, p)
+    return EquivalentChannel(*rxcoop._compression(c, pw, rxcoop._shares(a), r1_s, r2_s))
+
+
+def phase1(snr1, inr1, snr2, inr2, lambda1, weight=1.0, c13v=(1.0, 0.0), c23v=(1.0, 0.0),
+           c14v=(0.0, 1.0), c24v=(0.0, 1.0)):
+    """``rxcoop._phase1`` on an equivalent channel given with Sym2 matrices."""
+    matrices = (astuple(m) for m in (snr1, inr1, snr2, inr2))
+    return rxcoop._phase1((c13v, c23v, c14v, c24v, *matrices), lambda1, weight)
 
 
 # ---------------------------------------------------------------------------
@@ -56,7 +71,7 @@ def make_eq(snr1, inr1, snr2, inr2, zeta1=0.0, zeta2=0.0,
 
 def test_phase23_silent_helper(ref_gains):
     p = PowerBudget(5.0, 5.0, 5.0, 0.0)
-    r = rxcoop.rc_phase23_rates(ref_gains, p, make_alloc())
+    r = phase23(ref_gains, p, make_alloc())
     assert r.r1_2r2 == 0.0 and r.r1_s == 0.0
     assert r.r2_2r2 > 0.0  # node 3 still forwards
 
@@ -66,7 +81,7 @@ def test_phase23_forwarding_rate_closed_form():
     g = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
     p = PowerBudget(5.0, 5.0, 5.0, 10.0 / 3.0)
     a = make_alloc()
-    r = rxcoop.rc_phase23_rates(g, p, a)
+    r = phase23(g, p, a)
     # compressed-observation rate: c34^2 * 5 over 1 + 5 + 10
     assert r.r1_s == pytest.approx(math.log2(1.0 + 500.0 / 16.0) / 3.0, rel=1e-14)
     assert r.r1_d == pytest.approx(math.log2(6.0) / 3.0, rel=1e-14)
@@ -83,15 +98,17 @@ def test_phase23_degenerate_schedule(ref_gains, ref_powers):
 
 
 def test_phase23_zero_duration_source_mass(ref_gains, ref_powers):
+    a = make_alloc(lam=(0.5, 0.0, 0.5), mu=(0.3, 0.4, 0.3))
     with pytest.raises(InvalidAllocation):
-        rxcoop.rc_phase23_rates(ref_gains, ref_powers,
-                                make_alloc(lam=(0.5, 0.0, 0.5), mu=(0.3, 0.4, 0.3)))
+        phase23(ref_gains, ref_powers, a)
+    with pytest.raises(InvalidAllocation):
+        rxcoop.rc_phase_rates(ref_gains, ref_powers, a)
 
 
 def test_phase23_rejects_infinite_gain(ref_powers):
     g = ChannelGains(c12=1.0, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=math.inf)
-    with pytest.raises(InfiniteGain):
-        rxcoop.rc_phase23_rates(g, ref_powers, make_alloc())
+    with pytest.raises(InfiniteGain, match="frontier.trace"):
+        rxcoop.rc_phase_rates(g, ref_powers, make_alloc())
 
 
 # ---------------------------------------------------------------------------
@@ -99,15 +116,14 @@ def test_phase23_rejects_infinite_gain(ref_powers):
 
 
 def test_compression_no_exchange_kills_borrowed_antenna(ref_gains, ref_powers):
-    eq = rxcoop.rc_compression(ref_gains, ref_powers, make_alloc(), r1_s=1.0, r2_s=0.0)
+    eq = compression(ref_gains, ref_powers, make_alloc(), r1_s=1.0, r2_s=0.0)
     assert math.isinf(eq.sigma1_sq) and eq.zeta1 == 0.0
     assert eq.c14v == (0.0, ref_gains.c14)
     assert eq.zeta2 > 0.0
 
 
 def test_compression_perfect_limit(ref_gains, ref_powers):
-    eq = rxcoop.rc_compression(ref_gains, ref_powers, make_alloc(),
-                               r1_s=1000.0, r2_s=1000.0)
+    eq = compression(ref_gains, ref_powers, make_alloc(), r1_s=1000.0, r2_s=1000.0)
     assert eq.sigma1_sq == 0.0 and eq.sigma2_sq == 0.0
     assert eq.zeta1 == 1.0 and eq.zeta2 == 1.0
     assert eq.c13v == (ref_gains.c13, ref_gains.c14)  # full two-antenna observation
@@ -120,7 +136,7 @@ def test_compression_worked_example(ref_gains):
     lam1 = 1.0 / 3.0
     a = make_alloc(lam=(lam1, 1 / 3, 1 / 3), mu=(1 / 3, 1 / 3, 1 / 3),
                    eta=(1 / 3, 1 / 3, 1 / 3))
-    eq = rxcoop.rc_compression(ref_gains, p, a, r1_s=0.5, r2_s=2.0 * lam1)
+    eq = compression(ref_gains, p, a, r1_s=0.5, r2_s=2.0 * lam1)
     assert eq.sigma1_sq == pytest.approx(7.0 / 6.0, rel=1e-13)
     assert eq.zeta1 == pytest.approx(6.0 / 13.0, rel=1e-13)
 
@@ -128,9 +144,9 @@ def test_compression_worked_example(ref_gains):
 def test_compression_noise_strictly_decreases_in_rate(ref_gains, ref_powers):
     a = make_alloc()
     rates = [0.1, 0.5, 1.0, 2.0, 4.0]
-    noises = [rxcoop.rc_compression(ref_gains, ref_powers, a, r1_s=0.5, r2_s=r).sigma1_sq
+    noises = [compression(ref_gains, ref_powers, a, r1_s=0.5, r2_s=r).sigma1_sq
               for r in rates]
-    gains2 = [rxcoop.rc_compression(ref_gains, ref_powers, a, r1_s=0.5, r2_s=r).c14v[0]
+    gains2 = [compression(ref_gains, ref_powers, a, r1_s=0.5, r2_s=r).c14v[0]
               for r in rates]
     assert all(n1 > n2 for n1, n2 in zip(noises, noises[1:]))
     assert all(g1 < g2 for g1, g2 in zip(gains2, gains2[1:]))
@@ -139,7 +155,7 @@ def test_compression_noise_strictly_decreases_in_rate(ref_gains, ref_powers):
 def test_compression_tiny_forwarding_rate_is_finite(ref_gains, ref_powers):
     # 2**x - 1 rounds to zero for a tiny positive x; the noise must stay a
     # finite huge value (or +inf), never a division by zero.
-    eq = rxcoop.rc_compression(ref_gains, ref_powers, make_alloc(), r1_s=1e-300, r2_s=5e-324)
+    eq = compression(ref_gains, ref_powers, make_alloc(), r1_s=1e-300, r2_s=5e-324)
     assert eq.sigma2_sq > 1e290 and math.isinf(eq.sigma1_sq)
     assert eq.zeta2 < 1e-290 and eq.zeta1 == 0.0
     tiny = rxcoop.rc_rate_pair(ref_gains, ref_powers, make_alloc(alpha=(1e-300, 1.0)))
@@ -151,9 +167,9 @@ def test_compression_tiny_forwarding_rate_is_finite(ref_gains, ref_powers):
 
 def test_compression_requires_listen_phase(ref_gains, ref_powers):
     with pytest.raises(InvalidAllocation):
-        rxcoop.rc_compression(ref_gains, ref_powers,
-                              make_alloc(lam=(0.0, 0.5, 0.5), mu=(0.0, 0.5, 0.5),
-                                         eta=(0.0, 0.5, 0.5)), 1.0, 1.0)
+        compression(ref_gains, ref_powers,
+                    make_alloc(lam=(0.0, 0.5, 0.5), mu=(0.0, 0.5, 0.5), eta=(0.0, 0.5, 0.5)),
+                    1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -165,10 +181,9 @@ def test_phase1_no_interference_reduces_to_single_user():
     # (zero) interference as noise and get their full single-user rates
     snr1 = Sym2.outer((1.0, 0.0), 5.0)
     snr2 = Sym2.outer((0.0, 1.0), 5.0)
-    r1, r2 = rxcoop.rc_phase1_rates(
-        make_eq(snr1, Sym2.zero(), snr2, Sym2.zero(),
-                c13v=(1.0, 0.0), c23v=(0.5, 0.0), c14v=(0.0, 0.5), c24v=(0.0, 1.0)),
-        0.5)
+    zero = Sym2(0.0, 0.0, 0.0)
+    r1, r2 = phase1(snr1, zero, snr2, zero, 0.5,
+                    c13v=(1.0, 0.0), c23v=(0.5, 0.0), c14v=(0.0, 0.5), c24v=(0.0, 1.0))
     assert r1 == pytest.approx(0.5 * logdet2(snr1), rel=1e-14)
     assert r2 == pytest.approx(0.5 * logdet2(snr2), rel=1e-14)
 
@@ -176,31 +191,29 @@ def test_phase1_no_interference_reduces_to_single_user():
 def test_phase1_scalar_strong_interference_matches_brute_force():
     # dead borrowed antennas, cross gains at least direct: joint decoding
     c13, c14, c23, c24, p1, p2 = 1.0, 1.5, 2.0, 1.0, 4.0, 7.0
-    eq = make_eq(
-        snr1=Sym2.outer((c13, 0.0), p1), inr1=Sym2.outer((c23, 0.0), p2),
-        snr2=Sym2.outer((0.0, c24), p2), inr2=Sym2.outer((0.0, c14), p1),
-        c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
-    r1, r2 = rxcoop.rc_phase1_rates(eq, 1.0, weight=1.0)
+    snr1, inr1 = Sym2.outer((c13, 0.0), p1), Sym2.outer((c23, 0.0), p2)
+    snr2, inr2 = Sym2.outer((0.0, c24), p2), Sym2.outer((0.0, c14), p1)
+    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0, weight=1.0,
+                    c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
     # brute-force determinant oracle for the pentagon constraints
     def det_cap(*mats):
         m = sum((np.array([[s.a11, s.a12], [s.a12, s.a22]]) for s in mats), np.zeros((2, 2)))
         return math.log2(np.linalg.det(np.eye(2) + m))
-    sum_cap = min(det_cap(eq.snr1, eq.inr1), det_cap(eq.snr2, eq.inr2))
+    sum_cap = min(det_cap(snr1, inr1), det_cap(snr2, inr2))
     assert sum_cap == pytest.approx(min(cap(c13 ** 2 * p1 + c23 ** 2 * p2),
                                         cap(c14 ** 2 * p1 + c24 ** 2 * p2)), rel=1e-13)
     assert r1 + r2 == pytest.approx(sum_cap, rel=1e-13)
-    assert r1 <= det_cap(eq.snr1) + 1e-13
-    assert r2 <= det_cap(eq.snr2) + 1e-13
+    assert r1 <= det_cap(snr1) + 1e-13
+    assert r2 <= det_cap(snr2) + 1e-13
 
 
 def test_phase1_pentagon_weight_selects_corner():
     c13, c14, c23, c24, p1, p2 = 1.0, 1.5, 2.0, 1.0, 4.0, 7.0
-    eq = make_eq(
-        snr1=Sym2.outer((c13, 0.0), p1), inr1=Sym2.outer((c23, 0.0), p2),
-        snr2=Sym2.outer((0.0, c24), p2), inr2=Sym2.outer((0.0, c14), p1),
-        c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
-    favor1 = rxcoop.rc_phase1_rates(eq, 1.0, weight=0.0)
-    favor2 = rxcoop.rc_phase1_rates(eq, 1.0, weight=math.inf)
+    mats = (Sym2.outer((c13, 0.0), p1), Sym2.outer((c23, 0.0), p2),
+            Sym2.outer((0.0, c24), p2), Sym2.outer((0.0, c14), p1))
+    gains = dict(c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
+    favor1 = phase1(*mats, 1.0, weight=0.0, **gains)
+    favor2 = phase1(*mats, 1.0, weight=math.inf, **gains)
     assert favor1[0] >= favor2[0]
     assert favor2[1] >= favor1[1]
     assert favor1 != favor2
@@ -212,25 +225,22 @@ def test_phase1_mixed_cases():
     inr1 = Sym2.outer((0.8, 0.3), 2.0)
     snr2 = Sym2.outer((0.1, 1.0), 2.0)
     inr2 = Sym2.outer((0.2, 1.4), 3.0)
-    eq = make_eq(snr1, inr1, snr2, inr2,
-                 c13v=(1.0, 0.2), c23v=(0.8, 0.3), c14v=(0.2, 1.4), c24v=(0.1, 1.0))
-    r1, r2 = rxcoop.rc_phase1_rates(eq, 1.0)
+    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0,
+                    c13v=(1.0, 0.2), c23v=(0.8, 0.3), c14v=(0.2, 1.4), c24v=(0.1, 1.0))
     assert r1 == pytest.approx(logdet2(snr1 + inr1) - logdet2(inr1), rel=1e-13)
     assert r2 == pytest.approx(logdet2(snr2), rel=1e-13)
     # flip: strong only at receiver 3
-    eq = make_eq(snr1, inr1, snr2, inr2,
-                 c13v=(1.0, 0.2), c23v=(0.8, 0.9), c14v=(0.2, 0.4), c24v=(0.1, 1.0))
-    r1, r2 = rxcoop.rc_phase1_rates(eq, 1.0)
+    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0,
+                    c13v=(1.0, 0.2), c23v=(0.8, 0.9), c14v=(0.2, 0.4), c24v=(0.1, 1.0))
     assert r1 == pytest.approx(logdet2(snr1), rel=1e-13)
     assert r2 == pytest.approx(logdet2(snr2 + inr2) - logdet2(inr2), rel=1e-13)
 
 
 def test_phase1_classification_boundary_evaluates():
     # exactly on the strong/weak boundary: ties classify as strong
-    snr = Sym2.outer((1.0, 0.0), 2.0)
-    eq = make_eq(snr, Sym2.outer((1.0, 0.0), 1.0), snr, Sym2.outer((1.0, 0.0), 1.0),
-                 c13v=(1.0, 0.0), c23v=(1.0, 0.0), c14v=(1.0, 0.0), c24v=(1.0, 0.0))
-    r1, r2 = rxcoop.rc_phase1_rates(eq, 1.0)
+    snr, inr = Sym2.outer((1.0, 0.0), 2.0), Sym2.outer((1.0, 0.0), 1.0)
+    r1, r2 = phase1(snr, inr, snr, inr, 1.0,
+                    c13v=(1.0, 0.0), c23v=(1.0, 0.0), c14v=(1.0, 0.0), c24v=(1.0, 0.0))
     assert math.isfinite(r1) and math.isfinite(r2)
 
 
@@ -255,7 +265,7 @@ def test_rate_pair_silent_relays(ref_gains):
     p = PowerBudget(5.0, 5.0, 0.0, 0.0)
     a = make_alloc()
     rates = rxcoop.rc_phase_rates(ref_gains, p, a)
-    eq = rxcoop.rc_compression(ref_gains, p, a, rates.r1_s, rates.r2_s)
+    eq = compression(ref_gains, p, a, rates.r1_s, rates.r2_s)
     assert rates.r1_s == 0.0 and rates.r2_s == 0.0
     assert math.isinf(eq.sigma1_sq) and math.isinf(eq.sigma2_sq)
     assert eq.zeta1 == 0.0 and eq.zeta2 == 0.0
