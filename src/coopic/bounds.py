@@ -1,11 +1,18 @@
 """Outer bounds and no-cooperation baselines.
 
-Single-user rates are capped by the half-duplex relay-channel cut-set bound
-(listen fraction and source/relay correlation both maximized); the sum rate
-is capped by the pooled-power two-antenna broadcast bound for transmitter
-cooperation and by the two-antenna multiple-access bound for receiver
-cooperation.  The strong-interference capacity region without cooperation
-serves as the reference baseline.
+Single-user rates are capped by the half-duplex relay-channel cut-set bound:
+the smaller of the two relay cuts, maximized over the listen fraction, the
+source's energy split between the two phases and the source/relay
+correlation.  An 81^3 grid picks a correlation window; inside it the
+correlation is maximized in closed form (one cut falls and the other rises
+in it), and a nested golden-section search covers the listen fraction and
+the energy split.  Searching only the grid's window is ROADMAP defect 4,
+kept because bench/bounds_reference.json pins the values it gives.
+
+The sum rate is capped by the pooled-power two-antenna broadcast bound for
+transmitter cooperation and by the two-antenna multiple-access bound for
+receiver cooperation.  The strong-interference capacity region without
+cooperation serves as the reference baseline.
 """
 
 from __future__ import annotations
@@ -112,37 +119,50 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
     return best
 
 
-def _cutset_cuts(sd: float, sr: float, rd: float, p_src: float, p_rel: float,
-                 rho: float, alpha: float, e: float) -> float:
-    """min of the two relay cuts at listen fraction alpha, source listen-phase
-    energy share e and correlation rho; per-phase powers burst the average
-    budgets (energy alpha*Pa + (1-alpha)*Pb = p_src, (1-alpha)*Pr = p_rel)."""
-    lt, ft = 0.0, 0.0  # listen-phase terms of cut 1 / cut 2
-    lf, ff = 0.0, 0.0
+def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: float,
+                    alpha: float, e: float, lo: float, hi: float) -> float:
+    """Max over the correlation rho in [lo, hi] of the min of the two relay cuts.
+
+    sd2, sr2, rd2 are squared gains; alpha is the listen fraction and e the
+    source's listen-phase energy share.  Per-phase powers burst the average
+    budgets (energy alpha*Pa + (1-alpha)*Pb = p_src, (1-alpha)*Pr = p_rel):
+
+        cut 1 = L1 + (1-alpha) cap((1-rho) a)             falls in rho
+        cut 2 = L2 + (1-alpha) cap(a + b + 2 m sqrt(rho)) rises in rho
+
+    with a = sd2*Pb, b = rd2*Pr, m = sqrt(ab) and L1, L2 the listen-phase
+    terms.  The min is therefore largest at lo, at hi, or where the cuts
+    cross.  With u = sqrt(rho) and T = 2**((L1-L2)/(1-alpha)) the crossing
+    is the positive root of T a u^2 + 2 m u + (1+a+b) - T(1+a) = 0, taken
+    in the cancellation-free form u = -2c / (2m + sqrt(disc)).
+    """
+    l1 = l2 = 0.0  # listen-phase terms of cut 1 / cut 2
     if alpha > 0.0 and e > 0.0:
         pa = e * p_src / alpha
-        lt = alpha * cap((sr * sr + sd * sd) * pa)
-        ft = alpha * cap(sd * sd * pa)
-    if alpha < 1.0:
-        pb = (1.0 - e) * p_src / (1.0 - alpha)
-        pr = p_rel / (1.0 - alpha)
-        lf = (1.0 - alpha) * cap((1.0 - rho) * sd * sd * pb)
-        phi = math.sqrt(rho * sd * sd * rd * rd * pb * pr)
-        ff = (1.0 - alpha) * cap(sd * sd * pb + rd * rd * pr + 2.0 * phi)
-    return min(lt + lf, ft + ff)
+        l1 = alpha * cap((sr2 + sd2) * pa)
+        l2 = alpha * cap(sd2 * pa)
+    if alpha >= 1.0:
+        return min(l1, l2)
+    f = 1.0 - alpha
+    a = sd2 * ((1.0 - e) * p_src / f)
+    b = rd2 * (p_rel / f)
+    m = math.sqrt(a * b)
 
+    def cuts(rho: float) -> tuple[float, float]:
+        return (l1 + f * cap((1.0 - rho) * a),
+                l2 + f * cap(a + b + 2.0 * m * math.sqrt(rho)))
 
-def _cutset_alpha_energy_max(sd, sr, rd, p_src, p_rel, rho: float) -> float:
-    """Exact max over (listen fraction, energy share) at fixed rho.
-
-    Both cuts are perspective compositions, hence jointly concave in the
-    fraction/share pair, so nested golden-section search is global.
-    """
-    def inner(alpha: float) -> float:
-        return _golden_max(lambda e: _cutset_cuts(sd, sr, rd, p_src, p_rel, rho, alpha, e),
-                           0.0, 1.0, iters=40)
-
-    return _golden_max(inner, 0.0, 1.0, iters=40)
+    cut1, cut2 = cuts(hi)
+    if cut1 >= cut2:  # cut 2 binds on the whole window
+        return cut2
+    cut1, cut2 = cuts(lo)
+    if cut1 <= cut2:  # cut 1 binds on the whole window
+        return cut1
+    t = 2.0 ** ((l1 - l2) / f)
+    c = (1.0 + a + b) - t * (1.0 + a)  # negative: cut 1 is above cut 2 at u = 0
+    u = -2.0 * c / (2.0 * m + math.sqrt(4.0 * m * m - 4.0 * t * a * c))
+    u = min(max(u, math.sqrt(lo)), math.sqrt(hi))
+    return min(cuts(u * u))
 
 
 def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -> float:
@@ -152,9 +172,24 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     relay-destination gains.  Maximizes the min-cut over the correlation,
     the listen fraction and the per-phase energy split (the schemes burst
     power into short phases, so flat per-phase powers would not be a valid
-    upper bound).  A vectorized grid locates the optimum; the correlation
-    is refined by golden section with the inner maximization solved exactly
-    (it is jointly concave).  An infinite sr or rd has a closed-form limit.
+    upper bound).
+
+    An 81^3 vectorized grid over (rho, alpha, e) picks a correlation window
+    of +-1.5 cells around its best rho.  A nested golden-section search over
+    (alpha, e) then maximizes the cut with rho maximized over that window in
+    closed form (``_cutset_rho_max``).  In the cross energy
+    K = sqrt(rho * Eb * Er) the cuts are jointly concave in (K, alpha, e), so
+    for a window that starts at rho = 0 this search is global.  The result
+    is the larger of the grid and the search values.
+
+    Restricting rho to the grid's window is ROADMAP defect 4: the grid's
+    error in (alpha, e) swamps the rho dependence, so the window can miss
+    the maximum at rho = 1 and the bound comes out low by up to a few
+    millibits.  It is kept because bench/bounds_reference.json pins the
+    values that follow from this window; widening it to [0, 1] and deleting
+    the grid must ship with a regenerated table.
+
+    An infinite sr or rd has a closed-form limit.
     """
     if math.isinf(sr):
         # Unbounded exchange cut: full-time coherent combining at rho = 1.
@@ -194,9 +229,14 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
 
     lo = max(0.0, rho_best - 1.5 / (n - 1))
     hi = min(1.0, rho_best + 1.5 / (n - 1))
-    refined = _golden_max(
-        lambda r: _cutset_alpha_energy_max(sd, sr, rd, p_src, p_rel, r), lo, hi, iters=30)
-    return max(best, refined)
+    sd2, sr2, rd2 = sd * sd, sr * sr, rd * rd
+
+    def over_energy(listen: float) -> float:
+        return _golden_max(
+            lambda share: _cutset_rho_max(sd2, sr2, rd2, p_src, p_rel, listen, share, lo, hi),
+            0.0, 1.0, iters=40)
+
+    return max(best, _golden_max(over_energy, 0.0, 1.0, iters=40))
 
 
 def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,

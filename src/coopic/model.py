@@ -44,6 +44,7 @@ __all__ = [
     "checked_pair",
     "GAIN_MAX",
     "POWER_MAX",
+    "BURST_POWER_MAX",
 ]
 
 _SIMPLEX_SUM_TOL = 1e-9
@@ -55,6 +56,11 @@ _DET_TOL = 1e-14
 # float range, so no rate or bound overflows to inf or NaN.
 GAIN_MAX = 1e8
 POWER_MAX = 1e8
+# Largest burst power share * total / duration a phase may carry: a positive
+# but tiny (say subnormal) duration would otherwise overflow it to inf.  With
+# every gain at most GAIN_MAX, each burst SNR c^2 * P is then at most 1e116
+# and a product of two of them at most about 1e232, so rates stay finite.
+BURST_POWER_MAX = 1e100
 
 
 class EvaluatorError(ValueError):
@@ -331,9 +337,18 @@ def logdet2(m: Sym2) -> float:
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:
-    """Burst power share*total/duration; zero share means a silent phase."""
+    """Burst power share*total/duration; zero share means a silent phase.
+
+    Raises InvalidAllocation for a positive share on a zero-duration phase
+    and for a burst above BURST_POWER_MAX.
+    """
     if share == 0.0:
         return 0.0
     if duration == 0.0:
         raise InvalidAllocation(f"{what}: positive power share {share} on zero-duration phase")
-    return share * total / duration
+    power = share * total / duration
+    if power > BURST_POWER_MAX:
+        raise InvalidAllocation(
+            f"{what}: burst power {power:g} above {BURST_POWER_MAX:g} "
+            f"(share {share} on a phase of duration {duration})")
+    return power

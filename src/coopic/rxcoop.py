@@ -101,10 +101,10 @@ def _phase23(c, pw, s):
     p2_3 = phase_power(s[8], p2, lam3, "eta3")
     # Receiver helpers spend their whole budget inside one phase; with a
     # zero-duration phase that budget is simply unusable.
-    p4_1 = s[9] * p4 / lam2 if lam2 > 0.0 else 0.0
-    p4_2 = s[10] * p4 / lam2 if lam2 > 0.0 else 0.0
-    p3_1 = s[11] * p3 / lam3 if lam3 > 0.0 else 0.0
-    p3_2 = s[12] * p3 / lam3 if lam3 > 0.0 else 0.0
+    p4_1 = phase_power(s[9], p4, lam2, "alpha1") if lam2 > 0.0 else 0.0
+    p4_2 = phase_power(s[10], p4, lam2, "alpha2") if lam2 > 0.0 else 0.0
+    p3_1 = phase_power(s[11], p3, lam3, "beta1") if lam3 > 0.0 else 0.0
+    p3_2 = phase_power(s[12], p3, lam3, "beta2") if lam3 > 0.0 else 0.0
 
     # Phase 2: receiver 3 listens to sources 1, 2 and helper 4.
     base2 = 1.0 + c13 ** 2 * p1_2 + c23 ** 2 * p2_2

@@ -73,6 +73,137 @@ def test_cutset_user_arguments(ref_gains, ref_powers):
         bounds.relay_cutset_bound(ref_gains, ref_powers, 3)
 
 
+def _cutset_triples(g, p):
+    """(sd, sr, rd, p_src, p_rel) of each (cooperation, user), as relay_cutset_bound maps them."""
+    return {("tx", 1): (g.c13, g.c12, g.c23, p.p1, p.p2),
+            ("tx", 2): (g.c24, g.c12, g.c14, p.p2, p.p1),
+            ("rx", 1): (g.c13, g.c14, g.c34, p.p1, p.p4),
+            ("rx", 2): (g.c24, g.c23, g.c34, p.p2, p.p3)}
+
+
+def _grid_golden_cutset(sd, sr, rd, p_src, p_rel):
+    """Slow reference: the 81^3 grid, its +-1.5-cell correlation window and a
+    three-level golden-section search (rho, then alpha, then e) in that window."""
+    if p_src == 0.0:
+        return 0.0
+    n = 81
+    ln2 = math.log(2.0)
+    rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
+    alpha = np.linspace(0.0, 1.0, n).reshape(1, -1, 1)
+    e = np.linspace(0.0, 1.0, n).reshape(1, 1, -1)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_safe = np.maximum(alpha, 1e-300)
+        b_safe = np.maximum(1.0 - alpha, 1e-300)
+        pa = e * p_src / a_safe
+        pb = (1.0 - e) * p_src / b_safe
+        pr = p_rel / b_safe
+        listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / ln2, 0.0)
+        listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / ln2, 0.0)
+        fwd1 = np.where(alpha < 1.0,
+                        (1.0 - alpha) * np.log1p((1.0 - rho) * sd * sd * pb) / ln2, 0.0)
+        phi = np.sqrt(rho * sd * sd * rd * rd * pb * pr)
+        fwd2 = np.where(alpha < 1.0,
+                        (1.0 - alpha) * np.log1p(sd * sd * pb + rd * rd * pr + 2.0 * phi) / ln2,
+                        0.0)
+        grid_val = np.minimum(listen1 + fwd1, listen2 + fwd2)
+    grid_val = np.nan_to_num(grid_val, nan=-math.inf)
+    i = int(np.argmax(grid_val))
+    rho_best = float(rho.ravel()[i // (n * n)])
+    best = float(grid_val.ravel()[i])
+    lo = max(0.0, rho_best - 1.5 / (n - 1))
+    hi = min(1.0, rho_best + 1.5 / (n - 1))
+
+    def cuts(r, a, s):
+        lt = ft = lf = ff = 0.0
+        if a > 0.0 and s > 0.0:
+            pa = s * p_src / a
+            lt = a * cap((sr * sr + sd * sd) * pa)
+            ft = a * cap(sd * sd * pa)
+        if a < 1.0:
+            pb = (1.0 - s) * p_src / (1.0 - a)
+            pr = p_rel / (1.0 - a)
+            lf = (1.0 - a) * cap((1.0 - r) * sd * sd * pb)
+            ff = (1.0 - a) * cap(sd * sd * pb + rd * rd * pr
+                                 + 2.0 * math.sqrt(r * sd * sd * rd * rd * pb * pr))
+        return min(lt + lf, ft + ff)
+
+    def over_alpha_energy(r):
+        return bounds._golden_max(
+            lambda a: bounds._golden_max(lambda s: cuts(r, a, s), 0.0, 1.0, iters=40),
+            0.0, 1.0, iters=40)
+
+    return max(best, bounds._golden_max(over_alpha_energy, lo, hi, iters=30))
+
+
+def test_cutset_matches_grid_golden_reference():
+    rng = np.random.default_rng(77)
+    configs = [(random_gains(rng), random_powers(rng)) for _ in range(20)]
+    ref = gains_with()
+    p = PowerBudget(5.0, 5.0, 5.0, 5.0)
+    configs += [
+        (gains_with(c13=0.0, c24=0.0), p),                # sd = 0
+        (gains_with(c12=0.0, c14=0.0, c23=0.0), p),       # sr = 0 (both cooperation types)
+        (gains_with(c23=0.0, c14=0.0, c34=0.0), p),       # rd = 0 (both cooperation types)
+        (ref, PowerBudget(5.0, 0.0, 5.0, 0.0)),           # p_rel = 0 for user 1
+        (ref, PowerBudget(0.0, 5.0, 0.0, 5.0)),           # p_rel = 0 for user 2
+        (gains_with(c12=1e6), p),
+    ]
+    for k, (g, p) in enumerate(configs):
+        # Random draws alternate the cooperation type; degenerate ones take all four.
+        for (cooperation, user), triple in _cutset_triples(g, p).items():
+            if k < 20 and cooperation != ("tx", "rx")[k % 2]:
+                continue
+            got = bounds.relay_cutset_bound(g, p, user, cooperation)
+            want = _grid_golden_cutset(*triple)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (g, p, cooperation, user)
+
+
+def _scan_rho_max(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi):
+    """max over rho in [lo, hi] of min(cut 1, cut 2) by dense scans: 10^4 points
+    plus both endpoints, then three zooms onto the best point's neighbours (the
+    min rises then falls in rho, so the maximum stays inside each zoom)."""
+    ln2 = math.log(2.0)
+    l1 = l2 = 0.0
+    if e > 0.0:
+        pa = e * p_src / alpha
+        l1 = alpha * math.log1p((sr2 + sd2) * pa) / ln2
+        l2 = alpha * math.log1p(sd2 * pa) / ln2
+    f = 1.0 - alpha
+    a = sd2 * (1.0 - e) * p_src / f
+    b = rd2 * p_rel / f
+    best = -math.inf
+    for _ in range(4):
+        rho = np.linspace(lo, hi, 10_002)
+        v = np.minimum(l1 + f * np.log1p((1.0 - rho) * a) / ln2,
+                       l2 + f * np.log1p(a + b + 2.0 * np.sqrt(rho * a * b)) / ln2)
+        i = int(np.argmax(v))
+        best = max(best, float(v[i]))
+        lo, hi = float(rho[max(i - 1, 0)]), float(rho[min(i + 1, rho.size - 1)])
+    return best
+
+
+def test_cutset_closed_form_rho_step_matches_dense_scan():
+    rng = np.random.default_rng(5)
+    cases = []
+    for k in range(60):
+        g, p = random_gains(rng), random_powers(rng)
+        sd, sr, rd, p_src, p_rel = _cutset_triples(g, p)[("tx", 1)]
+        alpha, e = rng.uniform(0.0, 1.0), rng.uniform(0.0, 1.0)
+        lo, hi = np.sort(rng.uniform(0.0, 1.0, size=2))
+        lo, hi = ((lo, hi), (0.0, hi), (lo, 1.0), (0.0, 1.0))[k % 4]  # windows touching 0 and 1
+        cases.append((sd, sr, rd, p_src, p_rel, alpha, e, lo, hi))
+        cases.append((0.0, sr, rd, p_src, p_rel, alpha, e, lo, hi))       # a = 0 (sd = 0)
+        cases.append((sd, sr, rd, p_src, p_rel, alpha, 1.0, lo, hi))      # a = 0 (e = 1)
+        cases.append((sd, sr, 0.0, p_src, p_rel, alpha, e, lo, hi))       # b = 0, m = 0
+        cases.append((sd, sr, rd, p_src, 0.0, alpha, e, lo, hi))          # b = 0 (silent relay)
+        cases.append((sd, sr, rd, p_src, p_rel, 1.0 - rng.uniform(1e-12, 1e-9), e, lo, hi))
+    for sd, sr, rd, p_src, p_rel, alpha, e, lo, hi in cases:
+        args = (sd * sd, sr * sr, rd * rd, p_src, p_rel, alpha, e, lo, hi)
+        got = bounds._cutset_rho_max(*args)
+        want = _scan_rho_max(*args)
+        assert abs(got - want) <= 1e-12 * max(1.0, want), (args, got, want)
+
+
 # ---------------------------------------------------------------------------
 # broadcast / multiple-access sum bounds
 

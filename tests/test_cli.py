@@ -147,6 +147,20 @@ def test_eval_infinite_gain_exits_3(tmp_path, capsys):
     assert run(["eval", "--config", cfg]) == cli.EXIT_EVALUATOR
 
 
+@pytest.mark.parametrize("scheme, allocation", [
+    ("TC", dict(TC_ALLOCATION, **{"lambda": [5e-324, 0.5, 0.5]})),
+    ("RC", dict(RC_ALLOCATION, **{"lambda": [5e-324, 0.5, 0.5]})),
+])
+def test_eval_subnormal_duration_exits_3(tmp_path, capsys, scheme, allocation):
+    # the burst power of a subnormal phase would overflow and print Infinity/NaN
+    cfg = write_config(tmp_path, allocation=allocation, scheme=scheme)
+    assert run(["eval", "--config", cfg]) == cli.EXIT_EVALUATOR
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and len(captured.err.strip().splitlines()) == 1
+    assert "burst power" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # region
 

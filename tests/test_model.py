@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from coopic.model import (
+    BURST_POWER_MAX,
     GAIN_MAX,
     POWER_MAX,
     ChannelGains,
@@ -23,6 +24,7 @@ from coopic.model import (
     cap,
     inverse,
     logdet2,
+    phase_power,
     quad,
 )
 
@@ -185,6 +187,20 @@ def test_power_budget_validation():
             powers[index] = value
             with pytest.raises(EvaluatorError, match=f"p{index + 1}"):
                 PowerBudget(*powers)
+
+
+def test_phase_power_burst_cap():
+    assert phase_power(0.0, 5.0, 0.0, "x") == 0.0
+    assert phase_power(0.5, 4.0, 0.25, "x") == 8.0
+    assert phase_power(1.0, BURST_POWER_MAX, 1.0, "x") == BURST_POWER_MAX
+    with pytest.raises(InvalidAllocation, match="zero-duration"):
+        phase_power(0.5, 4.0, 0.0, "x")
+    # a positive but tiny duration would burst past the cap (or overflow to inf)
+    for duration in (5e-324, 1e-300, 1e-93):
+        with pytest.raises(InvalidAllocation, match="kappa1: burst power"):
+            phase_power(0.5, POWER_MAX, duration, "kappa1")
+    # at the cap a burst SNR, and the product of two, stays inside the float range
+    assert math.isfinite((GAIN_MAX ** 2 * BURST_POWER_MAX) ** 2)
 
 
 def test_rate_pair():

@@ -105,6 +105,16 @@ def test_phase23_zero_duration_source_mass(ref_gains, ref_powers):
         rxcoop.rc_phase_rates(ref_gains, ref_powers, a)
 
 
+def test_subnormal_duration_is_rejected_not_overflowed(ref_gains, ref_powers):
+    # share * P / 5e-324 overflows to inf; the burst cap turns it into an error
+    with pytest.raises(InvalidAllocation, match="mu1: burst power"):
+        rxcoop.rc_rate_pair(ref_gains, ref_powers, make_alloc(lam=(5e-324, 0.5, 0.5)))
+    # the helpers' bursts too, with the sources silent in that phase
+    a = make_alloc(lam=(0.5, 5e-324, 0.5), mu=(0.5, 0.0, 0.5), eta=(0.5, 0.0, 0.5))
+    with pytest.raises(InvalidAllocation, match="alpha1: burst power"):
+        rxcoop.rc_rate_pair(ref_gains, ref_powers, a)
+
+
 def test_phase23_rejects_infinite_gain(ref_powers):
     g = ChannelGains(c12=1.0, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=math.inf)
     with pytest.raises(InfiniteGain, match="frontier.trace"):

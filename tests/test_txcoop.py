@@ -94,6 +94,16 @@ def test_phase12_zero_duration_requires_zero_mass(ref_gains, ref_powers):
     assert txcoop.tc_phase_rates(ref_gains, ref_powers, a).r1_r1 == 0.0
 
 
+def test_subnormal_duration_is_rejected_not_overflowed(ref_gains, ref_powers):
+    # share * P / 5e-324 overflows to inf; the burst cap turns it into an error
+    a = make_alloc(lam=(5e-324, 0.5, 0.5))
+    for rate_pair in (txcoop.tc_rate_pair, txcoop.rdpc_rate_pair):
+        with pytest.raises(InvalidAllocation, match="kappa1: burst power"):
+            rate_pair(ref_gains, ref_powers, a)
+    with pytest.raises(InvalidAllocation, match="kappa2: burst power"):
+        txcoop.tc_rate_pair(ref_gains, ref_powers, make_alloc(lam=(0.5, 0.5, 5e-324)))
+
+
 def test_phase12_rejects_infinite_gain(ref_powers):
     g = ChannelGains(c12=math.inf, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=1.0)
     with pytest.raises(InfiniteGain, match="frontier.trace"):
