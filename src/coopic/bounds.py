@@ -44,6 +44,7 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -134,7 +135,10 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
     terms.  The min is therefore largest at lo, at hi, or where the cuts
     cross.  With u = sqrt(rho) and T = 2**((L1-L2)/(1-alpha)) the crossing
     is the positive root of T a u^2 + 2 m u + (1+a+b) - T(1+a) = 0, taken
-    in the cancellation-free form u = -2c / (2m + sqrt(disc)).
+    in the cancellation-free form u = -2c / (2m + sqrt(disc)).  The constant
+    c = b - (T-1)(1+a) takes T - 1 from expm1, so a listen gap below an ulp
+    (tiny source-relay gain) still places the crossing.  Where rounding
+    leaves c >= 0 although cut 1 is above cut 2 at lo, the crossing is at lo.
     """
     l1 = l2 = 0.0  # listen-phase terms of cut 1 / cut 2
     if alpha > 0.0 and e > 0.0:
@@ -158,9 +162,13 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
     cut1, cut2 = cuts(lo)
     if cut1 <= cut2:  # cut 1 binds on the whole window
         return cut1
-    t = 2.0 ** ((l1 - l2) / f)
-    c = (1.0 + a + b) - t * (1.0 + a)  # negative: cut 1 is above cut 2 at u = 0
-    u = -2.0 * c / (2.0 * m + math.sqrt(4.0 * m * m - 4.0 * t * a * c))
+    tm1 = math.expm1((l1 - l2) / f * _LN2)  # T - 1, exact even for a sub-ulp gap
+    c = b - tm1 * (1.0 + a)  # (1+a+b) - T(1+a): negative, cut 1 is above cut 2 at u = 0
+    if c >= 0.0:  # rounding disagrees with the comparison at lo: cross there
+        u = 0.0
+    else:
+        denom = 2.0 * m + math.sqrt(max(0.0, 4.0 * m * m - 4.0 * (1.0 + tm1) * a * c))
+        u = -2.0 * c / denom if denom > 0.0 else math.inf  # denom == 0: a*c underflowed
     u = min(max(u, math.sqrt(lo)), math.sqrt(hi))
     return min(cuts(u * u))
 

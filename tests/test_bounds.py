@@ -204,6 +204,25 @@ def test_cutset_closed_form_rho_step_matches_dense_scan():
         assert abs(got - want) <= 1e-12 * max(1.0, want), (args, got, want)
 
 
+def test_cutset_closed_form_rho_step_sub_ulp_listen_gap():
+    # sd = 1e-6, sr = 1e-9: the listen terms (~1e-12) differ by ~1e-18, so
+    # 2**((L1-L2)/(1-alpha)) rounds to 1 and the crossing must not be lost.
+    # rd = 0 gives b = m = 0; rd = 1e-8 a tiny positive b.  Values are ~1e-12,
+    # so the tolerances are relative.
+    golden = (math.sqrt(5.0) - 1.0) / 2.0
+    for rd in (0.0, 1e-8):
+        for alpha, e in ((1.0 - golden, 1.0 - golden), (golden, 1.0 - golden), (0.9, 0.1)):
+            for lo, hi in ((0.0, 1.5 / 80), (0.0, 1.0), (0.3, 1.0)):
+                args = (1e-12, 1e-18, rd * rd, 1.0, 1.0, alpha, e, lo, hi)
+                got = bounds._cutset_rho_max(*args)
+                want = _scan_rho_max(*args)
+                assert got == pytest.approx(want, rel=1e-12, abs=0.0), args
+        g = gains_with(c12=1e-9, c13=1e-6, c23=rd)
+        p = PowerBudget(1.0, 1.0, 1.0, 1.0)
+        want = _grid_golden_cutset(*_cutset_triples(g, p)[("tx", 1)])
+        assert bounds.relay_cutset_bound(g, p, 1, "tx") == pytest.approx(want, rel=1e-9, abs=0.0)
+
+
 # ---------------------------------------------------------------------------
 # broadcast / multiple-access sum bounds
 
