@@ -14,10 +14,8 @@ from .model import (
     RcAllocation,
     Simplex2,
     Simplex3,
-    Sym2,
     TcAllocation,
     cap,
-    logdet2,
 )
 from .txcoop import (
     TcCovariances,

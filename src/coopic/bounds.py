@@ -26,9 +26,8 @@ from .model import (
     ChannelGains,
     NotStrongInterference,
     PowerBudget,
-    Sym2,
     cap,
-    logdet2,
+    det_pair,
 )
 
 __all__ = [
@@ -86,16 +85,18 @@ def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[fl
 
     weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
     user-1-favoring corner.  Float form of ``OuterBound.corner``.
+
+    The two candidate corners either coincide or both lie on the sum face,
+    where the objective of the user-1 corner minus that of the user-2
+    corner is (1 - weight) times a nonnegative gap; so weight <= 1 picks
+    the user-1 corner exactly, without comparing two float sums that are
+    equal in exact arithmetic at weight 1.
     """
-    c1 = min(a1, a12)
-    corner_a = (c1, min(a2, max(a12 - c1, 0.0)))
+    if weight <= 1.0:
+        c1 = min(a1, a12)
+        return (c1, min(a2, max(a12 - c1, 0.0)))
     c2 = min(a2, a12)
-    corner_b = (min(a1, max(a12 - c2, 0.0)), c2)
-    if math.isinf(weight):
-        return corner_b if corner_b[1] > corner_a[1] else corner_a
-    va = corner_a[0] + weight * corner_a[1]
-    vb = corner_b[0] + weight * corner_b[1]
-    return corner_a if va >= vb else corner_b
+    return (min(a1, max(a12 - c2, 0.0)), c2)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -271,9 +272,11 @@ def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,
 def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
     """Sum-rate cap of the pooled-power two-antenna broadcast channel.
 
-    Maximizes log2 det(I + q1 g1^T g1 + q2 g2^T g2) over q1 + q2 = p_total.
-    The objective is concave in q1, so golden-section search is global; the
-    two endpoints are evaluated exactly because the search never reaches them.
+    Maximizes log2 det(I + q1 g1 g1^T + q2 g2 g2^T) over q1 + q2 = p_total,
+    the determinant taken by ``det_pair`` (so it is at least 1 for any
+    gains).  The objective is concave in q1, so golden-section search is
+    global; the two endpoints are evaluated exactly because the search never
+    reaches them.
     """
     if p_total < 0.0:
         raise ValueError(f"p_total must be nonnegative, got {p_total}")
@@ -281,14 +284,15 @@ def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
         return 0.0
 
     def f(q: float) -> float:
-        return logdet2(Sym2.outer(g.g1, q) + Sym2.outer(g.g2, p_total - q))
+        return math.log2(det_pair(g.g1, q, g.g2, p_total - q))
 
     return max(f(0.0), f(p_total), _golden_max(f, 0.0, p_total))
 
 
 def mimo_mac_sum_bound(g: ChannelGains, p: PowerBudget) -> float:
-    """Sum-rate cap of the two-antenna multiple-access channel."""
-    return logdet2(Sym2.outer(g.h1, p.p1) + Sym2.outer(g.h2, p.p2))
+    """Sum-rate cap of the two-antenna multiple-access channel:
+    log2 det(I + p1 h1 h1^T + p2 h2 h2^T), by ``det_pair``."""
+    return math.log2(det_pair(g.h1, p.p1, g.h2, p.p2))
 
 
 def tc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
@@ -352,7 +356,7 @@ def bc_region_vertices(g: ChannelGains, p_total: float,
         q2 = p_total - q1
         c1 = cap(q1 * n1)
         c2 = cap(q2 * n2)
-        s = logdet2(Sym2.outer(g.g1, q1) + Sym2.outer(g.g2, q2))
+        s = math.log2(det_pair(g.g1, q1, g.g2, q2))
         points.append((c1, max(s - c1, 0.0)))
         points.append((max(s - c2, 0.0), c2))
     return hull(points)

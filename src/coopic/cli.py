@@ -194,6 +194,11 @@ def _allocation_to_dict(alloc) -> dict | None:
     return None
 
 
+def _bound_record(region: bounds_mod.OuterBound) -> dict:
+    """The JSON record of a pentagon's three constraints."""
+    return {"r1_max": region.r1_max, "r2_max": region.r2_max, "sum_max": region.sum_max}
+
+
 def _fmt(value: float) -> str:
     if value is None:
         return ""
@@ -253,11 +258,8 @@ def cmd_region(args) -> int:
     for scheme in schemes:
         if scheme == "IC":
             region = bounds_mod.strong_ic_region(g, p)
-            for r1, r2 in region.vertices():
-                rows.append((r1, r2, "IC", None))
-            sidecar["schemes"]["IC"] = {
-                "r1_max": region.r1_max, "r2_max": region.r2_max,
-                "sum_max": region.sum_max}
+            rows.extend((r1, r2, "IC", None) for r1, r2 in region.vertices())
+            sidecar["schemes"]["IC"] = _bound_record(region)
             continue
         fr = frontier.trace(scheme, g, p, opts)
         for pt in fr.points:
@@ -270,18 +272,12 @@ def cmd_region(args) -> int:
             "restarts": opts.restarts,
             "stats": asdict(fr.stats),
         }
-    if any(s in ("TC", "RDPC") for s in schemes):
-        region = bounds_mod.tc_outer_region(g, p)
-        for r1, r2 in region.vertices():
-            rows.append((r1, r2, "bound", None))
-        sidecar["bounds"]["TC"] = {"r1_max": region.r1_max, "r2_max": region.r2_max,
-                                   "sum_max": region.sum_max}
-    if "RC" in schemes:
-        region = bounds_mod.rc_outer_region(g, p)
-        for r1, r2 in region.vertices():
-            rows.append((r1, r2, "bound", None))
-        sidecar["bounds"]["RC"] = {"r1_max": region.r1_max, "r2_max": region.r2_max,
-                                   "sum_max": region.sum_max}
+    for kind, users, outer in (("TC", ("TC", "RDPC"), bounds_mod.tc_outer_region),
+                               ("RC", ("RC",), bounds_mod.rc_outer_region)):
+        if any(s in users for s in schemes):
+            region = outer(g, p)
+            rows.extend((r1, r2, "bound", None) for r1, r2 in region.vertices())
+            sidecar["bounds"][kind] = _bound_record(region)
 
     lines = ["r1_bits,r2_bits,scheme,weight,seed"]
     for r1, r2, scheme, weight in rows:
@@ -301,14 +297,10 @@ def cmd_bounds(args) -> int:
     _apply_flag_overrides(config, args)
     g = build_gains(config)
     p = build_powers(config)
-    record: dict = {}
-    tc = bounds_mod.tc_outer_region(g, p)
-    rc = bounds_mod.rc_outer_region(g, p)
-    record["TC"] = {"r1_max": tc.r1_max, "r2_max": tc.r2_max, "sum_max": tc.sum_max}
-    record["RC"] = {"r1_max": rc.r1_max, "r2_max": rc.r2_max, "sum_max": rc.sum_max}
+    record = {"TC": _bound_record(bounds_mod.tc_outer_region(g, p)),
+              "RC": _bound_record(bounds_mod.rc_outer_region(g, p))}
     try:
-        ic = bounds_mod.strong_ic_region(g, p)
-        record["IC"] = {"r1_max": ic.r1_max, "r2_max": ic.r2_max, "sum_max": ic.sum_max}
+        record["IC"] = _bound_record(bounds_mod.strong_ic_region(g, p))
     except EvaluatorError as exc:
         record["IC"] = {"error": str(exc)}
     print(json.dumps(record, indent=2, sort_keys=True))

@@ -1,4 +1,4 @@
-"""Shared domain types and the small 2x2 symmetric-matrix toolkit.
+"""Shared domain types and the small 2x2 toolkit.
 
 Conventions used throughout the package:
 
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 __all__ = [
     "EvaluatorError",
     "NegativeSnr",
-    "NonPositiveDefinite",
     "Singular",
     "InfiniteGain",
     "NotInfinite",
@@ -32,12 +31,10 @@ __all__ = [
     "Simplex3",
     "TcAllocation",
     "RcAllocation",
-    "Sym2",
     "RatePair",
     "cap",
     "quad",
-    "logdet",
-    "logdet2",
+    "det_pair",
     "inverse",
     "phase_power",
     "simplex_weights",
@@ -69,10 +66,6 @@ class EvaluatorError(ValueError):
 
 class NegativeSnr(EvaluatorError):
     """An SNR-like argument was negative beyond tolerance."""
-
-
-class NonPositiveDefinite(EvaluatorError):
-    """det(I + M) <= 0, so the log-det capacity is undefined."""
 
 
 class Singular(EvaluatorError):
@@ -250,23 +243,6 @@ class RcAllocation:
 
 
 @dataclass(frozen=True)
-class Sym2:
-    """Real symmetric 2x2 matrix [[a11, a12], [a12, a22]]."""
-
-    a11: float
-    a12: float
-    a22: float
-
-    @classmethod
-    def outer(cls, v: tuple[float, float], scale: float = 1.0) -> "Sym2":
-        """scale * v v^T (rank one, PSD for scale >= 0)."""
-        return cls(scale * v[0] * v[0], scale * v[0] * v[1], scale * v[1] * v[1])
-
-    def __add__(self, other: "Sym2") -> "Sym2":
-        return Sym2(self.a11 + other.a11, self.a12 + other.a12, self.a22 + other.a22)
-
-
-@dataclass(frozen=True)
 class RatePair:
     """A nonnegative (R1, R2) point in bits per channel use."""
 
@@ -303,8 +279,10 @@ def cap(x: float) -> float:
     return math.log1p(x) / _LN2
 
 
-# Float forms of the 2x2 operations: a symmetric matrix is passed as its
-# entries (a11, a12, a22).  ``logdet2`` is the Sym2 view of ``logdet``.
+# The 2x2 operations on floats.  Every determinant of the package has the
+# form det(I + p u u^T + q v v^T) and comes from ``det_pair``; ``quad`` and
+# ``inverse`` take a general symmetric matrix as its entries (a11, a12, a22)
+# and serve the phase-3 covariances of transmitter cooperation.
 
 
 def quad(v0: float, v1: float, a11: float, a12: float, a22: float) -> float:
@@ -315,12 +293,17 @@ def quad(v0: float, v1: float, a11: float, a12: float, a22: float) -> float:
     return q
 
 
-def logdet(a11: float, a12: float, a22: float) -> float:
-    """log2 det(I + A); raises NonPositiveDefinite when det(I + A) <= 0."""
-    d = (1.0 + a11) * (1.0 + a22) - a12 * a12
-    if d <= 0.0:
-        raise NonPositiveDefinite(f"det(I + M) = {d} <= 0")
-    return math.log2(d)
+def det_pair(u: tuple[float, float], p: float, v: tuple[float, float], q: float) -> float:
+    """det(I + p u u^T + q v v^T) for 2-vectors u, v and powers p, q >= 0.
+
+    Expanded as 1 + p|u|^2 + q|v|^2 + p q (u0 v1 - u1 v0)^2, a sum of
+    nonnegative terms: unlike (1 + a11)(1 + a22) - a12^2, which cancels to
+    zero or below for large nearly parallel gains, it is at least 1 (and
+    log2 of it at least 0) for any gains.  Only the cross term can lose
+    digits, for nearly parallel u and v, and it enters squared.
+    """
+    x = u[0] * v[1] - u[1] * v[0]
+    return 1.0 + p * (u[0] * u[0] + u[1] * u[1]) + q * (v[0] * v[0] + v[1] * v[1]) + p * q * x * x
 
 
 def inverse(a11: float, a12: float, a22: float) -> tuple[float, float, float]:
@@ -329,11 +312,6 @@ def inverse(a11: float, a12: float, a22: float) -> tuple[float, float, float]:
     if abs(d) < _DET_TOL:
         raise Singular(f"2x2 determinant {d} below tolerance")
     return (a22 / d, -a12 / d, a11 / d)
-
-
-def logdet2(m: Sym2) -> float:
-    """log2 det(I + M); raises NonPositiveDefinite when det(I + M) <= 0."""
-    return logdet(m.a11, m.a12, m.a22)
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:

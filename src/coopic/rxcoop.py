@@ -37,13 +37,10 @@ from .model import (
     PowerBudget,
     RatePair,
     RcAllocation,
-    Sym2,
     cap,
     checked_pair,
-    logdet,
-    logdet2,
+    det_pair,
     phase_power,
-    quad,
 )
 
 __all__ = [
@@ -143,26 +140,23 @@ def _compression_noise(num: float, exponent: float, denom: float) -> float:
     return float(num) / float(denom) / growth
 
 
-def _outer(v0: float, v1: float, scale: float):
-    return (scale * v0 * v0, scale * v0 * v1, scale * v1 * v1)
-
-
 def _compression(c, pw, s, r1_s: float, r2_s: float):
     """The equivalent one-transmit/two-receive-antenna interference channel
-    (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, snr1, inr1,
-    snr2, inr2), vectors as pairs and matrices as entries (a11, a12, a22).
-    sigma_i_sq is the compression noise of the peer's observation (+inf when
-    nothing was forwarded, leaving exact zeros in the gains)."""
+    (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, p1_1, p2_1):
+    the compression noises and the resulting fractions zeta_i of the peer's
+    observation kept, the four equivalent gain vectors as pairs (receiver's
+    own antenna first) and the two sources' phase-1 powers.  sigma_i_sq is
+    the compression noise of the peer's observation (+inf when nothing was
+    forwarded, leaving exact zeros in the gains)."""
     c13, c14, c23, c24, _ = c
     lam1 = s[0]
     if lam1 == 0.0:
         raise InvalidAllocation("compression requires a positive phase-1 duration")
     p1_1 = phase_power(s[3], pw[0], lam1, "mu1")
     p2_1 = phase_power(s[6], pw[1], lam1, "eta1")
-    at3 = 1.0 + quad(c13, c23, p1_1, 0.0, p2_1)
-    at4 = 1.0 + quad(c14, c24, p1_1, 0.0, p2_1)
-    cross = c13 * c14 * p1_1 + c23 * c24 * p2_1
-    num = at3 * at4 - cross * cross
+    at3 = 1.0 + c13 * c13 * p1_1 + c23 * c23 * p2_1
+    at4 = 1.0 + c14 * c14 * p1_1 + c24 * c24 * p2_1
+    num = det_pair((c13, c14), p1_1, (c23, c24), p2_1)
 
     sigma1_sq = _compression_noise(num, r2_s / lam1, at4)
     sigma2_sq = _compression_noise(num, r1_s / lam1, at3)
@@ -174,17 +168,7 @@ def _compression(c, pw, s, r1_s: float, r2_s: float):
     c23v = (c23, rz2 * c24)
     c14v = (rz1 * c13, c14)
     c24v = (rz1 * c23, c24)
-    return (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v,
-            _outer(*c13v, p1_1), _outer(*c23v, p2_1), _outer(*c24v, p2_1), _outer(*c14v, p1_1))
-
-
-def _add(m, n):
-    return (m[0] + n[0], m[1] + n[1], m[2] + n[2])
-
-
-def _logratio(snr, inr) -> float:
-    """log2 |I + SNR + INR| - log2 |I + INR|: decode treating interference as noise."""
-    return logdet(*_add(snr, inr)) - logdet(*inr)
+    return (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, p1_1, p2_1)
 
 
 def _sqnorm(v) -> float:
@@ -192,27 +176,28 @@ def _sqnorm(v) -> float:
 
 
 def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
-    """Phase-1 rate pair from the last eight fields of the equivalent channel.
+    """Phase-1 rate pair from the last six fields of the equivalent channel.
 
     Both interferences strong (ties count as strong): joint decoding, the
     pentagon corner picked by ``weight``; one strong: that receiver cancels
     it, the other treats it as noise; both weak: both treat it as noise.
+    A receiver's own rate is cap(p |v|^2), its joint rate log2 ``det_pair``
+    and its rate with interference as noise that determinant over the
+    interferer's 1 + q |w|^2 (a quotient of at least 1, so never negative).
     """
     if lambda1 == 0.0:
         return (0.0, 0.0)
-    c13v, c23v, c14v, c24v, snr1, inr1, snr2, inr2 = eq
+    c13v, c23v, c14v, c24v, p1, p2 = eq
+    own1, own2 = cap(p1 * _sqnorm(c13v)), cap(p2 * _sqnorm(c24v))
+    joint3, joint4 = det_pair(c13v, p1, c23v, p2), det_pair(c24v, p2, c14v, p1)
     strong_at_4 = _sqnorm(c14v) >= _sqnorm(c13v)
     strong_at_3 = _sqnorm(c23v) >= _sqnorm(c24v)
     if strong_at_4 and strong_at_3:
-        a1 = lambda1 * logdet(*snr1)
-        a2 = lambda1 * logdet(*snr2)
-        a12 = lambda1 * min(logdet(*_add(snr1, inr1)), logdet(*_add(snr2, inr2)))
-        return bounds.pentagon_corner(a1, a2, a12, weight)
-    if strong_at_4:
-        return (lambda1 * _logratio(snr1, inr1), lambda1 * logdet(*snr2))
-    if strong_at_3:
-        return (lambda1 * logdet(*snr1), lambda1 * _logratio(snr2, inr2))
-    return (lambda1 * _logratio(snr1, inr1), lambda1 * _logratio(snr2, inr2))
+        a12 = math.log2(min(joint3, joint4))
+        return bounds.pentagon_corner(lambda1 * own1, lambda1 * own2, lambda1 * a12, weight)
+    r1 = own1 if strong_at_3 else math.log2(joint3 / (1.0 + p2 * _sqnorm(c23v)))
+    r2 = own2 if strong_at_4 else math.log2(joint4 / (1.0 + p1 * _sqnorm(c14v)))
+    return (lambda1 * r1, lambda1 * r2)
 
 
 def _stream_rates(c, pw, s, weight: float):
@@ -276,8 +261,8 @@ def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> 
     """
     if not math.isinf(g.c34):
         raise NotInfinite("c34 is finite; use rc_rate_pair")
-    mac = bounds.OuterBound(r1_max=logdet2(Sym2.outer(g.h1, p.p1)),
-                            r2_max=logdet2(Sym2.outer(g.h2, p.p2)),
+    mac = bounds.OuterBound(r1_max=cap(p.p1 * _sqnorm(g.h1)),
+                            r2_max=cap(p.p2 * _sqnorm(g.h2)),
                             sum_max=bounds.mimo_mac_sum_bound(g, p), kind="RC_inf")
     return RatePair(*mac.corner(weight))
 

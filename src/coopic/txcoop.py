@@ -26,12 +26,12 @@ Each rate formula exists once, as a kernel on plain floats: gains
 ``kernel_args``, the 17 allocation shares ``s`` flat in field order (lam1..3,
 kappa1..2, gamma1..2, alpha1..2, beta1..2, mu1..3, eta1..3), and a
 covariance as ``(sigma1, sigma2, user1_clean)`` with each sigma given by
-its entries (a11, a12, a22).  ``tc_kernel``, ``rdpc_kernel`` and
-``tc_limit_kernel`` return the rate pair as floats; the frontier search
-scores every evaluation with them.  The dataclass API is a thin view: it
-unpacks its arguments, calls the kernels and wraps the result, raising the
-same errors in the same order.  The kernels do not check c12: the views and
-the tracer do, once.
+its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
+``tc_kernel``, ``rdpc_kernel`` and ``tc_limit_kernel`` return the rate
+pair as floats; the frontier search scores every evaluation with them.
+The dataclass API is a thin view: it unpacks its arguments, calls the
+kernels and wraps the result, raising the same errors in the same order.
+The kernels do not check c12: the views and the tracer do, once.
 
 All functions are pure; rates are bits per channel use.
 """
@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .model import (
     ChannelGains,
@@ -50,7 +51,6 @@ from .model import (
     PowerBudget,
     RatePair,
     Simplex3,
-    Sym2,
     TcAllocation,
     cap,
     checked_pair,
@@ -102,19 +102,18 @@ class TcPhaseRates:
     r2_d: float = 0.0
 
 
-@dataclass(frozen=True)
-class TcCovariances:
-    """Phase-3 joint-stream covariances.
+class TcCovariances(NamedTuple):
+    """Phase-3 joint-stream covariances, each sigma as its entries (a11, a12, a22).
 
     ``sigma1`` is carried by the stream encoded last (clean of interference
     at its receiver); ``sigma2`` by the stream encoded first.
     ``user1_clean`` records which user got the clean slot: True when
     receiver 3's combined gain exceeds receiver 4's, False otherwise (ties
-    included).
+    included).  It is the tuple the kernels take as ``cov``.
     """
 
-    sigma1: Sym2
-    sigma2: Sym2
+    sigma1: tuple[float, float, float]
+    sigma2: tuple[float, float, float]
     user1_clean: bool
 
 
@@ -330,16 +329,6 @@ def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     return (c, *_joint(pw, s))
 
 
-def _cov_view(cov) -> TcCovariances:
-    sigma1, sigma2, user1_clean = cov
-    return TcCovariances(sigma1=Sym2(*sigma1), sigma2=Sym2(*sigma2), user1_clean=user1_clean)
-
-
-def _cov_floats(cov: TcCovariances):
-    return ((cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22),
-            (cov.sigma2.a11, cov.sigma2.a12, cov.sigma2.a22), cov.user1_clean)
-
-
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
     """The paper's phase-3 covariances for the two joint streams.
 
@@ -352,7 +341,7 @@ def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
     Raises DegeneratePhase when the joint phase has zero duration.
     """
     c, joint1, joint2 = _joint_streams(g, p, a)
-    return _cov_view(_duality_cov(c, sum(joint1), sum(joint2), _user1_clean(c)))
+    return TcCovariances(*_duality_cov(c, sum(joint1), sum(joint2), _user1_clean(c)))
 
 
 def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -377,7 +366,7 @@ def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
 
     Raises DegeneratePhase when the joint phase has zero duration.
     """
-    return _cov_view(_budget_cov(*_joint_streams(g, p, a)))
+    return TcCovariances(*_budget_cov(*_joint_streams(g, p, a)))
 
 
 def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -386,7 +375,7 @@ def rdpc_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCova
     Equivalent to random, unsynchronized carrier phases between the sources,
     which reduces the scheme to recycled/parallel DPC.
     """
-    return _cov_view(_rdpc_cov(*_joint_streams(g, p, a)))
+    return TcCovariances(*_rdpc_cov(*_joint_streams(g, p, a)))
 
 
 @dataclass(frozen=True)
@@ -420,8 +409,8 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
         cov = tc_budget_covariances(g, p, a)
     pw, s = (p.p1, p.p2), _shares(a)
     fresh1, fresh2 = _phase3_split(pw, s)[0]
-    radiated = (fresh1 + cov.sigma1.a11 + cov.sigma2.a11,
-                fresh2 + cov.sigma1.a22 + cov.sigma2.a22)
+    radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
+                fresh2 + cov.sigma1[2] + cov.sigma2[2])
     return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, s))
 
 
@@ -434,7 +423,7 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
     c, pw, s = _unpack(g, p, a)
-    return TcPhaseRates(*_stream_rates(c, pw, s, None if cov is None else _cov_floats(cov)))
+    return TcPhaseRates(*_stream_rates(c, pw, s, cov))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:

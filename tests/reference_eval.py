@@ -188,11 +188,7 @@ def rc_reference(g: dict, p: dict, a: dict, weight: float = 1.0) -> tuple[float,
             corner_a = (x1, min(cap2, max(both - x1, 0.0)))
             y2 = min(cap2, both)
             corner_b = (min(cap1, max(both - y2, 0.0)), y2)
-            if math.isinf(weight):
-                r1_r1, r2_r1 = corner_b if corner_b[1] > corner_a[1] else corner_a
-            else:
-                r1_r1, r2_r1 = corner_a if (corner_a[0] + weight * corner_a[1]
-                                            >= corner_b[0] + weight * corner_b[1]) else corner_b
+            r1_r1, r2_r1 = corner_a if weight <= 1.0 else corner_b
         elif c14v @ c14v >= c13v @ c13v:
             r1_r1 = lam[0] * (ld(snr1 + inr1) - ld(inr1))
             r2_r1 = lam[0] * ld(snr2)

@@ -34,10 +34,9 @@ from coopic.model import (
     PowerBudget,
     Simplex2,
     Simplex3,
-    Sym2,
     cap,
+    det_pair,
     inverse,
-    logdet2,
 )
 from reference_eval import rc_reference, tc_reference
 
@@ -216,7 +215,7 @@ def test_criterion_8_oracle_equivalence():
 
 
 def test_criterion_9_property_suites():
-    """Simplex, rank-1 log-det, inverse round-trip, hull, determinism."""
+    """Simplex, rank-1 log-det and det_pair, inverse round-trip, hull, determinism."""
     with report("criterion 9: property suites"):
         rng = np.random.default_rng(9)
         # simplex invariants
@@ -228,12 +227,15 @@ def test_criterion_9_property_suites():
             Simplex2(0.7, 0.7)
         with pytest.raises(InvalidAllocation):
             Simplex3(-0.1, 0.6, 0.5)
-        # rank-1 log-det identity
+        # rank-1 log-det identity, and det_pair against the matrix determinant
         for _ in range(200):
             v = tuple(rng.uniform(0.0, 5.0, size=2))
             power = rng.uniform(0.0, 30.0)
-            assert abs(logdet2(Sym2.outer(v, power))
+            assert abs(math.log2(det_pair(v, power, (1.0, 1.0), 0.0))
                        - cap(power * (v[0] ** 2 + v[1] ** 2))) <= 1e-12
+            u, (p, q) = rng.uniform(0.0, 3.0, size=2), rng.uniform(0.0, 10.0, size=2)
+            want = np.linalg.det(np.eye(2) + p * np.outer(u, u) + q * np.outer(v, v))
+            assert abs(det_pair(tuple(u), p, v, q) - want) <= 1e-12 * want
         # inverse round trip
         for _ in range(200):
             l11, l21, l22 = rng.uniform(-3.0, 3.0, size=3)

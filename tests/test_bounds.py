@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers
-from coopic.model import ChannelGains, NotStrongInterference, PowerBudget, Sym2, cap, logdet2
+from coopic.model import ChannelGains, NotStrongInterference, PowerBudget, cap
 from coopic import bounds
 
 SQRT2 = math.sqrt(2.0)

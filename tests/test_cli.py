@@ -96,6 +96,22 @@ def test_eval_rc_tiny_forwarding_share(tmp_path, capsys):
     assert math.isfinite(record["r1_bits"]) and math.isfinite(record["r2_bits"])
 
 
+def test_eval_rc_large_gains_compression(tmp_path, capsys):
+    # the compression numerator at3 * at4 - cross^2 cancelled below zero here
+    gains = dict(zip(("c12", "c13", "c14", "c23", "c24", "c34"),
+                     (6.40729008083737, 0.0011459801474974821, 0.0273014277732587,
+                      3584293.361623593, 71082698.58822317, 0.4724221056279107)))
+    powers = dict(zip(("p1", "p2", "p3", "p4"),
+                      (211.84987726474137, 8604.298758666277, 34.70963587824628,
+                       34.582705508673335)))
+    uniform = {"lambda": [1 / 3] * 3, "mu": [1 / 3] * 3, "eta": [1 / 3] * 3,
+               "alpha": [0.5, 0.5], "beta": [0.5, 0.5]}
+    cfg = write_config(tmp_path, allocation=uniform, scheme="RC", **gains, **powers)
+    assert run(["eval", "--config", cfg]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert math.isfinite(record["r1_bits"]) and math.isfinite(record["r2_bits"])
+
+
 RC_ALLOCATION = {"lambda": [0.4, 0.3, 0.3], "mu": [0.4, 0.3, 0.3],
                  "eta": [0.4, 0.3, 0.3], "alpha": [0.5, 0.5], "beta": [0.5, 0.5]}
 SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
@@ -253,6 +269,20 @@ def test_bounds_command(tmp_path, capsys):
     assert record["TC"]["sum_max"] == pytest.approx(math.log2(56.0), abs=1e-9)
     assert record["RC"]["sum_max"] == pytest.approx(math.log2(56.0), abs=1e-9)
     assert record["IC"]["r1_max"] == pytest.approx(math.log2(6.0), abs=1e-12)
+
+
+def test_bounds_large_nearly_parallel_gains(tmp_path, capsys):
+    # the broadcast sum bound's determinant at q = P cancelled to -2.88e17
+    gains = dict(zip(("c12", "c13", "c14", "c23", "c24", "c34"),
+                     (12255987.180431776, 3247826.058790772, 0.25094098926762454,
+                      3368229.9878108758, 109212.2362986903, 1.1389854947944813)))
+    powers = dict(zip(("p1", "p2", "p3", "p4"),
+                      (966.535402087646, 2118.890745865961, 3.14187916425278,
+                       43.17282029246764)))
+    cfg = write_config(tmp_path, **gains, **powers)
+    assert run(["bounds", "--config", cfg]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert all(math.isfinite(record[kind]["sum_max"]) for kind in ("TC", "RC"))
 
 
 def test_bounds_reports_non_strong_ic(tmp_path, capsys):

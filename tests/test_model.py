@@ -1,6 +1,7 @@
 """Domain types and the 2x2 toolkit."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,16 +15,14 @@ from coopic.model import (
     EvaluatorError,
     InvalidAllocation,
     NegativeSnr,
-    NonPositiveDefinite,
     PowerBudget,
     RatePair,
     Simplex2,
     Simplex3,
     Singular,
-    Sym2,
     cap,
+    det_pair,
     inverse,
-    logdet2,
     phase_power,
     quad,
 )
@@ -48,7 +47,7 @@ def test_cap_infinite_and_negative():
 
 
 # ---------------------------------------------------------------------------
-# quad / logdet2 / inverse
+# quad / det_pair / inverse
 
 
 def test_quad_form_examples():
@@ -61,17 +60,57 @@ def test_quad_form_clamps_tiny_negative():
     assert quad(1.0, 0.0, -5e-11, 0.0, 1.0) == 0.0
 
 
-def test_logdet2_examples():
-    assert logdet2(Sym2(0.0, 0.0, 0.0)) == 0.0
-    assert logdet2(Sym2(1.0, 0.0, 3.0)) == pytest.approx(3.0, rel=1e-15)
-    # g1^T*5*g1 + g2^T*5*g2 for the reference channel: det(I+M) = 56
-    m = Sym2(15.0, 10.0 * SQRT2, 15.0)
-    assert logdet2(m) == pytest.approx(math.log2(56.0), rel=1e-15)
+def matrix_form(u, p, v, q):
+    """(1 + a11)(1 + a22) - a12^2 for A = p u u^T + q v v^T, the cancelling form."""
+    a11 = p * u[0] * u[0] + q * v[0] * v[0]
+    a12 = p * u[0] * u[1] + q * v[0] * v[1]
+    a22 = p * u[1] * u[1] + q * v[1] * v[1]
+    return (1.0 + a11) * (1.0 + a22) - a12 * a12
 
 
-def test_logdet2_rejects_nonpositive():
-    with pytest.raises(NonPositiveDefinite):
-        logdet2(Sym2(-1.0, 0.0, 0.0))
+def exact_det(u, p, v, q) -> float:
+    """det(I + p u u^T + q v v^T) in rational arithmetic, rounded once."""
+    u0, u1, v0, v1, p, q = map(Fraction, (*u, *v, p, q))
+    a11, a12, a22 = p * u0 * u0 + q * v0 * v0, p * u0 * u1 + q * v0 * v1, p * u1 * u1 + q * v1 * v1
+    return float((1 + a11) * (1 + a22) - a12 * a12)
+
+
+def test_det_pair_examples():
+    assert det_pair((0.0, 0.0), 0.0, (0.0, 0.0), 0.0) == 1.0
+    assert det_pair((1.0, 0.0), 1.0, (0.0, 1.0), 3.0) == 8.0
+    # g1 g1^T * 5 + g2 g2^T * 5 for the reference channel: det(I + M) = 56
+    assert det_pair((1.0, SQRT2), 5.0, (SQRT2, 1.0), 5.0) == pytest.approx(56.0, rel=1e-15)
+
+
+@pytest.mark.parametrize("u, p, v, q", [
+    # rank one at large gain: the BC sum bound's endpoint on a channel where
+    # ``coopic bounds`` used to fail
+    ((3247826.058790772, 3368229.9878108758), 3085.426147953607, (0.25, 1e5), 0.0),
+    # near-parallel pair at large gain
+    ((1e8, 1e8), 1e4, (1e8, 1e8 * (1.0 + 2.0 ** -40)), 1e4),
+], ids=["rank_one", "near_parallel"])
+def test_det_pair_stays_at_least_one_where_matrix_form_cancels(u, p, v, q):
+    assert matrix_form(u, p, v, q) <= 0.0
+    got, want = det_pair(u, p, v, q), exact_det(u, p, v, q)
+    assert got >= 1.0
+    # Only the cross term x = u0 v1 - u1 v0 cancels; its two products round
+    # by eps/2 each, which moves p q x^2 by at most about
+    # 2 p q |x| eps (|u0 v1| + |u1 v0|).  Every other term is accurate to eps.
+    eps = 2.0 ** -52
+    x = u[0] * v[1] - u[1] * v[0]
+    slack = 2.0 * p * q * abs(x) * eps * (abs(u[0] * v[1]) + abs(u[1] * v[0]))
+    assert abs(got - want) <= slack + 4.0 * eps * want
+
+
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 10),
+       st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 10))
+def test_det_pair_matches_numpy_det(u0, u1, p, v0, v1, q):
+    """Well-conditioned draws agree with np.linalg.det(I + p u u^T + q v v^T)."""
+    u, v = np.array([u0, u1]), np.array([v0, v1])
+    want = np.linalg.det(np.eye(2) + p * np.outer(u, u) + q * np.outer(v, v))
+    got = det_pair((u0, u1), p, (v0, v1), q)
+    assert got >= 1.0
+    assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_inv2_examples():
@@ -107,8 +146,10 @@ def test_quad_form_nonnegative_on_psd(a, b, c, v0, v1):
 
 
 @given(st.floats(0, 100))
-def test_logdet2_scaled_identity(a):
-    assert logdet2(Sym2(a, 0.0, a)) == pytest.approx(2.0 * math.log2(1.0 + a), rel=1e-12)
+def test_det_pair_scaled_identity(a):
+    """a I = a e1 e1^T + a e2 e2^T, so det(I + a I) = (1 + a)^2."""
+    assert math.log2(det_pair((1.0, 0.0), a, (0.0, 1.0), a)) == pytest.approx(
+        2.0 * math.log2(1.0 + a), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,6 @@
 
 import math
 from collections import namedtuple
-from dataclasses import astuple
 
 import numpy as np
 import pytest
@@ -25,9 +24,8 @@ from coopic.model import (
     RcAllocation,
     Simplex2,
     Simplex3,
-    Sym2,
     cap,
-    logdet2,
+    det_pair,
 )
 from coopic import rxcoop
 from reference_eval import rc_reference
@@ -44,7 +42,7 @@ def make_alloc(lam=(1 / 3, 1 / 3, 1 / 3), mu=(1 / 3, 1 / 3, 1 / 3),
 
 # The equivalent channel ``rxcoop._compression`` returns, by field name.
 EquivalentChannel = namedtuple("EquivalentChannel", "sigma1_sq sigma2_sq zeta1 zeta2 "
-                               "c13v c23v c14v c24v snr1 inr1 snr2 inr2")
+                               "c13v c23v c14v c24v p1 p2")
 
 
 def phase23(g, p, a) -> rxcoop.RcPhaseRates:
@@ -58,11 +56,16 @@ def compression(g, p, a, r1_s, r2_s) -> EquivalentChannel:
     return EquivalentChannel(*rxcoop._compression(c, pw, rxcoop._shares(a), r1_s, r2_s))
 
 
-def phase1(snr1, inr1, snr2, inr2, lambda1, weight=1.0, c13v=(1.0, 0.0), c23v=(1.0, 0.0),
-           c14v=(0.0, 1.0), c24v=(0.0, 1.0)):
-    """``rxcoop._phase1`` on an equivalent channel given with Sym2 matrices."""
-    matrices = (astuple(m) for m in (snr1, inr1, snr2, inr2))
-    return rxcoop._phase1((c13v, c23v, c14v, c24v, *matrices), lambda1, weight)
+def phase1(lambda1, p1, p2, c13v, c23v, c14v, c24v, weight=1.0):
+    """``rxcoop._phase1`` on an equivalent channel given by its gain vectors
+    and the two phase-1 powers."""
+    return rxcoop._phase1((c13v, c23v, c14v, c24v, p1, p2), lambda1, weight)
+
+
+def ld(*terms):
+    """Brute-force log2 det(I + sum of p v v^T) over (v, p) terms."""
+    m = sum((p * np.outer(v, v) for v, p in terms), np.zeros((2, 2)))
+    return math.log2(np.linalg.det(np.eye(2) + m))
 
 
 # ---------------------------------------------------------------------------
@@ -187,43 +190,34 @@ def test_compression_requires_listen_phase(ref_gains, ref_powers):
 
 
 def test_phase1_no_interference_reduces_to_single_user():
-    # equivalent cross links weaker than direct: both receivers treat the
-    # (zero) interference as noise and get their full single-user rates
-    snr1 = Sym2.outer((1.0, 0.0), 5.0)
-    snr2 = Sym2.outer((0.0, 1.0), 5.0)
-    zero = Sym2(0.0, 0.0, 0.0)
-    r1, r2 = phase1(snr1, zero, snr2, zero, 0.5,
-                    c13v=(1.0, 0.0), c23v=(0.5, 0.0), c14v=(0.0, 0.5), c24v=(0.0, 1.0))
-    assert r1 == pytest.approx(0.5 * logdet2(snr1), rel=1e-14)
-    assert r2 == pytest.approx(0.5 * logdet2(snr2), rel=1e-14)
+    # equivalent cross links zero, so weaker than direct: both receivers
+    # treat the (zero) interference as noise and get their full single-user
+    # rates
+    r1, r2 = phase1(0.5, 5.0, 5.0,
+                    c13v=(1.0, 0.0), c23v=(0.0, 0.0), c14v=(0.0, 0.0), c24v=(0.0, 1.0))
+    assert r1 == pytest.approx(0.5 * ld(((1.0, 0.0), 5.0)), rel=1e-14)
+    assert r2 == pytest.approx(0.5 * ld(((0.0, 1.0), 5.0)), rel=1e-14)
 
 
 def test_phase1_scalar_strong_interference_matches_brute_force():
     # dead borrowed antennas, cross gains at least direct: joint decoding
     c13, c14, c23, c24, p1, p2 = 1.0, 1.5, 2.0, 1.0, 4.0, 7.0
-    snr1, inr1 = Sym2.outer((c13, 0.0), p1), Sym2.outer((c23, 0.0), p2)
-    snr2, inr2 = Sym2.outer((0.0, c24), p2), Sym2.outer((0.0, c14), p1)
-    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0, weight=1.0,
-                    c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
+    c13v, c23v, c14v, c24v = (c13, 0.0), (c23, 0.0), (0.0, c14), (0.0, c24)
+    r1, r2 = phase1(1.0, p1, p2, c13v, c23v, c14v, c24v, weight=1.0)
     # brute-force determinant oracle for the pentagon constraints
-    def det_cap(*mats):
-        m = sum((np.array([[s.a11, s.a12], [s.a12, s.a22]]) for s in mats), np.zeros((2, 2)))
-        return math.log2(np.linalg.det(np.eye(2) + m))
-    sum_cap = min(det_cap(snr1, inr1), det_cap(snr2, inr2))
+    sum_cap = min(ld((c13v, p1), (c23v, p2)), ld((c24v, p2), (c14v, p1)))
     assert sum_cap == pytest.approx(min(cap(c13 ** 2 * p1 + c23 ** 2 * p2),
                                         cap(c14 ** 2 * p1 + c24 ** 2 * p2)), rel=1e-13)
     assert r1 + r2 == pytest.approx(sum_cap, rel=1e-13)
-    assert r1 <= det_cap(snr1) + 1e-13
-    assert r2 <= det_cap(snr2) + 1e-13
+    assert r1 <= ld((c13v, p1)) + 1e-13
+    assert r2 <= ld((c24v, p2)) + 1e-13
 
 
 def test_phase1_pentagon_weight_selects_corner():
     c13, c14, c23, c24, p1, p2 = 1.0, 1.5, 2.0, 1.0, 4.0, 7.0
-    mats = (Sym2.outer((c13, 0.0), p1), Sym2.outer((c23, 0.0), p2),
-            Sym2.outer((0.0, c24), p2), Sym2.outer((0.0, c14), p1))
     gains = dict(c13v=(c13, 0.0), c23v=(c23, 0.0), c14v=(0.0, c14), c24v=(0.0, c24))
-    favor1 = phase1(*mats, 1.0, weight=0.0, **gains)
-    favor2 = phase1(*mats, 1.0, weight=math.inf, **gains)
+    favor1 = phase1(1.0, p1, p2, weight=0.0, **gains)
+    favor2 = phase1(1.0, p1, p2, weight=math.inf, **gains)
     assert favor1[0] >= favor2[0]
     assert favor2[1] >= favor1[1]
     assert favor1 != favor2
@@ -231,33 +225,29 @@ def test_phase1_pentagon_weight_selects_corner():
 
 def test_phase1_mixed_cases():
     # strong only at receiver 4: user 1 treated as noise at receiver 3
-    snr1 = Sym2.outer((1.0, 0.2), 3.0)
-    inr1 = Sym2.outer((0.8, 0.3), 2.0)
-    snr2 = Sym2.outer((0.1, 1.0), 2.0)
-    inr2 = Sym2.outer((0.2, 1.4), 3.0)
-    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0,
-                    c13v=(1.0, 0.2), c23v=(0.8, 0.3), c14v=(0.2, 1.4), c24v=(0.1, 1.0))
-    assert r1 == pytest.approx(logdet2(snr1 + inr1) - logdet2(inr1), rel=1e-13)
-    assert r2 == pytest.approx(logdet2(snr2), rel=1e-13)
+    p1, p2 = 3.0, 2.0
+    c13v, c23v, c14v, c24v = (1.0, 0.2), (0.8, 0.3), (0.2, 1.4), (0.1, 1.0)
+    r1, r2 = phase1(1.0, p1, p2, c13v, c23v, c14v, c24v)
+    assert r1 == pytest.approx(ld((c13v, p1), (c23v, p2)) - ld((c23v, p2)), rel=1e-13)
+    assert r2 == pytest.approx(ld((c24v, p2)), rel=1e-13)
     # flip: strong only at receiver 3
-    r1, r2 = phase1(snr1, inr1, snr2, inr2, 1.0,
-                    c13v=(1.0, 0.2), c23v=(0.8, 0.9), c14v=(0.2, 0.4), c24v=(0.1, 1.0))
-    assert r1 == pytest.approx(logdet2(snr1), rel=1e-13)
-    assert r2 == pytest.approx(logdet2(snr2 + inr2) - logdet2(inr2), rel=1e-13)
+    c23v, c14v = (0.8, 0.9), (0.2, 0.4)
+    r1, r2 = phase1(1.0, p1, p2, c13v, c23v, c14v, c24v)
+    assert r1 == pytest.approx(ld((c13v, p1)), rel=1e-13)
+    assert r2 == pytest.approx(ld((c24v, p2), (c14v, p1)) - ld((c14v, p1)), rel=1e-13)
 
 
 def test_phase1_classification_boundary_evaluates():
     # exactly on the strong/weak boundary: ties classify as strong
-    snr, inr = Sym2.outer((1.0, 0.0), 2.0), Sym2.outer((1.0, 0.0), 1.0)
-    r1, r2 = phase1(snr, inr, snr, inr, 1.0,
-                    c13v=(1.0, 0.0), c23v=(1.0, 0.0), c14v=(1.0, 0.0), c24v=(1.0, 0.0))
+    v = (1.0, 0.0)
+    r1, r2 = phase1(1.0, 2.0, 1.0, c13v=v, c23v=v, c14v=v, c24v=v)
     assert math.isfinite(r1) and math.isfinite(r2)
 
 
-@given(st.floats(0.0, 8.0), st.floats(0.0, 8.0), st.floats(0.0, 30.0))
-def test_rank1_logdet_identity(v0, v1, power):
-    """log2 det(I + p v v^T) = cap(p ||v||^2)."""
-    assert logdet2(Sym2.outer((v0, v1), power)) == pytest.approx(
+@given(st.floats(0.0, 8.0), st.floats(0.0, 8.0), st.floats(0.0, 30.0), st.floats(0.0, 8.0))
+def test_rank1_logdet_identity(v0, v1, power, w):
+    """log2 det(I + p v v^T) = cap(p ||v||^2), whatever the silent second vector."""
+    assert math.log2(det_pair((v0, v1), power, (w, 1.0), 0.0)) == pytest.approx(
         cap(power * (v0 * v0 + v1 * v1)), rel=1e-12, abs=1e-12)
 
 
@@ -292,6 +282,20 @@ def test_rate_pair_matches_reference_on_random_inputs():
         w = rng.uniform(0.0, 4.0)
         got = rxcoop.rc_rate_pair(g, p, a, weight=w)
         want = rc_reference(gains_dict(g), powers_dict(p), rc_allocation_dict(a), weight=w)
+        worst = max(worst, abs(got.r1 - want[0]), abs(got.r2 - want[1]))
+    assert worst <= 1e-12
+
+
+def test_rate_pair_weight_one_tie_matches_reference():
+    # At weight 1 the two joint-decoding corners score the same in exact
+    # arithmetic; both sides must give the tie to user 1 rather than let two
+    # float sums decide it (a 1000-draw set where that used to differ).
+    rng = np.random.default_rng(2)
+    worst = 0.0
+    for _ in range(1000):
+        g, p, a = random_gains(rng), random_powers(rng), random_rc_allocation(rng)
+        got = rxcoop.rc_rate_pair(g, p, a, weight=1.0)
+        want = rc_reference(gains_dict(g), powers_dict(p), rc_allocation_dict(a), weight=1.0)
         worst = max(worst, abs(got.r1 - want[0]), abs(got.r2 - want[1]))
     assert worst <= 1e-12
 

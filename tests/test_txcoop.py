@@ -23,7 +23,6 @@ from coopic.model import (
     PowerBudget,
     Simplex2,
     Simplex3,
-    Sym2,
     TcAllocation,
 )
 from coopic import txcoop
@@ -50,7 +49,7 @@ def phase3(g, p, a, cov) -> txcoop.TcPhaseRates:
     """Phase-3 fields of TcPhaseRates from the kernel, under ``cov``."""
     c, pw = txcoop.kernel_args(g, p)
     fresh = txcoop._phase3_split(pw, txcoop._shares(a))[0]
-    r1_3, r2_3, r1_d, r2_d = txcoop._phase3(c, a.lam.w3, fresh, txcoop._cov_floats(cov))
+    r1_3, r2_3, r1_d, r2_d = txcoop._phase3(c, a.lam.w3, fresh, cov)
     return txcoop.TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
 
 
@@ -123,15 +122,15 @@ def test_phase3_covariances_zero_joint_stream(ref_gains, ref_powers):
     a = make_alloc(mu=(0.5, 0.0, 0.5), eta=(0.5, 0.5, 0.0))
     cov = txcoop.tc_phase3_covariances(ref_gains, ref_powers, a)
     assert not cov.user1_clean
-    assert cov.sigma2.a11 == pytest.approx(0.0, abs=1e-15)
-    assert cov.sigma1.a11 == pytest.approx(scalar, rel=1e-12)
-    assert cov.sigma1.a12 == 0.0
+    assert cov.sigma2[0] == pytest.approx(0.0, abs=1e-15)
+    assert cov.sigma1[0] == pytest.approx(scalar, rel=1e-12)
+    assert cov.sigma1[1] == 0.0
     # swap roles: now the user-2 stream carries nothing
     a = make_alloc(mu=(0.5, 0.5, 0.0), eta=(0.5, 0.0, 0.5))
     cov = txcoop.tc_phase3_covariances(ref_gains, ref_powers, a)
-    assert cov.sigma1.a11 == pytest.approx(0.0, abs=1e-15)
-    assert cov.sigma2.a11 == pytest.approx(scalar, rel=1e-12)
-    assert cov.sigma2.a12 == 0.0
+    assert cov.sigma1[0] == pytest.approx(0.0, abs=1e-15)
+    assert cov.sigma2[0] == pytest.approx(scalar, rel=1e-12)
+    assert cov.sigma2[1] == 0.0
 
 
 def test_phase3_covariances_worked_example():
@@ -143,13 +142,13 @@ def test_phase3_covariances_worked_example():
     cov = txcoop.tc_phase3_covariances(g, p, a)
     assert cov.user1_clean
     # B = I + h2^T h2 * 2 = [[3,2],[2,3]]; sigma1 = inv(B)*2
-    assert cov.sigma1.a11 == pytest.approx(1.2, rel=1e-13)
-    assert cov.sigma1.a12 == pytest.approx(-0.8, rel=1e-13)
-    assert cov.sigma1.a22 == pytest.approx(1.2, rel=1e-13)
+    assert cov.sigma1[0] == pytest.approx(1.2, rel=1e-13)
+    assert cov.sigma1[1] == pytest.approx(-0.8, rel=1e-13)
+    assert cov.sigma1[2] == pytest.approx(1.2, rel=1e-13)
     # A = 1 + h2 sigma1 h2^T = 1.8; sigma2 = 3.6 I
-    assert cov.sigma2.a11 == pytest.approx(3.6, rel=1e-13)
-    assert cov.sigma2.a12 == 0.0
-    assert cov.sigma2.a22 == pytest.approx(3.6, rel=1e-13)
+    assert cov.sigma2[0] == pytest.approx(3.6, rel=1e-13)
+    assert cov.sigma2[1] == 0.0
+    assert cov.sigma2[2] == pytest.approx(3.6, rel=1e-13)
 
 
 def test_phase3_covariances_degenerate_phase(ref_gains, ref_powers):
@@ -168,8 +167,8 @@ def test_phase3_covariances_psd_on_random_inputs():
         if a.lam.w3 == 0.0:
             continue
         cov = txcoop.tc_phase3_covariances(g, p, a)
-        for s in (cov.sigma1, cov.sigma2):
-            assert np.linalg.eigvalsh([[s.a11, s.a12], [s.a12, s.a22]])[0] >= -1e-10
+        for a11, a12, a22 in (cov.sigma1, cov.sigma2):
+            assert np.linalg.eigvalsh([[a11, a12], [a12, a22]])[0] >= -1e-10
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +185,22 @@ def test_budget_covariances_keep_shares_and_turn_clean_beam():
     cov = txcoop.tc_budget_covariances(g, p, a)
     assert cov.user1_clean
     # first-encoded stream: in phase at both sources
-    assert (cov.sigma2.a11, cov.sigma2.a12, cov.sigma2.a22) == pytest.approx((0.25, 0.25, 0.25))
+    assert cov.sigma2 == pytest.approx((0.25, 0.25, 0.25))
     # clean stream: inv(I + 0.5 g2 g2^T) with g2 = (1, 1) has correlation
     # -1/3, so the clean correlation is 1 - 2/3 = 1/3 and a12 = sqrt(0.25)/3
-    assert (cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22) == pytest.approx((1.0, 1 / 6, 0.25))
+    assert cov.sigma1 == pytest.approx((1.0, 1 / 6, 0.25))
     # first stream raised to 1.0 per source (s = 2): correlation -2/3, so the
     # clean beam turns past orthogonal to -1/3
     a = make_alloc(lam=(0.0, 0.0, 1.0), kappa=(0.0, 1.0), gamma=(0.0, 1.0),
                    mu=(0.5, 0.25, 0.25), eta=(0.6875, 0.25, 0.0625))
     cov = txcoop.tc_budget_covariances(g, p, a)
-    assert (cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22) == pytest.approx((1.0, -1 / 6, 0.25))
+    assert cov.sigma1 == pytest.approx((1.0, -1 / 6, 0.25))
     # no first stream: the clean stream is a coherent rank-one beam
     a = make_alloc(lam=(0.0, 0.0, 1.0), kappa=(0.0, 1.0), gamma=(0.0, 1.0),
                    mu=(0.75, 0.25, 0.0), eta=(0.9375, 0.0, 0.0625))
     cov = txcoop.tc_budget_covariances(g, p, a)
-    assert (cov.sigma1.a11, cov.sigma1.a12, cov.sigma1.a22) == pytest.approx((1.0, 0.5, 0.25))
-    assert cov.sigma2 == Sym2(0.0, 0.0, 0.0)
+    assert cov.sigma1 == pytest.approx((1.0, 0.5, 0.25))
+    assert cov.sigma2 == (0.0, 0.0, 0.0)
 
 
 def test_budget_covariances_degenerate_phase(ref_gains, ref_powers):
@@ -368,9 +367,9 @@ def test_rate_pair_power_monotone_while_clean_beam_turns():
     for k in range(25):
         power = 0.25 * 2 ** (k / 2)
         p = PowerBudget(power, power)
-        s = txcoop.tc_budget_covariances(g, p, a).sigma1
-        rhos.append(s.a12 / math.sqrt(s.a11 * s.a22))
-        received.append(g.c13 ** 2 * s.a11 + 2 * g.c13 * g.c23 * s.a12 + g.c23 ** 2 * s.a22)
+        a11, a12, a22 = txcoop.tc_budget_covariances(g, p, a).sigma1
+        rhos.append(a12 / math.sqrt(a11 * a22))
+        received.append(g.c13 ** 2 * a11 + 2 * g.c13 * g.c23 * a12 + g.c23 ** 2 * a22)
         pairs.append(txcoop.tc_rate_pair(g, p, a))
     assert rhos[0] > 0.7 and rhos[-1] < -0.99
     assert all(later < earlier for earlier, later in zip(rhos, rhos[1:]))
