@@ -26,6 +26,7 @@ from .model import (
     ChannelGains,
     NotStrongInterference,
     PowerBudget,
+    _LN2,
     cap,
     det_pair,
 )
@@ -43,7 +44,6 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_LN2 = math.log(2.0)
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,6 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
         return 0.0
 
     n = 81
-    ln2 = math.log(2.0)
     rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
     alpha = np.linspace(0.0, 1.0, n).reshape(1, -1, 1)
     e = np.linspace(0.0, 1.0, n).reshape(1, 1, -1)
@@ -222,13 +221,13 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
         pa = e * p_src / a_safe
         pb = (1.0 - e) * p_src / b_safe
         pr = p_rel / b_safe
-        listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / ln2, 0.0)
-        listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / ln2, 0.0)
+        listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / _LN2, 0.0)
+        listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / _LN2, 0.0)
         fwd1 = np.where(alpha < 1.0,
-                        (1.0 - alpha) * np.log1p((1.0 - rho) * sd * sd * pb) / ln2, 0.0)
+                        (1.0 - alpha) * np.log1p((1.0 - rho) * sd * sd * pb) / _LN2, 0.0)
         phi = np.sqrt(rho * sd * sd * rd * rd * pb * pr)
         fwd2 = np.where(alpha < 1.0,
-                        (1.0 - alpha) * np.log1p(sd * sd * pb + rd * rd * pr + 2.0 * phi) / ln2,
+                        (1.0 - alpha) * np.log1p(sd * sd * pb + rd * rd * pr + 2.0 * phi) / _LN2,
                         0.0)
         grid_val = np.minimum(listen1 + fwd1, listen2 + fwd2)
     grid_val = np.nan_to_num(grid_val, nan=-math.inf)
@@ -335,14 +334,13 @@ def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
     )
 
 
-def bc_region_vertices(g: ChannelGains, p_total: float,
-                       samples: int = 2000) -> list[tuple[float, float]]:
+def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, float]]:
     """Pareto vertices of the pooled-power two-antenna broadcast region.
 
     Computed through the dual multiple-access description: the union over
-    power splits q1 + q2 = p_total of the per-split pentagons, sampled on a
-    grid and convexified.  This is the region the transmitter-cooperation
-    scheme attains at infinite conferencing gain.
+    power splits q1 + q2 = p_total of the per-split pentagons, sampled at
+    q1 = p_total * i / 2000 and convexified.  This is the region the
+    transmitter-cooperation scheme attains at infinite conferencing gain.
     """
     from .frontier import hull  # local import: bounds stays usable without frontier
 
@@ -351,8 +349,8 @@ def bc_region_vertices(g: ChannelGains, p_total: float,
     n1 = g.g1[0] ** 2 + g.g1[1] ** 2
     n2 = g.g2[0] ** 2 + g.g2[1] ** 2
     points: list[tuple[float, float]] = []
-    for i in range(samples + 1):
-        q1 = p_total * i / samples
+    for i in range(2001):
+        q1 = p_total * i / 2000
         q2 = p_total - q1
         c1 = cap(q1 * n1)
         c2 = cap(q2 * n2)

@@ -143,12 +143,11 @@ def build_powers(config: dict) -> PowerBudget:
 
 
 def build_options(config: dict) -> frontier.TraceOptions:
-    return frontier.TraceOptions(
-        weights=frontier.default_weights(_count("weights", config["weights"])),
-        restarts=_count("restarts", config["restarts"]),
-        max_iter=_count("max_iter", config["max_iter"]),
-        seed=_count("seed", config["seed"]),
-    )
+    return _valid("options", frontier.TraceOptions,
+                  weights=frontier.default_weights(_count("weights", config["weights"])),
+                  restarts=_count("restarts", config["restarts"]),
+                  max_iter=_count("max_iter", config["max_iter"]),
+                  seed=_count("seed", config["seed"]))
 
 
 # Allocation keys with their simplex sizes, in sidecar order; "lambda" is

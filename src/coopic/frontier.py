@@ -83,23 +83,27 @@ _RC_DIM = sum(_RC_BLOCKS)
 _LIMIT_DIM = sum(_LIMIT_BLOCKS)
 
 
-def default_weights(n: int = 33, span: float = 6.0) -> tuple[float, ...]:
-    """Log-spaced scalarization weights 2**[-span, span] plus the two axes."""
+def default_weights(n: int = 33) -> tuple[float, ...]:
+    """Log-spaced scalarization weights 2**[-6, 6] plus the two axes."""
     if n < 2:
         grid = (1.0,)
     else:
-        grid = tuple(2.0 ** (-span + 2.0 * span * i / (n - 1)) for i in range(n))
+        grid = tuple(2.0 ** (-6.0 + 12.0 * i / (n - 1)) for i in range(n))
     return (0.0,) + grid + (math.inf,)
 
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Optimizer budget and reproducibility knobs for a frontier trace."""
+    """Optimizer budget and reproducibility knobs; restarts and max_iter at least 1."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
     max_iter: int = 400
     seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.restarts < 1 or self.max_iter < 1:  # else the trace would search nothing
+            raise ValueError(f"restarts {self.restarts}, max_iter {self.max_iter}: need >= 1")
 
 
 @dataclass(frozen=True)
@@ -423,12 +427,12 @@ def trace_rc_limit(g: ChannelGains, p: PowerBudget,
 # Hull and region geometry
 
 
-def hull(points, tol: float = 1e-9) -> list[tuple[float, float]]:
+def hull(points) -> list[tuple[float, float]]:
     """Upper-right convex (Pareto) hull of nonnegative rate pairs.
 
     Returns the Pareto vertices ordered by r1 descending.  Dominated,
     duplicate and chord-collinear points are removed (collinearity measured
-    against ``tol`` scaled by the bounding box, so vertices are stable under
+    against 1e-9 times the bounding box, so vertices are stable under
     small perturbations such as 12-digit rounding).  Input order never
     matters.  Idempotent.
     """
@@ -455,7 +459,7 @@ def hull(points, tol: float = 1e-9) -> list[tuple[float, float]]:
         return pareto[::-1]
     span_x = pareto[-1][0] - pareto[0][0]
     span_y = pareto[0][1] - pareto[-1][1]
-    cross_tol = tol * max(1e-30, span_x * span_y)
+    cross_tol = 1e-9 * max(1e-30, span_x * span_y)
     chain: list[tuple[float, float]] = []
     for pt in pareto:
         chain.append(pt)

@@ -1,5 +1,9 @@
 """Shared domain types and the small 2x2 toolkit.
 
+The toolkit's closed forms for det(I + p u u^T + q v v^T) (``det_pair``) and
+(I + s u u^T)^-1 (``inverse``) have determinants of at least 1, so no
+validated input makes an evaluation fail on a singular 2x2 matrix.
+
 Conventions used throughout the package:
 
 * unit noise variance at every receiver, so transmit powers double as SNRs;
@@ -19,7 +23,6 @@ from dataclasses import dataclass
 __all__ = [
     "EvaluatorError",
     "NegativeSnr",
-    "Singular",
     "InfiniteGain",
     "NotInfinite",
     "DegeneratePhase",
@@ -46,7 +49,6 @@ __all__ = [
 
 _SIMPLEX_SUM_TOL = 1e-9
 _PSD_TOL = 1e-10
-_DET_TOL = 1e-14
 
 # Largest finite gain and power accepted: every SNR c^2 * P at the budget is
 # then at most 1e24 and every det(I + M) at most about 1e49, far inside the
@@ -66,10 +68,6 @@ class EvaluatorError(ValueError):
 
 class NegativeSnr(EvaluatorError):
     """An SNR-like argument was negative beyond tolerance."""
-
-
-class Singular(EvaluatorError):
-    """2x2 matrix is numerically singular."""
 
 
 class InfiniteGain(EvaluatorError):
@@ -279,10 +277,9 @@ def cap(x: float) -> float:
     return math.log1p(x) / _LN2
 
 
-# The 2x2 operations on floats.  Every determinant of the package has the
-# form det(I + p u u^T + q v v^T) and comes from ``det_pair``; ``quad`` and
-# ``inverse`` take a general symmetric matrix as its entries (a11, a12, a22)
-# and serve the phase-3 covariances of transmitter cooperation.
+# The 2x2 operations on floats: ``det_pair`` and ``inverse`` in closed form,
+# and ``quad``, which takes a symmetric matrix as its entries (a11, a12, a22)
+# and serves the phase-3 covariances of transmitter cooperation.
 
 
 def quad(v0: float, v1: float, a11: float, a12: float, a22: float) -> float:
@@ -306,12 +303,15 @@ def det_pair(u: tuple[float, float], p: float, v: tuple[float, float], q: float)
     return 1.0 + p * (u[0] * u[0] + u[1] * u[1]) + q * (v[0] * v[0] + v[1] * v[1]) + p * q * x * x
 
 
-def inverse(a11: float, a12: float, a22: float) -> tuple[float, float, float]:
-    """Entries of A^-1 by adjugate; raises Singular when |det A| < 1e-14."""
-    d = a11 * a22 - a12 * a12
-    if abs(d) < _DET_TOL:
-        raise Singular(f"2x2 determinant {d} below tolerance")
-    return (a22 / d, -a12 / d, a11 / d)
+def inverse(u: tuple[float, float], s: float) -> tuple[float, float, float]:
+    """Entries (a11, a12, a22) of (I + s u u^T)^-1 for a 2-vector u and s >= 0.
+
+    The closed form (I + s v v^T) / (1 + s|u|^2), v = (u1, -u0), has no
+    cancelling entry, unlike the adjugate, whose determinant cancels to zero
+    or below for large gains.
+    """
+    d = 1.0 + s * (u[0] * u[0] + u[1] * u[1])
+    return ((1.0 + s * u[1] * u[1]) / d, -s * u[0] * u[1] / d, (1.0 + s * u[0] * u[0]) / d)
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:

@@ -37,6 +37,7 @@ from .model import (
     PowerBudget,
     RatePair,
     RcAllocation,
+    _LN2,
     cap,
     checked_pair,
     det_pair,
@@ -117,9 +118,6 @@ def _phase23(c, pw, s):
     r1_2r1 = lam3 * cap(c14 ** 2 * p1_3 / (1.0 + c24 ** 2 * p2_3))
     r2_d = lam3 * cap(c24 ** 2 * p2_3)
     return (r1_d, r2_d, r1_s, r2_s, r1_2r1, r1_2r2, r2_2r1, r2_2r2)
-
-
-_LN2 = math.log(2.0)
 
 
 def _compression_noise(num: float, exponent: float, denom: float) -> float:

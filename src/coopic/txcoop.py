@@ -186,20 +186,20 @@ def _joint(pw, s):
 def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
     """Joint-stream covariances from the dual multiple-access construction.
 
-    The clean stream's covariance is shaped by the inverse of
-    I + u u^T * (other stream's power), with u the encoding-order-dependent
-    per-source gain vector; the other stream gets a scaled identity whose
-    scale is inflated by the clean stream's leakage into the peer receiver.
+    The clean stream's covariance is sigma1 = s_clean (I + s_other u u^T)^-1,
+    with u the encoding-order-dependent per-source gain vector; the other
+    stream gets s_other I inflated by the clean stream's leakage
+    u^T sigma1 u = s_clean |u|^2 / (1 + s_other |u|^2).
     """
     if user1_clean:
-        u0, u1, s_clean, s_other = c[3], c[4], s_joint1, s_joint2
+        u, s_clean, s_other = (c[3], c[4]), s_joint1, s_joint2
     else:
-        u0, u1, s_clean, s_other = c[1], c[2], s_joint2, s_joint1
-    b11, b12, b22 = inverse(1.0 + s_other * u0 * u0, s_other * u0 * u1,
-                            1.0 + s_other * u1 * u1)
-    sigma1 = (b11 * s_clean, b12 * s_clean, b22 * s_clean)
-    a_scale = 1.0 + quad(u0, u1, *sigma1)
-    return (sigma1, (a_scale * s_other, 0.0, a_scale * s_other), user1_clean)
+        u, s_clean, s_other = (c[1], c[2]), s_joint2, s_joint1
+    b11, b12, b22 = inverse(u, s_other)
+    norm2 = u[0] * u[0] + u[1] * u[1]
+    a_scale = 1.0 + s_clean * norm2 / (1.0 + s_other * norm2)
+    return ((b11 * s_clean, b12 * s_clean, b22 * s_clean),
+            (a_scale * s_other, 0.0, a_scale * s_other), user1_clean)
 
 
 def _budget_cov(c, joint1, joint2):

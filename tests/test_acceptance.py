@@ -236,12 +236,12 @@ def test_criterion_9_property_suites():
             u, (p, q) = rng.uniform(0.0, 3.0, size=2), rng.uniform(0.0, 10.0, size=2)
             want = np.linalg.det(np.eye(2) + p * np.outer(u, u) + q * np.outer(v, v))
             assert abs(det_pair(tuple(u), p, v, q) - want) <= 1e-12 * want
-        # inverse round trip
+        # inverse round trip: (I + s u u^T) * inverse(u, s) = I
         for _ in range(200):
-            l11, l21, l22 = rng.uniform(-3.0, 3.0, size=3)
-            bump = rng.uniform(0.1, 2.0)
-            m11, m12, m22 = l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump
-            i11, i12, i22 = inverse(m11, m12, m22)
+            u0, u1 = rng.uniform(-3.0, 3.0, size=2)
+            power = rng.uniform(0.0, 10.0)
+            m11, m12, m22 = 1.0 + power * u0 * u0, power * u0 * u1, 1.0 + power * u1 * u1
+            i11, i12, i22 = inverse((u0, u1), power)
             prod_err = max(
                 abs(m11 * i11 + m12 * i12 - 1.0),
                 abs(m11 * i12 + m12 * i22),

@@ -27,3 +27,20 @@ def test_package_imports_only_exported_names():
         exported = importlib.import_module(f"coopic.{node.module}").__all__
         stale = [alias.name for alias in node.names if alias.name not in exported]
         assert not stale, f"coopic imports {stale} from coopic.{node.module}, not in its __all__"
+
+
+def test_every_error_class_is_raised():
+    """Each EvaluatorError class of ``model`` has a ``raise Name(...)`` in the package."""
+    from coopic import model
+
+    defined = {name for name, obj in vars(model).items()
+               if isinstance(obj, type) and issubclass(obj, model.EvaluatorError)}
+    raised = set()
+    for path in Path(coopic.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call) \
+                    and isinstance(node.exc.func, ast.Name):
+                raised.add(node.exc.func.id)
+    assert len(defined) > 1
+    dead = sorted(defined - raised)
+    assert not dead, f"coopic.model defines error classes nothing raises: {dead}"

@@ -132,6 +132,10 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     ("eval", {"c13": 1e200, "allocation": TC_ALLOCATION}, []),
     ("region", dict(SMALL_TC, c13=1e150, p1=1e10), []),
     ("bounds", {"c13": 1e150, "c14": 1e150, "p1": 1e10}, []),
+    # a search-free trace: the origin alone, or the unsearched starts, as a frontier
+    ("region", dict(SMALL_TC, restarts=0), []),
+    ("region", SMALL_TC, ["--restarts", "0"]),
+    ("region", dict(SMALL_TC, max_iter=0), []),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"

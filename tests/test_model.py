@@ -19,7 +19,6 @@ from coopic.model import (
     RatePair,
     Simplex2,
     Simplex3,
-    Singular,
     cap,
     det_pair,
     inverse,
@@ -114,27 +113,38 @@ def test_det_pair_matches_numpy_det(u0, u1, p, v0, v1, q):
 
 
 def test_inv2_examples():
-    assert inverse(1.0, 0.0, 1.0) == (1.0, -0.0, 1.0)
-    assert inverse(2.0, 0.0, 4.0) == (0.5, -0.0, 0.25)
-    a11, a12, a22 = inverse(2.0, 1.0, 2.0)
+    assert inverse((0.0, 0.0), 0.0) == (1.0, -0.0, 1.0)
+    assert inverse((1.0, 0.0), 1.0) == (0.5, -0.0, 1.0)
+    a11, a12, a22 = inverse((1.0, 1.0), 1.0)  # (I + [[1, 1], [1, 1]])^-1
     assert a11 == pytest.approx(2.0 / 3.0, rel=1e-15)
     assert a12 == pytest.approx(-1.0 / 3.0, rel=1e-15)
     assert a22 == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
-def test_inv2_singular():
-    with pytest.raises(Singular):
-        inverse(1.0, 1.0, 1.0)
+def exact_inverse(u, s):
+    """Entries of (I + s u u^T)^-1 by the adjugate in rational arithmetic, rounded once."""
+    u0, u1, s = map(Fraction, (*u, s))
+    m11, m12, m22 = 1 + s * u0 * u0, s * u0 * u1, 1 + s * u1 * u1
+    d = m11 * m22 - m12 * m12
+    return (float(m22 / d), float(-m12 / d), float(m11 / d))
 
 
-@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(-3, 3), st.floats(0.1, 3))
-def test_inv2_round_trip(l11, l21, l22, bump):
-    """m * inverse(m) = I within 1e-10 for well-conditioned PSD inputs."""
-    # L L^T + bump*I is symmetric positive definite
-    m = (l11 * l11 + l21 * l21 + bump, l21 * l22, l22 * l22 + bump)
-    inv = inverse(*m)
-    prod = np.array([[m[0], m[1]], [m[1], m[2]]]) @ \
-        np.array([[inv[0], inv[1]], [inv[1], inv[2]]])
+def test_inv2_large_gain():
+    """Exact where the adjugate (1 + s u0^2)(1 + s u1^2) - (s u0 u1)^2 cancels to <= 0."""
+    for u, s in (((1e8, 1e8), 1e4), ((3e7, 5e7), 1e3),
+                 ((9400961.257952627, 36382790.555757426), 1e3)):
+        a11, a12, a22 = 1.0 + s * u[0] * u[0], s * u[0] * u[1], 1.0 + s * u[1] * u[1]
+        assert a11 * a22 - a12 * a12 <= 0.0
+        for got, want in zip(inverse(u, s), exact_inverse(u, s)):
+            assert got == pytest.approx(want, rel=1e-15)
+
+
+@given(st.floats(-3, 3), st.floats(-3, 3), st.floats(0, 10))
+def test_inv2_round_trip(u0, u1, s):
+    """(I + s u u^T) * inverse(u, s) = I within 1e-10."""
+    inv = inverse((u0, u1), s)
+    m = np.eye(2) + s * np.outer((u0, u1), (u0, u1))
+    prod = m @ np.array([[inv[0], inv[1]], [inv[1], inv[2]]])
     assert np.max(np.abs(prod - np.eye(2))) < 1e-10
 
 
