@@ -11,14 +11,18 @@ time-shared closure of the achievable set only when every weight's search
 finds the global maximizer; otherwise it is an inner approximation.
 ``trace`` also routes infinite conferencing gains to the limit tracers.
 
-Each evaluation of the search decodes the vector once (``x.tolist()``) into
-the shares the allocation's simplices would store and scores them with the
-scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
-no dataclass is built per evaluation.  Each Nelder-Mead result is then
-re-validated through the public decoder and rate pair, which build the
-returned allocation and give the same floats.  ``Frontier.stats`` counts
-the evaluations, the penalized ones by error type, and the runs that did not
-converge.
+The search is this module's ``minimize``, which takes exactly the steps of
+scipy's Nelder-Mead with the options the tracer used to pass it, so the
+package needs numpy alone.  The order of tied vertices (penalties,
+coordinates the objective ignores) is the one ``np.argsort`` gives.  Each
+evaluation hands the vertex to the objective as a list of floats, squares
+each simplex block once into the shares the allocation's simplices would
+store, and scores them with the scheme's float kernel
+(``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...); no dataclass is built per
+evaluation.  Each Nelder-Mead result is then re-validated through the public
+decoder and rate pair, which build the returned allocation and give the same
+floats.  ``Frontier.stats`` counts the evaluations, the penalized ones by
+error type, and the runs that did not converge.
 
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
@@ -29,9 +33,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .model import (
     ChannelGains,
@@ -94,7 +98,8 @@ def default_weights(n: int = 33) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Optimizer budget and reproducibility knobs; restarts and max_iter at least 1."""
+    """Optimizer budget and reproducibility knobs; at least one weight, and
+    restarts and max_iter at least 1."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
@@ -102,7 +107,10 @@ class TraceOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.restarts < 1 or self.max_iter < 1:  # else the trace would search nothing
+        # Otherwise the trace would search nothing and return the origin alone.
+        if not self.weights:
+            raise ValueError("weights is empty: need at least one scalarization weight")
+        if self.restarts < 1 or self.max_iter < 1:
             raise ValueError(f"restarts {self.restarts}, max_iter {self.max_iter}: need >= 1")
 
 
@@ -110,10 +118,11 @@ class TraceOptions:
 class TraceStats:
     """How a trace got its answer.
 
-    evaluations -- objective evaluations over all Nelder-Mead runs (sum of nfev)
+    evaluations -- objective evaluations over all ``minimize`` runs (sum of nfev)
     penalized   -- evaluations that raised, by EvaluatorError subclass name
-    runs        -- Nelder-Mead runs
-    unconverged -- runs that ended with success=False (evaluation budget spent)
+    runs        -- ``minimize`` runs
+    unconverged -- runs that ended with success=False (evaluation budget or
+                   iteration cap reached before the tolerances were met)
     """
 
     evaluations: int = 0
@@ -155,16 +164,28 @@ class Frontier:
 
 
 def _squares(xs: list[float], blocks) -> list[list[float]]:
-    """Per block, x_i^2 / sum(x^2); uniform when the block is all (near) zero."""
+    """Per block, x_i^2 / sum(x^2); uniform when the block is all (near) zero.
+
+    Each block is squared once, unrolled for the two block sizes; the total
+    adds the squares left to right.
+    """
     out = []
-    start = 0
+    i = 0
     for n in blocks:
-        block = xs[start:start + n]
-        start += n
-        total = 0.0
-        for x in block:
-            total += x * x
-        out.append([1.0 / n] * n if total < 1e-300 else [x * x / total for x in block])
+        if n == 2:
+            a, b = xs[i], xs[i + 1]
+            a *= a
+            b *= b
+            total = a + b
+            out.append([0.5, 0.5] if total < 1e-300 else [a / total, b / total])
+        else:
+            a, b, c = xs[i], xs[i + 1], xs[i + 2]
+            a *= a
+            b *= b
+            c *= c
+            total = a + b + c
+            out.append([1.0 / 3] * 3 if total < 1e-300 else [a / total, b / total, c / total])
+        i += n
     return out
 
 
@@ -243,15 +264,125 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
     return np.vstack([x0, x0 + _SIMPLEX_STEP * np.eye(len(x0))])
 
 
+class SearchResult(NamedTuple):
+    """How one ``minimize`` run ended."""
+
+    x: np.ndarray  # the best vertex
+    nfev: int  # objective evaluations made
+    success: bool  # False when the evaluation budget or the iteration cap ended the run
+
+
+class _BudgetSpent(Exception):
+    """The next evaluation would exceed the run's budget."""
+
+
+def minimize(f, x0, max_iter: int) -> SearchResult:
+    """Nelder-Mead minimization of ``f`` from the simplex ``_initial_simplex(x0)``.
+
+    Takes exactly the steps of scipy's Nelder-Mead (1.17, ``adaptive=False``,
+    no bounds) with ``maxiter=max_iter``, ``maxfev=2*max_iter``,
+    ``fatol=_FATOL`` and ``xatol=_XATOL``, so a run gives the same bytes:
+    reflection 1, expansion 2, contraction and shrink 1/2; the centroid adds
+    the kept rows in rank order (``np.add.reduce``); vertices are ranked by
+    ``np.argsort``, whose order of tied values (penalties, coordinates the
+    objective ignores) is numpy's unstable sort's.  ``f`` gets each vertex as
+    a list of floats.  The evaluation that would exceed the budget is not
+    made and ends the run; a shrink already partly applied stays applied.
+    """
+    max_fev = 2 * max_iter
+    sim = _initial_simplex(np.asarray(x0, dtype=float))
+    n = sim.shape[1]
+    fsim = np.full(n + 1, np.inf)
+    nfev = 0
+
+    def evaluate(x):
+        nonlocal nfev
+        if nfev >= max_fev:
+            raise _BudgetSpent
+        nfev += 1
+        return f(x.tolist())
+
+    try:
+        for k in range(n + 1):
+            fsim[k] = evaluate(sim[k])
+    except _BudgetSpent:
+        pass
+    for _ in range(2):  # scipy ranks the first simplex twice; the second sort may move ties
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    iterations = 1
+    while nfev < max_fev and iterations < max_iter:
+        try:
+            # fsim is ranked, so its last minus its first is the largest spread.
+            if fsim[-1] - fsim[0] <= _FATOL and np.max(np.abs(sim[1:] - sim[0])) <= _XATOL:
+                break
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            worst = sim[-1]
+            xr = 2.0 * xbar - worst
+            fxr = evaluate(xr)
+            shrink = False
+            if fxr < fsim[0]:
+                xe = 3.0 * xbar - 2.0 * worst
+                fxe = evaluate(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-1]:
+                xc = 1.5 * xbar - 0.5 * worst
+                fxc = evaluate(xc)
+                if fxc <= fxr:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    shrink = True
+            else:
+                xcc = 0.5 * xbar + 0.5 * worst
+                fxcc = evaluate(xcc)
+                if fxcc < fsim[-1]:
+                    sim[-1], fsim[-1] = xcc, fxcc
+                else:
+                    shrink = True
+            if shrink:
+                for j in range(1, n + 1):
+                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
+                    fsim[j] = evaluate(sim[j])
+            iterations += 1
+        except _BudgetSpent:
+            pass
+        order = np.argsort(fsim)
+        sim, fsim = sim[order], fsim[order]
+    return SearchResult(sim[0], nfev, nfev < max_fev and iterations < max_iter)
+
+
 def _scalarize(r1: float, r2: float, weight: float) -> float:
     if math.isinf(weight):
         return r2
     return r1 + weight * r2
 
 
+def _neg_objective(score, weight: float, penalized: Counter):
+    """The function a search minimizes: -(r1 + weight*r2) of a search vector,
+    or _PENALTY, counted in ``penalized`` by error type, when ``score`` raises."""
+
+    def f(xs):
+        try:
+            r1, r2 = score(xs, weight)
+        except EvaluatorError as exc:
+            penalized[type(exc).__name__] += 1
+            return _PENALTY
+        return -_scalarize(r1, r2, weight)
+
+    return f
+
+
 def _sweep(score, revalidate, dim: int, corners, opts: TraceOptions):
     """Multi-start direct search per weight.
 
+    Each start is one ``minimize`` run with ``max_iter=opts.max_iter`` (at
+    most twice as many evaluations); tied vertices rank in ``np.argsort``'s
+    order, so the runs are those scipy's Nelder-Mead would make.
     ``score(xs, weight)`` maps the coordinates of a search vector (a list of
     floats) to (r1, r2) or raises EvaluatorError; ``revalidate(x, weight)``
     maps a search result to (r1, r2, allocation) through the public API.
@@ -261,22 +392,10 @@ def _sweep(score, revalidate, dim: int, corners, opts: TraceOptions):
     penalized: Counter = Counter()
     evaluations = runs = unconverged = 0
     for widx, w in enumerate(opts.weights):
-
-        def neg_objective(x, _w=w):
-            try:
-                r1, r2 = score(x.tolist(), _w)
-            except EvaluatorError as exc:
-                penalized[type(exc).__name__] += 1
-                return _PENALTY
-            return -_scalarize(r1, r2, _w)
-
+        objective = _neg_objective(score, w, penalized)
         for ridx in range(opts.restarts):
             x0 = _start_vector(opts.seed, widx, ridx, dim, corners)
-            result = minimize(
-                neg_objective, x0, method="Nelder-Mead",
-                options={"maxiter": opts.max_iter, "maxfev": 2 * opts.max_iter,
-                         "fatol": _FATOL, "xatol": _XATOL, "adaptive": False,
-                         "initial_simplex": _initial_simplex(x0)})
+            result = minimize(objective, x0, opts.max_iter)
             evaluations += result.nfev
             runs += 1
             unconverged += not result.success

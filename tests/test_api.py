@@ -2,7 +2,10 @@
 
 import ast
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -44,3 +47,15 @@ def test_every_error_class_is_raised():
     assert len(defined) > 1
     dead = sorted(defined - raised)
     assert not dead, f"coopic.model defines error classes nothing raises: {dead}"
+
+
+def test_import_loads_no_scipy():
+    """The package and its CLI run on numpy alone; scipy is a test dependency."""
+    code = ("import sys, coopic, coopic.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = str(Path(coopic.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[]"

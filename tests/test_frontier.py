@@ -1,13 +1,16 @@
 """Frontier tracing, hull geometry, region comparison."""
 
 import dataclasses
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers
-from coopic.model import ChannelGains, EvaluatorError, InfiniteGain, NotInfinite, PowerBudget
+from coopic.model import (ChannelGains, EvaluatorError, InfiniteGain, InvalidAllocation,
+                          NotInfinite, PowerBudget)
 from coopic import frontier, txcoop, rxcoop
 
 SQRT2 = math.sqrt(2.0)
@@ -150,44 +153,121 @@ def _public_pair(pair):
     return (pair.r1, pair.r2)
 
 
+# Search vectors are also scaled to extremes: at 1e-150 a block's squares can
+# sum below the 1e-300 floor (the uniform block), at 1e-160 they underflow,
+# and at 1e160 they overflow, which the decoders reject as InvalidAllocation.
+_SCALES = (1.0, 1e150, 1e-150, 1e160, 1e-160)
+
+
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_search_objective_matches_public_rate_pair(scheme):
     # The search scores each evaluation with the float kernels; the public
     # decode plus rate pair must give exactly the same floats, or raise the
     # same EvaluatorError subclass.
     rng = np.random.default_rng(55)
-    outcomes = set()
+    outcomes = {scale: set() for scale in _SCALES}
     for _ in range(1500):
         g, p = random_gains(rng), random_powers(rng)
         if scheme == "TC_inf":
             g = dataclasses.replace(g, c12=math.inf)
-            x = _search_vector(rng, 6)
-            for order in (True, False):
+            x0 = _search_vector(rng, 6)
+            for scale, order in itertools.product(_SCALES, (True, False)):
+                x = x0 * scale
                 score, _ = frontier._tc_limit_search(g, p, order)
-                mu, eta = frontier._limit_splits_from_vector(x)
-                want = _outcome(lambda: _public_pair(
-                    txcoop.tc_limit_rate_pair(g, p, mu, eta, order)))
+                want = _outcome(lambda: _public_pair(txcoop.tc_limit_rate_pair(
+                    g, p, *frontier._limit_splits_from_vector(x), order)))
                 assert _outcome(lambda: score(x.tolist(), 1.0)) == want
-                outcomes.add(want if isinstance(want, type) else tuple)
+                outcomes[scale].add(want if isinstance(want, type) else tuple)
         elif scheme == "RC":
             score, _ = frontier._rc_search(g, p)
-            x = _search_vector(rng, 13)
-            for w in (0.0, 1.0, 2.5, math.inf):
+            x0 = _search_vector(rng, 13)
+            for scale, w in itertools.product(_SCALES, (0.0, 1.0, 2.5, math.inf)):
+                x = x0 * scale
                 want = _outcome(lambda: _public_pair(rxcoop.rc_rate_pair(
                     g, p, frontier.rc_allocation_from_vector(x), weight=w)))
                 assert _outcome(lambda: score(x.tolist(), w)) == want
-                outcomes.add(want if isinstance(want, type) else tuple)
+                outcomes[scale].add(want if isinstance(want, type) else tuple)
         else:
             score, _ = frontier._tc_search(scheme, g, p)
             pair_fn = txcoop.tc_rate_pair if scheme == "TC" else txcoop.rdpc_rate_pair
-            x = _search_vector(rng, 17)
-            want = _outcome(lambda: _public_pair(
-                pair_fn(g, p, frontier.tc_allocation_from_vector(x))))
-            assert _outcome(lambda: score(x.tolist(), 1.0)) == want
-            outcomes.add(want if isinstance(want, type) else tuple)
-    assert tuple in outcomes
+            x0 = _search_vector(rng, 17)
+            for scale in _SCALES:
+                x = x0 * scale
+                want = _outcome(lambda: _public_pair(
+                    pair_fn(g, p, frontier.tc_allocation_from_vector(x))))
+                assert _outcome(lambda: score(x.tolist(), 1.0)) == want
+                outcomes[scale].add(want if isinstance(want, type) else tuple)
+    assert tuple in outcomes[1.0]
     if scheme != "TC_inf":  # zeroed coordinates reach the error paths
-        assert len(outcomes) >= 2
+        assert len(outcomes[1.0]) >= 2
+    assert tuple in outcomes[1e-160]  # underflowed blocks decode to uniform shares
+    assert outcomes[1e160] == {InvalidAllocation}  # overflowed squares
+
+
+# ---------------------------------------------------------------------------
+# direct search
+
+
+def _scipy_nelder_mead(f, x0, max_iter):
+    """scipy's Nelder-Mead with the options frontier.minimize reproduces."""
+    optimize = pytest.importorskip("scipy.optimize")
+    return optimize.minimize(
+        lambda x: f(x.tolist()), x0, method="Nelder-Mead",
+        options={"maxiter": max_iter, "maxfev": 2 * max_iter, "fatol": frontier._FATOL,
+                 "xatol": frontier._XATOL, "adaptive": False,
+                 "initial_simplex": frontier._initial_simplex(x0)})
+
+
+def _same_run(f, x0, max_iter):
+    """frontier.minimize's run, checked step for step against scipy's."""
+    ours = frontier.minimize(f, x0, max_iter)
+    theirs = _scipy_nelder_mead(f, x0, max_iter)
+    assert np.asarray(ours.x).tobytes() == theirs.x.tobytes()
+    assert (ours.nfev, ours.success) == (theirs.nfev, theirs.success)
+    return ours
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref_powers):
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(12)
+    early = 0
+    for g in (ref_gains, random_gains(rng)):
+        if scheme == "TC_inf":
+            g = dataclasses.replace(g, c12=math.inf)
+            score, _ = frontier._tc_limit_search(g, ref_powers, True)
+            dim, corners = frontier._LIMIT_DIM, frontier._LIMIT_CORNER_STARTS
+        elif scheme == "RC":
+            score, _ = frontier._rc_search(g, ref_powers)
+            dim, corners = frontier._RC_DIM, frontier._RC_CORNER_STARTS
+        else:
+            score, _ = frontier._tc_search(scheme, g, ref_powers)
+            dim, corners = frontier._TC_DIM, frontier._TC_CORNER_STARTS
+        starts = [np.asarray(c, dtype=float) for c in corners[1:3]]
+        starts += [rng.standard_normal(dim) for _ in range(2)]
+        for x0, w in zip(starts, (0.0, 1.0, 2.5, math.inf)):
+            for max_iter in (3, 25, 250):  # 6 evaluations cannot finish the first simplex
+                run = _same_run(frontier._neg_objective(score, w, Counter()), x0, max_iter)
+                early += run.nfev < dim + 1
+    assert early == 8
+
+
+def test_minimize_takes_scipys_steps_on_toy_objectives():
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(7)
+
+    def bowl(xs):  # convex in xs[0] and xs[1]; the rest is ignored, so values tie
+        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
+
+    runs = [_same_run(bowl, rng.standard_normal(5), max_iter) for max_iter in (5, 60, 2000)]
+    assert [run.success for run in runs] == [False, False, True]
+    # A constant makes every iteration a reflection, an inside contraction and
+    # a shrink of all n other vertices, n + 2 evaluations after the n + 1 of
+    # the first simplex; so a budget of 2m runs out inside a shrink when
+    # (2m - n - 1) mod (n + 2) is 3 to n + 1, as for m = 4, 5, 7 and 8.
+    n = 4
+    for max_iter in range(1, 40):
+        _same_run(lambda xs: 0.0, rng.standard_normal(n), max_iter)
 
 
 # ---------------------------------------------------------------------------
@@ -203,6 +283,12 @@ def _same_frontier(a, b):
     assert a.scheme == b.scheme and a.options == b.options and a.stats == b.stats
     assert [(pt.r1, pt.r2, pt.weight, pt.allocation) for pt in a.points] == \
         [(pt.r1, pt.r2, pt.weight, pt.allocation) for pt in b.points]
+
+
+def test_trace_options_reject_empty_weights():
+    # An empty weight tuple used to pass, and the trace returned the origin alone.
+    with pytest.raises(ValueError, match="weights"):
+        frontier.TraceOptions(weights=())
 
 
 def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, monkeypatch):
