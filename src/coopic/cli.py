@@ -224,6 +224,8 @@ def cmd_eval(args) -> int:
             else txcoop.rdpc_rate_pair(g, p, alloc)
     else:
         weight = _valid("weight", float, config["weight"])
+        if not weight >= 0.0:
+            raise ValidationFailure(f"weight must be >= 0 (inf allowed), got {weight}")
         rates = rxcoop.rc_phase_rates(g, p, alloc, weight=weight)
         pair = rxcoop.rc_rate_pair(g, p, alloc, weight=weight)
     record = {
@@ -246,11 +248,17 @@ def cmd_region(args) -> int:
     for s in schemes:
         if s not in _SCHEMES:
             raise ValidationFailure(f"unknown scheme {s!r}; expected one of {_SCHEMES}")
+    if len(set(schemes)) < len(schemes):
+        raise ValidationFailure(f"scheme list {schemes} names a scheme twice")
     g = build_gains(config)
     p = build_powers(config)
     opts = build_options(config)
     seed = opts.seed
     out = Path(args.out or _text("out", config["out"]))
+    sidecar_path = _valid("out", out.with_suffix, ".json")
+    targets = {out.resolve(), sidecar_path.resolve()}
+    if len(targets) < 2 or (args.config and Path(args.config).resolve() in targets):
+        raise ValidationFailure(f"out {out}: CSV, sidecar and config must be three files")
 
     rows: list[tuple[float, float, str, float | None]] = []
     sidecar: dict = {"seed": seed, "schemes": {}, "bounds": {}}
@@ -283,11 +291,11 @@ def cmd_region(args) -> int:
         lines.append(f"{_fmt(r1)},{_fmt(r2)},{scheme},{_fmt(weight)},{seed}")
     try:
         out.write_text("\n".join(lines) + "\n")
-        out.with_suffix(".json").write_text(json.dumps(sidecar, indent=2))
+        sidecar_path.write_text(json.dumps(sidecar, indent=2))
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
         return EXIT_OUTPUT
-    print(f"wrote {len(rows)} rows to {out} (+ sidecar {out.with_suffix('.json')})")
+    print(f"wrote {len(rows)} rows to {out} (+ sidecar {sidecar_path})")
     return 0
 
 

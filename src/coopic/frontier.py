@@ -47,6 +47,7 @@ from .model import (
     Simplex2,
     Simplex3,
     TcAllocation,
+    kernel_args,
     simplex_weights,
 )
 from . import rxcoop, txcoop
@@ -98,8 +99,8 @@ def default_weights(n: int = 33) -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class TraceOptions:
-    """Optimizer budget and reproducibility knobs; at least one weight, and
-    restarts and max_iter at least 1."""
+    """Optimizer budget and reproducibility knobs; at least one weight, each
+    in [0, +inf], and restarts and max_iter at least 1."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
@@ -107,9 +108,9 @@ class TraceOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # Otherwise the trace would search nothing and return the origin alone.
-        if not self.weights:
-            raise ValueError("weights is empty: need at least one scalarization weight")
+        # No weight would return the origin alone; a NaN one, NaN objectives.
+        if not self.weights or not all(w >= 0.0 for w in self.weights):
+            raise ValueError(f"weights {self.weights}: need at least one, each >= 0 or inf")
         if self.restarts < 1 or self.max_iter < 1:
             raise ValueError(f"restarts {self.restarts}, max_iter {self.max_iter}: need >= 1")
 
@@ -423,7 +424,7 @@ def _build_frontier(candidates, scheme: str, opts: TraceOptions,
 
 def _tc_search(scheme: str, g: ChannelGains, p: PowerBudget):
     """(score, revalidate) of a TC or RDPC search (see ``_sweep``)."""
-    c, pw = txcoop.kernel_args(g, p)
+    c, pw = kernel_args(g, p)
     kernel = txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel
 
     def score(xs, _w):
@@ -440,7 +441,7 @@ def _tc_search(scheme: str, g: ChannelGains, p: PowerBudget):
 
 def _rc_search(g: ChannelGains, p: PowerBudget):
     """(score, revalidate) of an RC search (see ``_sweep``)."""
-    c, pw = rxcoop.kernel_args(g, p)
+    c, pw = kernel_args(g, p)
     kernel = rxcoop.rc_kernel
 
     def score(xs, w):
@@ -456,7 +457,7 @@ def _rc_search(g: ChannelGains, p: PowerBudget):
 
 def _tc_limit_search(g: ChannelGains, p: PowerBudget, user1_clean: bool):
     """(score, revalidate) of a c12 = +inf search in one encoding order."""
-    c, pw = txcoop.kernel_args(g, p)
+    c, pw = kernel_args(g, p)
     kernel = txcoop.tc_limit_kernel
 
     def score(xs, _w):

@@ -18,7 +18,7 @@ so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 __all__ = [
     "EvaluatorError",
@@ -35,6 +35,8 @@ __all__ = [
     "TcAllocation",
     "RcAllocation",
     "RatePair",
+    "kernel_args",
+    "shares",
     "cap",
     "quad",
     "det_pair",
@@ -238,6 +240,16 @@ class RcAllocation:
     eta: Simplex3
     alpha: Simplex2
     beta: Simplex2
+
+
+def kernel_args(g: ChannelGains, p: PowerBudget):
+    """The rate kernels' gains ``c`` (c12, c13, c14, c23, c24, c34) and powers ``pw``."""
+    return (g.c12, g.c13, g.c14, g.c23, g.c24, g.c34), (p.p1, p.p2, p.p3, p.p4)
+
+
+def shares(a: TcAllocation | RcAllocation) -> tuple[float, ...]:
+    """The rate kernels' ``s``: an allocation's weights, flat in field order."""
+    return tuple(w for f in fields(a) for w in getattr(a, f.name))
 
 
 @dataclass(frozen=True)

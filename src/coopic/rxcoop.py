@@ -9,11 +9,12 @@ two-receive-antenna interference channel formed by each receiver's own
 observation and the compressed copy of its peer's, split into four cases by
 equivalent interference strength.
 
-Each rate formula exists once, as a kernel on plain floats: gains
-``c = (c13, c14, c23, c24, c34)`` and powers ``pw = (p1, p2, p3, p4)`` from
-``kernel_args``, and the 13 allocation shares ``s`` flat in field order
-(lam1..3, mu1..3, eta1..3, alpha1..2, beta1..2).  ``rc_kernel`` returns the
-rate pair as floats; the frontier search scores every evaluation with it.
+Each rate formula exists once, as a kernel on plain floats, for both
+receivers (``_listen``): gains ``c`` and powers ``pw`` from
+``model.kernel_args`` and the 13 allocation shares ``s`` from
+``model.shares`` (lam1..3, mu1..3, eta1..3, alpha1..2, beta1..2).
+``rc_kernel`` returns the rate pair as floats; the frontier search scores
+every evaluation with it.
 The dataclass API (``rc_rate_pair`` and ``rc_phase_rates``) is a thin view:
 it unpacks its arguments, calls the kernels and wraps the result, raising
 the same errors in the same order.  The kernels do not check c34: the views
@@ -41,12 +42,13 @@ from .model import (
     cap,
     checked_pair,
     det_pair,
+    kernel_args,
     phase_power,
+    shares,
 )
 
 __all__ = [
     "RcPhaseRates",
-    "kernel_args",
     "rc_kernel",
     "rc_phase_rates",
     "rc_rate_pair",
@@ -83,14 +85,20 @@ class RcPhaseRates:
 # Kernels (plain floats)
 
 
-def kernel_args(g: ChannelGains, p: PowerBudget):
-    """The kernels' gains ``c`` and powers ``pw``."""
-    return (g.c13, g.c14, g.c23, g.c24, g.c34), (p.p1, p.p2, p.p3, p.p4)
+def _listen(lam, heard1, heard2, user1, fwd_obs, fwd_data):
+    """Rates at the listening receiver, user 1's iff ``user1``: it hears
+    sources 1 and 2 at SNRs ``heard1``, ``heard2`` and its helper's compressed
+    observation and relayed data at ``fwd_obs``, ``fwd_data``.  Returns (own
+    helper-to-receiver hop, forwarding, other's source-to-helper hop, own fresh)."""
+    own, other = (heard1, heard2) if user1 else (heard2, heard1)
+    base = 1.0 + heard1 + heard2
+    return (lam * cap(fwd_data / (base + fwd_obs)), lam * cap(fwd_obs / base),
+            lam * cap(other / (1.0 + own)), lam * cap(own))
 
 
 def _phase23(c, pw, s):
     """Phase 2-3 rates, the first eight ``RcPhaseRates`` fields in order."""
-    c13, c14, c23, c24, c34 = c
+    _, c13, c14, c23, c24, c34 = c
     p1, p2, p3, p4 = pw
     lam2, lam3 = s[1], s[2]
     p1_2 = phase_power(s[4], p1, lam2, "mu2")
@@ -104,19 +112,11 @@ def _phase23(c, pw, s):
     p3_1 = phase_power(s[11], p3, lam3, "beta1") if lam3 > 0.0 else 0.0
     p3_2 = phase_power(s[12], p3, lam3, "beta2") if lam3 > 0.0 else 0.0
 
-    # Phase 2: receiver 3 listens to sources 1, 2 and helper 4.
-    base2 = 1.0 + c13 ** 2 * p1_2 + c23 ** 2 * p2_2
-    r1_2r2 = lam2 * cap(c34 ** 2 * p4_2 / (base2 + c34 ** 2 * p4_1))
-    r1_s = lam2 * cap(c34 ** 2 * p4_1 / base2)
-    r2_2r1 = lam2 * cap(c23 ** 2 * p2_2 / (1.0 + c13 ** 2 * p1_2))
-    r1_d = lam2 * cap(c13 ** 2 * p1_2)
-
-    # Phase 3: receiver 4 listens to sources 1, 2 and helper 3.
-    base3 = 1.0 + c14 ** 2 * p1_3 + c24 ** 2 * p2_3
-    r2_2r2 = lam3 * cap(c34 ** 2 * p3_2 / (base3 + c34 ** 2 * p3_1))
-    r2_s = lam3 * cap(c34 ** 2 * p3_1 / base3)
-    r1_2r1 = lam3 * cap(c14 ** 2 * p1_3 / (1.0 + c24 ** 2 * p2_3))
-    r2_d = lam3 * cap(c24 ** 2 * p2_3)
+    # Phase 2: receiver 3 listens, helped by 4; phase 3: receiver 4, helped by 3.
+    r1_2r2, r1_s, r2_2r1, r1_d = _listen(lam2, c13 ** 2 * p1_2, c23 ** 2 * p2_2, True,
+                                         c34 ** 2 * p4_1, c34 ** 2 * p4_2)
+    r2_2r2, r2_s, r1_2r1, r2_d = _listen(lam3, c14 ** 2 * p1_3, c24 ** 2 * p2_3, False,
+                                         c34 ** 2 * p3_1, c34 ** 2 * p3_2)
     return (r1_d, r2_d, r1_s, r2_s, r1_2r1, r1_2r2, r2_2r1, r2_2r2)
 
 
@@ -146,7 +146,7 @@ def _compression(c, pw, s, r1_s: float, r2_s: float):
     own antenna first) and the two sources' phase-1 powers.  sigma_i_sq is
     the compression noise of the peer's observation (+inf when nothing was
     forwarded, leaving exact zeros in the gains)."""
-    c13, c14, c23, c24, _ = c
+    _, c13, c14, c23, c24, _ = c
     lam1 = s[0]
     if lam1 == 0.0:
         raise InvalidAllocation("compression requires a positive phase-1 duration")
@@ -162,11 +162,8 @@ def _compression(c, pw, s, r1_s: float, r2_s: float):
     zeta2 = 0.0 if math.isinf(sigma2_sq) else 1.0 / (1.0 + sigma2_sq)
 
     rz1, rz2 = math.sqrt(zeta1), math.sqrt(zeta2)
-    c13v = (c13, rz2 * c14)
-    c23v = (c23, rz2 * c24)
-    c14v = (rz1 * c13, c14)
-    c24v = (rz1 * c23, c24)
-    return (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, p1_1, p2_1)
+    return (sigma1_sq, sigma2_sq, zeta1, zeta2, (c13, rz2 * c14), (c23, rz2 * c24),
+            (rz1 * c13, c14), (rz1 * c23, c24), p1_1, p2_1)
 
 
 def _sqnorm(v) -> float:
@@ -221,16 +218,12 @@ def rc_kernel(c, pw, s, weight: float = 1.0) -> tuple[float, float]:
 # Dataclass views
 
 
-def _shares(a: RcAllocation) -> tuple[float, ...]:
-    return (*a.lam, *a.mu, *a.eta, *a.alpha, *a.beta)
-
-
 def _unpack(g: ChannelGains, p: PowerBudget, a: RcAllocation):
     """Kernel arguments (c, pw, s); raises InfiniteGain at c34 = +inf."""
     if math.isinf(g.c34):
         raise InfiniteGain("c34 is infinite; trace the limit with frontier.trace "
                            "or evaluate it with rc_limit_rate_pair")
-    return (*kernel_args(g, p), _shares(a))
+    return (*kernel_args(g, p), shares(a))
 
 
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,

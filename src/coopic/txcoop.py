@@ -21,10 +21,10 @@ Also provides the recycled/parallel-DPC baseline (diagonal covariances, no
 coherent combining) and the infinite-conferencing limit of the scheme;
 ``frontier.trace`` routes c12 = +inf to the limit's tracer.
 
-Each rate formula exists once, as a kernel on plain floats: gains
-``c = (c12, c13, c14, c23, c24)`` and powers ``pw = (p1, p2)`` from
-``kernel_args``, the 17 allocation shares ``s`` flat in field order (lam1..3,
-kappa1..2, gamma1..2, alpha1..2, beta1..2, mu1..3, eta1..3), and a
+Each rate formula exists once, as a kernel on plain floats, for both users
+(``_exchange``, ``_phase3``): gains ``c`` and powers ``pw`` from
+``model.kernel_args``, the 17 allocation shares ``s`` from ``model.shares``
+(lam1..3, kappa1..2, gamma1..2, alpha1..2, beta1..2, mu1..3, eta1..3), and a
 covariance as ``(sigma1, sigma2, user1_clean)`` with each sigma given by
 its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
 ``tc_kernel``, ``rdpc_kernel`` and ``tc_limit_kernel`` return the rate
@@ -55,15 +55,16 @@ from .model import (
     cap,
     checked_pair,
     inverse,
+    kernel_args,
     phase_power,
     quad,
+    shares,
 )
 
 __all__ = [
     "TcPhaseRates",
     "TcCovariances",
     "Phase3PowerAudit",
-    "kernel_args",
     "tc_kernel",
     "rdpc_kernel",
     "tc_limit_kernel",
@@ -125,41 +126,34 @@ _AUDIT_RTOL = 1e-12
 # Kernels (plain floats)
 
 
-def kernel_args(g: ChannelGains, p: PowerBudget):
-    """The kernels' gains ``c`` and powers ``pw``."""
-    return (g.c12, g.c13, g.c14, g.c23, g.c24), (p.p1, p.p2)
-
-
 def _user1_clean(c) -> bool:
     """Encoding order: user 1 gets the clean slot iff receiver 3's combined gain is larger."""
     return c[1] + c[3] > c[2] + c[4]
 
 
+def _exchange(lam, p, c12, own, cross, conf, relay):
+    """(conferencing, own relayed, cross relayed) rates of one exchange phase:
+    the conferencing stream (share ``conf``) also reaches the source's own
+    receiver (gain ``own``), the relayed one (``relay``) the other receiver
+    (``cross``), dirty-paper coded in an order set by own > cross."""
+    r_conf = lam * cap(c12 ** 2 * conf * p)
+    if own > cross:
+        r_own = lam * cap(own ** 2 * conf * p)
+        r_cross = lam * cap(cross ** 2 * relay * p / (1.0 + cross ** 2 * conf * p))
+    else:
+        r_own = lam * cap(own ** 2 * conf * p / (1.0 + own ** 2 * relay * p))
+        r_cross = lam * cap(cross ** 2 * relay * p)
+    return r_conf, r_own, r_cross
+
+
 def _phase12(c, pw, s):
     """Phase 1-2 rates (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)."""
-    c12, c13, c14, c23, c24 = c
-    lam1, lam2 = s[0], s[1]
-    alpha1, alpha2, beta1, beta2 = s[7], s[8], s[9], s[10]
-    p1_1 = phase_power(s[3], pw[0], lam1, "kappa1")
-    p2_1 = phase_power(s[5], pw[1], lam2, "gamma1")
-
-    # Phase 1: source 1 broadcasts; DPC order set by c13 > c14.
-    r1_r1 = lam1 * cap(c12 ** 2 * alpha1 * p1_1)
-    if c13 > c14:
-        r1_1 = lam1 * cap(c13 ** 2 * alpha1 * p1_1)
-        r2_1 = lam1 * cap(c14 ** 2 * alpha2 * p1_1 / (1.0 + c14 ** 2 * alpha1 * p1_1))
-    else:
-        r1_1 = lam1 * cap(c13 ** 2 * alpha1 * p1_1 / (1.0 + c13 ** 2 * alpha2 * p1_1))
-        r2_1 = lam1 * cap(c14 ** 2 * alpha2 * p1_1)
-
-    # Phase 2: source 2 broadcasts; DPC order set by c24 > c23.
-    r2_r1 = lam2 * cap(c12 ** 2 * beta1 * p2_1)
-    if c24 > c23:
-        r2_2 = lam2 * cap(c24 ** 2 * beta1 * p2_1)
-        r1_2 = lam2 * cap(c23 ** 2 * beta2 * p2_1 / (1.0 + c23 ** 2 * beta1 * p2_1))
-    else:
-        r2_2 = lam2 * cap(c24 ** 2 * beta1 * p2_1 / (1.0 + c24 ** 2 * beta2 * p2_1))
-        r1_2 = lam2 * cap(c23 ** 2 * beta2 * p2_1)
+    c12, c13, c14, c23, c24, _ = c
+    p1_1 = phase_power(s[3], pw[0], s[0], "kappa1")
+    p2_1 = phase_power(s[5], pw[1], s[1], "gamma1")
+    # Phase 1: source 1 broadcasts; phase 2: source 2.
+    r1_r1, r1_1, r2_1 = _exchange(s[0], p1_1, c12, c13, c14, s[7], s[8])
+    r2_r1, r2_2, r1_2 = _exchange(s[1], p2_1, c12, c24, c23, s[9], s[10])
     return (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)
 
 
@@ -219,10 +213,9 @@ def _budget_cov(c, joint1, joint2):
 
 def _rdpc_cov(c, joint1, joint2):
     """Diagonal covariances (see ``rdpc_covariances``)."""
-    diag1, diag2 = (joint1[0], 0.0, joint1[1]), (joint2[0], 0.0, joint2[1])
-    if _user1_clean(c):
-        return (diag1, diag2, True)
-    return (diag2, diag1, False)
+    user1_clean = _user1_clean(c)
+    clean, first = (joint1, joint2) if user1_clean else (joint2, joint1)
+    return ((clean[0], 0.0, clean[1]), (first[0], 0.0, first[1]), user1_clean)
 
 
 def _phase3(c, lam3: float, fresh, cov):
@@ -233,26 +226,25 @@ def _phase3(c, lam3: float, fresh, cov):
     stream interference-free.  The other receiver sees the clean stream's
     leakage plus both fresh streams as noise.
     """
-    _, c13, c14, c23, c24 = c
+    _, c13, c14, c23, c24, _ = c
     sigma1, sigma2, user1_clean = cov
     fresh1, fresh2 = fresh
-    i1_at3 = c13 ** 2 * fresh1
-    i1_at4 = c14 ** 2 * fresh1
-    i2_at4 = c24 ** 2 * fresh2
-    i2_at3 = c23 ** 2 * fresh2
+    # Roles: gains (u0, u1) into the clean receiver, (v0, v1) into the other;
+    # the fresh streams there as users 1 and 2 (f1, f2) and as own and cross.
     if user1_clean:
-        r1_3 = lam3 * cap(quad(c13, c23, *sigma1) / (1.0 + i1_at3))
-        r1_d = lam3 * cap(i1_at3)
-        leak = quad(c14, c24, *sigma1)
-        r2_3 = lam3 * cap(quad(c14, c24, *sigma2) / (1.0 + leak + i1_at4 + i2_at4))
-        r2_d = lam3 * cap(i2_at4 / (1.0 + leak + i1_at4))
+        u0, u1, v0, v1, own_u = c13, c23, c14, c24, c13 ** 2 * fresh1
     else:
-        r2_3 = lam3 * cap(quad(c14, c24, *sigma1) / (1.0 + i2_at4))
-        r2_d = lam3 * cap(i2_at4)
-        leak = quad(c13, c23, *sigma1)
-        r1_3 = lam3 * cap(quad(c13, c23, *sigma2) / (1.0 + leak + i1_at3 + i2_at3))
-        r1_d = lam3 * cap(i1_at3 / (1.0 + leak + i2_at3))
-    return (r1_3, r2_3, r1_d, r2_d)
+        u0, u1, v0, v1, own_u = c14, c24, c13, c23, c24 ** 2 * fresh2
+    f1, f2 = v0 ** 2 * fresh1, v1 ** 2 * fresh2
+    own_v, cross_v = (f2, f1) if user1_clean else (f1, f2)
+    r_u3 = lam3 * cap(quad(u0, u1, *sigma1) / (1.0 + own_u))
+    r_ud = lam3 * cap(own_u)
+    leak = quad(v0, v1, *sigma1)
+    r_v3 = lam3 * cap(quad(v0, v1, *sigma2) / (1.0 + leak + f1 + f2))
+    r_vd = lam3 * cap(own_v / (1.0 + leak + cross_v))
+    if user1_clean:
+        return (r_u3, r_v3, r_ud, r_vd)
+    return (r_v3, r_u3, r_vd, r_ud)
 
 
 def _stream_rates(c, pw, s, cov=None):
@@ -299,10 +291,8 @@ def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
     Float form of ``tc_limit_rate_pair``: the joint phase fills the block
     (lam3 = 1, all power in phase 3) with the pooled duality covariances.
     """
-    p1, p2 = pw
-    s_joint1 = s[1] * p1 + s[5] * p2
-    s_joint2 = s[2] * p1 + s[4] * p2
-    cov = _duality_cov(c, s_joint1, s_joint2, user1_clean)
+    p1, p2 = pw[0], pw[1]
+    cov = _duality_cov(c, s[1] * p1 + s[5] * p2, s[2] * p1 + s[4] * p2, user1_clean)
     r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (s[0] * p1, s[3] * p2), cov)
     return checked_pair(r1_d + r1_3, r2_d + r2_3)
 
@@ -311,16 +301,12 @@ def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
 # Dataclass views
 
 
-def _shares(a: TcAllocation) -> tuple[float, ...]:
-    return (*a.lam, *a.kappa, *a.gamma, *a.alpha, *a.beta, *a.mu, *a.eta)
-
-
 def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """Kernel arguments (c, pw, s); raises InfiniteGain at c12 = +inf."""
     if math.isinf(g.c12):
         raise InfiniteGain("c12 is infinite; trace the limit with frontier.trace "
                            "or evaluate it with tc_limit_rate_pair")
-    return (*kernel_args(g, p), _shares(a))
+    return (*kernel_args(g, p), shares(a))
 
 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
@@ -407,7 +393,7 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
         return Phase3PowerAudit(radiated=(0.0, 0.0), allotted=(0.0, 0.0))
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
-    pw, s = (p.p1, p.p2), _shares(a)
+    pw, s = (p.p1, p.p2), shares(a)
     fresh1, fresh2 = _phase3_split(pw, s)[0]
     radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
                 fresh2 + cov.sigma1[2] + cov.sigma2[2])

@@ -22,6 +22,16 @@ def test_every_exported_name_resolves(name):
     assert not missing, f"coopic.{name}.__all__ names undefined {missing}"
 
 
+def test_no_name_exported_twice():
+    """Each exported name has one home module: a helper is never copied across modules."""
+    homes: dict[str, list[str]] = {}
+    for name in MODULES:
+        for attr in getattr(importlib.import_module(f"coopic.{name}"), "__all__", ()):
+            homes.setdefault(attr, []).append(name)
+    twice = {attr: mods for attr, mods in homes.items() if len(mods) > 1}
+    assert not twice, f"names exported by more than one coopic module: {twice}"
+
+
 def test_package_imports_only_exported_names():
     tree = ast.parse(Path(coopic.__file__).read_text())
     imports = [node for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1]

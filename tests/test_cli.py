@@ -136,6 +136,9 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     ("region", dict(SMALL_TC, restarts=0), []),
     ("region", SMALL_TC, ["--restarts", "0"]),
     ("region", dict(SMALL_TC, max_iter=0), []),
+    # a scalarization weight must be in [0, +inf]
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": -1.0}, []),
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": math.nan}, []),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"
@@ -152,6 +155,7 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     ("region", {"schemes": 5}),
     ("region", {"schemes": ["TC", 5]}),
     ("region", {"schemes": ["IC"], "out": 5}),
+    ("region", {"schemes": ["RC", "rc"]}),  # one scheme traced twice
     ("eval", {"scheme": 5, "allocation": TC_ALLOCATION}),
 ])
 def test_bad_config_types_exit_2(tmp_path, capsys, command, config):
@@ -244,6 +248,23 @@ def test_region_unknown_config_key_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, schemes=["TC"], nonsense=1)
     assert run(["region", "--config", path]) == cli.EXIT_VALIDATION
     assert "unknown config keys" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("config_name, flags", [
+    ("region.json", []),  # the default out region.csv puts its sidecar on the config
+    ("config.json", ["--out", "x.json"]),  # the CSV and the sidecar in one file
+    ("config.csv", ["--out", "config.csv"]),
+])
+def test_region_out_never_overwrites_its_inputs(tmp_path, monkeypatch, capsys,
+                                                config_name, flags):
+    monkeypatch.chdir(tmp_path)
+    path = tmp_path / config_name
+    text = json.dumps({"schemes": ["IC"]})
+    path.write_text(text)
+    assert run(["region", "--config", config_name, *flags]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: out ")
+    assert path.read_text() == text
+    assert sorted(p.name for p in tmp_path.iterdir()) == [config_name]
 
 
 def test_region_unwritable_out_exits_4(tmp_path, capsys):

@@ -289,6 +289,11 @@ def test_trace_options_reject_empty_weights():
     # An empty weight tuple used to pass, and the trace returned the origin alone.
     with pytest.raises(ValueError, match="weights"):
         frontier.TraceOptions(weights=())
+    # A NaN weight makes every objective NaN; a negative one rewards a lower rate.
+    for weights in ((-1.0, math.nan), (1.0, math.nan), (-1.0,), (0.5, -0.0 - 1e-300)):
+        with pytest.raises(ValueError, match="weights"):
+            frontier.TraceOptions(weights=weights)
+    assert frontier.TraceOptions(weights=(0.0, -0.0, math.inf)).weights[-1] == math.inf
 
 
 def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, monkeypatch):

@@ -27,7 +27,7 @@ from coopic.model import (
     cap,
     det_pair,
 )
-from coopic import rxcoop
+from coopic import model, rxcoop
 from reference_eval import rc_reference
 
 SQRT2 = math.sqrt(2.0)
@@ -47,13 +47,13 @@ EquivalentChannel = namedtuple("EquivalentChannel", "sigma1_sq sigma2_sq zeta1 z
 
 def phase23(g, p, a) -> rxcoop.RcPhaseRates:
     """Phase 2-3 fields of RcPhaseRates from the kernel."""
-    c, pw = rxcoop.kernel_args(g, p)
-    return rxcoop.RcPhaseRates(*rxcoop._phase23(c, pw, rxcoop._shares(a)))
+    c, pw = model.kernel_args(g, p)
+    return rxcoop.RcPhaseRates(*rxcoop._phase23(c, pw, model.shares(a)))
 
 
 def compression(g, p, a, r1_s, r2_s) -> EquivalentChannel:
-    c, pw = rxcoop.kernel_args(g, p)
-    return EquivalentChannel(*rxcoop._compression(c, pw, rxcoop._shares(a), r1_s, r2_s))
+    c, pw = model.kernel_args(g, p)
+    return EquivalentChannel(*rxcoop._compression(c, pw, model.shares(a), r1_s, r2_s))
 
 
 def phase1(lambda1, p1, p2, c13v, c23v, c14v, c24v, weight=1.0):

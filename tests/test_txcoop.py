@@ -25,7 +25,7 @@ from coopic.model import (
     Simplex3,
     TcAllocation,
 )
-from coopic import txcoop
+from coopic import model, txcoop
 from reference_eval import tc_reference
 
 SQRT2 = math.sqrt(2.0)
@@ -41,14 +41,14 @@ def make_alloc(lam=(1 / 3, 1 / 3, 1 / 3), kappa=(0.5, 0.5), gamma=(0.5, 0.5),
 
 def phase12(g, p, a) -> txcoop.TcPhaseRates:
     """Phase 1-2 fields of TcPhaseRates from the kernel."""
-    c, pw = txcoop.kernel_args(g, p)
-    return txcoop.TcPhaseRates(*txcoop._phase12(c, pw, txcoop._shares(a)))
+    c, pw = model.kernel_args(g, p)
+    return txcoop.TcPhaseRates(*txcoop._phase12(c, pw, model.shares(a)))
 
 
 def phase3(g, p, a, cov) -> txcoop.TcPhaseRates:
     """Phase-3 fields of TcPhaseRates from the kernel, under ``cov``."""
-    c, pw = txcoop.kernel_args(g, p)
-    fresh = txcoop._phase3_split(pw, txcoop._shares(a))[0]
+    c, pw = model.kernel_args(g, p)
+    fresh = txcoop._phase3_split(pw, model.shares(a))[0]
     r1_3, r2_3, r1_d, r2_d = txcoop._phase3(c, a.lam.w3, fresh, cov)
     return txcoop.TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
 
