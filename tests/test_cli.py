@@ -155,8 +155,8 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     ("region", {"schemes": 5}),
     ("region", {"schemes": ["TC", 5]}),
     ("region", {"schemes": ["IC"], "out": 5}),
-    ("region", {"schemes": ["RC", "rc"]}),  # one scheme traced twice
     ("eval", {"scheme": 5, "allocation": TC_ALLOCATION}),
+    ("region", {"schemes": ["RC", "rc"]}),  # one scheme traced twice
 ])
 def test_bad_config_types_exit_2(tmp_path, capsys, command, config):
     path = tmp_path / "config.json"
