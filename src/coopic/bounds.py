@@ -11,8 +11,10 @@ kept because bench/bounds_reference.json pins the values it gives.
 
 The sum rate is capped by the pooled-power two-antenna broadcast bound for
 transmitter cooperation and by the two-antenna multiple-access bound for
-receiver cooperation.  The strong-interference capacity region without
-cooperation serves as the reference baseline.
+receiver cooperation.  ``ic_pentagon`` decodes the interference channel
+with two-antenna receivers: receiver cooperation's phase 1, which keeps a
+fraction zeta of the peer receiver's observation, the non-cooperative
+strong-interference baseline (zeta = 0) and the c34 = inf limit (zeta = 1).
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from .model import (
     NotStrongInterference,
     PowerBudget,
     _LN2,
+    _check_range,
     cap,
     det_pair,
 )
@@ -34,6 +37,7 @@ from .model import (
 __all__ = [
     "OuterBound",
     "pentagon_corner",
+    "ic_pentagon",
     "relay_cutset_bound",
     "mimo_bc_sum_bound",
     "mimo_mac_sum_bound",
@@ -50,11 +54,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class OuterBound:
     """Pentagon {R1, R2 >= 0 : R1 <= r1_max, R2 <= r2_max, R1+R2 <= sum_max}.
 
-    The one pentagon type of the package: the outer bounds, the strong-IC
-    region, receiver cooperation's phase-1 joint-decoding region and its
-    infinite-gain multiple-access region.  The three constraints are
-    independent; sum_max may exceed r1_max + r2_max (then it is simply not
-    binding).
+    The one pentagon type of the package: the outer bounds and the strong-IC
+    region.  The three constraints are independent; sum_max may exceed
+    r1_max + r2_max (then it is simply not binding).
     """
 
     r1_max: float
@@ -90,13 +92,39 @@ def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[fl
     where the objective of the user-1 corner minus that of the user-2
     corner is (1 - weight) times a nonnegative gap; so weight <= 1 picks
     the user-1 corner exactly, without comparing two float sums that are
-    equal in exact arithmetic at weight 1.
+    equal in exact arithmetic at weight 1.  A box (a12 = +inf) gives (a1, a2)
+    at every weight.  A NaN or negative weight raises EvaluatorError.
     """
+    _check_range("weight", weight)
     if weight <= 1.0:
         c1 = min(a1, a12)
         return (c1, min(a2, max(a12 - c1, 0.0)))
     c2 = min(a2, a12)
     return (min(a1, max(a12 - c2, 0.0)), c2)
+
+
+def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float) -> tuple[float, float, float]:
+    """Rate pentagon (a1, a2, a12) of the two-user interference channel whose
+    receiver 3 hears users 1 and 2 through the 2-vectors u1, u2 and receiver
+    4 through v1, v2, at powers p1 and p2.
+
+    Both interferences strong (ties count as strong): joint decoding.  One
+    strong: that receiver cancels it, the other treats it as noise.  Both
+    weak: both treat it as noise.  Those three cases are boxes, a12 = +inf.
+    A receiver's own rate is cap(p |u|^2), its joint rate log2 ``det_pair``
+    and its rate with interference as noise that determinant over the
+    interferer's 1 + q |w|^2 (a quotient of at least 1, so never negative).
+    """
+    n_u1, n_u2 = u1[0] * u1[0] + u1[1] * u1[1], u2[0] * u2[0] + u2[1] * u2[1]
+    n_v1, n_v2 = v1[0] * v1[0] + v1[1] * v1[1], v2[0] * v2[0] + v2[1] * v2[1]
+    own1, own2 = cap(p1 * n_u1), cap(p2 * n_v2)
+    joint3, joint4 = det_pair(u1, p1, u2, p2), det_pair(v2, p2, v1, p1)
+    strong_at_4, strong_at_3 = n_v1 >= n_u1, n_u2 >= n_v2
+    if strong_at_4 and strong_at_3:
+        return (own1, own2, math.log2(min(joint3, joint4)))
+    r1 = own1 if strong_at_3 else math.log2(joint3 / (1.0 + p2 * n_u2))
+    r2 = own2 if strong_at_4 else math.log2(joint4 / (1.0 + p1 * n_v1))
+    return (r1, r2, math.inf)
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -325,13 +353,8 @@ def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
         raise NotStrongInterference(
             f"needs c14 >= c13 and c23 >= c24, got c13={g.c13}, c14={g.c14}, "
             f"c23={g.c23}, c24={g.c24}")
-    return OuterBound(
-        r1_max=cap(g.c13 ** 2 * p.p1),
-        r2_max=cap(g.c24 ** 2 * p.p2),
-        sum_max=min(cap(g.c13 ** 2 * p.p1 + g.c23 ** 2 * p.p2),
-                    cap(g.c14 ** 2 * p.p1 + g.c24 ** 2 * p.p2)),
-        kind="IC",
-    )
+    return OuterBound(*ic_pentagon((g.c13, 0.0), (g.c23, 0.0), (0.0, g.c14), (0.0, g.c24),
+                                   p.p1, p.p2), kind="IC")
 
 
 def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, float]]:

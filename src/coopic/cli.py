@@ -64,6 +64,7 @@ DEFAULT_CONFIG = {
 _GAIN_KEYS = ("c12", "c13", "c14", "c23", "c24", "c34")
 _POWER_KEYS = ("p1", "p2", "p3", "p4")
 _SCHEMES = ("TC", "RDPC", "RC", "IC")
+_TRACED = _SCHEMES[:3]  # the schemes eval and compare accept
 
 
 class ValidationFailure(Exception):
@@ -95,11 +96,23 @@ def _text(key: str, value) -> str:
     return value
 
 
-def _scheme_list(value) -> list[str]:
-    """The region scheme list: a JSON list of scheme names."""
-    if not isinstance(value, list):
-        raise ValidationFailure(f"schemes must be a list of scheme names, got {value!r}")
-    return [_text("schemes entry", s).upper() for s in value]
+def _schemes(names, allowed: tuple[str, ...], one: bool = False) -> list[str]:
+    """The scheme names of a --scheme list or config entry, upper-cased and
+    checked: a nonempty list, each name in ``allowed``, none named twice,
+    and exactly one if ``one``."""
+    if not isinstance(names, list):
+        raise ValidationFailure(f"schemes must be a list of scheme names, got {names!r}")
+    schemes = [_text("scheme", s).upper() for s in names]
+    if not schemes:
+        raise ValidationFailure("empty scheme list")
+    if one and len(schemes) > 1:
+        raise ValidationFailure(f"one scheme expected, got {schemes}")
+    for s in schemes:
+        if s not in allowed:
+            raise ValidationFailure(f"unknown scheme {s!r}; expected one of {allowed}")
+    if len(set(schemes)) < len(schemes):
+        raise ValidationFailure(f"scheme list {schemes} names a scheme twice")
+    return schemes
 
 
 def _coerce_gain(key: str, value) -> float:
@@ -208,10 +221,7 @@ def _fmt(value: float) -> str:
 
 def cmd_eval(args) -> int:
     config = load_config(args.config)
-    _apply_flag_overrides(config, args)
-    scheme = (args.scheme[0] if args.scheme else _text("scheme", config["scheme"])).upper()
-    if scheme not in ("TC", "RDPC", "RC"):
-        raise ValidationFailure(f"eval supports TC, RDPC or RC, got {scheme!r}")
+    scheme, = _schemes(args.scheme or [config["scheme"]], _TRACED, one=True)
     if config["allocation"] is None:
         raise ValidationFailure("eval requires an 'allocation' entry in the config")
     g = build_gains(config)
@@ -241,15 +251,7 @@ def cmd_eval(args) -> int:
 def cmd_region(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
-    schemes = [s.upper() for s in args.scheme] if args.scheme \
-        else _scheme_list(config["schemes"])
-    if not schemes:
-        raise ValidationFailure("empty scheme list")
-    for s in schemes:
-        if s not in _SCHEMES:
-            raise ValidationFailure(f"unknown scheme {s!r}; expected one of {_SCHEMES}")
-    if len(set(schemes)) < len(schemes):
-        raise ValidationFailure(f"scheme list {schemes} names a scheme twice")
+    schemes = _schemes(args.scheme or config["schemes"], _SCHEMES)
     g = build_gains(config)
     p = build_powers(config)
     opts = build_options(config)
@@ -301,7 +303,6 @@ def cmd_region(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = load_config(args.config)
-    _apply_flag_overrides(config, args)
     g = build_gains(config)
     p = build_powers(config)
     record = {"TC": _bound_record(bounds_mod.tc_outer_region(g, p)),
@@ -320,9 +321,7 @@ def cmd_compare(args) -> int:
     for path in (args.config_a, args.config_b):
         config = load_config(path)
         _apply_flag_overrides(config, args)
-        scheme = (args.scheme[0] if args.scheme else _text("scheme", config["scheme"])).upper()
-        if scheme not in ("TC", "RDPC", "RC"):
-            raise ValidationFailure(f"compare supports TC, RDPC or RC, got {scheme!r}")
+        scheme, = _schemes(args.scheme or [config["scheme"]], _TRACED, one=True)
         g = build_gains(config)
         p = build_powers(config)
         frontiers.append(frontier.trace(scheme, g, p, build_options(config)))
@@ -344,22 +343,9 @@ def cmd_compare(args) -> int:
 
 
 def _apply_flag_overrides(config: dict, args) -> None:
-    if getattr(args, "seed", None) is not None:
-        config["seed"] = args.seed
-    if getattr(args, "weights", None) is not None:
-        config["weights"] = args.weights
-    if getattr(args, "restarts", None) is not None:
-        config["restarts"] = args.restarts
-
-
-def _add_common(parser: argparse.ArgumentParser, with_config: bool = True) -> None:
-    if with_config:
-        parser.add_argument("--config", help="JSON configuration file")
-    parser.add_argument("--scheme", action="append",
-                        help="scheme selection (repeatable for region)")
-    parser.add_argument("--seed", type=int, help="optimizer seed override")
-    parser.add_argument("--weights", type=int, help="number of scalarization weights")
-    parser.add_argument("--restarts", type=int, help="multi-start restarts per weight")
+    for key in ("seed", "weights", "restarts"):
+        if getattr(args, key) is not None:
+            config[key] = getattr(args, key)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -367,25 +353,27 @@ def build_parser() -> argparse.ArgumentParser:
         prog="coopic",
         description="Rate regions for the half-duplex cooperative interference channel")
     sub = parser.add_subparsers(dest="command", required=True)
-
     p_eval = sub.add_parser("eval", help="evaluate one allocation")
-    _add_common(p_eval)
-    p_eval.set_defaults(func=cmd_eval)
-
     p_region = sub.add_parser("region", help="trace frontiers to CSV")
-    _add_common(p_region)
-    p_region.add_argument("--out", help="output CSV path")
-    p_region.set_defaults(func=cmd_region)
-
     p_bounds = sub.add_parser("bounds", help="print outer bounds")
-    _add_common(p_bounds)
-    p_bounds.set_defaults(func=cmd_bounds)
-
     p_cmp = sub.add_parser("compare", help="dominance verdict for two configs")
     p_cmp.add_argument("config_a")
     p_cmp.add_argument("config_b")
-    _add_common(p_cmp, with_config=False)
-    p_cmp.set_defaults(func=cmd_compare)
+
+    # Each subcommand registers only the flags it reads.
+    for p in (p_eval, p_region, p_bounds):
+        p.add_argument("--config", help="JSON configuration file")
+    for p in (p_eval, p_region, p_cmp):
+        p.add_argument("--scheme", action="append",
+                       help="scheme selection (repeatable for region)")
+    for p in (p_region, p_cmp):
+        p.add_argument("--seed", type=int, help="optimizer seed override")
+        p.add_argument("--weights", type=int, help="number of scalarization weights")
+        p.add_argument("--restarts", type=int, help="multi-start restarts per weight")
+    p_region.add_argument("--out", help="output CSV path")
+    for p, func in ((p_eval, cmd_eval), (p_region, cmd_region), (p_bounds, cmd_bounds),
+                    (p_cmp, cmd_compare)):
+        p.set_defaults(func=func)
     return parser
 
 

@@ -6,8 +6,8 @@ each other a Wyner-Ziv-compressed copy of their phase-1 observation plus a
 re-encoded relayed data stream, while the sources keep sending fresh data.
 Decoding of the phase-1 signals then uses the equivalent one-transmit /
 two-receive-antenna interference channel formed by each receiver's own
-observation and the compressed copy of its peer's, split into four cases by
-equivalent interference strength.
+observation and the compressed copy of its peer's, by ``bounds.ic_pentagon``;
+the c34 = +inf limit is its lossless (zeta = 1) case over the whole block.
 
 Each rate formula exists once, as a kernel on plain floats, for both
 receivers (``_listen``): gains ``c`` and powers ``pw`` from
@@ -166,33 +166,13 @@ def _compression(c, pw, s, r1_s: float, r2_s: float):
             (rz1 * c13, c14), (rz1 * c23, c24), p1_1, p2_1)
 
 
-def _sqnorm(v) -> float:
-    return v[0] * v[0] + v[1] * v[1]
-
-
 def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
-    """Phase-1 rate pair from the last six fields of the equivalent channel.
-
-    Both interferences strong (ties count as strong): joint decoding, the
-    pentagon corner picked by ``weight``; one strong: that receiver cancels
-    it, the other treats it as noise; both weak: both treat it as noise.
-    A receiver's own rate is cap(p |v|^2), its joint rate log2 ``det_pair``
-    and its rate with interference as noise that determinant over the
-    interferer's 1 + q |w|^2 (a quotient of at least 1, so never negative).
-    """
+    """Phase-1 rate pair from the last six fields of the equivalent channel:
+    the ``weight`` corner of its ``bounds.ic_pentagon``, scaled by lambda1."""
     if lambda1 == 0.0:
         return (0.0, 0.0)
-    c13v, c23v, c14v, c24v, p1, p2 = eq
-    own1, own2 = cap(p1 * _sqnorm(c13v)), cap(p2 * _sqnorm(c24v))
-    joint3, joint4 = det_pair(c13v, p1, c23v, p2), det_pair(c24v, p2, c14v, p1)
-    strong_at_4 = _sqnorm(c14v) >= _sqnorm(c13v)
-    strong_at_3 = _sqnorm(c23v) >= _sqnorm(c24v)
-    if strong_at_4 and strong_at_3:
-        a12 = math.log2(min(joint3, joint4))
-        return bounds.pentagon_corner(lambda1 * own1, lambda1 * own2, lambda1 * a12, weight)
-    r1 = own1 if strong_at_3 else math.log2(joint3 / (1.0 + p2 * _sqnorm(c23v)))
-    r2 = own2 if strong_at_4 else math.log2(joint4 / (1.0 + p1 * _sqnorm(c14v)))
-    return (lambda1 * r1, lambda1 * r2)
+    a1, a2, a12 = bounds.ic_pentagon(*eq)
+    return bounds.pentagon_corner(lambda1 * a1, lambda1 * a2, lambda1 * a12, weight)
 
 
 def _stream_rates(c, pw, s, weight: float):
@@ -246,16 +226,13 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
 def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> RatePair:
     """Rate pair in the infinite-conferencing limit (c34 = +inf).
 
-    Phase 1 fills the whole block, compression is lossless, and the scheme
-    becomes the two-user one-transmit/two-receive-antenna multiple-access
-    channel; the pair is the ``weight``-selected pentagon corner.
+    Phase 1 fills the whole block and compression is lossless (zeta = 1), so
+    the scheme becomes the two-user one-transmit/two-receive-antenna
+    multiple-access channel; the pair is its ``weight``-selected corner.
     """
     if not math.isinf(g.c34):
         raise NotInfinite("c34 is finite; use rc_rate_pair")
-    mac = bounds.OuterBound(r1_max=cap(p.p1 * _sqnorm(g.h1)),
-                            r2_max=cap(p.p2 * _sqnorm(g.h2)),
-                            sum_max=bounds.mimo_mac_sum_bound(g, p), kind="RC_inf")
-    return RatePair(*mac.corner(weight))
+    return RatePair(*_phase1((g.h1, g.h2, g.h1, g.h2, p.p1, p.p2), 1.0, weight))
 
 
 def rc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

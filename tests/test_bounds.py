@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers
-from coopic.model import ChannelGains, NotStrongInterference, PowerBudget, cap
+from coopic.model import ChannelGains, EvaluatorError, NotStrongInterference, PowerBudget, cap
 from coopic import bounds
 
 SQRT2 = math.sqrt(2.0)
@@ -294,6 +294,29 @@ def test_outer_bound_geometry():
     loose = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=5.0, kind="TC")
     assert loose.vertices() == [(1.0, 1.0)]
     assert all(loose.corner(w) == (1.0, 1.0) for w in (0.0, 1.0, math.inf))
+    box = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=math.inf, kind="IC")
+    assert all(box.corner(w) == (1.0, 1.0) for w in (0.0, 1.0, 2.5, math.inf))
+
+
+@pytest.mark.parametrize("weight", [math.nan, -1.0, -math.inf])
+def test_pentagon_corner_rejects_bad_weight(weight):
+    with pytest.raises(EvaluatorError):
+        bounds.pentagon_corner(3.0, 2.0, 4.0, weight)
+    with pytest.raises(EvaluatorError):
+        bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=math.inf, kind="TC").corner(weight)
+
+
+def test_ic_pentagon_is_a_box_unless_both_interferences_strong():
+    # (strong at receiver 4, strong at receiver 3) for each case
+    u1, v2, p1, p2 = (1.0, 0.2), (0.1, 1.0), 3.0, 2.0
+    for strong4, strong3 in ((True, True), (True, False), (False, True), (False, False)):
+        v1 = (0.2, 1.4) if strong4 else (0.2, 0.4)
+        u2 = (0.8, 0.9) if strong3 else (0.8, 0.3)
+        a1, a2, a12 = bounds.ic_pentagon(u1, u2, v1, v2, p1, p2)
+        assert math.isinf(a12) == (not (strong4 and strong3))
+        # a receiver that cancels its interference gets its own user's single-user rate
+        assert (a1 == pytest.approx(cap(p1 * 1.04), rel=1e-14)) == strong3
+        assert (a2 == pytest.approx(cap(p2 * 1.01), rel=1e-14)) == strong4
 
 
 def test_strong_ic_region(ref_gains, ref_powers):

@@ -139,6 +139,8 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     # a scalarization weight must be in [0, +inf]
     ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": -1.0}, []),
     ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": math.nan}, []),
+    # eval evaluates one scheme: a second --scheme is an error, not ignored
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION}, ["--scheme", "RC", "--scheme", "TC"]),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"
@@ -158,7 +160,10 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     ("eval", {"scheme": 5, "allocation": TC_ALLOCATION}),
     ("region", {"schemes": ["RC", "rc"]}),  # one scheme traced twice
 ])
-def test_bad_config_types_exit_2(tmp_path, capsys, command, config):
+def test_bad_config_types_exit_2(tmp_path, monkeypatch, capsys, command, config):
+    # run in tmp_path: a region case that stopped failing would write its default out
+    # there, and an --out flag would hide the bad "out" value of the third case
+    monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
     assert run([command, "--config", str(path)]) == cli.EXIT_VALIDATION
@@ -315,6 +320,29 @@ def test_bounds_reports_non_strong_ic(tmp_path, capsys):
     assert run(["bounds", "--config", cfg]) == 0
     record = json.loads(capsys.readouterr().out)
     assert "error" in record["IC"]
+
+
+@pytest.mark.parametrize("args", [
+    ["eval", "--seed", "3"],
+    ["eval", "--weights", "9"],
+    ["eval", "--restarts", "0"],
+    ["bounds", "--scheme", "XX"],
+    ["bounds", "--seed", "3"],
+    ["bounds", "--weights", "9"],
+    ["bounds", "--restarts", "0"],
+])
+def test_unread_flags_exit_2(tmp_path, capsys, args):
+    # a subcommand registers only the flags it reads; argparse rejects the rest
+    with pytest.raises(SystemExit) as exc:
+        run([*args, "--config", write_config(tmp_path)])
+    assert exc.value.code == cli.EXIT_VALIDATION
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
+def test_compare_repeated_scheme_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path, scheme="TC")
+    assert run(["compare", cfg, cfg, "--scheme", "TC", "--scheme", "RC"]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: ")
 
 
 def test_compare_identical_configs(tmp_path, capsys):

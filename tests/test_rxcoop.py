@@ -17,6 +17,7 @@ from conftest import (
 )
 from coopic.model import (
     ChannelGains,
+    EvaluatorError,
     InfiniteGain,
     InvalidAllocation,
     NotInfinite,
@@ -27,7 +28,7 @@ from coopic.model import (
     cap,
     det_pair,
 )
-from coopic import model, rxcoop
+from coopic import bounds, model, rxcoop
 from reference_eval import rc_reference
 
 SQRT2 = math.sqrt(2.0)
@@ -309,6 +310,16 @@ def test_rate_pair_nonnegative_finite():
         assert math.isfinite(pair.r1) and math.isfinite(pair.r2)
 
 
+@pytest.mark.parametrize("weight", [math.nan, -1.0])
+def test_rate_pair_rejects_bad_weight(ref_gains, ref_powers, weight):
+    # uniform shares: both equivalent interferences strong, so the weight picks a corner
+    with pytest.raises(EvaluatorError):
+        rxcoop.rc_rate_pair(ref_gains, ref_powers, make_alloc(), weight=weight)
+    g = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=math.inf)
+    with pytest.raises(EvaluatorError):
+        rxcoop.rc_limit_rate_pair(g, ref_powers, weight=weight)
+
+
 def test_rate_pair_rejects_infinite_gain(ref_powers):
     g = ChannelGains(c12=1.0, c13=1.0, c14=1.0, c23=1.0, c24=1.0, c34=math.inf)
     with pytest.raises(InfiniteGain):
@@ -331,6 +342,20 @@ def test_limit_pentagon_values(ref_powers):
     assert corner1.r1 == pytest.approx(4.0, rel=1e-13)
     assert corner1.total == pytest.approx(math.log2(56.0), rel=1e-13)
     assert corner2.r2 == pytest.approx(4.0, rel=1e-13)
+
+
+def test_limit_sum_is_the_mac_sum_bound():
+    # claim 2's identity: the limit's dominant corners lie on the two-antenna
+    # multiple-access sum bound, computed apart from the limit's pentagon
+    rng = np.random.default_rng(12)
+    worst = 0.0
+    for _ in range(2000):
+        g, p = random_gains(rng), random_powers(rng)
+        g = ChannelGains(g.c12, g.c13, g.c14, g.c23, g.c24, math.inf)
+        want = bounds.mimo_mac_sum_bound(g, p)
+        for w in (0.0, math.inf):
+            worst = max(worst, abs(rxcoop.rc_limit_rate_pair(g, p, weight=w).total - want) / want)
+    assert worst <= 1e-14
 
 
 def test_limit_region_zero_powers():
