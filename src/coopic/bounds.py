@@ -27,6 +27,7 @@ import numpy as np
 from .model import (
     ChannelGains,
     NotStrongInterference,
+    POWER_MAX,
     PowerBudget,
     _LN2,
     _check_range,
@@ -305,8 +306,7 @@ def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
     global; the two endpoints are evaluated exactly because the search never
     reaches them.
     """
-    if p_total < 0.0:
-        raise ValueError(f"p_total must be nonnegative, got {p_total}")
+    _check_range("p_total", p_total, 2 * POWER_MAX)
     if p_total == 0.0:
         return 0.0
 
@@ -367,7 +367,8 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
     """
     from .frontier import hull  # local import: bounds stays usable without frontier
 
-    if p_total <= 0.0:
+    _check_range("p_total", p_total, 2 * POWER_MAX)
+    if p_total == 0.0:
         return [(0.0, 0.0)]
     n1 = g.g1[0] ** 2 + g.g1[1] ** 2
     n2 = g.g2[0] ** 2 + g.g2[1] ** 2

@@ -12,17 +12,21 @@ finds the global maximizer; otherwise it is an inner approximation.
 ``trace`` also routes infinite conferencing gains to the limit tracers.
 
 The search is this module's ``minimize``, which takes exactly the steps of
-scipy's Nelder-Mead with the options the tracer used to pass it, so the
-package needs numpy alone.  The order of tied vertices (penalties,
-coordinates the objective ignores) is the one ``np.argsort`` gives.  Each
-evaluation hands the vertex to the objective as a list of floats, squares
-each simplex block once into the shares the allocation's simplices would
-store, and scores them with the scheme's float kernel
-(``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...); no dataclass is built per
-evaluation.  Each Nelder-Mead result is then re-validated through the public
-decoder and rate pair, which build the returned allocation and give the same
-floats.  ``Frontier.stats`` counts the evaluations, the penalized ones by
-error type, and the runs that did not converge.
+scipy's Nelder-Mead, so the package needs numpy alone.  The order of tied
+vertices (penalties, coordinates the objective ignores) is the one
+``np.argsort`` gives.  Each search space (``_TC``, ``_RC``, ``_LIMIT``) is
+one ``_Space``: the simplex block sizes of its search vector and its corner
+starts.  ``_searches`` lists what a trace runs, one (space, score,
+revalidate) search for TC, RDPC and RC and one per encoding order for TC at
+c12 = +inf, and ``_sweep`` runs each search over every weight and restart.
+``score`` squares each simplex block of a vertex (a list of floats) once
+into the shares the allocation's simplices would store and scores them with
+the scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
+no dataclass is built per evaluation.  ``revalidate`` passes each
+Nelder-Mead result through the public decoder and rate pair, which build the
+returned allocation and give the same floats.  ``Frontier.stats`` counts the
+evaluations, the penalized ones by error type, and the runs that did not
+converge.
 
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
@@ -31,6 +35,7 @@ function of (seed, j, k), so growing the restart budget only appends starts.
 from __future__ import annotations
 
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -79,13 +84,6 @@ _SIMPLEX_STEP = 0.5
 # Nelder-Mead stopping tolerances on the objective and on the vertices.
 _FATOL = 1e-9
 _XATOL = 1e-8
-# Simplex block sizes of each search vector, in allocation field order.
-_TC_BLOCKS = (3, 2, 2, 2, 2, 3, 3)
-_RC_BLOCKS = (3, 3, 3, 2, 2)
-_LIMIT_BLOCKS = (3, 3)
-_TC_DIM = sum(_TC_BLOCKS)
-_RC_DIM = sum(_RC_BLOCKS)
-_LIMIT_DIM = sum(_LIMIT_BLOCKS)
 
 
 def default_weights(n: int = 33) -> tuple[float, ...]:
@@ -100,7 +98,8 @@ def default_weights(n: int = 33) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class TraceOptions:
     """Optimizer budget and reproducibility knobs; at least one weight, each
-    in [0, +inf], and restarts and max_iter at least 1."""
+    in [0, +inf], integer restarts and max_iter at least 1, and an integer
+    seed at least 0."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
@@ -111,8 +110,14 @@ class TraceOptions:
         # No weight would return the origin alone; a NaN one, NaN objectives.
         if not self.weights or not all(w >= 0.0 for w in self.weights):
             raise ValueError(f"weights {self.weights}: need at least one, each >= 0 or inf")
-        if self.restarts < 1 or self.max_iter < 1:
-            raise ValueError(f"restarts {self.restarts}, max_iter {self.max_iter}: need >= 1")
+        try:
+            valid = (operator.index(self.restarts) >= 1 and operator.index(self.max_iter) >= 1
+                     and operator.index(self.seed) >= 0)
+        except TypeError:  # a float or other non-integer count
+            valid = False
+        if not valid:
+            raise ValueError(f"restarts {self.restarts!r}, max_iter {self.max_iter!r}, seed "
+                             f"{self.seed!r}: need integers, counts >= 1 and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -130,11 +135,6 @@ class TraceStats:
     penalized: dict[str, int] = field(default_factory=dict)
     runs: int = 0
     unconverged: int = 0
-
-    def __add__(self, other: "TraceStats") -> "TraceStats":
-        penalized = Counter(self.penalized) + Counter(other.penalized)
-        return TraceStats(self.evaluations + other.evaluations, dict(sorted(penalized.items())),
-                          self.runs + other.runs, self.unconverged + other.unconverged)
 
 
 @dataclass(frozen=True)
@@ -199,65 +199,66 @@ def _decode(xs: list[float], blocks) -> list[float]:
 
 
 def _simplices(x, blocks) -> list:
+    if len(x) != sum(blocks):
+        raise ValueError(f"expected {sum(blocks)} coordinates, got {len(x)}")
     return [(Simplex2 if len(block) == 2 else Simplex3)(*block)
             for block in _squares([float(v) for v in x], blocks)]
 
 
-def tc_allocation_from_vector(x) -> TcAllocation:
-    """Map an unconstrained 17-vector to a transmitter-cooperation allocation."""
-    if len(x) != _TC_DIM:
-        raise ValueError(f"expected {_TC_DIM} coordinates, got {len(x)}")
-    return TcAllocation(*_simplices(x, _TC_BLOCKS))
+class _Space(NamedTuple):
+    """A search space: the simplex block sizes of its search vector, in
+    allocation field order, and the explicit starts of each weight's first
+    restarts."""
+
+    blocks: tuple[int, ...]
+    corners: tuple[tuple[float, ...], ...]
 
 
-def rc_allocation_from_vector(x) -> RcAllocation:
-    """Map an unconstrained 13-vector to a receiver-cooperation allocation."""
-    if len(x) != _RC_DIM:
-        raise ValueError(f"expected {_RC_DIM} coordinates, got {len(x)}")
-    return RcAllocation(*_simplices(x, _RC_BLOCKS))
-
-
-def _limit_splits_from_vector(x) -> tuple[Simplex3, Simplex3]:
-    mu, eta = _simplices(x, _LIMIT_BLOCKS)
-    return mu, eta
-
-
-# Explicit boundary starts: zero-duration phases always paired with zero
-# power mass so every start evaluates cleanly.
-_TC_CORNER_STARTS = (
+# The corner starts pair zero-duration phases with zero power mass, so every
+# start evaluates cleanly.
+_TC = _Space((3, 2, 2, 2, 2, 3, 3), (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (1, 0, 1.4, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1),
     (0, 1, 1.4, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0),
     (1, 1, 1.4, 1, 1, 1, 1, 1, 0.5, 1, 0.5, 1, 2, 1, 1, 2, 1),
     (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0),
-)
-
-_RC_CORNER_STARTS = (
+))
+_RC = _Space((3, 3, 3, 2, 2), (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (1.4, 1, 1, 1.4, 1, 1, 1.4, 1, 1, 1, 1, 1, 1),
     (1, 1, 0.3, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1),
     (1, 0.3, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0),
     (0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1),
-)
-
-_LIMIT_CORNER_STARTS = (
+))
+# The two joint-phase power splits (mu, eta) of TC at c12 = +inf.
+_LIMIT = _Space((3, 3), (
     (1, 1, 1, 1, 1, 1),
     (0, 1, 0, 0, 0, 1),
     (0, 0, 1, 0, 1, 0),
     (0, 1, 0, 0, 1, 0),
     (1, 0, 0, 1, 0, 0),
     (0, 1, 1, 0, 1, 1),
-)
+))
 
 
-def _start_vector(seed: int, weight_index: int, restart_index: int, dim: int,
-                  corners) -> np.ndarray:
-    if restart_index < len(corners):
-        return np.asarray(corners[restart_index], dtype=float)
+def tc_allocation_from_vector(x) -> TcAllocation:
+    """Map an unconstrained 17-vector to a transmitter-cooperation allocation."""
+    return TcAllocation(*_simplices(x, _TC.blocks))
+
+
+def rc_allocation_from_vector(x) -> RcAllocation:
+    """Map an unconstrained 13-vector to a receiver-cooperation allocation."""
+    return RcAllocation(*_simplices(x, _RC.blocks))
+
+
+def _start_vector(seed: int, weight_index: int, restart_index: int,
+                  space: _Space) -> np.ndarray:
+    if restart_index < len(space.corners):
+        return np.asarray(space.corners[restart_index], dtype=float)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(seed, weight_index, restart_index)))
-    return rng.standard_normal(dim)
+    return rng.standard_normal(sum(space.blocks))
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
@@ -357,12 +358,6 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     return SearchResult(sim[0], nfev, nfev < max_fev and iterations < max_iter)
 
 
-def _scalarize(r1: float, r2: float, weight: float) -> float:
-    if math.isinf(weight):
-        return r2
-    return r1 + weight * r2
-
-
 def _neg_objective(score, weight: float, penalized: Counter):
     """The function a search minimizes: -(r1 + weight*r2) of a search vector,
     or _PENALTY, counted in ``penalized`` by error type, when ``score`` raises."""
@@ -373,44 +368,46 @@ def _neg_objective(score, weight: float, penalized: Counter):
         except EvaluatorError as exc:
             penalized[type(exc).__name__] += 1
             return _PENALTY
-        return -_scalarize(r1, r2, weight)
+        return -r2 if math.isinf(weight) else -(r1 + weight * r2)
 
     return f
 
 
-def _sweep(score, revalidate, dim: int, corners, opts: TraceOptions):
-    """Multi-start direct search per weight.
+def _sweep(searches, opts: TraceOptions):
+    """Multi-start direct search: each search, then each weight, then each restart.
 
+    ``searches`` are (space, score, revalidate) triples (see ``_searches``).
     Each start is one ``minimize`` run with ``max_iter=opts.max_iter`` (at
     most twice as many evaluations); tied vertices rank in ``np.argsort``'s
     order, so the runs are those scipy's Nelder-Mead would make.
     ``score(xs, weight)`` maps the coordinates of a search vector (a list of
     floats) to (r1, r2) or raises EvaluatorError; ``revalidate(x, weight)``
     maps a search result to (r1, r2, allocation) through the public API.
-    Returns the re-validated maximizers and the search's ``TraceStats``.
+    Returns the re-validated maximizers and the trace's ``TraceStats``.
     """
     candidates: list[tuple[float, float, float, object]] = []
     penalized: Counter = Counter()
     evaluations = runs = unconverged = 0
-    for widx, w in enumerate(opts.weights):
-        objective = _neg_objective(score, w, penalized)
-        for ridx in range(opts.restarts):
-            x0 = _start_vector(opts.seed, widx, ridx, dim, corners)
-            result = minimize(objective, x0, opts.max_iter)
-            evaluations += result.nfev
-            runs += 1
-            unconverged += not result.success
-            try:
-                r1, r2, alloc = revalidate(result.x, w)
-            except EvaluatorError:
-                continue
-            candidates.append((r1, r2, w, alloc))
+    for space, score, revalidate in searches:
+        for widx, w in enumerate(opts.weights):
+            objective = _neg_objective(score, w, penalized)
+            for ridx in range(opts.restarts):
+                x0 = _start_vector(opts.seed, widx, ridx, space)
+                result = minimize(objective, x0, opts.max_iter)
+                evaluations += result.nfev
+                runs += 1
+                unconverged += not result.success
+                try:
+                    r1, r2, alloc = revalidate(result.x, w)
+                except EvaluatorError:
+                    continue
+                candidates.append((r1, r2, w, alloc))
     stats = TraceStats(evaluations, dict(sorted(penalized.items())), runs, unconverged)
     return candidates, stats
 
 
-def _build_frontier(candidates, scheme: str, opts: TraceOptions,
-                    stats: TraceStats) -> Frontier:
+def _build_frontier(candidates, stats: TraceStats, scheme: str,
+                    opts: TraceOptions) -> Frontier:
     by_vertex: dict[tuple[float, float], tuple[float, object]] = {}
     for r1, r2, w, alloc in candidates:
         by_vertex.setdefault((r1, r2), (w, alloc))
@@ -422,13 +419,43 @@ def _build_frontier(candidates, scheme: str, opts: TraceOptions,
     return Frontier(points=tuple(points), scheme=scheme, options=opts, stats=stats)
 
 
-def _tc_search(scheme: str, g: ChannelGains, p: PowerBudget):
-    """(score, revalidate) of a TC or RDPC search (see ``_sweep``)."""
+def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
+    """The (space, score, revalidate) searches of a "TC", "RDPC", "RC" or
+    "TC_inf" trace, in sweep order (see ``_sweep``).  TC_inf has one search
+    per encoding order, user 1's first.  Kernels are looked up here and rate
+    pairs and decoders at each call, never at import."""
     c, pw = kernel_args(g, p)
-    kernel = txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel
+    if scheme == "RC":
+        kernel, blocks = rxcoop.rc_kernel, _RC.blocks
+
+        def score(xs, w):
+            return kernel(c, pw, _decode(xs, blocks), w)
+
+        def revalidate(x, w):
+            alloc = rc_allocation_from_vector(x)
+            pair = rxcoop.rc_rate_pair(g, p, alloc, weight=w)
+            return pair.r1, pair.r2, alloc
+
+        return [(_RC, score, revalidate)]
+    if scheme == "TC_inf":
+        kernel, blocks = txcoop.tc_limit_kernel, _LIMIT.blocks
+
+        def in_order(user1_clean):
+            def score(xs, _w):
+                return kernel(c, pw, _decode(xs, blocks), user1_clean)
+
+            def revalidate(x, _w):
+                mu, eta = _simplices(x, blocks)
+                pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, user1_clean)
+                return pair.r1, pair.r2, (mu, eta, user1_clean)
+
+            return _LIMIT, score, revalidate
+
+        return [in_order(True), in_order(False)]
+    kernel, blocks = (txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel), _TC.blocks
 
     def score(xs, _w):
-        return kernel(c, pw, _decode(xs, _TC_BLOCKS))
+        return kernel(c, pw, _decode(xs, blocks))
 
     def revalidate(x, _w):
         alloc = tc_allocation_from_vector(x)
@@ -436,39 +463,7 @@ def _tc_search(scheme: str, g: ChannelGains, p: PowerBudget):
         pair = pair_fn(g, p, alloc)
         return pair.r1, pair.r2, alloc
 
-    return score, revalidate
-
-
-def _rc_search(g: ChannelGains, p: PowerBudget):
-    """(score, revalidate) of an RC search (see ``_sweep``)."""
-    c, pw = kernel_args(g, p)
-    kernel = rxcoop.rc_kernel
-
-    def score(xs, w):
-        return kernel(c, pw, _decode(xs, _RC_BLOCKS), w)
-
-    def revalidate(x, w):
-        alloc = rc_allocation_from_vector(x)
-        pair = rxcoop.rc_rate_pair(g, p, alloc, weight=w)
-        return pair.r1, pair.r2, alloc
-
-    return score, revalidate
-
-
-def _tc_limit_search(g: ChannelGains, p: PowerBudget, user1_clean: bool):
-    """(score, revalidate) of a c12 = +inf search in one encoding order."""
-    c, pw = kernel_args(g, p)
-    kernel = txcoop.tc_limit_kernel
-
-    def score(xs, _w):
-        return kernel(c, pw, _decode(xs, _LIMIT_BLOCKS), user1_clean)
-
-    def revalidate(x, _w):
-        mu, eta = _limit_splits_from_vector(x)
-        pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, user1_clean)
-        return pair.r1, pair.r2, (mu, eta, user1_clean)
-
-    return score, revalidate
+    return [(_TC, score, revalidate)]
 
 
 def trace(scheme: str, g: ChannelGains, p: PowerBudget,
@@ -487,16 +482,12 @@ def trace(scheme: str, g: ChannelGains, p: PowerBudget,
         return trace_tc_limit(g, p, opts)
     if scheme == "RC" and math.isinf(g.c34):
         return trace_rc_limit(g, p, opts)
-    opts = opts or TraceOptions()
-    if scheme in ("TC", "RDPC"):
-        if math.isinf(g.c12):
-            raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
-        candidates, stats = _sweep(*_tc_search(scheme, g, p), _TC_DIM, _TC_CORNER_STARTS, opts)
-    elif scheme == "RC":
-        candidates, stats = _sweep(*_rc_search(g, p), _RC_DIM, _RC_CORNER_STARTS, opts)
-    else:
+    if scheme not in ("TC", "RDPC", "RC"):
         raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")
-    return _build_frontier(candidates, scheme, opts, stats)
+    if scheme == "RDPC" and math.isinf(g.c12):
+        raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
+    opts = opts or TraceOptions()
+    return _build_frontier(*_sweep(_searches(scheme, g, p), opts), scheme, opts)
 
 
 def _limit_options(opts: TraceOptions | None) -> TraceOptions:
@@ -518,13 +509,7 @@ def trace_tc_limit(g: ChannelGains, p: PowerBudget,
     if not math.isinf(g.c12):
         raise NotInfinite("c12 is finite; use frontier.trace")
     opts = _limit_options(opts)
-    candidates, stats = [], TraceStats()
-    for user1_clean in (True, False):
-        found, order_stats = _sweep(*_tc_limit_search(g, p, user1_clean), _LIMIT_DIM,
-                                    _LIMIT_CORNER_STARTS, opts)
-        candidates += found
-        stats += order_stats
-    return _build_frontier(candidates, "TC_inf", opts, stats)
+    return _build_frontier(*_sweep(_searches("TC_inf", g, p), opts), "TC_inf", opts)
 
 
 def trace_rc_limit(g: ChannelGains, p: PowerBudget,
@@ -540,7 +525,7 @@ def trace_rc_limit(g: ChannelGains, p: PowerBudget,
     for w in (0.0, math.inf):
         pair = rxcoop.rc_limit_rate_pair(g, p, weight=w)
         candidates.append((pair.r1, pair.r2, w, None))
-    return _build_frontier(candidates, "RC_inf", _limit_options(opts), TraceStats())
+    return _build_frontier(candidates, TraceStats(), "RC_inf", _limit_options(opts))
 
 
 # ---------------------------------------------------------------------------
@@ -595,10 +580,8 @@ def hull(points) -> list[tuple[float, float]]:
 
 
 def _ceiling(vertices_desc, x: float) -> float:
-    """Max r2 of the region at abscissa x; -inf beyond the region's r1 reach."""
+    """Max r2 of the region at abscissa x, which is at most its r1 reach."""
     v = vertices_desc
-    if x > v[0][0]:
-        return -math.inf
     if x <= v[-1][0]:
         return v[-1][1]
     for i in range(len(v) - 1):
@@ -618,8 +601,6 @@ def _ceiling(vertices_desc, x: float) -> float:
 
 
 def _vertices_of(region) -> list[tuple[float, float]]:
-    if isinstance(region, Frontier):
-        return region.vertices()
     if hasattr(region, "vertices"):
         return list(region.vertices())
     return list(region)

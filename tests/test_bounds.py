@@ -233,6 +233,15 @@ def test_bc_sum_bound_values(ref_gains):
     assert got == pytest.approx(math.log2(56.0), abs=1e-9)
 
 
+@pytest.mark.parametrize("p_total", [math.nan, math.inf, 1e300, -1.0])
+def test_broadcast_bounds_reject_bad_total_power(ref_gains, p_total):
+    # NaN used to give a NaN bound, 1e300 an infinite one, and -1 the origin
+    # as a broadcast region.
+    for fn in (bounds.mimo_bc_sum_bound, bounds.bc_region_vertices):
+        with pytest.raises(EvaluatorError, match="p_total"):
+            fn(ref_gains, p_total)
+
+
 def test_bc_sum_bound_rank1_reduction():
     g = gains_with(c14=0.0, c24=0.0)  # second receiver deaf
     norm = g.c13 ** 2 + g.c23 ** 2

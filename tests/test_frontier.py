@@ -149,10 +149,6 @@ def _search_vector(rng, dim):
     return x
 
 
-def _public_pair(pair):
-    return (pair.r1, pair.r2)
-
-
 # Search vectors are also scaled to extremes: at 1e-150 a block's squares can
 # sum below the 1e-300 floor (the uniform block), at 1e-160 they underflow,
 # and at 1e160 they overflow, which the decoders reject as InvalidAllocation.
@@ -161,42 +157,23 @@ _SCALES = (1.0, 1e150, 1e-150, 1e160, 1e-160)
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_search_objective_matches_public_rate_pair(scheme):
-    # The search scores each evaluation with the float kernels; the public
-    # decode plus rate pair must give exactly the same floats, or raise the
-    # same EvaluatorError subclass.
+    # Each search scores its evaluations with a float kernel; its revalidate,
+    # the public decode plus rate pair that the trace calls, must give exactly
+    # the same floats, or raise the same EvaluatorError subclass.
     rng = np.random.default_rng(55)
     outcomes = {scale: set() for scale in _SCALES}
+    weights = (0.0, 1.0, 2.5, math.inf) if scheme == "RC" else (1.0,)  # only RC reads it
     for _ in range(1500):
         g, p = random_gains(rng), random_powers(rng)
         if scheme == "TC_inf":
             g = dataclasses.replace(g, c12=math.inf)
-            x0 = _search_vector(rng, 6)
-            for scale, order in itertools.product(_SCALES, (True, False)):
-                x = x0 * scale
-                score, _ = frontier._tc_limit_search(g, p, order)
-                want = _outcome(lambda: _public_pair(txcoop.tc_limit_rate_pair(
-                    g, p, *frontier._limit_splits_from_vector(x), order)))
-                assert _outcome(lambda: score(x.tolist(), 1.0)) == want
-                outcomes[scale].add(want if isinstance(want, type) else tuple)
-        elif scheme == "RC":
-            score, _ = frontier._rc_search(g, p)
-            x0 = _search_vector(rng, 13)
-            for scale, w in itertools.product(_SCALES, (0.0, 1.0, 2.5, math.inf)):
-                x = x0 * scale
-                want = _outcome(lambda: _public_pair(rxcoop.rc_rate_pair(
-                    g, p, frontier.rc_allocation_from_vector(x), weight=w)))
-                assert _outcome(lambda: score(x.tolist(), w)) == want
-                outcomes[scale].add(want if isinstance(want, type) else tuple)
-        else:
-            score, _ = frontier._tc_search(scheme, g, p)
-            pair_fn = txcoop.tc_rate_pair if scheme == "TC" else txcoop.rdpc_rate_pair
-            x0 = _search_vector(rng, 17)
-            for scale in _SCALES:
-                x = x0 * scale
-                want = _outcome(lambda: _public_pair(
-                    pair_fn(g, p, frontier.tc_allocation_from_vector(x))))
-                assert _outcome(lambda: score(x.tolist(), 1.0)) == want
-                outcomes[scale].add(want if isinstance(want, type) else tuple)
+        searches = frontier._searches(scheme, g, p)
+        x0 = _search_vector(rng, sum(searches[0][0].blocks))
+        for (_, score, revalidate), scale, w in itertools.product(searches, _SCALES, weights):
+            x = x0 * scale
+            want = _outcome(lambda: revalidate(x, w)[:2])
+            assert _outcome(lambda: score(x.tolist(), w)) == want
+            outcomes[scale].add(want if isinstance(want, type) else tuple)
     assert tuple in outcomes[1.0]
     if scheme != "TC_inf":  # zeroed coordinates reach the error paths
         assert len(outcomes[1.0]) >= 2
@@ -235,21 +212,17 @@ def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref
     for g in (ref_gains, random_gains(rng)):
         if scheme == "TC_inf":
             g = dataclasses.replace(g, c12=math.inf)
-            score, _ = frontier._tc_limit_search(g, ref_powers, True)
-            dim, corners = frontier._LIMIT_DIM, frontier._LIMIT_CORNER_STARTS
-        elif scheme == "RC":
-            score, _ = frontier._rc_search(g, ref_powers)
-            dim, corners = frontier._RC_DIM, frontier._RC_CORNER_STARTS
-        else:
-            score, _ = frontier._tc_search(scheme, g, ref_powers)
-            dim, corners = frontier._TC_DIM, frontier._TC_CORNER_STARTS
-        starts = [np.asarray(c, dtype=float) for c in corners[1:3]]
+        searches = frontier._searches(scheme, g, ref_powers)
+        space = searches[0][0]
+        dim = sum(space.blocks)
+        starts = [np.asarray(c, dtype=float) for c in space.corners[1:3]]
         starts += [rng.standard_normal(dim) for _ in range(2)]
-        for x0, w in zip(starts, (0.0, 1.0, 2.5, math.inf)):
+        for (_, score, _), (x0, w) in itertools.product(
+                searches, zip(starts, (0.0, 1.0, 2.5, math.inf))):
             for max_iter in (3, 25, 250):  # 6 evaluations cannot finish the first simplex
                 run = _same_run(frontier._neg_objective(score, w, Counter()), x0, max_iter)
                 early += run.nfev < dim + 1
-    assert early == 8
+    assert early == 8 * len(searches)
 
 
 def test_minimize_takes_scipys_steps_on_toy_objectives():
@@ -294,6 +267,17 @@ def test_trace_options_reject_empty_weights():
         with pytest.raises(ValueError, match="weights"):
             frontier.TraceOptions(weights=weights)
     assert frontier.TraceOptions(weights=(0.0, -0.0, math.inf)).weights[-1] == math.inf
+
+
+@pytest.mark.parametrize("field, value", [
+    ("restarts", 7.5), ("restarts", 0), ("max_iter", 2.0), ("max_iter", "3"),
+    ("seed", -1), ("seed", 1.5), ("seed", None)])
+def test_trace_options_reject_bad_counts(field, value):
+    # A float count used to pass and the trace raised TypeError; a negative
+    # seed raised numpy's ValueError only at the first random start.
+    with pytest.raises(ValueError, match=f"{field} {value!r}"):
+        frontier.TraceOptions(**{field: value})
+    assert frontier.TraceOptions(restarts=np.int64(2), seed=np.uint8(0)).restarts == 2
 
 
 def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, monkeypatch):
