@@ -12,7 +12,9 @@ Subcommands:
 
 Configuration is a flat JSON file; every key has a default mirroring the
 reference symmetric setup (direct gains 1, cross gains sqrt(2), powers 5,
-conferencing gains 10).  "inf" is accepted for c12/c34, and
+conferencing gains 10).  A number is a JSON number, not a bool or a
+numeric string, and a gain, power, weight or allocation entry may also be
+"inf" (or "+inf", "infinity").  Only c12/c34 accept inf, and
 ``frontier.trace`` routes it to the limit-mode tracers.  Gains and powers
 outside the range ``ChannelGains`` and ``PowerBudget`` accept exit 2.
 
@@ -81,10 +83,27 @@ def _valid(what: str, build, *args, **kwargs):
         raise ValidationFailure(f"{what}: {exc}") from exc
 
 
+def _is_number(value) -> bool:
+    """True for a JSON number: an int or float, but not a bool."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _number(key: str, value) -> float:
+    """A config number: a JSON number or an "inf" spelling, as a float.
+
+    Range checks are left to the types built from it (``ChannelGains``
+    decides which gains may be infinite)."""
+    if isinstance(value, str) and value.strip().lower() in ("inf", "+inf", "infinity"):
+        return math.inf
+    if not _is_number(value):
+        raise ValidationFailure(f"{key} must be a number or 'inf', got {value!r}")
+    return _valid(key, float, value)
+
+
 def _count(key: str, value) -> int:
     """A count or seed: a nonnegative integer (an integral float is accepted)."""
-    n = _valid(key, int, value)
-    if n < 0 or (isinstance(value, float) and n != value):
+    n = _valid(key, int, value) if _is_number(value) else None
+    if n is None or n < 0 or n != value:
         raise ValidationFailure(f"{key} must be a nonnegative integer, got {value!r}")
     return n
 
@@ -115,16 +134,6 @@ def _schemes(names, allowed: tuple[str, ...], one: bool = False) -> list[str]:
     return schemes
 
 
-def _coerce_gain(key: str, value) -> float:
-    if isinstance(value, str):
-        if value.strip().lower() in ("inf", "+inf", "infinity"):
-            if key not in ("c12", "c34"):
-                raise ValidationFailure(f"{key} must be finite; only c12/c34 accept inf")
-            return math.inf
-        raise ValidationFailure(f"{key}: cannot parse {value!r} as a gain")
-    return _valid(key, float, value)
-
-
 def load_config(path: str | None) -> dict:
     """Merge a JSON config file over the defaults, rejecting unknown keys."""
     config = dict(DEFAULT_CONFIG)
@@ -147,12 +156,12 @@ def load_config(path: str | None) -> dict:
 
 def build_gains(config: dict) -> ChannelGains:
     return _valid("gains", ChannelGains,
-                  **{k: _coerce_gain(k, config[k]) for k in _GAIN_KEYS})
+                  **{k: _number(k, config[k]) for k in _GAIN_KEYS})
 
 
 def build_powers(config: dict) -> PowerBudget:
     return _valid("powers", PowerBudget,
-                  **{k: _valid(k, float, config[k]) for k in _POWER_KEYS})
+                  **{k: _number(k, config[k]) for k in _POWER_KEYS})
 
 
 def build_options(config: dict) -> frontier.TraceOptions:
@@ -193,7 +202,7 @@ def build_allocation(scheme: str, spec: dict):
             raise ValidationFailure(f"allocation {key} must be a list of {size} numbers")
         what = f"allocation {key}"
         cls = Simplex2 if size == 2 else Simplex3
-        parts[_field(key)] = _valid(what, cls, *[_valid(what, float, v) for v in values])
+        parts[_field(key)] = _valid(what, cls, *[_number(what, v) for v in values])
     return (TcAllocation if tc else RcAllocation)(**parts)
 
 
@@ -233,7 +242,7 @@ def cmd_eval(args) -> int:
         pair = txcoop.tc_rate_pair(g, p, alloc) if scheme == "TC" \
             else txcoop.rdpc_rate_pair(g, p, alloc)
     else:
-        weight = _valid("weight", float, config["weight"])
+        weight = _number("weight", config["weight"])
         if not weight >= 0.0:
             raise ValidationFailure(f"weight must be >= 0 (inf allowed), got {weight}")
         rates = rxcoop.rc_phase_rates(g, p, alloc, weight=weight)

@@ -107,8 +107,15 @@ class TraceOptions:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        # No weight would return the origin alone; a NaN one, NaN objectives.
-        if not self.weights or not all(w >= 0.0 for w in self.weights):
+        # A tuple, so that a generator is not consumed by the check and the
+        # options stay hashable.  No weight would return the origin alone; a
+        # NaN one, NaN objectives.
+        object.__setattr__(self, "weights", tuple(self.weights))
+        try:
+            valid = bool(self.weights) and all(w >= 0.0 for w in self.weights)
+        except TypeError:  # a non-numeric weight
+            valid = False
+        if not valid:
             raise ValueError(f"weights {self.weights}: need at least one, each >= 0 or inf")
         try:
             valid = (operator.index(self.restarts) >= 1 and operator.index(self.max_iter) >= 1

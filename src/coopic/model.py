@@ -25,7 +25,6 @@ __all__ = [
     "NegativeSnr",
     "InfiniteGain",
     "NotInfinite",
-    "DegeneratePhase",
     "InvalidAllocation",
     "NotStrongInterference",
     "ChannelGains",
@@ -78,10 +77,6 @@ class InfiniteGain(EvaluatorError):
 
 class NotInfinite(EvaluatorError):
     """A limit-mode evaluator was called with a finite conferencing gain."""
-
-
-class DegeneratePhase(EvaluatorError):
-    """A zero-duration phase was used where a positive duration is required."""
 
 
 class InvalidAllocation(EvaluatorError):
@@ -327,10 +322,12 @@ def inverse(u: tuple[float, float], s: float) -> tuple[float, float, float]:
 
 
 def phase_power(share: float, total: float, duration: float, what: str) -> float:
-    """Burst power share*total/duration; zero share means a silent phase.
+    """Burst power share*total/duration of the source power share ``what``.
 
-    Raises InvalidAllocation for a positive share on a zero-duration phase
-    and for a burst above BURST_POWER_MAX.
+    The package's one rule for what a source may put on a phase: a zero
+    share is a silent phase with zero power, whatever its duration.  Raises
+    InvalidAllocation naming ``what`` for a positive share on a
+    zero-duration phase and for a burst above BURST_POWER_MAX.
     """
     if share == 0.0:
         return 0.0

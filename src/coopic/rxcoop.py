@@ -33,7 +33,6 @@ from . import bounds
 from .model import (
     ChannelGains,
     InfiniteGain,
-    InvalidAllocation,
     NotInfinite,
     PowerBudget,
     RatePair,
@@ -138,20 +137,16 @@ def _compression_noise(num: float, exponent: float, denom: float) -> float:
     return float(num) / float(denom) / growth
 
 
-def _compression(c, pw, s, r1_s: float, r2_s: float):
+def _compression(c, lam1: float, p1_1: float, p2_1: float, r1_s: float, r2_s: float):
     """The equivalent one-transmit/two-receive-antenna interference channel
-    (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, p1_1, p2_1):
-    the compression noises and the resulting fractions zeta_i of the peer's
-    observation kept, the four equivalent gain vectors as pairs (receiver's
-    own antenna first) and the two sources' phase-1 powers.  sigma_i_sq is
-    the compression noise of the peer's observation (+inf when nothing was
-    forwarded, leaving exact zeros in the gains)."""
+    (sigma1_sq, sigma2_sq, zeta1, zeta2, c13v, c23v, c14v, c24v, p1_1, p2_1)
+    of a phase 1 of duration ``lam1`` > 0 with the sources' burst powers
+    ``p1_1``, ``p2_1``: the compression noises and the resulting fractions
+    zeta_i of the peer's observation kept, the four equivalent gain vectors
+    as pairs (receiver's own antenna first) and the two powers.  sigma_i_sq
+    is the compression noise of the peer's observation (+inf when nothing
+    was forwarded, leaving exact zeros in the gains)."""
     _, c13, c14, c23, c24, _ = c
-    lam1 = s[0]
-    if lam1 == 0.0:
-        raise InvalidAllocation("compression requires a positive phase-1 duration")
-    p1_1 = phase_power(s[3], pw[0], lam1, "mu1")
-    p2_1 = phase_power(s[6], pw[1], lam1, "eta1")
     at3 = 1.0 + c13 * c13 * p1_1 + c23 * c23 * p2_1
     at4 = 1.0 + c14 * c14 * p1_1 + c24 * c24 * p2_1
     num = det_pair((c13, c14), p1_1, (c23, c24), p2_1)
@@ -169,8 +164,6 @@ def _compression(c, pw, s, r1_s: float, r2_s: float):
 def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
     """Phase-1 rate pair from the last six fields of the equivalent channel:
     the ``weight`` corner of its ``bounds.ic_pentagon``, scaled by lambda1."""
-    if lambda1 == 0.0:
-        return (0.0, 0.0)
     a1, a2, a12 = bounds.ic_pentagon(*eq)
     return bounds.pentagon_corner(lambda1 * a1, lambda1 * a2, lambda1 * a12, weight)
 
@@ -179,11 +172,11 @@ def _stream_rates(c, pw, s, weight: float):
     """All ten stream rates in ``RcPhaseRates`` field order."""
     rates = _phase23(c, pw, s)
     lam1 = s[0]
+    p1_1 = phase_power(s[3], pw[0], lam1, "mu1")
+    p2_1 = phase_power(s[6], pw[1], lam1, "eta1")
     if lam1 == 0.0:
-        if s[3] > 0.0 or s[6] > 0.0:
-            raise InvalidAllocation("positive phase-1 power share on zero-duration phase")
         return rates + (0.0, 0.0)
-    eq = _compression(c, pw, s, rates[2], rates[3])
+    eq = _compression(c, lam1, p1_1, p2_1, rates[2], rates[3])
     return rates + _phase1(eq[4:], lam1, weight)
 
 

@@ -44,9 +44,7 @@ from typing import NamedTuple
 
 from .model import (
     ChannelGains,
-    DegeneratePhase,
     InfiniteGain,
-    InvalidAllocation,
     NotInfinite,
     PowerBudget,
     RatePair,
@@ -170,13 +168,6 @@ def _phase3_split(pw, s):
             (s[13] * p1_3, s[15] * p2_3))
 
 
-def _joint(pw, s):
-    """Per-source joint-stream powers for a covariance rule; checks lam3 first."""
-    if s[2] == 0.0:
-        raise DegeneratePhase("phase 3 has zero duration")
-    return _phase3_split(pw, s)[1:]
-
-
 def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
     """Joint-stream covariances from the dual multiple-access construction.
 
@@ -250,18 +241,16 @@ def _phase3(c, lam3: float, fresh, cov):
 def _stream_rates(c, pw, s, cov=None):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
-    ``cov`` defaults to the per-source-budget covariances.
+    ``cov`` defaults to the per-source-budget covariances.  A silent joint
+    phase (lam3 = 0, which ``phase_power`` admits only with kappa2 = gamma2
+    = 0) needs no branch: each phase-3 rate is lam3 times a finite capacity,
+    so all four are exactly 0.0.
     """
     rates = _phase12(c, pw, s)
-    lam3 = s[2]
-    if lam3 == 0.0:
-        if s[4] > 0.0 or s[6] > 0.0:
-            raise InvalidAllocation("positive phase-3 power share on zero-duration phase")
-        return rates + (0.0, 0.0, 0.0, 0.0)
     fresh, joint1, joint2 = _phase3_split(pw, s)
     if cov is None:
         cov = _budget_cov(c, joint1, joint2)
-    return rates + _phase3(c, lam3, fresh, cov)
+    return rates + _phase3(c, s[2], fresh, cov)
 
 
 def _pair(rates) -> tuple[float, float]:
@@ -278,11 +267,8 @@ def tc_kernel(c, pw, s) -> tuple[float, float]:
 
 
 def rdpc_kernel(c, pw, s) -> tuple[float, float]:
-    """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``.
-
-    Raises DegeneratePhase at lam3 = 0 before any phase-1/2 check.
-    """
-    return _pair(_stream_rates(c, pw, s, _rdpc_cov(c, *_joint(pw, s))))
+    """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``."""
+    return _pair(_stream_rates(c, pw, s, _rdpc_cov(c, *_phase3_split(pw, s)[1:])))
 
 
 def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
@@ -310,9 +296,9 @@ def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
 
 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
-    """Kernel gains and per-source joint-stream powers; checks c12 and lam3 first."""
+    """Kernel gains and per-source joint-stream powers; checks c12 first."""
     c, pw, s = _unpack(g, p, a)
-    return (c, *_joint(pw, s))
+    return (c, *_phase3_split(pw, s)[1:])
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -322,9 +308,8 @@ def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
     (``_duality_cov``): the clean stream is inverse-shaped and the other is
     a scaled identity, so a source can radiate more than its own phase-3
     allotment (see ``phase3_power_audit``).  ``tc_rate_pair`` uses
-    ``tc_budget_covariances`` instead.
-
-    Raises DegeneratePhase when the joint phase has zero duration.
+    ``tc_budget_covariances`` instead.  A silent joint phase gives zero
+    covariances.
     """
     c, joint1, joint2 = _joint_streams(g, p, a)
     return TcCovariances(*_duality_cov(c, sum(joint1), sum(joint2), _user1_clean(c)))
@@ -348,9 +333,8 @@ def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
     cannot fall when all powers are scaled up together, so neither can the
     rate pair of a fixed allocation; it is also the only factor whose turn
     ends at -1.  The rule is a heuristic: a correlation chosen per weight by
-    the frontier search reaches further (see ROADMAP.md).
-
-    Raises DegeneratePhase when the joint phase has zero duration.
+    the frontier search reaches further (see ROADMAP.md).  A silent joint
+    phase gives zero covariances.
     """
     return TcCovariances(*_budget_cov(*_joint_streams(g, p, a)))
 
@@ -386,11 +370,9 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     """Audit the phase-3 power of each source under ``cov``.
 
     ``cov`` defaults to the covariances ``tc_rate_pair`` uses
-    (``tc_budget_covariances``).  A zero-duration joint phase radiates
-    nothing and is allotted nothing.
+    (``tc_budget_covariances``).  A silent joint phase radiates nothing
+    and is allotted nothing.
     """
-    if a.lam.w3 == 0.0:
-        return Phase3PowerAudit(radiated=(0.0, 0.0), allotted=(0.0, 0.0))
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
     pw, s = (p.p1, p.p2), shares(a)

@@ -4,6 +4,7 @@
 one of them at import, so that calls bypass the attribute, would leave its
 layer empty in traced bench runs; this test runs one small instance of every
 public entry point under the tracer and names any label that saw no call.
+It also checks that the tracer counts every evaluator error by its own name.
 """
 
 import contextlib
@@ -13,7 +14,7 @@ import io
 import math
 from pathlib import Path
 
-from coopic import bounds, cli, frontier, rxcoop, txcoop
+from coopic import bounds, cli, frontier, model, rxcoop, txcoop
 
 LAYERS = Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
@@ -44,3 +45,11 @@ def test_every_traced_layer_records_calls(ref_gains, ref_powers):
     calls = tracer.calls()
     assert set(calls) == {layers.label(m, a) for m, a in layers.TARGETS}
     assert [name for name, n in calls.items() if n == 0] == []
+
+
+def test_every_error_class_has_a_penalty_counter():
+    # an error class missing from PENALTY_NAMES is counted under the base name
+    layers = _load_layers()
+    errors = {name for name, obj in vars(model).items()
+              if isinstance(obj, type) and issubclass(obj, model.EvaluatorError)}
+    assert sorted(errors - set(layers.PENALTY_NAMES)) == []

@@ -141,6 +141,18 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": math.nan}, []),
     # eval evaluates one scheme: a second --scheme is an error, not ignored
     ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION}, ["--scheme", "RC", "--scheme", "TC"]),
+    # a number is a JSON number: no bool, no numeric string
+    ("region", {"schemes": ["IC"], "p1": "5"}, []),
+    ("bounds", {"p1": True}, []),
+    ("bounds", {"c13": True}, []),
+    ("region", {"schemes": ["IC"], "restarts": True}, []),
+    ("region", {"schemes": ["IC"], "seed": "3"}, []),
+    ("region", {"schemes": ["IC"], "weights": " 4 "}, []),
+    ("eval", {"scheme": "RC", "allocation": RC_ALLOCATION, "weight": "2"}, []),
+    ("eval", {"scheme": "RC", "allocation": dict(RC_ALLOCATION, mu=["0.4", 0.3, 0.3])}, []),
+    ("eval", {"scheme": "RC", "allocation": dict(RC_ALLOCATION, alpha=[True, 0.0])}, []),
+    # only the conferencing gains may be infinite
+    ("bounds", {"c13": "inf"}, []),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"

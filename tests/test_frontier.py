@@ -269,6 +269,19 @@ def test_trace_options_reject_empty_weights():
     assert frontier.TraceOptions(weights=(0.0, -0.0, math.inf)).weights[-1] == math.inf
 
 
+def test_trace_options_freeze_weights(ref_gains, ref_powers):
+    # A generator used to be consumed by the check, so the trace ran no search;
+    # a list left the frozen options unhashable; a string weight raised TypeError.
+    opts = frontier.TraceOptions(weights=(w for w in (1.0,)), restarts=1, max_iter=20)
+    assert opts.weights == (1.0,)
+    assert frontier.trace("TC", ref_gains, ref_powers, opts).stats.evaluations > 0
+    listed = frontier.TraceOptions(weights=[1.0, 2.0])
+    assert listed == frontier.TraceOptions(weights=(1.0, 2.0))
+    assert hash(listed) == hash(frontier.TraceOptions(weights=(1.0, 2.0)))
+    with pytest.raises(ValueError, match="weights"):
+        frontier.TraceOptions(weights=(1.0, "2"))
+
+
 @pytest.mark.parametrize("field, value", [
     ("restarts", 7.5), ("restarts", 0), ("max_iter", 2.0), ("max_iter", "3"),
     ("seed", -1), ("seed", 1.5), ("seed", None)])

@@ -53,8 +53,11 @@ def phase23(g, p, a) -> rxcoop.RcPhaseRates:
 
 
 def compression(g, p, a, r1_s, r2_s) -> EquivalentChannel:
-    c, pw = model.kernel_args(g, p)
-    return EquivalentChannel(*rxcoop._compression(c, pw, model.shares(a), r1_s, r2_s))
+    c, _ = model.kernel_args(g, p)
+    lam1 = a.lam.w1
+    p1_1 = model.phase_power(a.mu.w1, p.p1, lam1, "mu1")
+    p2_1 = model.phase_power(a.eta.w1, p.p2, lam1, "eta1")
+    return EquivalentChannel(*rxcoop._compression(c, lam1, p1_1, p2_1, r1_s, r2_s))
 
 
 def phase1(lambda1, p1, p2, c13v, c23v, c14v, c24v, weight=1.0):
@@ -107,6 +110,12 @@ def test_phase23_zero_duration_source_mass(ref_gains, ref_powers):
         phase23(ref_gains, ref_powers, a)
     with pytest.raises(InvalidAllocation):
         rxcoop.rc_phase_rates(ref_gains, ref_powers, a)
+
+
+def test_positive_phase1_share_on_silent_phase_is_rejected(ref_gains, ref_powers):
+    a = make_alloc(lam=(0.0, 0.5, 0.5), mu=(0.2, 0.4, 0.4), eta=(0.0, 0.5, 0.5))
+    with pytest.raises(InvalidAllocation, match="mu1"):
+        rxcoop.rc_rate_pair(ref_gains, ref_powers, a)
 
 
 def test_subnormal_duration_is_rejected_not_overflowed(ref_gains, ref_powers):
@@ -177,13 +186,6 @@ def test_compression_tiny_forwarding_rate_is_finite(ref_gains, ref_powers):
     assert math.isfinite(tiny.r1) and math.isfinite(tiny.r2)
     assert tiny.r1 == pytest.approx(silent.r1, abs=1e-12)
     assert tiny.r2 == pytest.approx(silent.r2, abs=1e-12)
-
-
-def test_compression_requires_listen_phase(ref_gains, ref_powers):
-    with pytest.raises(InvalidAllocation):
-        compression(ref_gains, ref_powers,
-                    make_alloc(lam=(0.0, 0.5, 0.5), mu=(0.0, 0.5, 0.5), eta=(0.0, 0.5, 0.5)),
-                    1.0, 1.0)
 
 
 # ---------------------------------------------------------------------------

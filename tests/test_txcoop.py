@@ -16,7 +16,6 @@ from conftest import (
 )
 from coopic.model import (
     ChannelGains,
-    DegeneratePhase,
     InfiniteGain,
     InvalidAllocation,
     NotInfinite,
@@ -152,10 +151,13 @@ def test_phase3_covariances_worked_example():
 
 
 def test_phase3_covariances_degenerate_phase(ref_gains, ref_powers):
-    with pytest.raises(DegeneratePhase):
-        txcoop.tc_phase3_covariances(ref_gains, ref_powers,
-                                     make_alloc(lam=(0.5, 0.5, 0.0), kappa=(1.0, 0.0),
-                                                gamma=(1.0, 0.0)))
+    # a silent joint phase carries nothing; a positive share on it is rejected
+    cov = txcoop.tc_phase3_covariances(ref_gains, ref_powers,
+                                       make_alloc(lam=(0.5, 0.5, 0.0), kappa=(1.0, 0.0),
+                                                  gamma=(1.0, 0.0)))
+    assert cov.sigma1 == (0.0, 0.0, 0.0) and cov.sigma2 == (0.0, 0.0, 0.0)
+    with pytest.raises(InvalidAllocation, match="kappa2"):
+        txcoop.tc_phase3_covariances(ref_gains, ref_powers, make_alloc(lam=(0.5, 0.5, 0.0)))
 
 
 def test_phase3_covariances_psd_on_random_inputs():
@@ -204,10 +206,14 @@ def test_budget_covariances_keep_shares_and_turn_clean_beam():
 
 
 def test_budget_covariances_degenerate_phase(ref_gains, ref_powers):
-    with pytest.raises(DegeneratePhase):
+    # a silent joint phase carries nothing; a positive share on it is rejected
+    cov = txcoop.tc_budget_covariances(ref_gains, ref_powers,
+                                       make_alloc(lam=(0.5, 0.5, 0.0), kappa=(1.0, 0.0),
+                                                  gamma=(1.0, 0.0)))
+    assert cov.sigma1 == (0.0, 0.0, 0.0) and cov.sigma2 == (0.0, 0.0, 0.0)
+    with pytest.raises(InvalidAllocation, match="gamma2"):
         txcoop.tc_budget_covariances(ref_gains, ref_powers,
-                                     make_alloc(lam=(0.5, 0.5, 0.0), kappa=(1.0, 0.0),
-                                                gamma=(1.0, 0.0)))
+                                     make_alloc(lam=(0.5, 0.5, 0.0), kappa=(1.0, 0.0)))
 
 
 def test_power_audit_budget_passes_paper_overspends():
@@ -340,6 +346,21 @@ def test_rdpc_matches_reference_and_differs_from_tc(ref_gains, ref_powers):
     tc = txcoop.tc_rate_pair(ref_gains, ref_powers, a)
     rd = txcoop.rdpc_rate_pair(ref_gains, ref_powers, a)
     assert abs(tc.r1 - rd.r1) + abs(tc.r2 - rd.r2) > 1e-6
+
+
+def test_rdpc_equals_tc_on_silent_joint_phase():
+    # RDPC differs from TC only in its phase-3 covariances, so without a joint
+    # phase the two run the same formulas and give the same pair
+    rng = np.random.default_rng(41)
+    for _ in range(100):
+        g = random_gains(rng)
+        p = random_powers(rng)
+        a = dataclasses.replace(random_tc_allocation(rng),
+                                lam=Simplex3(*rng.dirichlet([1.0, 1.0]), 0.0),
+                                kappa=Simplex2(1.0, 0.0), gamma=Simplex2(1.0, 0.0))
+        assert txcoop.rdpc_rate_pair(g, p, a) == txcoop.tc_rate_pair(g, p, a)
+        r = txcoop.tc_phase_rates(g, p, a)
+        assert (r.r1_3, r.r2_3, r.r1_d, r.r2_d) == (0.0, 0.0, 0.0, 0.0)
 
 
 def test_rate_pair_nonnegative_finite_and_power_monotone():
