@@ -63,7 +63,6 @@ class OuterBound:
     r1_max: float
     r2_max: float
     sum_max: float
-    kind: str
 
     def violation(self, r1: float, r2: float) -> float:
         """Largest constraint excess of the point (negative when inside)."""
@@ -328,7 +327,6 @@ def tc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
         r1_max=relay_cutset_bound(g, p, 1, "tx"),
         r2_max=relay_cutset_bound(g, p, 2, "tx"),
         sum_max=mimo_bc_sum_bound(g, p.p1 + p.p2),
-        kind="TC",
     )
 
 
@@ -338,7 +336,6 @@ def rc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
         r1_max=relay_cutset_bound(g, p, 1, "rx"),
         r2_max=relay_cutset_bound(g, p, 2, "rx"),
         sum_max=mimo_mac_sum_bound(g, p),
-        kind="RC",
     )
 
 
@@ -354,7 +351,7 @@ def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
             f"needs c14 >= c13 and c23 >= c24, got c13={g.c13}, c14={g.c14}, "
             f"c23={g.c23}, c24={g.c24}")
     return OuterBound(*ic_pentagon((g.c13, 0.0), (g.c23, 0.0), (0.0, g.c14), (0.0, g.c24),
-                                   p.p1, p.p2), kind="IC")
+                                   p.p1, p.p2))
 
 
 def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, float]]:

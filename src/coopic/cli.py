@@ -30,6 +30,7 @@ import math
 import sys
 from dataclasses import asdict
 from pathlib import Path
+from typing import get_type_hints
 
 from . import bounds as bounds_mod
 from . import frontier, rxcoop, txcoop
@@ -38,8 +39,6 @@ from .model import (
     EvaluatorError,
     PowerBudget,
     RcAllocation,
-    Simplex2,
-    Simplex3,
     TcAllocation,
 )
 
@@ -172,44 +171,36 @@ def build_options(config: dict) -> frontier.TraceOptions:
                   seed=_count("seed", config["seed"]))
 
 
-# Allocation keys with their simplex sizes, in sidecar order; "lambda" is
-# the allocation's ``lam`` field.
-_TC_ALLOC_KEYS = {"lambda": 3, "kappa": 2, "gamma": 2, "alpha": 2, "beta": 2,
-                  "mu": 3, "eta": 3}
-_RC_ALLOC_KEYS = {"lambda": 3, "mu": 3, "eta": 3, "alpha": 2, "beta": 2}
-
-
-def _field(key: str) -> str:
-    return "lam" if key == "lambda" else key
+def _key(name: str) -> str:
+    """The config and sidecar key of an allocation field: "lambda" for ``lam``."""
+    return "lambda" if name == "lam" else name
 
 
 def build_allocation(scheme: str, spec: dict):
     """Build a Tc/RcAllocation from the config's allocation mapping."""
     if not isinstance(spec, dict):
         raise ValidationFailure("allocation must be a JSON object")
-    tc = scheme in ("TC", "RDPC")
-    expected = _TC_ALLOC_KEYS if tc else _RC_ALLOC_KEYS
+    cls = TcAllocation if scheme in ("TC", "RDPC") else RcAllocation
+    expected = {_key(name): simplex for name, simplex in get_type_hints(cls).items()}
     unknown = sorted(set(spec) - set(expected))
     if unknown:
         raise ValidationFailure(f"unknown allocation keys: {', '.join(unknown)}")
     missing = sorted(set(expected) - set(spec))
     if missing:
         raise ValidationFailure(f"missing allocation keys: {', '.join(missing)}")
-    parts = {}
-    for key, size in expected.items():
-        values = spec[key]
+    parts = []
+    for key, simplex in expected.items():
+        values, size = spec[key], len(simplex.__dataclass_fields__)
         if not isinstance(values, (list, tuple)) or len(values) != size:
             raise ValidationFailure(f"allocation {key} must be a list of {size} numbers")
         what = f"allocation {key}"
-        cls = Simplex2 if size == 2 else Simplex3
-        parts[_field(key)] = _valid(what, cls, *[_number(what, v) for v in values])
-    return (TcAllocation if tc else RcAllocation)(**parts)
+        parts.append(_valid(what, simplex, *[_number(what, v) for v in values]))
+    return cls(*parts)
 
 
 def _allocation_to_dict(alloc) -> dict | None:
     if isinstance(alloc, (TcAllocation, RcAllocation)):
-        keys = _TC_ALLOC_KEYS if isinstance(alloc, TcAllocation) else _RC_ALLOC_KEYS
-        return {key: list(getattr(alloc, _field(key))) for key in keys}
+        return {_key(name): list(getattr(alloc, name)) for name in alloc.__dataclass_fields__}
     if isinstance(alloc, tuple) and len(alloc) == 3:  # limit-mode (mu, eta, order)
         return {"mu": list(alloc[0]), "eta": list(alloc[1]), "user1_clean": alloc[2]}
     return None

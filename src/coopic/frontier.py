@@ -15,10 +15,11 @@ The search is this module's ``minimize``, which takes exactly the steps of
 scipy's Nelder-Mead, so the package needs numpy alone.  The order of tied
 vertices (penalties, coordinates the objective ignores) is the one
 ``np.argsort`` gives.  Each search space (``_TC``, ``_RC``, ``_LIMIT``) is
-one ``_Space``: the simplex block sizes of its search vector and its corner
-starts.  ``_searches`` lists what a trace runs, one (space, score,
-revalidate) search for TC, RDPC and RC and one per encoding order for TC at
-c12 = +inf, and ``_sweep`` runs each search over every weight and restart.
+one ``_Space``: the simplex type of each block of its search vector, read
+from the allocation's field annotations, and its corner starts.
+``_searches`` lists what a trace runs, one (space, score, revalidate) search
+for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
+``_sweep`` runs each search over every weight and restart.
 ``score`` squares each simplex block of a vertex (a list of floats) once
 into the shares the allocation's simplices would store and scores them with
 the scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
@@ -38,7 +39,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import NamedTuple, get_type_hints
 
 import numpy as np
 
@@ -49,7 +50,6 @@ from .model import (
     NotInfinite,
     PowerBudget,
     RcAllocation,
-    Simplex2,
     Simplex3,
     TcAllocation,
     kernel_args,
@@ -205,25 +205,31 @@ def _decode(xs: list[float], blocks) -> list[float]:
     return shares
 
 
-def _simplices(x, blocks) -> list:
+def _simplices(x, space: _Space) -> list:
+    blocks = space.blocks
     if len(x) != sum(blocks):
         raise ValueError(f"expected {sum(blocks)} coordinates, got {len(x)}")
-    return [(Simplex2 if len(block) == 2 else Simplex3)(*block)
-            for block in _squares([float(v) for v in x], blocks)]
+    return [simplex(*block) for simplex, block
+            in zip(space.simplices, _squares([float(v) for v in x], blocks))]
 
 
 class _Space(NamedTuple):
-    """A search space: the simplex block sizes of its search vector, in
-    allocation field order, and the explicit starts of each weight's first
-    restarts."""
+    """A search space: the simplex type of each block of its search vector,
+    in allocation field order, and the explicit starts of each weight's
+    first restarts."""
 
-    blocks: tuple[int, ...]
+    simplices: tuple[type, ...]
     corners: tuple[tuple[float, ...], ...]
+
+    @property
+    def blocks(self) -> tuple[int, ...]:
+        """The size of each block, the number of its simplex's weights."""
+        return tuple(len(simplex.__dataclass_fields__) for simplex in self.simplices)
 
 
 # The corner starts pair zero-duration phases with zero power mass, so every
 # start evaluates cleanly.
-_TC = _Space((3, 2, 2, 2, 2, 3, 3), (
+_TC = _Space(tuple(get_type_hints(TcAllocation).values()), (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (1, 0, 1.4, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1),
@@ -231,7 +237,7 @@ _TC = _Space((3, 2, 2, 2, 2, 3, 3), (
     (1, 1, 1.4, 1, 1, 1, 1, 1, 0.5, 1, 0.5, 1, 2, 1, 1, 2, 1),
     (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0),
 ))
-_RC = _Space((3, 3, 3, 2, 2), (
+_RC = _Space(tuple(get_type_hints(RcAllocation).values()), (
     (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
     (1.4, 1, 1, 1.4, 1, 1, 1.4, 1, 1, 1, 1, 1, 1),
     (1, 1, 0.3, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1),
@@ -239,7 +245,7 @@ _RC = _Space((3, 3, 3, 2, 2), (
     (0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1),
 ))
 # The two joint-phase power splits (mu, eta) of TC at c12 = +inf.
-_LIMIT = _Space((3, 3), (
+_LIMIT = _Space((Simplex3, Simplex3), (
     (1, 1, 1, 1, 1, 1),
     (0, 1, 0, 0, 0, 1),
     (0, 0, 1, 0, 1, 0),
@@ -251,12 +257,12 @@ _LIMIT = _Space((3, 3), (
 
 def tc_allocation_from_vector(x) -> TcAllocation:
     """Map an unconstrained 17-vector to a transmitter-cooperation allocation."""
-    return TcAllocation(*_simplices(x, _TC.blocks))
+    return TcAllocation(*_simplices(x, _TC))
 
 
 def rc_allocation_from_vector(x) -> RcAllocation:
     """Map an unconstrained 13-vector to a receiver-cooperation allocation."""
-    return RcAllocation(*_simplices(x, _RC.blocks))
+    return RcAllocation(*_simplices(x, _RC))
 
 
 def _start_vector(seed: int, weight_index: int, restart_index: int,
@@ -452,7 +458,7 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
                 return kernel(c, pw, _decode(xs, blocks), user1_clean)
 
             def revalidate(x, _w):
-                mu, eta = _simplices(x, blocks)
+                mu, eta = _simplices(x, _LIMIT)
                 pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, user1_clean)
                 return pair.r1, pair.r2, (mu, eta, user1_clean)
 

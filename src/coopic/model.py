@@ -155,44 +155,46 @@ def simplex_weights(weights) -> list[float]:
     for w in weights:
         if not w >= 0.0:
             raise InvalidAllocation(f"negative simplex weight {w}")
-    total = math.fsum(weights)
+    try:
+        total = math.fsum(weights)
+    except OverflowError:  # finite weights whose sum exceeds the float range
+        total = math.inf
     if abs(total - 1.0) > _SIMPLEX_SUM_TOL:
         raise InvalidAllocation(f"simplex sum {total} not within {_SIMPLEX_SUM_TOL} of 1")
     return [w / total for w in weights]
 
 
+class _Simplex:
+    """Nonnegative weights in the fields of a frozen dataclass subclass,
+    renormalized on construction to sum to one.
+
+    The instance ``__dict__`` of such a subclass holds exactly its fields,
+    in field order, so the weights are read and written there.
+    """
+
+    def __post_init__(self) -> None:
+        weights = self.__dict__
+        weights.update(zip(self.__dataclass_fields__, simplex_weights(list(weights.values()))))
+
+    def __iter__(self):
+        return iter(self.__dict__.values())
+
+
 @dataclass(frozen=True)
-class Simplex2:
+class Simplex2(_Simplex):
     """Two nonnegative weights, renormalized on construction to sum to one."""
 
     w1: float
     w2: float
 
-    def __post_init__(self) -> None:
-        w1, w2 = simplex_weights((self.w1, self.w2))
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-
-    def __iter__(self):
-        return iter((self.w1, self.w2))
-
 
 @dataclass(frozen=True)
-class Simplex3:
+class Simplex3(_Simplex):
     """Three nonnegative weights, renormalized on construction to sum to one."""
 
     w1: float
     w2: float
     w3: float
-
-    def __post_init__(self) -> None:
-        w1, w2, w3 = simplex_weights((self.w1, self.w2, self.w3))
-        object.__setattr__(self, "w1", w1)
-        object.__setattr__(self, "w2", w2)
-        object.__setattr__(self, "w3", w3)
-
-    def __iter__(self):
-        return iter((self.w1, self.w2, self.w3))
 
 
 @dataclass(frozen=True)

@@ -279,19 +279,17 @@ def test_bc_equals_mac_on_symmetric_channel(ref_gains, ref_powers):
 
 def test_outer_regions_compose(ref_gains, ref_powers):
     tc = bounds.tc_outer_region(ref_gains, ref_powers)
-    assert tc.kind == "TC"
     assert tc.r1_max == pytest.approx(
         bounds.relay_cutset_bound(ref_gains, ref_powers, 1), rel=1e-12)
     assert tc.sum_max == pytest.approx(
         bounds.mimo_bc_sum_bound(ref_gains, ref_powers.p1 + ref_powers.p2), rel=1e-12)
     rc = bounds.rc_outer_region(ref_gains, ref_powers)
-    assert rc.kind == "RC"
     assert rc.sum_max == pytest.approx(
         bounds.mimo_mac_sum_bound(ref_gains, ref_powers), rel=1e-12)
 
 
 def test_outer_bound_geometry():
-    region = bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=4.0, kind="TC")
+    region = bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=4.0)
     assert region.contains(3.0, 1.0)
     assert not region.contains(3.0, 1.0 + 1e-6)
     assert region.violation(3.5, 1.0) == pytest.approx(0.5)
@@ -300,10 +298,10 @@ def test_outer_bound_geometry():
     assert region.corner(math.inf) == (2.0, 2.0)
     assert region.corner(1.0) == (3.0, 1.0)  # both corners sum to 4: the tie goes to user 1
     assert region.corner(1.5) == (2.0, 2.0)
-    loose = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=5.0, kind="TC")
+    loose = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=5.0)
     assert loose.vertices() == [(1.0, 1.0)]
     assert all(loose.corner(w) == (1.0, 1.0) for w in (0.0, 1.0, math.inf))
-    box = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=math.inf, kind="IC")
+    box = bounds.OuterBound(r1_max=1.0, r2_max=1.0, sum_max=math.inf)
     assert all(box.corner(w) == (1.0, 1.0) for w in (0.0, 1.0, 2.5, math.inf))
 
 
@@ -312,7 +310,7 @@ def test_pentagon_corner_rejects_bad_weight(weight):
     with pytest.raises(EvaluatorError):
         bounds.pentagon_corner(3.0, 2.0, 4.0, weight)
     with pytest.raises(EvaluatorError):
-        bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=math.inf, kind="TC").corner(weight)
+        bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=math.inf).corner(weight)
 
 
 def test_ic_pentagon_is_a_box_unless_both_interferences_strong():

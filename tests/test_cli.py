@@ -253,6 +253,24 @@ def test_region_rc_schemes(tmp_path):
     assert schemes == {"TC", "RC", "bound"}
 
 
+def test_region_sidecar_allocations_round_trip_through_eval(tmp_path, capsys):
+    # The sidecar writes allocations in the keys the config reads: each
+    # vertex's allocation (and weight, which only RC reads) fed back to eval
+    # gives the vertex's rates bit for bit.
+    assert run(_region_args(tmp_path, schemes=["TC", "RDPC", "RC"])) == 0
+    capsys.readouterr()
+    sidecar = json.loads((tmp_path / "region.json").read_text())
+    for scheme in ("TC", "RDPC", "RC"):
+        points = sidecar["schemes"][scheme]["points"]
+        assert points
+        for pt in points:
+            cfg = write_config(tmp_path, name="eval.json", scheme=scheme,
+                               allocation=pt["allocation"], weight=pt["weight"])
+            assert run(["eval", "--config", cfg]) == 0
+            record = json.loads(capsys.readouterr().out)
+            assert (record["r1_bits"], record["r2_bits"]) == (pt["r1_bits"], pt["r2_bits"])
+
+
 def test_region_empty_schemes_exits_2(tmp_path, capsys):
     assert run(_region_args(tmp_path, schemes=[])) == cli.EXIT_VALIDATION
 

@@ -181,6 +181,19 @@ def test_search_objective_matches_public_rate_pair(scheme):
     assert outcomes[1e160] == {InvalidAllocation}  # overflowed squares
 
 
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_every_corner_start_evaluates_cleanly(scheme, ref_gains, ref_powers):
+    # Each corner start has one coordinate per simplex weight of its space
+    # and decodes through the public decoder and rate pair with no
+    # EvaluatorError (TC_inf in both encoding orders).
+    g = dataclasses.replace(ref_gains, c12=math.inf) if scheme == "TC_inf" else ref_gains
+    weights = (0.0, 1.0, math.inf) if scheme == "RC" else (1.0,)
+    for space, _, revalidate in frontier._searches(scheme, g, ref_powers):
+        for corner, w in itertools.product(space.corners, weights):
+            assert len(corner) == sum(space.blocks)
+            revalidate(np.asarray(corner, dtype=float), w)
+
+
 # ---------------------------------------------------------------------------
 # direct search
 

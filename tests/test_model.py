@@ -1,5 +1,6 @@
 """Domain types and the 2x2 toolkit."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -180,6 +181,23 @@ def test_simplex_rejects_negative_and_bad_sum():
         Simplex2(0.4, 0.5)
     with pytest.raises(InvalidAllocation, match="simplex sum"):
         Simplex3(0.5, 0.5, 0.5)
+
+
+def test_simplex_rejects_weights_whose_sum_overflows():
+    # Their fsum overflows; it raised fsum's OverflowError, not an EvaluatorError.
+    with pytest.raises(InvalidAllocation, match="simplex sum inf"):
+        Simplex2(1e308, 1e308)
+    with pytest.raises(InvalidAllocation, match="simplex sum inf"):
+        Simplex3(1e308, 1e308, 0.0)
+
+
+def test_simplex_is_an_immutable_value():
+    s = Simplex3(0.2, 0.3, 0.5)
+    assert repr(s) == "Simplex3(w1=0.2, w2=0.3, w3=0.5)"
+    assert s == Simplex3(0.2, 0.3, 0.5) and hash(s) == hash(Simplex3(0.2, 0.3, 0.5))
+    assert Simplex2(1.0, 0.0) != Simplex3(1.0, 0.0, 0.0)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        s.w1 = 1.0
 
 
 @given(st.floats(1e-9, 1.0), st.floats(1e-9, 1.0), st.floats(1e-9, 1.0))
