@@ -2,8 +2,10 @@
 Gaussian interference channel: transmitter-cooperation (decode-and-forward
 plus dirty-paper broadcast) and receiver-cooperation (Wyner-Ziv
 compress-and-forward) achievable schemes, their infinite-conferencing
-limits, cut-set/broadcast/multiple-access outer bounds, the strong-IC and
-parallel-DPC baselines, and a deterministic Pareto-frontier tracer."""
+limits, cut-set/broadcast/multiple-access outer bounds, the
+non-cooperative interference channel's outer bound and achievable region
+(the baseline for every channel), the parallel-DPC baseline, and a
+deterministic Pareto-frontier tracer."""
 
 from .model import (
     ChannelGains,
@@ -37,6 +39,7 @@ from .rxcoop import (
 from .bounds import (
     OuterBound,
     bc_region_vertices,
+    ic_outer_region,
     mimo_bc_sum_bound,
     mimo_mac_sum_bound,
     rc_outer_region,

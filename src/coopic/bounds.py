@@ -11,10 +11,17 @@ kept because bench/bounds_reference.json pins the values it gives.
 
 The sum rate is capped by the pooled-power two-antenna broadcast bound for
 transmitter cooperation and by the two-antenna multiple-access bound for
-receiver cooperation.  ``ic_pentagon`` decodes the interference channel
-with two-antenna receivers: receiver cooperation's phase 1, which keeps a
-fraction zeta of the peer receiver's observation, the non-cooperative
-strong-interference baseline (zeta = 0) and the c34 = inf limit (zeta = 1).
+receiver cooperation.  ``ic_outer_region`` bounds the non-cooperative
+interference channel (c12 = c34 = 0) by its single-user, one-sided and
+Etkin-Tse-Wang sum bounds.
+
+``ic_pentagon`` decodes the interference channel with two-antenna
+receivers, one rule per receiver: a receiver whose interference is strong
+decodes both messages, one whose interference is weak treats it as noise.
+It serves receiver cooperation's phase 1, which keeps a fraction zeta of
+the peer receiver's observation, the non-cooperative baseline
+``strong_ic_region`` (zeta = 0, any channel) and the c34 = inf limit
+(zeta = 1).
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ import numpy as np
 
 from .model import (
     ChannelGains,
-    NotStrongInterference,
     POWER_MAX,
     PowerBudget,
     _LN2,
@@ -44,6 +50,7 @@ __all__ = [
     "mimo_mac_sum_bound",
     "tc_outer_region",
     "rc_outer_region",
+    "ic_outer_region",
     "strong_ic_region",
     "bc_region_vertices",
 ]
@@ -55,9 +62,9 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 class OuterBound:
     """Pentagon {R1, R2 >= 0 : R1 <= r1_max, R2 <= r2_max, R1+R2 <= sum_max}.
 
-    The one pentagon type of the package: the outer bounds and the strong-IC
-    region.  The three constraints are independent; sum_max may exceed
-    r1_max + r2_max (then it is simply not binding).
+    The one pentagon type of the package: the outer bounds and the
+    non-cooperative IC region.  The three constraints are independent;
+    sum_max may exceed r1_max + r2_max (then it is simply not binding).
     """
 
     r1_max: float
@@ -103,28 +110,37 @@ def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[fl
     return (min(a1, max(a12 - c2, 0.0)), c2)
 
 
+def _decode_at(own: float, interference: float, strong: bool,
+               joint: float) -> tuple[float, float]:
+    """(own user's rate, cap on R1 + R2) at one receiver that hears its own
+    user at SNR ``own``, the interferer at ``interference`` and both at the
+    determinant ``joint``.  With ``strong`` interference it decodes both
+    messages: the single-user rate, and log2 ``joint`` caps the sum.  With
+    weak interference it treats it as noise: ``joint`` over the interferer's
+    1 + SNR (a quotient of at least 1, so never negative), no sum cap."""
+    if strong:
+        return cap(own), math.log2(joint)
+    return math.log2(joint / (1.0 + interference)), math.inf
+
+
 def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float) -> tuple[float, float, float]:
     """Rate pentagon (a1, a2, a12) of the two-user interference channel whose
     receiver 3 hears users 1 and 2 through the 2-vectors u1, u2 and receiver
     4 through v1, v2, at powers p1 and p2.
 
-    Both interferences strong (ties count as strong): joint decoding.  One
-    strong: that receiver cancels it, the other treats it as noise.  Both
-    weak: both treat it as noise.  Those three cases are boxes, a12 = +inf.
-    A receiver's own rate is cap(p |u|^2), its joint rate log2 ``det_pair``
-    and its rate with interference as noise that determinant over the
-    interferer's 1 + q |w|^2 (a quotient of at least 1, so never negative).
+    Each receiver decides alone.  Its interference is strong when it hears
+    the interferer at least as well as the interferer's own receiver does
+    (ties count as strong); it then decodes both messages, so its user gets
+    the single-user rate cap(p |u|^2) and its joint rate log2 ``det_pair``
+    caps R1 + R2.  A receiver with weak interference treats it as noise.
+    a12 is the smaller joint rate of the strong receivers, +inf (a box)
+    when neither is strong.
     """
     n_u1, n_u2 = u1[0] * u1[0] + u1[1] * u1[1], u2[0] * u2[0] + u2[1] * u2[1]
     n_v1, n_v2 = v1[0] * v1[0] + v1[1] * v1[1], v2[0] * v2[0] + v2[1] * v2[1]
-    own1, own2 = cap(p1 * n_u1), cap(p2 * n_v2)
-    joint3, joint4 = det_pair(u1, p1, u2, p2), det_pair(v2, p2, v1, p1)
-    strong_at_4, strong_at_3 = n_v1 >= n_u1, n_u2 >= n_v2
-    if strong_at_4 and strong_at_3:
-        return (own1, own2, math.log2(min(joint3, joint4)))
-    r1 = own1 if strong_at_3 else math.log2(joint3 / (1.0 + p2 * n_u2))
-    r2 = own2 if strong_at_4 else math.log2(joint4 / (1.0 + p1 * n_v1))
-    return (r1, r2, math.inf)
+    a1, sum3 = _decode_at(p1 * n_u1, p2 * n_u2, n_u2 >= n_v2, det_pair(u1, p1, u2, p2))
+    a2, sum4 = _decode_at(p2 * n_v2, p1 * n_v1, n_v1 >= n_u1, det_pair(v2, p2, v1, p1))
+    return (a1, a2, min(sum3, sum4))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
@@ -339,17 +355,45 @@ def rc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
     )
 
 
-def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
-    """Capacity region of the non-cooperating strong interference channel.
+def ic_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
+    """Outer bound for the non-cooperative interference channel.
 
-    Requires cross gains at least as large as direct gains (c14 >= c13 and
-    c23 >= c24); each receiver then decodes both messages, so the region is
+    With s1 = c13^2 P1, s2 = c24^2 P2 and the interference SNRs
+    i3 = c23^2 P2 (user 2 at receiver 3) and i4 = c14^2 P1 it takes the
+    single-user caps cap(s1), cap(s2), and as the sum cap the smallest of
+
+    * the one-sided bound at receiver 3,
+      cap(s1 + i3) + max(0, cap(s2) - cap(i3)) (Sato 1981 when i3 >= s2,
+      Costa 1985 / Sason 2004 when i3 < s2), and its mirror at receiver 4;
+    * Etkin-Tse-Wang's genie-aided bound (IEEE Trans. IT 2008),
+      cap(i3 + s1/(1 + i4)) + cap(i4 + s2/(1 + i3)).
+
+    ETW's 2R1 + R2 and R1 + 2R2 facets do not fit a pentagon and are left
+    out, so the bound is looser but still valid.  It holds for every code
+    with average powers (P1, P2) and no conferencing: it bounds TC at
+    c12 = 0 and RC at c34 = 0, but not once either conferencing link is up.
+    On strong channels it equals ``strong_ic_region``.
+    """
+    s1, s2 = g.c13 ** 2 * p.p1, g.c24 ** 2 * p.p2
+    i3, i4 = g.c23 ** 2 * p.p2, g.c14 ** 2 * p.p1
+    return OuterBound(
+        r1_max=cap(s1),
+        r2_max=cap(s2),
+        sum_max=min(cap(s1 + i3) + max(0.0, cap(s2) - cap(i3)),
+                    cap(s2 + i4) + max(0.0, cap(s1) - cap(i4)),
+                    cap(i3 + s1 / (1.0 + i4)) + cap(i4 + s2 / (1.0 + i3))),
+    )
+
+
+def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
+    """Achievable region of the non-cooperating interference channel.
+
+    The one-antenna ``ic_pentagon``: each receiver decodes both messages
+    when its cross gain is at least its peer's direct gain (c23 >= c24 at
+    receiver 3, c14 >= c13 at receiver 4) and treats interference as noise
+    otherwise.  On strong channels (both hold) it is the capacity region,
     the intersection of the two receivers' multiple-access regions.
     """
-    if not (g.c14 >= g.c13 and g.c23 >= g.c24):
-        raise NotStrongInterference(
-            f"needs c14 >= c13 and c23 >= c24, got c13={g.c13}, c14={g.c14}, "
-            f"c23={g.c23}, c24={g.c24}")
     return OuterBound(*ic_pentagon((g.c13, 0.0), (g.c23, 0.0), (0.0, g.c14), (0.0, g.c24),
                                    p.p1, p.p2))
 

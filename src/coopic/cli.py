@@ -306,11 +306,8 @@ def cmd_bounds(args) -> int:
     g = build_gains(config)
     p = build_powers(config)
     record = {"TC": _bound_record(bounds_mod.tc_outer_region(g, p)),
-              "RC": _bound_record(bounds_mod.rc_outer_region(g, p))}
-    try:
-        record["IC"] = _bound_record(bounds_mod.strong_ic_region(g, p))
-    except EvaluatorError as exc:
-        record["IC"] = {"error": str(exc)}
+              "RC": _bound_record(bounds_mod.rc_outer_region(g, p)),
+              "IC": _bound_record(bounds_mod.strong_ic_region(g, p))}
     print(json.dumps(record, indent=2, sort_keys=True))
     return 0
 

@@ -26,7 +26,6 @@ __all__ = [
     "InfiniteGain",
     "NotInfinite",
     "InvalidAllocation",
-    "NotStrongInterference",
     "ChannelGains",
     "PowerBudget",
     "Simplex2",
@@ -81,10 +80,6 @@ class NotInfinite(EvaluatorError):
 
 class InvalidAllocation(EvaluatorError):
     """Allocation violates a simplex constraint or puts power on a zero-duration phase."""
-
-
-class NotStrongInterference(EvaluatorError):
-    """Cross gains do not dominate direct gains, so the strong-IC baseline does not apply."""
 
 
 def _check_range(name: str, value: float, limit: float = math.inf) -> None:

@@ -210,8 +210,8 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     """Achievable (R1, R2) of the receiver-cooperation scheme.
 
     Each user's relayed stream is limited by the slower of its two hops;
-    ``weight`` picks the operating corner of the phase-1 joint-decoding
-    pentagon when both equivalent interferences are strong.
+    ``weight`` picks the operating corner of the phase-1 pentagon, which
+    has a sum face when at least one equivalent interference is strong.
     """
     return RatePair(*rc_kernel(*_unpack(g, p, a), weight))
 

@@ -1,6 +1,7 @@
 """Shared fixtures: the reference symmetric configuration and random draws."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -36,6 +37,20 @@ def random_gains(rng: np.random.Generator, lo: float = 0.1, hi: float = 10.0) ->
 def random_powers(rng: np.random.Generator, lo: float = 0.1, hi: float = 20.0) -> PowerBudget:
     v = rng.uniform(lo, hi, size=4)
     return PowerBudget(*v)
+
+
+def zero_cooperation_channels(seed: int, n: int):
+    """n channels with c12 = c34 = 0: direct and cross gains log-uniform in
+    [0.1, 5], all four powers equal and log-uniform in [1, 20]."""
+    rnd = random.Random(seed)
+
+    def draw(lo, hi):
+        return math.exp(rnd.uniform(math.log(lo), math.log(hi)))
+
+    for _ in range(n):
+        c13, c14, c23, c24 = (draw(0.1, 5.0) for _ in range(4))
+        yield (ChannelGains(c12=0.0, c13=c13, c14=c14, c23=c23, c24=c24, c34=0.0),
+               PowerBudget(*[draw(1.0, 20.0)] * 4))
 
 
 def random_tc_allocation(rng: np.random.Generator) -> TcAllocation:

@@ -180,24 +180,23 @@ def rc_reference(g: dict, p: dict, a: dict, weight: float = 1.0) -> tuple[float,
         def ld(m):
             return math.log2(np.linalg.det(np.eye(2) + m))
 
-        if c14v @ c14v >= c13v @ c13v and c23v @ c23v >= c24v @ c24v:
-            cap1 = lam[0] * ld(snr1)
-            cap2 = lam[0] * ld(snr2)
-            both = lam[0] * min(ld(snr1 + inr1), ld(snr2 + inr2))
-            x1 = min(cap1, both)
-            corner_a = (x1, min(cap2, max(both - x1, 0.0)))
-            y2 = min(cap2, both)
-            corner_b = (min(cap1, max(both - y2, 0.0)), y2)
-            r1_r1, r2_r1 = corner_a if weight <= 1.0 else corner_b
-        elif c14v @ c14v >= c13v @ c13v:
-            r1_r1 = lam[0] * (ld(snr1 + inr1) - ld(inr1))
-            r2_r1 = lam[0] * ld(snr2)
-        elif c23v @ c23v >= c24v @ c24v:
-            r1_r1 = lam[0] * ld(snr1)
-            r2_r1 = lam[0] * (ld(snr2 + inr2) - ld(inr2))
+        # Each receiver on its own: interference heard at least as well as
+        # at its intended receiver is strong and decoded (the receiver's
+        # multiple-access region); weaker interference is treated as noise.
+        if c23v @ c23v >= c24v @ c24v:
+            a1, sum3 = ld(snr1), ld(snr1 + inr1)
         else:
-            r1_r1 = lam[0] * (ld(snr1 + inr1) - ld(inr1))
-            r2_r1 = lam[0] * (ld(snr2 + inr2) - ld(inr2))
+            a1, sum3 = ld(snr1 + inr1) - ld(inr1), math.inf
+        if c14v @ c14v >= c13v @ c13v:
+            a2, sum4 = ld(snr2), ld(snr2 + inr2)
+        else:
+            a2, sum4 = ld(snr2 + inr2) - ld(inr2), math.inf
+        cap1, cap2, both = lam[0] * a1, lam[0] * a2, lam[0] * min(sum3, sum4)
+        x1 = min(cap1, both)
+        corner_a = (x1, min(cap2, max(both - x1, 0.0)))
+        y2 = min(cap2, both)
+        corner_b = (min(cap1, max(both - y2, 0.0)), y2)
+        r1_r1, r2_r1 = corner_a if weight <= 1.0 else corner_b
     else:
         r1_r1 = r2_r1 = 0.0
 

@@ -26,6 +26,7 @@ from conftest import (
     random_tc_allocation,
     rc_allocation_dict,
     tc_allocation_dict,
+    zero_cooperation_channels,
 )
 from coopic import bounds, frontier, rxcoop, txcoop
 from coopic.model import (
@@ -177,6 +178,22 @@ def test_criterion_6_outer_bound_containment():
             f"TC containment violated by {worst['TC'][0]:.3e} bits "
             f"(config {worst['TC'][1]}); check txcoop.phase3_power_audit at the "
             "violating vertices")
+
+
+def test_zero_cooperation_rc_lies_in_ic_outer_bound():
+    """With c34 = 0 receiver cooperation runs on the plain interference
+    channel, so every traced vertex lies in its outer bound."""
+    with report("zero cooperation: RC inside the IC outer bound"):
+        opts = frontier.TraceOptions(weights=frontier.default_weights(5), restarts=4,
+                                     max_iter=150, seed=0)
+        worst, worst_index = -math.inf, None
+        for index, (g, p) in enumerate(zero_cooperation_channels(2026, 20)):
+            region = bounds.ic_outer_region(g, p)
+            for r1, r2 in frontier.trace("RC", g, p, opts).vertices():
+                if region.violation(r1, r2) > worst:
+                    worst, worst_index = region.violation(r1, r2), index
+        print(f"  worst violation {worst:.3e} bits (channel {worst_index})", end=" ")
+        assert worst <= 1e-6, f"RC outside the IC outer bound by {worst} (channel {worst_index})"
 
 
 def test_criterion_7_frontier_nesting():

@@ -5,8 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gains, random_powers
-from coopic.model import ChannelGains, EvaluatorError, NotStrongInterference, PowerBudget, cap
+from conftest import random_gains, random_powers, zero_cooperation_channels
+from coopic.model import ChannelGains, EvaluatorError, PowerBudget, cap
 from coopic import bounds
 
 SQRT2 = math.sqrt(2.0)
@@ -313,17 +313,30 @@ def test_pentagon_corner_rejects_bad_weight(weight):
         bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=math.inf).corner(weight)
 
 
-def test_ic_pentagon_is_a_box_unless_both_interferences_strong():
-    # (strong at receiver 4, strong at receiver 3) for each case
+def _log2_det(*terms):
+    """log2 det(I + sum p v v^T) over (v, p) terms, by numpy."""
+    m = np.eye(2) + sum(p * np.outer(v, v) for v, p in terms)
+    return math.log2(np.linalg.det(m))
+
+
+def test_ic_pentagon_decides_per_receiver():
+    # A receiver with strong interference decodes both messages: its user's
+    # single-user rate, and its joint rate caps the sum.  A receiver with
+    # weak interference treats it as noise.
     u1, v2, p1, p2 = (1.0, 0.2), (0.1, 1.0), 3.0, 2.0
     for strong4, strong3 in ((True, True), (True, False), (False, True), (False, False)):
-        v1 = (0.2, 1.4) if strong4 else (0.2, 0.4)
-        u2 = (0.8, 0.9) if strong3 else (0.8, 0.3)
-        a1, a2, a12 = bounds.ic_pentagon(u1, u2, v1, v2, p1, p2)
-        assert math.isinf(a12) == (not (strong4 and strong3))
-        # a receiver that cancels its interference gets its own user's single-user rate
-        assert (a1 == pytest.approx(cap(p1 * 1.04), rel=1e-14)) == strong3
-        assert (a2 == pytest.approx(cap(p2 * 1.01), rel=1e-14)) == strong4
+        v1 = (0.2, 1.4) if strong4 else (0.2, 0.4)  # |v1|^2 vs |u1|^2 = 1.04
+        u2 = (0.8, 0.9) if strong3 else (0.8, 0.3)  # |u2|^2 vs |v2|^2 = 1.01
+        joint3 = _log2_det((u1, p1), (u2, p2))
+        joint4 = _log2_det((v2, p2), (v1, p1))
+        want1 = _log2_det((u1, p1)) if strong3 else joint3 - _log2_det((u2, p2))
+        want2 = _log2_det((v2, p2)) if strong4 else joint4 - _log2_det((v1, p1))
+        want12 = min([j for j, strong in ((joint3, strong3), (joint4, strong4)) if strong],
+                     default=math.inf)
+        got = bounds.ic_pentagon(u1, u2, v1, v2, p1, p2)
+        assert got == pytest.approx((want1, want2, want12), rel=1e-13)
+        # swapping the users together with their receivers swaps the pentagon
+        assert bounds.ic_pentagon(v2, v1, u2, u1, p2, p1) == (got[1], got[0], got[2])
 
 
 def test_strong_ic_region(ref_gains, ref_powers):
@@ -341,9 +354,36 @@ def test_strong_ic_boundary_admitted():
     assert region.sum_max == pytest.approx(cap(6.0), rel=1e-13)
 
 
-def test_strong_ic_rejects_weak_interference(ref_powers):
-    with pytest.raises(NotStrongInterference):
-        bounds.strong_ic_region(gains_with(c13=2.0, c14=1.0), ref_powers)
+def test_strong_ic_region_lies_in_ic_outer_region():
+    # The per-receiver IC region is achievable on every channel, so it lies
+    # in the IC outer bound; on strong channels the two coincide.
+    worst = worst_gap = 0.0
+    strong = 0
+    for g, p in zero_cooperation_channels(16, 2500):
+        region, outer = bounds.strong_ic_region(g, p), bounds.ic_outer_region(g, p)
+        worst = max(worst, region.r1_max - outer.r1_max, region.r2_max - outer.r2_max,
+                    *(outer.violation(r1, r2) for r1, r2 in region.vertices()))
+        if g.c14 >= g.c13 and g.c23 >= g.c24:
+            strong += 1
+            worst_gap = max(worst_gap, abs(region.r1_max - outer.r1_max),
+                            abs(region.r2_max - outer.r2_max),
+                            abs(region.sum_max - outer.sum_max))
+    assert worst <= 1e-12
+    assert strong >= 400 and worst_gap <= 1e-12
+
+
+def test_ic_outer_region_values(ref_gains, ref_powers):
+    # Sato's one-sided bound cap(c13^2 p1 + c23^2 p2) binds on these channels:
+    # log2 21 = 4.3923 and log2 101 = 6.6582 bits
+    for (c13, c14, c23, c24), det in (((1.0, 0.1, 1.0, 1.0), 21.0),
+                                      ((3.0, 0.5, 1.0, 0.9), 101.0)):
+        g = gains_with(c13=c13, c14=c14, c23=c23, c24=c24)
+        region = bounds.ic_outer_region(g, PowerBudget(10.0, 10.0))
+        assert region.sum_max == pytest.approx(math.log2(det), abs=1e-12)
+    ref = bounds.ic_outer_region(ref_gains, ref_powers)
+    assert (ref.r1_max, ref.r2_max, ref.sum_max) == pytest.approx(
+        (math.log2(6.0), math.log2(6.0), 4.0), abs=1e-12)
+    assert bounds.ic_outer_region(ref_gains, PowerBudget(0.0, 0.0)).sum_max == 0.0
 
 
 # ---------------------------------------------------------------------------

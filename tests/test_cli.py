@@ -313,9 +313,16 @@ def test_region_rdpc_with_infinite_gain_exits_3(tmp_path):
     assert run(args) == cli.EXIT_EVALUATOR
 
 
-def test_region_ic_requires_strong_interference(tmp_path):
+def test_region_ic_on_weak_interference(tmp_path):
+    # c14 < c13: receiver 4 treats user 1 as noise, receiver 3 still decodes both
     args = _region_args(tmp_path, out="x.csv", schemes=["IC"], c14=0.5)
-    assert run(args) == cli.EXIT_EVALUATOR
+    assert run(args) == 0
+    rows = [line.split(",") for line in (tmp_path / "x.csv").read_text().split()[1:]]
+    assert rows and {row[2] for row in rows} == {"IC"}
+    # pentagon (log2 6, log2(29/9), 4): receiver 3's joint rate caps the sum
+    r1_max, r2_max = math.log2(6.0), math.log2(29.0 / 9.0)
+    want = [r1_max, 4.0 - r1_max, 4.0 - r2_max, r2_max]
+    assert [float(x) for row in rows for x in row[:2]] == pytest.approx(want, abs=1e-11)
 
 
 # ---------------------------------------------------------------------------
@@ -345,11 +352,14 @@ def test_bounds_large_nearly_parallel_gains(tmp_path, capsys):
     assert all(math.isfinite(record[kind]["sum_max"]) for kind in ("TC", "RC"))
 
 
-def test_bounds_reports_non_strong_ic(tmp_path, capsys):
+def test_bounds_reports_ic_on_weak_interference(tmp_path, capsys):
     cfg = write_config(tmp_path, c14=0.5)
     assert run(["bounds", "--config", cfg]) == 0
     record = json.loads(capsys.readouterr().out)
-    assert "error" in record["IC"]
+    # receiver 4 treats user 1 as noise: r2_max = cap(5 / (1 + 0.25 * 5))
+    assert record["IC"]["r1_max"] == pytest.approx(math.log2(6.0), abs=1e-12)
+    assert record["IC"]["r2_max"] == pytest.approx(math.log2(29.0 / 9.0), abs=1e-12)
+    assert record["IC"]["sum_max"] == pytest.approx(math.log2(16.0), abs=1e-12)
 
 
 @pytest.mark.parametrize("args", [

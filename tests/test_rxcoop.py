@@ -240,6 +240,21 @@ def test_phase1_mixed_cases():
     assert r2 == pytest.approx(ld((c24v, p2), (c14v, p1)) - ld((c14v, p1)), rel=1e-13)
 
 
+def test_one_strong_receiver_caps_the_sum_rate():
+    # Only receiver 3's interference is strong (c23 >= c24, c14 < c13) and
+    # nothing is conferenced.  Any code then satisfies Sato's one-sided bound
+    # R1 + R2 <= cap(c13^2 p1 + c23^2 p2) = log2 101 = 6.6582 bits; crediting
+    # receiver 3 with its interference-free rate without that sum cap gave
+    # 8.2365 bits.
+    g = ChannelGains(c12=0.0, c13=3.0, c14=0.5, c23=1.0, c24=0.9, c34=0.0)
+    p = PowerBudget(10.0, 10.0, 10.0, 10.0)
+    a = make_alloc(lam=(1.0, 0.0, 0.0), mu=(1.0, 0.0, 0.0), eta=(1.0, 0.0, 0.0))
+    sato = cap(3.0 ** 2 * 10.0 + 1.0 ** 2 * 10.0)
+    for weight in (0.0, 1.0, math.inf):
+        pair = rxcoop.rc_rate_pair(g, p, a, weight=weight)
+        assert pair.total <= sato + 1e-12
+
+
 def test_phase1_classification_boundary_evaluates():
     # exactly on the strong/weak boundary: ties classify as strong
     v = (1.0, 0.0)
