@@ -21,7 +21,7 @@ from the allocation's field annotations, and its corner starts.
 for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
 ``_sweep`` runs each search over every weight and restart.
 ``score`` squares each simplex block of a vertex (a list of floats) once
-into the shares the allocation's simplices would store and scores them with
+into the weights that block's simplex would store and scores the blocks with
 the scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
 no dataclass is built per evaluation.  ``revalidate`` passes each
 Nelder-Mead result through the public decoder and rate pair, which build the
@@ -197,12 +197,9 @@ def _squares(xs: list[float], blocks) -> list[list[float]]:
     return out
 
 
-def _decode(xs: list[float], blocks) -> list[float]:
-    """The shares the decoded allocation's simplices store, flat in field order."""
-    shares = []
-    for block in _squares(xs, blocks):
-        shares += simplex_weights(block)
-    return shares
+def _decode(xs: list[float], blocks) -> list[list[float]]:
+    """The weights each simplex of the decoded allocation stores, one list per block."""
+    return [simplex_weights(block) for block in _squares(xs, blocks)]
 
 
 def _simplices(x, space: _Space) -> list:
@@ -216,10 +213,10 @@ def _simplices(x, space: _Space) -> list:
 class _Space(NamedTuple):
     """A search space: the simplex type of each block of its search vector,
     in allocation field order, and the explicit starts of each weight's
-    first restarts."""
+    first restarts, block by block."""
 
     simplices: tuple[type, ...]
-    corners: tuple[tuple[float, ...], ...]
+    corners: tuple[tuple[tuple[float, ...], ...], ...]
 
     @property
     def blocks(self) -> tuple[int, ...]:
@@ -230,28 +227,28 @@ class _Space(NamedTuple):
 # The corner starts pair zero-duration phases with zero power mass, so every
 # start evaluates cleanly.
 _TC = _Space(tuple(get_type_hints(TcAllocation).values()), (
-    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    (1, 0, 1.4, 1, 1, 0, 1, 1, 0, 1, 1, 0, 1, 0, 0, 0, 1),
-    (0, 1, 1.4, 0, 1, 1, 1, 1, 1, 1, 0, 0, 0, 1, 0, 1, 0),
-    (1, 1, 1.4, 1, 1, 1, 1, 1, 0.5, 1, 0.5, 1, 2, 1, 1, 2, 1),
-    (0, 0, 1, 0, 1, 0, 1, 1, 1, 1, 1, 1, 0, 0, 1, 0, 0),
+    ((1, 1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1, 1), (1, 1, 1)),
+    ((0, 0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 1, 1), (1, 1, 1)),
+    ((1, 0, 1.4), (1, 1), (0, 1), (1, 0), (1, 1), (0, 1, 0), (0, 0, 1)),
+    ((0, 1, 1.4), (0, 1), (1, 1), (1, 1), (1, 0), (0, 0, 1), (0, 1, 0)),
+    ((1, 1, 1.4), (1, 1), (1, 1), (1, 0.5), (1, 0.5), (1, 2, 1), (1, 2, 1)),
+    ((0, 0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 0, 0), (1, 0, 0)),
 ))
 _RC = _Space(tuple(get_type_hints(RcAllocation).values()), (
-    (1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1),
-    (1.4, 1, 1, 1.4, 1, 1, 1.4, 1, 1, 1, 1, 1, 1),
-    (1, 1, 0.3, 1, 1, 0, 0, 0, 1, 1, 0, 1, 1),
-    (1, 0.3, 1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 0),
-    (0, 1, 1, 0, 1, 1, 0, 1, 1, 1, 1, 1, 1),
+    ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1), (1, 1)),
+    ((1.4, 1, 1), (1.4, 1, 1), (1.4, 1, 1), (1, 1), (1, 1)),
+    ((1, 1, 0.3), (1, 1, 0), (0, 0, 1), (1, 0), (1, 1)),
+    ((1, 0.3, 1), (0, 1, 0), (1, 0, 1), (1, 1), (1, 0)),
+    ((0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 1), (1, 1)),
 ))
 # The two joint-phase power splits (mu, eta) of TC at c12 = +inf.
 _LIMIT = _Space((Simplex3, Simplex3), (
-    (1, 1, 1, 1, 1, 1),
-    (0, 1, 0, 0, 0, 1),
-    (0, 0, 1, 0, 1, 0),
-    (0, 1, 0, 0, 1, 0),
-    (1, 0, 0, 1, 0, 0),
-    (0, 1, 1, 0, 1, 1),
+    ((1, 1, 1), (1, 1, 1)),
+    ((0, 1, 0), (0, 0, 1)),
+    ((0, 0, 1), (0, 1, 0)),
+    ((0, 1, 0), (0, 1, 0)),
+    ((1, 0, 0), (1, 0, 0)),
+    ((0, 1, 1), (0, 1, 1)),
 ))
 
 
@@ -268,7 +265,8 @@ def rc_allocation_from_vector(x) -> RcAllocation:
 def _start_vector(seed: int, weight_index: int, restart_index: int,
                   space: _Space) -> np.ndarray:
     if restart_index < len(space.corners):
-        return np.asarray(space.corners[restart_index], dtype=float)
+        return np.asarray([w for block in space.corners[restart_index] for w in block],
+                          dtype=float)
     rng = np.random.default_rng(
         np.random.SeedSequence(entropy=(seed, weight_index, restart_index)))
     return rng.standard_normal(sum(space.blocks))

@@ -18,7 +18,7 @@ so everything here is safe to call concurrently.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 __all__ = [
     "EvaluatorError",
@@ -34,7 +34,6 @@ __all__ = [
     "RcAllocation",
     "RatePair",
     "kernel_args",
-    "shares",
     "cap",
     "quad",
     "det_pair",
@@ -159,20 +158,24 @@ def simplex_weights(weights) -> list[float]:
     return [w / total for w in weights]
 
 
-class _Simplex:
-    """Nonnegative weights in the fields of a frozen dataclass subclass,
-    renormalized on construction to sum to one.
+class _Fields:
+    """Iterates the fields of a frozen dataclass subclass in field order.
 
     The instance ``__dict__`` of such a subclass holds exactly its fields,
-    in field order, so the weights are read and written there.
+    in field order, so they are read there.
     """
+
+    def __iter__(self):
+        return iter(self.__dict__.values())
+
+
+class _Simplex(_Fields):
+    """Nonnegative weights in the fields of a frozen dataclass subclass,
+    renormalized on construction to sum to one (written in ``__dict__``)."""
 
     def __post_init__(self) -> None:
         weights = self.__dict__
         weights.update(zip(self.__dataclass_fields__, simplex_weights(list(weights.values()))))
-
-    def __iter__(self):
-        return iter(self.__dict__.values())
 
 
 @dataclass(frozen=True)
@@ -193,8 +196,8 @@ class Simplex3(_Simplex):
 
 
 @dataclass(frozen=True)
-class TcAllocation:
-    """Scheme parameters for transmitter cooperation.
+class TcAllocation(_Fields):
+    """Scheme parameters for transmitter cooperation; iterates its simplices.
 
     lam    -- phase durations (exchange 1, exchange 2, joint broadcast)
     kappa  -- node-1 power split between phase 1 and phase 3
@@ -217,8 +220,8 @@ class TcAllocation:
 
 
 @dataclass(frozen=True)
-class RcAllocation:
-    """Scheme parameters for receiver cooperation.
+class RcAllocation(_Fields):
+    """Scheme parameters for receiver cooperation; iterates its simplices.
 
     lam   -- phase durations (joint listen, node-3 listen, node-4 listen)
     mu    -- node-1 power split across the three phases
@@ -239,14 +242,9 @@ def kernel_args(g: ChannelGains, p: PowerBudget):
     return (g.c12, g.c13, g.c14, g.c23, g.c24, g.c34), (p.p1, p.p2, p.p3, p.p4)
 
 
-def shares(a: TcAllocation | RcAllocation) -> tuple[float, ...]:
-    """The rate kernels' ``s``: an allocation's weights, flat in field order."""
-    return tuple(w for f in fields(a) for w in getattr(a, f.name))
-
-
 @dataclass(frozen=True)
-class RatePair:
-    """A nonnegative (R1, R2) point in bits per channel use."""
+class RatePair(_Fields):
+    """A nonnegative (R1, R2) point in bits per channel use; iterates (r1, r2)."""
 
     r1: float
     r2: float
@@ -257,9 +255,6 @@ class RatePair:
     @property
     def total(self) -> float:
         return self.r1 + self.r2
-
-    def __iter__(self):
-        return iter((self.r1, self.r2))
 
 
 def checked_pair(r1: float, r2: float) -> tuple[float, float]:

@@ -11,8 +11,9 @@ the c34 = +inf limit is its lossless (zeta = 1) case over the whole block.
 
 Each rate formula exists once, as a kernel on plain floats, for both
 receivers (``_listen``): gains ``c`` and powers ``pw`` from
-``model.kernel_args`` and the 13 allocation shares ``s`` from
-``model.shares`` (lam1..3, mu1..3, eta1..3, alpha1..2, beta1..2).
+``model.kernel_args`` and the allocation ``a`` as its simplex blocks in
+``RcAllocation`` field order (the allocation itself or one list of weights
+per block).
 ``rc_kernel`` returns the rate pair as floats; the frontier search scores
 every evaluation with it.
 The dataclass API (``rc_rate_pair`` and ``rc_phase_rates``) is a thin view:
@@ -43,7 +44,6 @@ from .model import (
     det_pair,
     kernel_args,
     phase_power,
-    shares,
 )
 
 __all__ = [
@@ -95,21 +95,21 @@ def _listen(lam, heard1, heard2, user1, fwd_obs, fwd_data):
             lam * cap(other / (1.0 + own)), lam * cap(own))
 
 
-def _phase23(c, pw, s):
+def _phase23(c, pw, a):
     """Phase 2-3 rates, the first eight ``RcPhaseRates`` fields in order."""
     _, c13, c14, c23, c24, c34 = c
     p1, p2, p3, p4 = pw
-    lam2, lam3 = s[1], s[2]
-    p1_2 = phase_power(s[4], p1, lam2, "mu2")
-    p2_2 = phase_power(s[7], p2, lam2, "eta2")
-    p1_3 = phase_power(s[5], p1, lam3, "mu3")
-    p2_3 = phase_power(s[8], p2, lam3, "eta3")
+    (_, lam2, lam3), (_, mu2, mu3), (_, eta2, eta3), (alpha1, alpha2), (beta1, beta2) = a
+    p1_2 = phase_power(mu2, p1, lam2, "mu2")
+    p2_2 = phase_power(eta2, p2, lam2, "eta2")
+    p1_3 = phase_power(mu3, p1, lam3, "mu3")
+    p2_3 = phase_power(eta3, p2, lam3, "eta3")
     # Receiver helpers spend their whole budget inside one phase; with a
     # zero-duration phase that budget is simply unusable.
-    p4_1 = phase_power(s[9], p4, lam2, "alpha1") if lam2 > 0.0 else 0.0
-    p4_2 = phase_power(s[10], p4, lam2, "alpha2") if lam2 > 0.0 else 0.0
-    p3_1 = phase_power(s[11], p3, lam3, "beta1") if lam3 > 0.0 else 0.0
-    p3_2 = phase_power(s[12], p3, lam3, "beta2") if lam3 > 0.0 else 0.0
+    p4_1 = phase_power(alpha1, p4, lam2, "alpha1") if lam2 > 0.0 else 0.0
+    p4_2 = phase_power(alpha2, p4, lam2, "alpha2") if lam2 > 0.0 else 0.0
+    p3_1 = phase_power(beta1, p3, lam3, "beta1") if lam3 > 0.0 else 0.0
+    p3_2 = phase_power(beta2, p3, lam3, "beta2") if lam3 > 0.0 else 0.0
 
     # Phase 2: receiver 3 listens, helped by 4; phase 3: receiver 4, helped by 3.
     r1_2r2, r1_s, r2_2r1, r1_d = _listen(lam2, c13 ** 2 * p1_2, c23 ** 2 * p2_2, True,
@@ -122,13 +122,11 @@ def _phase23(c, pw, s):
 def _compression_noise(num: float, exponent: float, denom: float) -> float:
     """num / ((2**exponent - 1) * denom), with the zero/huge-exponent limits.
 
-    2**exponent - 1 is taken as expm1(exponent * ln 2), which keeps its
-    precision for tiny exponents; when even that underflows to zero the
-    forwarded description carries nothing and the noise is infinite.  The
-    quotient is taken in Python floats, where overflow gives +inf quietly.
+    2**exponent - 1 is taken as expm1(exponent * ln 2), precise for tiny
+    exponents; where it is zero (the exponent, a rate over a duration, is zero
+    or underflows) the forwarded description carries nothing and the noise is
+    infinite.  The quotient is taken in Python floats, where overflow gives +inf quietly.
     """
-    if exponent <= 0.0:
-        return math.inf
     if exponent > 512.0:  # noise underflows to zero well before 2**x overflows
         return 0.0
     growth = math.expm1(float(exponent) * _LN2)
@@ -145,7 +143,7 @@ def _compression(c, lam1: float, p1_1: float, p2_1: float, r1_s: float, r2_s: fl
     zeta_i of the peer's observation kept, the four equivalent gain vectors
     as pairs (receiver's own antenna first) and the two powers.  sigma_i_sq
     is the compression noise of the peer's observation (+inf when nothing
-    was forwarded, leaving exact zeros in the gains)."""
+    was forwarded, which gives zeta_i = 0 and exact zeros in the gains)."""
     _, c13, c14, c23, c24, _ = c
     at3 = 1.0 + c13 * c13 * p1_1 + c23 * c23 * p2_1
     at4 = 1.0 + c14 * c14 * p1_1 + c24 * c24 * p2_1
@@ -153,8 +151,8 @@ def _compression(c, lam1: float, p1_1: float, p2_1: float, r1_s: float, r2_s: fl
 
     sigma1_sq = _compression_noise(num, r2_s / lam1, at4)
     sigma2_sq = _compression_noise(num, r1_s / lam1, at3)
-    zeta1 = 0.0 if math.isinf(sigma1_sq) else 1.0 / (1.0 + sigma1_sq)
-    zeta2 = 0.0 if math.isinf(sigma2_sq) else 1.0 / (1.0 + sigma2_sq)
+    zeta1 = 1.0 / (1.0 + sigma1_sq)
+    zeta2 = 1.0 / (1.0 + sigma2_sq)
 
     rz1, rz2 = math.sqrt(zeta1), math.sqrt(zeta2)
     return (sigma1_sq, sigma2_sq, zeta1, zeta2, (c13, rz2 * c14), (c23, rz2 * c24),
@@ -168,21 +166,22 @@ def _phase1(eq, lambda1: float, weight: float) -> tuple[float, float]:
     return bounds.pentagon_corner(lambda1 * a1, lambda1 * a2, lambda1 * a12, weight)
 
 
-def _stream_rates(c, pw, s, weight: float):
+def _stream_rates(c, pw, a, weight: float):
     """All ten stream rates in ``RcPhaseRates`` field order."""
-    rates = _phase23(c, pw, s)
-    lam1 = s[0]
-    p1_1 = phase_power(s[3], pw[0], lam1, "mu1")
-    p2_1 = phase_power(s[6], pw[1], lam1, "eta1")
+    rates = _phase23(c, pw, a)
+    p1, p2, _, _ = pw
+    (lam1, _, _), (mu1, _, _), (eta1, _, _), _, _ = a
+    p1_1 = phase_power(mu1, p1, lam1, "mu1")
+    p2_1 = phase_power(eta1, p2, lam1, "eta1")
     if lam1 == 0.0:
         return rates + (0.0, 0.0)
     eq = _compression(c, lam1, p1_1, p2_1, rates[2], rates[3])
     return rates + _phase1(eq[4:], lam1, weight)
 
 
-def rc_kernel(c, pw, s, weight: float = 1.0) -> tuple[float, float]:
+def rc_kernel(c, pw, a, weight: float = 1.0) -> tuple[float, float]:
     """(R1, R2) of receiver cooperation; float form of ``rc_rate_pair``."""
-    rates = _stream_rates(c, pw, s, weight)
+    rates = _stream_rates(c, pw, a, weight)
     r1_d, r2_d, _, _, r1_2r1, r1_2r2, r2_2r1, r2_2r2, r1_r1, r2_r1 = rates
     return checked_pair(r1_d + r1_r1 + min(r1_2r1, r1_2r2), r2_d + r2_r1 + min(r2_2r1, r2_2r2))
 
@@ -192,11 +191,11 @@ def rc_kernel(c, pw, s, weight: float = 1.0) -> tuple[float, float]:
 
 
 def _unpack(g: ChannelGains, p: PowerBudget, a: RcAllocation):
-    """Kernel arguments (c, pw, s); raises InfiniteGain at c34 = +inf."""
+    """Kernel arguments (c, pw, a); raises InfiniteGain at c34 = +inf."""
     if math.isinf(g.c34):
         raise InfiniteGain("c34 is infinite; trace the limit with frontier.trace "
                            "or evaluate it with rc_limit_rate_pair")
-    return (*kernel_args(g, p), shares(a))
+    return (*kernel_args(g, p), a)
 
 
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,

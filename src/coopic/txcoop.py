@@ -23,10 +23,10 @@ coherent combining) and the infinite-conferencing limit of the scheme;
 
 Each rate formula exists once, as a kernel on plain floats, for both users
 (``_exchange``, ``_phase3``): gains ``c`` and powers ``pw`` from
-``model.kernel_args``, the 17 allocation shares ``s`` from ``model.shares``
-(lam1..3, kappa1..2, gamma1..2, alpha1..2, beta1..2, mu1..3, eta1..3), and a
-covariance as ``(sigma1, sigma2, user1_clean)`` with each sigma given by
-its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
+``model.kernel_args``, the allocation ``a`` as its simplex blocks in
+``TcAllocation`` field order (the allocation itself or one list of weights
+per block), and a covariance as ``(sigma1, sigma2, user1_clean)`` with each
+sigma given by its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
 ``tc_kernel``, ``rdpc_kernel`` and ``tc_limit_kernel`` return the rate
 pair as floats; the frontier search scores every evaluation with them.
 The dataclass API is a thin view: it unpacks its arguments, calls the
@@ -56,7 +56,6 @@ from .model import (
     kernel_args,
     phase_power,
     quad,
-    shares,
 )
 
 __all__ = [
@@ -126,7 +125,8 @@ _AUDIT_RTOL = 1e-12
 
 def _user1_clean(c) -> bool:
     """Encoding order: user 1 gets the clean slot iff receiver 3's combined gain is larger."""
-    return c[1] + c[3] > c[2] + c[4]
+    _, c13, c14, c23, c24, _ = c
+    return c13 + c23 > c14 + c24
 
 
 def _exchange(lam, p, c12, own, cross, conf, relay):
@@ -144,28 +144,32 @@ def _exchange(lam, p, c12, own, cross, conf, relay):
     return r_conf, r_own, r_cross
 
 
-def _phase12(c, pw, s):
+def _phase12(c, pw, a):
     """Phase 1-2 rates (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)."""
     c12, c13, c14, c23, c24, _ = c
-    p1_1 = phase_power(s[3], pw[0], s[0], "kappa1")
-    p2_1 = phase_power(s[5], pw[1], s[1], "gamma1")
+    p1, p2, _, _ = pw
+    (lam1, lam2, _), (kappa1, _), (gamma1, _), alpha, beta, _, _ = a
+    p1_1 = phase_power(kappa1, p1, lam1, "kappa1")
+    p2_1 = phase_power(gamma1, p2, lam2, "gamma1")
     # Phase 1: source 1 broadcasts; phase 2: source 2.
-    r1_r1, r1_1, r2_1 = _exchange(s[0], p1_1, c12, c13, c14, s[7], s[8])
-    r2_r1, r2_2, r1_2 = _exchange(s[1], p2_1, c12, c24, c23, s[9], s[10])
+    r1_r1, r1_1, r2_1 = _exchange(lam1, p1_1, c12, c13, c14, *alpha)
+    r2_r1, r2_2, r1_2 = _exchange(lam2, p2_1, c12, c24, c23, *beta)
     return (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)
 
 
-def _phase3_powers(pw, s) -> tuple[float, float]:
+def _phase3_powers(pw, a) -> tuple[float, float]:
     """Phase-3 burst power allotted to sources 1 and 2."""
-    return (phase_power(s[4], pw[0], s[2], "kappa2"),
-            phase_power(s[6], pw[1], s[2], "gamma2"))
+    p1, p2, _, _ = pw
+    (_, _, lam3), (_, kappa2), (_, gamma2), _, _, _, _ = a
+    return (phase_power(kappa2, p1, lam3, "kappa2"),
+            phase_power(gamma2, p2, lam3, "gamma2"))
 
 
-def _phase3_split(pw, s):
+def _phase3_split(pw, a):
     """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2 streams."""
-    p1_3, p2_3 = _phase3_powers(pw, s)
-    return ((s[11] * p1_3, s[14] * p2_3), (s[12] * p1_3, s[16] * p2_3),
-            (s[13] * p1_3, s[15] * p2_3))
+    p1_3, p2_3 = _phase3_powers(pw, a)
+    _, _, _, _, _, (mu1, mu2, mu3), (eta1, eta2, eta3) = a
+    return ((mu1 * p1_3, eta1 * p2_3), (mu2 * p1_3, eta3 * p2_3), (mu3 * p1_3, eta2 * p2_3))
 
 
 def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
@@ -176,10 +180,9 @@ def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
     stream gets s_other I inflated by the clean stream's leakage
     u^T sigma1 u = s_clean |u|^2 / (1 + s_other |u|^2).
     """
-    if user1_clean:
-        u, s_clean, s_other = (c[3], c[4]), s_joint1, s_joint2
-    else:
-        u, s_clean, s_other = (c[1], c[2]), s_joint2, s_joint1
+    _, c13, c14, c23, c24, _ = c
+    u, s_clean, s_other = (((c23, c24), s_joint1, s_joint2) if user1_clean
+                           else ((c13, c14), s_joint2, s_joint1))
     b11, b12, b22 = inverse(u, s_other)
     norm2 = u[0] * u[0] + u[1] * u[1]
     a_scale = 1.0 + s_clean * norm2 / (1.0 + s_other * norm2)
@@ -189,11 +192,12 @@ def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
 
 def _budget_cov(c, joint1, joint2):
     """Per-source-budget covariances (see ``tc_budget_covariances``)."""
+    _, c13, c14, c23, c24, _ = c
     user1_clean = _user1_clean(c)
     if user1_clean:
-        clean, first, x, y = joint1, joint2, c[2], c[4]
+        clean, first, x, y = joint1, joint2, c14, c24
     else:
-        clean, first, x, y = joint2, joint1, c[1], c[3]
+        clean, first, x, y = joint2, joint1, c13, c23
     s = first[0] + first[1]
     rho_dual = -s * x * y / math.sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
     rho = 1.0 + 2.0 * rho_dual
@@ -238,7 +242,7 @@ def _phase3(c, lam3: float, fresh, cov):
     return (r_v3, r_u3, r_vd, r_ud)
 
 
-def _stream_rates(c, pw, s, cov=None):
+def _stream_rates(c, pw, a, cov=None):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
     ``cov`` defaults to the per-source-budget covariances.  A silent joint
@@ -246,11 +250,12 @@ def _stream_rates(c, pw, s, cov=None):
     = 0) needs no branch: each phase-3 rate is lam3 times a finite capacity,
     so all four are exactly 0.0.
     """
-    rates = _phase12(c, pw, s)
-    fresh, joint1, joint2 = _phase3_split(pw, s)
+    rates = _phase12(c, pw, a)
+    fresh, joint1, joint2 = _phase3_split(pw, a)
     if cov is None:
         cov = _budget_cov(c, joint1, joint2)
-    return rates + _phase3(c, s[2], fresh, cov)
+    (_, _, lam3), _, _, _, _, _, _ = a
+    return rates + _phase3(c, lam3, fresh, cov)
 
 
 def _pair(rates) -> tuple[float, float]:
@@ -261,25 +266,26 @@ def _pair(rates) -> tuple[float, float]:
                         r2_d + min(r2_r1, r2_1 + r2_2 + r2_3))
 
 
-def tc_kernel(c, pw, s) -> tuple[float, float]:
+def tc_kernel(c, pw, a) -> tuple[float, float]:
     """(R1, R2) of transmitter cooperation; float form of ``tc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, s))
+    return _pair(_stream_rates(c, pw, a))
 
 
-def rdpc_kernel(c, pw, s) -> tuple[float, float]:
+def rdpc_kernel(c, pw, a) -> tuple[float, float]:
     """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, s, _rdpc_cov(c, *_phase3_split(pw, s)[1:])))
+    return _pair(_stream_rates(c, pw, a, _rdpc_cov(c, *_phase3_split(pw, a)[1:])))
 
 
-def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
-    """(R1, R2) at c12 = +inf for the joint-phase splits s = (mu1..3, eta1..3).
+def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
+    """(R1, R2) at c12 = +inf for the joint-phase splits a = (mu, eta).
 
     Float form of ``tc_limit_rate_pair``: the joint phase fills the block
     (lam3 = 1, all power in phase 3) with the pooled duality covariances.
     """
-    p1, p2 = pw[0], pw[1]
-    cov = _duality_cov(c, s[1] * p1 + s[5] * p2, s[2] * p1 + s[4] * p2, user1_clean)
-    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (s[0] * p1, s[3] * p2), cov)
+    p1, p2, _, _ = pw
+    (mu1, mu2, mu3), (eta1, eta2, eta3) = a
+    cov = _duality_cov(c, mu2 * p1 + eta3 * p2, mu3 * p1 + eta2 * p2, user1_clean)
+    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov)
     return checked_pair(r1_d + r1_3, r2_d + r2_3)
 
 
@@ -288,17 +294,17 @@ def tc_limit_kernel(c, pw, s, user1_clean: bool) -> tuple[float, float]:
 
 
 def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
-    """Kernel arguments (c, pw, s); raises InfiniteGain at c12 = +inf."""
+    """Kernel arguments (c, pw, a); raises InfiniteGain at c12 = +inf."""
     if math.isinf(g.c12):
         raise InfiniteGain("c12 is infinite; trace the limit with frontier.trace "
                            "or evaluate it with tc_limit_rate_pair")
-    return (*kernel_args(g, p), shares(a))
+    return (*kernel_args(g, p), a)
 
 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """Kernel gains and per-source joint-stream powers; checks c12 first."""
-    c, pw, s = _unpack(g, p, a)
-    return (c, *_phase3_split(pw, s)[1:])
+    c, pw, a = _unpack(g, p, a)
+    return (c, *_phase3_split(pw, a)[1:])
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -375,11 +381,11 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     """
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
-    pw, s = (p.p1, p.p2), shares(a)
-    fresh1, fresh2 = _phase3_split(pw, s)[0]
+    _, pw = kernel_args(g, p)
+    fresh1, fresh2 = _phase3_split(pw, a)[0]
     radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
                 fresh2 + cov.sigma1[2] + cov.sigma2[2])
-    return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, s))
+    return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, a))
 
 
 def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
@@ -390,8 +396,7 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     budget-respecting ``tc_budget_covariances``; pass
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
-    c, pw, s = _unpack(g, p, a)
-    return TcPhaseRates(*_stream_rates(c, pw, s, cov))
+    return TcPhaseRates(*_stream_rates(*_unpack(g, p, a), cov))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
@@ -416,7 +421,7 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     """
     if not math.isinf(g.c12):
         raise NotInfinite("c12 is finite; use tc_rate_pair")
-    return RatePair(*tc_limit_kernel(*kernel_args(g, p), (*mu, *eta), user1_clean))
+    return RatePair(*tc_limit_kernel(*kernel_args(g, p), (mu, eta), user1_clean))
 
 
 def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

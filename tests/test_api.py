@@ -69,3 +69,18 @@ def test_import_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                          text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_kernels_read_no_positional_index():
+    """The rate kernels unpack their gains ``c``, powers ``pw`` and allocation
+    blocks into named locals: no ``s[k]``, ``c[k]`` or ``pw[k]`` read restates
+    the layout the allocation and ``model.kernel_args`` declare."""
+    reads = []
+    for name in ("txcoop", "rxcoop"):
+        path = Path(coopic.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                    and node.value.id in ("s", "c", "pw") \
+                    and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, int):
+                reads.append(f"{name}.py:{node.lineno} {ast.unparse(node)}")
+    assert not reads, f"positional kernel reads: {reads}"

@@ -223,6 +223,30 @@ def test_cutset_closed_form_rho_step_sub_ulp_listen_gap():
         assert bounds.relay_cutset_bound(g, p, 1, "tx") == pytest.approx(want, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 4: the grid's correlation window misses the cut-set "
+                          "maximum at rho = 1; direction H fixes it")
+def test_cutset_reaches_the_full_window_maximum():
+    # pool[0] of bench/bounds_reference.json, RC user 1.  The nested golden
+    # search over (alpha, e) with rho maximized over all of [0, 1] is a value
+    # of the cut-set objective, so the bound may not lie below it.  Today it
+    # gives 3.255780 against 3.259186.
+    g = ChannelGains(5.885355950759363, 0.5785857492021551, 4.279526648197922,
+                     3.2012778830213704, 4.80531607893294, 1.1800023147625776)
+    p = PowerBudget(1.7505957147226896, 12.317380752678378, 9.851781316512724,
+                    19.78231829610159)
+    sd, sr, rd, p_src, p_rel = _cutset_triples(g, p)[("rx", 1)]
+
+    def over_energy(alpha):
+        return bounds._golden_max(
+            lambda e: bounds._cutset_rho_max(sd * sd, sr * sr, rd * rd, p_src, p_rel,
+                                             alpha, e, lo=0.0, hi=1.0),
+            0.0, 1.0, iters=40)
+
+    want = bounds._golden_max(over_energy, 0.0, 1.0, iters=40)
+    assert bounds.relay_cutset_bound(g, p, 1, "rx") >= want - 1e-12
+
+
 # ---------------------------------------------------------------------------
 # broadcast / multiple-access sum bounds
 

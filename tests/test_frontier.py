@@ -183,15 +183,17 @@ def test_search_objective_matches_public_rate_pair(scheme):
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_every_corner_start_evaluates_cleanly(scheme, ref_gains, ref_powers):
-    # Each corner start has one coordinate per simplex weight of its space
-    # and decodes through the public decoder and rate pair with no
-    # EvaluatorError (TC_inf in both encoding orders).
+    # Each corner start has one block per simplex of its space, each with one
+    # coordinate per simplex weight, and its start vector decodes through the
+    # public decoder and rate pair with no EvaluatorError (TC_inf in both
+    # encoding orders).
     g = dataclasses.replace(ref_gains, c12=math.inf) if scheme == "TC_inf" else ref_gains
     weights = (0.0, 1.0, math.inf) if scheme == "RC" else (1.0,)
     for space, _, revalidate in frontier._searches(scheme, g, ref_powers):
-        for corner, w in itertools.product(space.corners, weights):
-            assert len(corner) == sum(space.blocks)
-            revalidate(np.asarray(corner, dtype=float), w)
+        for k, corner in enumerate(space.corners):
+            assert tuple(len(block) for block in corner) == space.blocks
+            for w in weights:
+                revalidate(frontier._start_vector(0, 0, k, space), w)
 
 
 # ---------------------------------------------------------------------------
@@ -228,7 +230,7 @@ def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref
         searches = frontier._searches(scheme, g, ref_powers)
         space = searches[0][0]
         dim = sum(space.blocks)
-        starts = [np.asarray(c, dtype=float) for c in space.corners[1:3]]
+        starts = [frontier._start_vector(0, 0, k, space) for k in (1, 2)]
         starts += [rng.standard_normal(dim) for _ in range(2)]
         for (_, score, _), (x0, w) in itertools.product(
                 searches, zip(starts, (0.0, 1.0, 2.5, math.inf))):

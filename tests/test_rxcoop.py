@@ -49,7 +49,7 @@ EquivalentChannel = namedtuple("EquivalentChannel", "sigma1_sq sigma2_sq zeta1 z
 def phase23(g, p, a) -> rxcoop.RcPhaseRates:
     """Phase 2-3 fields of RcPhaseRates from the kernel."""
     c, pw = model.kernel_args(g, p)
-    return rxcoop.RcPhaseRates(*rxcoop._phase23(c, pw, model.shares(a)))
+    return rxcoop.RcPhaseRates(*rxcoop._phase23(c, pw, a))
 
 
 def compression(g, p, a, r1_s, r2_s) -> EquivalentChannel:

@@ -24,7 +24,7 @@ from coopic.model import (
     Simplex3,
     TcAllocation,
 )
-from coopic import model, txcoop
+from coopic import bounds, frontier, model, txcoop
 from reference_eval import tc_reference
 
 SQRT2 = math.sqrt(2.0)
@@ -41,13 +41,13 @@ def make_alloc(lam=(1 / 3, 1 / 3, 1 / 3), kappa=(0.5, 0.5), gamma=(0.5, 0.5),
 def phase12(g, p, a) -> txcoop.TcPhaseRates:
     """Phase 1-2 fields of TcPhaseRates from the kernel."""
     c, pw = model.kernel_args(g, p)
-    return txcoop.TcPhaseRates(*txcoop._phase12(c, pw, model.shares(a)))
+    return txcoop.TcPhaseRates(*txcoop._phase12(c, pw, a))
 
 
 def phase3(g, p, a, cov) -> txcoop.TcPhaseRates:
     """Phase-3 fields of TcPhaseRates from the kernel, under ``cov``."""
     c, pw = model.kernel_args(g, p)
-    fresh = txcoop._phase3_split(pw, model.shares(a))[0]
+    fresh = txcoop._phase3_split(pw, a)[0]
     r1_3, r2_3, r1_d, r2_d = txcoop._phase3(c, a.lam.w3, fresh, cov)
     return txcoop.TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
 
@@ -285,6 +285,23 @@ def test_phase3_rates_swapped_branch_fresh_user2():
     assert r.r2_d == 0.0
 
 
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 7: the clean receiver ignores the other source's "
+                          "fresh stream; direction I fixes it")
+def test_no_exchange_sum_rate_within_ic_outer_bound():
+    # No message is exchanged and no node can help another (c12 = c34 = 0,
+    # fresh streams only), so any code runs on the plain interference channel
+    # and its sum rate is bounded whatever the search budget.  Today both
+    # pairs sum to 6.7944 against 4.3923.
+    g = ChannelGains(c12=0.0, c13=1.0, c14=0.1, c23=1.0, c24=1.0, c34=0.0)
+    p = PowerBudget(10.0, 10.0, 10.0, 10.0)
+    a = make_alloc(lam=(0.0, 0.0, 1.0), kappa=(0.0, 1.0), gamma=(0.0, 1.0),
+                   alpha=(1.0, 0.0), beta=(1.0, 0.0), mu=(1.0, 0.0, 0.0), eta=(1.0, 0.0, 0.0))
+    sum_max = bounds.ic_outer_region(g, p).sum_max
+    assert txcoop.tc_rate_pair(g, p, a).total <= sum_max + 1e-12
+    assert txcoop.rdpc_rate_pair(g, p, a).total <= sum_max + 1e-12
+
+
 # ---------------------------------------------------------------------------
 # combined pair, baseline, reference equality
 
@@ -461,3 +478,20 @@ def test_limit_region_zero_powers():
     g = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
     fr = txcoop.tc_limit_region(g, PowerBudget(0.0, 0.0))
     assert fr.vertices() == [(0.0, 0.0)]
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 1: the c12 = inf limit shapes the clean stream with "
+                          "the wrong gains and overspends the other stream's power; direction F "
+                          "fixes it")
+def test_limit_trace_within_bc_sum_capacity():
+    # c14 != c23, where the out-gains h and the in-gains g differ.  The two
+    # sources with a pooled budget are a two-antenna broadcast transmitter,
+    # so no vertex may beat its sum capacity.  Today the max sum is 5.8990
+    # against 5.6724.
+    g = ChannelGains(c12=math.inf, c13=1.0, c14=2.0, c23=0.5, c24=1.0, c34=1.0)
+    p = PowerBudget(5.0, 5.0, 5.0, 5.0)
+    opts = frontier.TraceOptions(weights=frontier.default_weights(9), restarts=4,
+                                 max_iter=150, seed=0)
+    sums = [r1 + r2 for r1, r2 in frontier.trace("TC", g, p, opts).vertices()]
+    assert max(sums) <= bounds.mimo_bc_sum_bound(g, p.p1 + p.p2) + 1e-9
