@@ -6,7 +6,8 @@ Subcommands:
                  machine-readable per-stream rate record (JSON).
 * ``region``  -- trace frontiers for the configured schemes and write a CSV
                  (plus a JSON sidecar with the achieving allocations and
-                 each trace's ``Frontier.stats``).
+                 each trace's ``Frontier.stats``); ``--stats`` also prints
+                 each trace's counts and timing (``_stats_line``).
 * ``bounds``  -- print the outer-bound constants for the configured channel.
 * ``compare`` -- trace two configurations and report the dominance verdict.
 
@@ -28,6 +29,7 @@ import argparse
 import json
 import math
 import sys
+import time
 from dataclasses import asdict
 from pathlib import Path
 from typing import get_type_hints
@@ -219,6 +221,20 @@ def _fmt(value: float) -> str:
     return f"{value:.12g}"
 
 
+def _stats_line(fr: frontier.Frontier, wall_s: float) -> str:
+    """One line of ``region --stats``: a trace's ``Frontier.stats`` (penalized
+    evaluations in total and by error type) and its wall time, also per
+    evaluation ("-" when it made none).  Wall time covers the whole trace
+    (searches, re-validation, hull), so it is printed, never in the sidecar."""
+    st = fr.stats
+    fields = [f"evaluations={st.evaluations}", f"penalized={sum(st.penalized.values())}"]
+    fields += [f"penalized.{name}={n}" for name, n in st.penalized.items()]
+    per_eval = f"{1e6 * wall_s / st.evaluations:.2f}" if st.evaluations else "-"
+    fields += [f"runs={st.runs}", f"unconverged={st.unconverged}",
+               f"wall_s={wall_s:.3f}", f"us_per_eval={per_eval}"]
+    return f"stats {fr.scheme}: " + " ".join(fields)
+
+
 def cmd_eval(args) -> int:
     config = load_config(args.config)
     scheme, = _schemes(args.scheme or [config["scheme"]], _TRACED, one=True)
@@ -270,7 +286,10 @@ def cmd_region(args) -> int:
             rows.extend((r1, r2, "IC", None) for r1, r2 in region.vertices())
             sidecar["schemes"]["IC"] = _bound_record(region)
             continue
+        start = time.perf_counter()
         fr = frontier.trace(scheme, g, p, opts)
+        if args.stats:
+            print(_stats_line(fr, time.perf_counter() - start))
         for pt in fr.points:
             rows.append((pt.r1, pt.r2, fr.scheme, pt.weight))
         sidecar["schemes"][fr.scheme] = {
@@ -368,6 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--weights", type=int, help="number of scalarization weights")
         p.add_argument("--restarts", type=int, help="multi-start restarts per weight")
     p_region.add_argument("--out", help="output CSV path")
+    p_region.add_argument("--stats", action="store_true",
+                          help="print each trace's evaluation counts and timing")
     for p, func in ((p_eval, cmd_eval), (p_region, cmd_region), (p_bounds, cmd_bounds),
                     (p_cmp, cmd_compare)):
         p.set_defaults(func=func)

@@ -20,12 +20,17 @@ from the allocation's field annotations, and its corner starts.
 ``_searches`` lists what a trace runs, one (space, score, revalidate) search
 for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
 ``_sweep`` runs each search over every weight and restart.
-``score`` squares each simplex block of a vertex (a list of floats) once
-into the weights that block's simplex would store and scores the blocks with
-the scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...);
-no dataclass is built per evaluation.  ``revalidate`` passes each
-Nelder-Mead result through the public decoder and rate pair, which build the
-returned allocation and give the same floats.  ``Frontier.stats`` counts the
+``score`` decodes a vertex (a list of floats) with ``_decode``, one pass per
+simplex block that squares, normalizes, checks and renormalizes it into the
+weights that block's simplex would store, and scores the blocks with the
+scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...); no
+helper is called and no dataclass is built per evaluation.  ``revalidate``
+passes each Nelder-Mead result through the public decoder (``_squares``,
+then the ``Simplex2``/``Simplex3`` constructors) and rate pair, which build
+the returned allocation and give the same floats.  The public path keeps
+``model.simplex_weights`` because the constructors also take user values
+(ints, huge ints) that a float-only pass must not see; it runs once per
+search run, not once per evaluation.  ``Frontier.stats`` counts the
 evaluations, the penalized ones by error type, and the runs that did not
 converge.
 
@@ -52,6 +57,7 @@ from .model import (
     RcAllocation,
     Simplex3,
     TcAllocation,
+    _SIMPLEX_SUM_TOL,
     kernel_args,
     simplex_weights,
 )
@@ -198,8 +204,56 @@ def _squares(xs: list[float], blocks) -> list[list[float]]:
 
 
 def _decode(xs: list[float], blocks) -> list[list[float]]:
-    """The weights each simplex of the decoded allocation stores, one list per block."""
-    return [simplex_weights(block) for block in _squares(xs, blocks)]
+    """The weights each simplex of the decoded allocation stores, one list per block.
+
+    The search's decode, bit for bit ``_simplices`` without the simplices:
+    one pass per block, unrolled for the two block sizes, makes the squares
+    of ``_squares`` (same operations, same order), then runs
+    ``simplex_weights``' checks (every weight >= 0, sum within
+    ``_SIMPLEX_SUM_TOL`` of 1) and its division by the ``math.fsum`` of the
+    weights (for two floats, their sum).  A block that fails a check (a NaN
+    coordinate, an overflowed square or total) goes to ``simplex_weights``,
+    which raises its InvalidAllocation.  ``_simplices`` stays on
+    ``simplex_weights`` through the constructors, the one rule for every
+    simplex a user builds.
+    """
+    out = []
+    i = 0
+    for n in blocks:
+        if n == 2:
+            a, b = xs[i], xs[i + 1]
+            a *= a
+            b *= b
+            total = a + b
+            if total < 1e-300:
+                a = b = 0.5
+            else:
+                a /= total
+                b /= total
+            total = a + b
+            if a >= 0.0 and b >= 0.0 and abs(total - 1.0) <= _SIMPLEX_SUM_TOL:
+                out.append([a / total, b / total])
+            else:
+                out.append(simplex_weights([a, b]))
+        else:
+            a, b, c = xs[i], xs[i + 1], xs[i + 2]
+            a *= a
+            b *= b
+            c *= c
+            total = a + b + c
+            if total < 1e-300:
+                a = b = c = 1.0 / 3
+            else:
+                a /= total
+                b /= total
+                c /= total
+            total = math.fsum((a, b, c))
+            if a >= 0.0 and b >= 0.0 and c >= 0.0 and abs(total - 1.0) <= _SIMPLEX_SUM_TOL:
+                out.append([a / total, b / total, c / total])
+            else:
+                out.append(simplex_weights([a, b, c]))
+        i += n
+    return out
 
 
 def _simplices(x, space: _Space) -> list:
@@ -371,7 +425,10 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
 
 def _neg_objective(score, weight: float, penalized: Counter):
     """The function a search minimizes: -(r1 + weight*r2) of a search vector,
-    or _PENALTY, counted in ``penalized`` by error type, when ``score`` raises."""
+    or _PENALTY, counted in ``penalized`` by error type, when ``score`` raises.
+    At weight +inf it is -r2; the factors (0, 1) and (1, weight) are exact,
+    so each objective is the float of its formula."""
+    k1, k2 = (0.0, 1.0) if math.isinf(weight) else (1.0, weight)
 
     def f(xs):
         try:
@@ -379,7 +436,7 @@ def _neg_objective(score, weight: float, penalized: Counter):
         except EvaluatorError as exc:
             penalized[type(exc).__name__] += 1
             return _PENALTY
-        return -r2 if math.isinf(weight) else -(r1 + weight * r2)
+        return -(k1 * r1 + k2 * r2)
 
     return f
 

@@ -242,20 +242,19 @@ def _phase3(c, lam3: float, fresh, cov):
     return (r_v3, r_u3, r_vd, r_ud)
 
 
-def _stream_rates(c, pw, a, cov=None):
+def _stream_rates(c, pw, a, build_cov=_budget_cov):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
-    ``cov`` defaults to the per-source-budget covariances.  A silent joint
-    phase (lam3 = 0, which ``phase_power`` admits only with kappa2 = gamma2
-    = 0) needs no branch: each phase-3 rate is lam3 times a finite capacity,
-    so all four are exactly 0.0.
+    The phase-3 covariances are ``build_cov(c, joint1, joint2)`` of the
+    joint-stream powers, the per-source-budget ones by default.  A silent
+    joint phase (lam3 = 0, which ``phase_power`` admits only with kappa2 =
+    gamma2 = 0) needs no branch: each phase-3 rate is lam3 times a finite
+    capacity, so all four are exactly 0.0.
     """
     rates = _phase12(c, pw, a)
     fresh, joint1, joint2 = _phase3_split(pw, a)
-    if cov is None:
-        cov = _budget_cov(c, joint1, joint2)
     (_, _, lam3), _, _, _, _, _, _ = a
-    return rates + _phase3(c, lam3, fresh, cov)
+    return rates + _phase3(c, lam3, fresh, build_cov(c, joint1, joint2))
 
 
 def _pair(rates) -> tuple[float, float]:
@@ -273,7 +272,7 @@ def tc_kernel(c, pw, a) -> tuple[float, float]:
 
 def rdpc_kernel(c, pw, a) -> tuple[float, float]:
     """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, a, _rdpc_cov(c, *_phase3_split(pw, a)[1:])))
+    return _pair(_stream_rates(c, pw, a, _rdpc_cov))
 
 
 def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
@@ -396,7 +395,8 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     budget-respecting ``tc_budget_covariances``; pass
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
-    return TcPhaseRates(*_stream_rates(*_unpack(g, p, a), cov))
+    build_cov = _budget_cov if cov is None else lambda *_: cov
+    return TcPhaseRates(*_stream_rates(*_unpack(g, p, a), build_cov))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:

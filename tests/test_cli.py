@@ -236,6 +236,35 @@ def test_region_csv_layout_and_roundtrip(tmp_path, capsys):
     assert all(isinstance(n, int) for n in stats["penalized"].values())
 
 
+def test_region_stats_flag(tmp_path, capsys):
+    # --stats prints one line per traced scheme (IC is not traced) with the
+    # sidecar's counts plus wall time; the sidecar itself is unchanged.
+    args = _region_args(tmp_path, schemes=["TC", "RC", "IC"], weights=1, max_iter=20)
+    assert run(args) == 0
+    plain = capsys.readouterr().out.splitlines()
+    sidecar = (tmp_path / "region.json").read_text()
+    assert len(plain) == 1 and plain[0].startswith("wrote ")
+    assert run(args + ["--stats"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-1] == plain[0] and (tmp_path / "region.json").read_text() == sidecar
+    assert [line.split(":")[0] for line in lines[:-1]] == ["stats TC", "stats RC"]
+    for line in lines[:-1]:
+        scheme = line.split(":")[0].split()[1]
+        fields = dict(f.split("=") for f in line.split(": ")[1].split())
+        stats = json.loads(sidecar)["schemes"][scheme]["stats"]
+        assert int(fields["evaluations"]) == stats["evaluations"] > 0
+        assert int(fields["penalized"]) == sum(stats["penalized"].values())
+        assert {k[len("penalized."):]: int(v) for k, v in fields.items()
+                if k.startswith("penalized.")} == stats["penalized"]
+        assert int(fields["runs"]) == stats["runs"] == len(frontier.default_weights(1)) * 2
+        assert int(fields["unconverged"]) == stats["unconverged"]
+        wall_s, us_per_eval = float(fields["wall_s"]), float(fields["us_per_eval"])
+        assert us_per_eval > 0.0
+        # wall_s is printed to 1e-3 s and us_per_eval to 1e-2 us
+        assert abs(us_per_eval * stats["evaluations"] - 1e6 * wall_s) \
+            <= 1e6 * 5e-4 + 5e-3 * stats["evaluations"]
+
+
 def test_region_limit_mode_tagging(tmp_path):
     args = _region_args(tmp_path, out="lim.csv", schemes=["TC"], c12="inf",
                         weights=5, restarts=2, max_iter=80)

@@ -11,7 +11,7 @@ import pytest
 from conftest import random_gains, random_powers
 from coopic.model import (ChannelGains, EvaluatorError, InfiniteGain, InvalidAllocation,
                           NotInfinite, PowerBudget)
-from coopic import frontier, txcoop, rxcoop
+from coopic import frontier, model, txcoop, rxcoop
 
 SQRT2 = math.sqrt(2.0)
 
@@ -179,6 +179,75 @@ def test_search_objective_matches_public_rate_pair(scheme):
         assert len(outcomes[1.0]) >= 2
     assert tuple in outcomes[1e-160]  # underflowed blocks decode to uniform shares
     assert outcomes[1e160] == {InvalidAllocation}  # overflowed squares
+
+
+def _decoded(decode):
+    """The hex of each decoded weight, block by block, or InvalidAllocation."""
+    try:
+        return [[w.hex() for w in block] for block in decode()]
+    except InvalidAllocation:
+        return InvalidAllocation
+
+
+@pytest.mark.parametrize("space", ["_TC", "_RC", "_LIMIT"])
+def test_decode_matches_public_simplices(space):
+    # The search's one-pass decode gives bit for bit the weights the public
+    # decoder's simplices store, and raises where the simplices reject a block.
+    space = getattr(frontier, space)
+    blocks, dim = space.blocks, sum(space.blocks)
+    rng = np.random.default_rng(18)
+    vectors = [_search_vector(rng, dim) * scale
+               for scale in (1.0, 1e-160, 1e160) for _ in range(300)]
+    raising = []
+    i = 0
+    for n in blocks:
+        x = rng.standard_normal(dim)
+        zero = x.copy()
+        zero[i:i + n] = 0.0  # the uniform block
+        overflow = x.copy()
+        overflow[i:i + 2] = 1e154  # finite squares whose total overflows
+        nan = x.copy()
+        nan[i + n - 1] = math.nan
+        vectors.append(zero)
+        raising += [overflow, nan]
+        i += n
+    outcomes = set()
+    for x in vectors + raising:
+        want = _decoded(lambda: [list(s) for s in frontier._simplices(x, space)])
+        assert _decoded(lambda: frontier._decode(x.tolist(), blocks)) == want
+        outcomes.add(want is InvalidAllocation)
+    assert outcomes == {False, True}
+    for x in raising:
+        with pytest.raises(InvalidAllocation):
+            frontier._decode(x.tolist(), blocks)
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_search_score_builds_no_simplex(scheme, ref_gains, ref_powers, monkeypatch):
+    # A search evaluation decodes its vertex in one pass: it neither
+    # re-validates a block through simplex_weights nor builds a simplex.
+    calls = Counter()
+    weights, post_init = model.simplex_weights, model._Simplex.__post_init__
+
+    def counting_weights(block):
+        calls["simplex_weights"] += 1
+        return weights(block)
+
+    def counting_post_init(self):
+        calls["simplex"] += 1
+        post_init(self)
+
+    for module in (model, frontier):
+        monkeypatch.setattr(module, "simplex_weights", counting_weights)
+    monkeypatch.setattr(model._Simplex, "__post_init__", counting_post_init)
+    g = dataclasses.replace(ref_gains, c12=math.inf) if scheme == "TC_inf" else ref_gains
+    space, score, _ = frontier._searches(scheme, g, ref_powers)[0]
+    x = np.random.default_rng(3).standard_normal(sum(space.blocks))
+    r1, r2 = score(x.tolist(), 1.0)
+    assert r1 >= 0.0 and r2 >= 0.0
+    assert calls == Counter()
+    frontier._simplices(x, space)  # the public decoder is what the counters see
+    assert calls["simplex_weights"] == calls["simplex"] == len(space.blocks)
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
