@@ -20,19 +20,18 @@ from the allocation's field annotations, and its corner starts.
 ``_searches`` lists what a trace runs, one (space, score, revalidate) search
 for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
 ``_sweep`` runs each search over every weight and restart.
-``score`` decodes a vertex (a list of floats) with ``_decode``, one pass per
-simplex block that squares, normalizes, checks and renormalizes it into the
-weights that block's simplex would store, and scores the blocks with the
-scheme's float kernel (``txcoop.tc_kernel``, ``rxcoop.rc_kernel``, ...); no
-helper is called and no dataclass is built per evaluation.  ``revalidate``
-passes each Nelder-Mead result through the public decoder (``_squares``,
-then the ``Simplex2``/``Simplex3`` constructors) and rate pair, which build
-the returned allocation and give the same floats.  The public path keeps
-``model.simplex_weights`` because the constructors also take user values
-(ints, huge ints) that a float-only pass must not see; it runs once per
-search run, not once per evaluation.  ``Frontier.stats`` counts the
-evaluations, the penalized ones by error type, and the runs that did not
-converge.
+``_decode`` is the one map from a search vector to simplex weights: per
+block it squares, normalizes, checks and renormalizes, giving the weights
+``Simplex2``/``Simplex3`` would store for the block's squares.  ``score``
+passes its blocks to the scheme's float kernel (``txcoop.tc_kernel``,
+``rxcoop.rc_kernel``, ...) and builds no dataclass per evaluation.
+``revalidate`` passes each Nelder-Mead result through the public decoder
+(``tc_/rc_allocation_from_vector``, ``_simplices`` for the limit), which
+stores ``_decode``'s weights as they are (``_Simplex._stored``), and the
+rate pair, which gives the same floats.  ``model.simplex_weights`` stays
+the rule for every simplex a user builds and ``_decode``'s raise path.
+``Frontier.stats`` counts the evaluations, the penalized ones by error
+type, and the runs that did not converge.
 
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
@@ -177,45 +176,18 @@ class Frontier:
 # Simplex reparameterization (unconstrained vector -> allocation)
 
 
-def _squares(xs: list[float], blocks) -> list[list[float]]:
-    """Per block, x_i^2 / sum(x^2); uniform when the block is all (near) zero.
-
-    Each block is squared once, unrolled for the two block sizes; the total
-    adds the squares left to right.
-    """
-    out = []
-    i = 0
-    for n in blocks:
-        if n == 2:
-            a, b = xs[i], xs[i + 1]
-            a *= a
-            b *= b
-            total = a + b
-            out.append([0.5, 0.5] if total < 1e-300 else [a / total, b / total])
-        else:
-            a, b, c = xs[i], xs[i + 1], xs[i + 2]
-            a *= a
-            b *= b
-            c *= c
-            total = a + b + c
-            out.append([1.0 / 3] * 3 if total < 1e-300 else [a / total, b / total, c / total])
-        i += n
-    return out
-
-
 def _decode(xs: list[float], blocks) -> list[list[float]]:
     """The weights each simplex of the decoded allocation stores, one list per block.
 
-    The search's decode, bit for bit ``_simplices`` without the simplices:
-    one pass per block, unrolled for the two block sizes, makes the squares
-    of ``_squares`` (same operations, same order), then runs
-    ``simplex_weights``' checks (every weight >= 0, sum within
-    ``_SIMPLEX_SUM_TOL`` of 1) and its division by the ``math.fsum`` of the
-    weights (for two floats, their sum).  A block that fails a check (a NaN
-    coordinate, an overflowed square or total) goes to ``simplex_weights``,
-    which raises its InvalidAllocation.  ``_simplices`` stays on
-    ``simplex_weights`` through the constructors, the one rule for every
-    simplex a user builds.
+    The package's one decode of a search vector: per block, x_i^2 / sum(x^2)
+    (uniform when the block is all (near) zero), then ``simplex_weights``'
+    checks (every weight >= 0, sum within ``_SIMPLEX_SUM_TOL`` of 1) and its
+    division by the ``math.fsum`` of the weights (for two floats, their
+    sum); so each list is bit for bit what ``Simplex2``/``Simplex3`` built
+    from the block's squares would store.  One pass per block, unrolled for
+    the two block sizes, with no helper call.  A block that fails a check (a
+    NaN coordinate, an overflowed square or total) goes to
+    ``simplex_weights``, which raises its InvalidAllocation.
     """
     out = []
     i = 0
@@ -257,11 +229,12 @@ def _decode(xs: list[float], blocks) -> list[list[float]]:
 
 
 def _simplices(x, space: _Space) -> list:
+    """The simplices of search vector ``x``: ``_decode``'s weights, stored as they are."""
     blocks = space.blocks
     if len(x) != sum(blocks):
         raise ValueError(f"expected {sum(blocks)} coordinates, got {len(x)}")
-    return [simplex(*block) for simplex, block
-            in zip(space.simplices, _squares([float(v) for v in x], blocks))]
+    return [simplex._stored(weights) for simplex, weights
+            in zip(space.simplices, _decode([float(v) for v in x], blocks))]
 
 
 class _Space(NamedTuple):

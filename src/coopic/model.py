@@ -171,11 +171,20 @@ class _Fields:
 
 class _Simplex(_Fields):
     """Nonnegative weights in the fields of a frozen dataclass subclass,
-    renormalized on construction to sum to one (written in ``__dict__``)."""
+    renormalized on construction to sum to one (written in ``__dict__``).
+    ``_stored`` keeps weights that ``simplex_weights`` already produced,
+    exactly what construction would store, as they are: dividing them by
+    their sum again is not the identity in floats (it moves last bits)."""
 
     def __post_init__(self) -> None:
         weights = self.__dict__
         weights.update(zip(self.__dataclass_fields__, simplex_weights(list(weights.values()))))
+
+    @classmethod
+    def _stored(cls, weights):
+        simplex = object.__new__(cls)
+        simplex.__dict__.update(zip(cls.__dataclass_fields__, weights))
+        return simplex
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,8 @@ def _stream_rates(c, pw, a, weight: float):
     (lam1, _, _), (mu1, _, _), (eta1, _, _), _, _ = a
     p1_1 = phase_power(mu1, p1, lam1, "mu1")
     p2_1 = phase_power(eta1, p2, lam1, "eta1")
-    if lam1 == 0.0:
-        return rates + (0.0, 0.0)
+    if lam1 == 0.0:  # no phase 1: its pentagon is the origin, whose corner checks the weight
+        return rates + bounds.pentagon_corner(0.0, 0.0, 0.0, weight)
     eq = _compression(c, lam1, p1_1, p2_1, rates[2], rates[3])
     return rates + _phase1(eq[4:], lam1, weight)
 

@@ -378,9 +378,9 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     (``tc_budget_covariances``).  A silent joint phase radiates nothing
     and is allotted nothing.
     """
+    _, pw, a = _unpack(g, p, a)
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
-    _, pw = kernel_args(g, p)
     fresh1, fresh2 = _phase3_split(pw, a)[0]
     radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
                 fresh2 + cov.sigma1[2] + cov.sigma2[2])

@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
@@ -189,10 +190,26 @@ def _decoded(decode):
         return InvalidAllocation
 
 
+def _constructed(x, space):
+    """The simplices the constructors build from each block's squares,
+    x_i^2 / sum(x^2) (uniform when the squares sum below 1e-300)."""
+    out, i = [], 0
+    for simplex, n in zip(space.simplices, space.blocks):
+        squares = [v * v for v in x[i:i + n]]
+        total = 0.0
+        for w in squares:  # left to right, as the decode adds them
+            total += w
+        out.append(simplex(*([1.0 / n] * n if total < 1e-300
+                             else [w / total for w in squares])))
+        i += n
+    return out
+
+
 @pytest.mark.parametrize("space", ["_TC", "_RC", "_LIMIT"])
 def test_decode_matches_public_simplices(space):
-    # The search's one-pass decode gives bit for bit the weights the public
-    # decoder's simplices store, and raises where the simplices reject a block.
+    # The one decode gives bit for bit the weights that Simplex2/Simplex3
+    # store when built from each block's squares, and raises where they
+    # reject a block; the public decoder stores exactly those weights.
     space = getattr(frontier, space)
     blocks, dim = space.blocks, sum(space.blocks)
     rng = np.random.default_rng(18)
@@ -213,13 +230,31 @@ def test_decode_matches_public_simplices(space):
         i += n
     outcomes = set()
     for x in vectors + raising:
-        want = _decoded(lambda: [list(s) for s in frontier._simplices(x, space)])
+        want = _decoded(lambda: [list(s) for s in _constructed(x.tolist(), space)])
         assert _decoded(lambda: frontier._decode(x.tolist(), blocks)) == want
+        assert _decoded(lambda: [list(s) for s in frontier._simplices(x, space)]) == want
         outcomes.add(want is InvalidAllocation)
     assert outcomes == {False, True}
     for x in raising:
         with pytest.raises(InvalidAllocation):
             frontier._decode(x.tolist(), blocks)
+
+
+def test_stored_simplices_match_constructed():
+    # A decoded allocation cannot be told apart from one built through the
+    # constructors from the same weights.
+    rng = np.random.default_rng(19)
+    for decode, space in ((frontier.tc_allocation_from_vector, frontier._TC),
+                          (frontier.rc_allocation_from_vector, frontier._RC)):
+        x = _search_vector(rng, sum(space.blocks))
+        stored = decode(x)
+        built = type(stored)(*_constructed(x.tolist(), space))
+        for got, want in itertools.chain(zip(stored, built), [(stored, built)]):
+            assert got == want and hash(got) == hash(want)
+            assert repr(got) == repr(want)
+            assert dataclasses.asdict(got) == dataclasses.asdict(want)
+            assert pickle.loads(pickle.dumps(got)) == want
+            assert pickle.dumps(got) == pickle.dumps(want)
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
@@ -246,8 +281,9 @@ def test_search_score_builds_no_simplex(scheme, ref_gains, ref_powers, monkeypat
     r1, r2 = score(x.tolist(), 1.0)
     assert r1 >= 0.0 and r2 >= 0.0
     assert calls == Counter()
-    frontier._simplices(x, space)  # the public decoder is what the counters see
-    assert calls["simplex_weights"] == calls["simplex"] == len(space.blocks)
+    # nor does the public decoder, which stores _decode's weights as they are
+    frontier._simplices(x, space)
+    assert calls == Counter()
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])

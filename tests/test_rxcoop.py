@@ -329,9 +329,17 @@ def test_rate_pair_nonnegative_finite():
 
 @pytest.mark.parametrize("weight", [math.nan, -1.0])
 def test_rate_pair_rejects_bad_weight(ref_gains, ref_powers, weight):
-    # uniform shares: both equivalent interferences strong, so the weight picks a corner
-    with pytest.raises(EvaluatorError):
-        rxcoop.rc_rate_pair(ref_gains, ref_powers, make_alloc(), weight=weight)
+    # uniform shares: both equivalent interferences strong, so the weight picks a
+    # corner; with lambda1 = 0 there is no pentagon, but the kernel and both
+    # views still reject the weight
+    c, pw = model.kernel_args(ref_gains, ref_powers)
+    for a in (make_alloc(), make_alloc(lam=(0.0, 0.5, 0.5), mu=(0.0, 0.5, 0.5),
+                                       eta=(0.0, 0.5, 0.5))):
+        for evaluate in (lambda: rxcoop.rc_kernel(c, pw, a, weight),
+                         lambda: rxcoop.rc_rate_pair(ref_gains, ref_powers, a, weight=weight),
+                         lambda: rxcoop.rc_phase_rates(ref_gains, ref_powers, a, weight=weight)):
+            with pytest.raises(EvaluatorError, match="weight"):
+                evaluate()
     g = ChannelGains(c12=10.0, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=math.inf)
     with pytest.raises(EvaluatorError):
         rxcoop.rc_limit_rate_pair(g, ref_powers, weight=weight)

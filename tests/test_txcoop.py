@@ -249,6 +249,16 @@ def test_power_audit_worked_example_and_silent_phase(ref_gains, ref_powers):
     assert silent.radiated == (0.0, 0.0) and silent.allotted == (0.0, 0.0)
 
 
+def test_power_audit_rejects_infinite_gain_with_given_covariances(ref_gains, ref_powers):
+    # covariances taken at a finite c12 do not let the audit skip the c12 check
+    a = make_alloc()
+    cov = txcoop.tc_phase3_covariances(ref_gains, ref_powers, a)
+    g = dataclasses.replace(ref_gains, c12=math.inf)
+    for given in (None, cov):
+        with pytest.raises(InfiniteGain):
+            txcoop.phase3_power_audit(g, ref_powers, a, given)
+
+
 # ---------------------------------------------------------------------------
 # phase-3 rates
 
