@@ -24,7 +24,6 @@ from .txcoop import (
     TcPhaseRates,
     rdpc_rate_pair,
     tc_limit_rate_pair,
-    tc_limit_region,
     tc_phase3_covariances,
     tc_phase_rates,
     tc_rate_pair,
@@ -32,7 +31,6 @@ from .txcoop import (
 from .rxcoop import (
     RcPhaseRates,
     rc_limit_rate_pair,
-    rc_limit_region,
     rc_phase_rates,
     rc_rate_pair,
 )

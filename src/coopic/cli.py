@@ -32,7 +32,6 @@ import sys
 import time
 from dataclasses import asdict
 from pathlib import Path
-from typing import get_type_hints
 
 from . import bounds as bounds_mod
 from . import frontier, rxcoop, txcoop
@@ -183,7 +182,7 @@ def build_allocation(scheme: str, spec: dict):
     if not isinstance(spec, dict):
         raise ValidationFailure("allocation must be a JSON object")
     cls = TcAllocation if scheme in ("TC", "RDPC") else RcAllocation
-    expected = {_key(name): simplex for name, simplex in get_type_hints(cls).items()}
+    expected = {_key(name): simplex for name, simplex in cls._layout.items()}
     unknown = sorted(set(spec) - set(expected))
     if unknown:
         raise ValidationFailure(f"unknown allocation keys: {', '.join(unknown)}")

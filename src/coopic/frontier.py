@@ -43,7 +43,7 @@ import math
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import NamedTuple, get_type_hints
+from typing import NamedTuple
 
 import numpy as np
 
@@ -51,13 +51,12 @@ from .model import (
     ChannelGains,
     EvaluatorError,
     InfiniteGain,
-    NotInfinite,
     PowerBudget,
     RcAllocation,
     Simplex3,
     TcAllocation,
     _SIMPLEX_SUM_TOL,
-    kernel_args,
+    _conferencing_args,
     simplex_weights,
 )
 from . import rxcoop, txcoop
@@ -253,7 +252,7 @@ class _Space(NamedTuple):
 
 # The corner starts pair zero-duration phases with zero power mass, so every
 # start evaluates cleanly.
-_TC = _Space(tuple(get_type_hints(TcAllocation).values()), (
+_TC = _Space(tuple(TcAllocation._layout.values()), (
     ((1, 1, 1), (1, 1), (1, 1), (1, 1), (1, 1), (1, 1, 1), (1, 1, 1)),
     ((0, 0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 1, 1), (1, 1, 1)),
     ((1, 0, 1.4), (1, 1), (0, 1), (1, 0), (1, 1), (0, 1, 0), (0, 0, 1)),
@@ -261,7 +260,7 @@ _TC = _Space(tuple(get_type_hints(TcAllocation).values()), (
     ((1, 1, 1.4), (1, 1), (1, 1), (1, 0.5), (1, 0.5), (1, 2, 1), (1, 2, 1)),
     ((0, 0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 0, 0), (1, 0, 0)),
 ))
-_RC = _Space(tuple(get_type_hints(RcAllocation).values()), (
+_RC = _Space(tuple(RcAllocation._layout.values()), (
     ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1), (1, 1)),
     ((1.4, 1, 1), (1.4, 1, 1), (1.4, 1, 1), (1, 1), (1, 1)),
     ((1, 1, 0.3), (1, 1, 0), (0, 0, 1), (1, 0), (1, 1)),
@@ -463,9 +462,11 @@ def _build_frontier(candidates, stats: TraceStats, scheme: str,
 def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
     """The (space, score, revalidate) searches of a "TC", "RDPC", "RC" or
     "TC_inf" trace, in sweep order (see ``_sweep``).  TC_inf has one search
-    per encoding order, user 1's first.  Kernels are looked up here and rate
+    per encoding order, user 1's first.  Checks the scheme's conferencing
+    gain: finite, or +inf for TC_inf.  Kernels are looked up here and rate
     pairs and decoders at each call, never at import."""
-    c, pw = kernel_args(g, p)
+    c, pw = _conferencing_args(g, p, "c34" if scheme == "RC" else "c12",
+                               limit=scheme == "TC_inf")
     if scheme == "RC":
         kernel, blocks = rxcoop.rc_kernel, _RC.blocks
 
@@ -516,17 +517,17 @@ def trace(scheme: str, g: ChannelGains, p: PowerBudget,
     This is the one place that routes infinite conferencing gains: TC at
     c12 = +inf goes to ``trace_tc_limit`` and RC at c34 = +inf to
     ``trace_rc_limit``, each with its own defaults when ``opts`` is None.
-    RDPC has no limit mode and raises InfiniteGain at c12 = +inf.
+    RDPC has no limit mode and raises InfiniteGain at c12 = +inf.  Any
+    other scheme, or one that is not a string, raises ValueError.
     """
-    scheme = scheme.upper()
-    if scheme == "TC" and math.isinf(g.c12):
-        return trace_tc_limit(g, p, opts)
-    if scheme == "RC" and math.isinf(g.c34):
-        return trace_rc_limit(g, p, opts)
+    if isinstance(scheme, str):
+        scheme = scheme.upper()
     if scheme not in ("TC", "RDPC", "RC"):
         raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")
-    if scheme == "RDPC" and math.isinf(g.c12):
-        raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
+    if math.isinf(g.c34 if scheme == "RC" else g.c12):
+        if scheme == "RDPC":
+            raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
+        return trace_tc_limit(g, p, opts) if scheme == "TC" else trace_rc_limit(g, p, opts)
     opts = opts or TraceOptions()
     return _build_frontier(*_sweep(_searches(scheme, g, p), opts), scheme, opts)
 
@@ -547,8 +548,6 @@ def trace_tc_limit(g: ChannelGains, p: PowerBudget,
     sources act as one two-antenna transmitter, so the order is free).
     Raises NotInfinite when c12 is finite.
     """
-    if not math.isinf(g.c12):
-        raise NotInfinite("c12 is finite; use frontier.trace")
     opts = _limit_options(opts)
     return _build_frontier(*_sweep(_searches("TC_inf", g, p), opts), "TC_inf", opts)
 
@@ -560,7 +559,7 @@ def trace_rc_limit(g: ChannelGains, p: PowerBudget,
     The limit region is the fixed two-antenna multiple-access pentagon, so
     its frontier is the pentagon's two corners, taken at weights 0 and +inf
     (one vertex when they coincide); no search is needed and the weights of
-    ``opts`` are not used.
+    ``opts`` are not used.  Raises NotInfinite when c34 is finite.
     """
     candidates = []
     for w in (0.0, math.inf):

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import get_type_hints
 
 __all__ = [
     "EvaluatorError",
@@ -204,8 +205,28 @@ class Simplex3(_Simplex):
     w3: float
 
 
+def _check_simplex(name: str, value, simplex: type) -> None:
+    """Raise InvalidAllocation naming ``name`` unless ``value`` is a ``simplex``."""
+    if not isinstance(value, simplex):
+        raise InvalidAllocation(f"{name} must be a {simplex.__name__}, got {value!r}")
+
+
+class _Allocation(_Fields):
+    """The fields of a frozen dataclass subclass, each an instance of its
+    annotated simplex type, checked on construction.  ``_layout`` maps each
+    field name to that type, in field order, resolved once per class."""
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._layout = get_type_hints(cls)
+
+    def __post_init__(self) -> None:
+        for name, simplex in self._layout.items():
+            _check_simplex(name, getattr(self, name), simplex)
+
+
 @dataclass(frozen=True)
-class TcAllocation(_Fields):
+class TcAllocation(_Allocation):
     """Scheme parameters for transmitter cooperation; iterates its simplices.
 
     lam    -- phase durations (exchange 1, exchange 2, joint broadcast)
@@ -229,7 +250,7 @@ class TcAllocation(_Fields):
 
 
 @dataclass(frozen=True)
-class RcAllocation(_Fields):
+class RcAllocation(_Allocation):
     """Scheme parameters for receiver cooperation; iterates its simplices.
 
     lam   -- phase durations (joint listen, node-3 listen, node-4 listen)
@@ -249,6 +270,18 @@ class RcAllocation(_Fields):
 def kernel_args(g: ChannelGains, p: PowerBudget):
     """The rate kernels' gains ``c`` (c12, c13, c14, c23, c24, c34) and powers ``pw``."""
     return (g.c12, g.c13, g.c14, g.c23, g.c24, g.c34), (p.p1, p.p2, p.p3, p.p4)
+
+
+def _conferencing_args(g: ChannelGains, p: PowerBudget, link: str, limit: bool = False):
+    """``kernel_args(g, p)`` of an evaluation that needs the conferencing
+    gain ``link`` ("c12" for TC and RDPC, "c34" for RC) finite, or +inf for
+    a ``limit`` one.  The package's one gain-mode check: it raises
+    InfiniteGain or NotInfinite when the gain is in the other mode."""
+    if math.isinf(getattr(g, link)) != limit:
+        if limit:
+            raise NotInfinite(f"{link} is finite; this evaluates the {link} = +inf limit")
+        raise InfiniteGain(f"{link} is infinite; trace the limit with frontier.trace")
+    return kernel_args(g, p)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ every evaluation with it.
 The dataclass API (``rc_rate_pair`` and ``rc_phase_rates``) is a thin view:
 it unpacks its arguments, calls the kernels and wraps the result, raising
 the same errors in the same order.  The kernels do not check c34: the views
-and the tracer do, once.  ``frontier.trace`` routes c34 = +inf to the
-limit's tracer, which uses ``rc_limit_rate_pair``.
+and the tracer call the one gain-mode check, ``model._conferencing_args``.
+``frontier.trace`` routes c34 = +inf to the limit's tracer, which uses
+``rc_limit_rate_pair``.
 
 All functions are pure; rates are bits per channel use.
 """
@@ -33,16 +34,14 @@ from dataclasses import dataclass
 from . import bounds
 from .model import (
     ChannelGains,
-    InfiniteGain,
-    NotInfinite,
     PowerBudget,
     RatePair,
     RcAllocation,
     _LN2,
+    _conferencing_args,
     cap,
     checked_pair,
     det_pair,
-    kernel_args,
     phase_power,
 )
 
@@ -190,18 +189,10 @@ def rc_kernel(c, pw, a, weight: float = 1.0) -> tuple[float, float]:
 # Dataclass views
 
 
-def _unpack(g: ChannelGains, p: PowerBudget, a: RcAllocation):
-    """Kernel arguments (c, pw, a); raises InfiniteGain at c34 = +inf."""
-    if math.isinf(g.c34):
-        raise InfiniteGain("c34 is infinite; trace the limit with frontier.trace "
-                           "or evaluate it with rc_limit_rate_pair")
-    return (*kernel_args(g, p), a)
-
-
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,
                    weight: float = 1.0) -> RcPhaseRates:
     """All per-stream rates of the receiver-cooperation scheme."""
-    return RcPhaseRates(*_stream_rates(*_unpack(g, p, a), weight))
+    return RcPhaseRates(*_stream_rates(*_conferencing_args(g, p, "c34"), a, weight))
 
 
 def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
@@ -212,7 +203,7 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     ``weight`` picks the operating corner of the phase-1 pentagon, which
     has a sum face when at least one equivalent interference is strong.
     """
-    return RatePair(*rc_kernel(*_unpack(g, p, a), weight))
+    return RatePair(*rc_kernel(*_conferencing_args(g, p, "c34"), a, weight))
 
 
 def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> RatePair:
@@ -221,9 +212,9 @@ def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> 
     Phase 1 fills the whole block and compression is lossless (zeta = 1), so
     the scheme becomes the two-user one-transmit/two-receive-antenna
     multiple-access channel; the pair is its ``weight``-selected corner.
+    Raises NotInfinite at a finite c34.
     """
-    if not math.isinf(g.c34):
-        raise NotInfinite("c34 is finite; use rc_rate_pair")
+    _conferencing_args(g, p, "c34", limit=True)
     return RatePair(*_phase1((g.h1, g.h2, g.h1, g.h2, p.p1, p.p2), 1.0, weight))
 
 

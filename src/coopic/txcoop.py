@@ -31,7 +31,8 @@ sigma given by its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
 pair as floats; the frontier search scores every evaluation with them.
 The dataclass API is a thin view: it unpacks its arguments, calls the
 kernels and wraps the result, raising the same errors in the same order.
-The kernels do not check c12: the views and the tracer do, once.
+The kernels do not check c12: the views and the tracer call the one
+gain-mode check, ``model._conferencing_args``.
 
 All functions are pure; rates are bits per channel use.
 """
@@ -44,16 +45,15 @@ from typing import NamedTuple
 
 from .model import (
     ChannelGains,
-    InfiniteGain,
-    NotInfinite,
     PowerBudget,
     RatePair,
     Simplex3,
     TcAllocation,
+    _check_simplex,
+    _conferencing_args,
     cap,
     checked_pair,
     inverse,
-    kernel_args,
     phase_power,
     quad,
 )
@@ -292,17 +292,9 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
 # Dataclass views
 
 
-def _unpack(g: ChannelGains, p: PowerBudget, a: TcAllocation):
-    """Kernel arguments (c, pw, a); raises InfiniteGain at c12 = +inf."""
-    if math.isinf(g.c12):
-        raise InfiniteGain("c12 is infinite; trace the limit with frontier.trace "
-                           "or evaluate it with tc_limit_rate_pair")
-    return (*kernel_args(g, p), a)
-
-
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """Kernel gains and per-source joint-stream powers; checks c12 first."""
-    c, pw, a = _unpack(g, p, a)
+    c, pw = _conferencing_args(g, p, "c12")
     return (c, *_phase3_split(pw, a)[1:])
 
 
@@ -378,7 +370,7 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     (``tc_budget_covariances``).  A silent joint phase radiates nothing
     and is allotted nothing.
     """
-    _, pw, a = _unpack(g, p, a)
+    _, pw = _conferencing_args(g, p, "c12")
     if cov is None:
         cov = tc_budget_covariances(g, p, a)
     fresh1, fresh2 = _phase3_split(pw, a)[0]
@@ -396,17 +388,17 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
     build_cov = _budget_cov if cov is None else lambda *_: cov
-    return TcPhaseRates(*_stream_rates(*_unpack(g, p, a), build_cov))
+    return TcPhaseRates(*_stream_rates(*_conferencing_args(g, p, "c12"), a, build_cov))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
-    return RatePair(*tc_kernel(*_unpack(g, p, a)))
+    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return RatePair(*rdpc_kernel(*_unpack(g, p, a)))
+    return RatePair(*rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,
@@ -417,11 +409,14 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     conferencing constraints drop out, leaving the full-duration joint
     broadcast.  Both encoding orders are admissible in the limit (the two
     sources form one two-antenna transmitter), so the order is an explicit
-    argument and the region is the union over both.
+    argument and the region is the union over both.  Raises NotInfinite at
+    a finite c12 and InvalidAllocation when ``mu`` or ``eta`` is not a
+    ``Simplex3``.
     """
-    if not math.isinf(g.c12):
-        raise NotInfinite("c12 is finite; use tc_rate_pair")
-    return RatePair(*tc_limit_kernel(*kernel_args(g, p), (mu, eta), user1_clean))
+    c, pw = _conferencing_args(g, p, "c12", limit=True)
+    _check_simplex("mu", mu, Simplex3)
+    _check_simplex("eta", eta, Simplex3)
+    return RatePair(*tc_limit_kernel(c, pw, (mu, eta), user1_clean))
 
 
 def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

@@ -1,7 +1,9 @@
 """Public API surface: ``__all__`` lists and the package re-exports agree."""
 
 import ast
+import dataclasses
 import importlib
+import math
 import os
 import pkgutil
 import subprocess
@@ -11,6 +13,9 @@ from pathlib import Path
 import pytest
 
 import coopic
+from coopic import frontier, rxcoop, txcoop
+from coopic.model import (InfiniteGain, NotInfinite, RcAllocation, Simplex2, Simplex3,
+                          TcAllocation)
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(coopic.__path__))
 
@@ -84,3 +89,42 @@ def test_kernels_read_no_positional_index():
                     and isinstance(node.slice, ast.Constant) and isinstance(node.slice.value, int):
                 reads.append(f"{name}.py:{node.lineno} {ast.unparse(node)}")
     assert not reads, f"positional kernel reads: {reads}"
+
+
+_S2, _S3 = Simplex2(0.5, 0.5), Simplex3(0.2, 0.3, 0.5)
+_TC = TcAllocation(_S3, _S2, _S2, _S2, _S2, _S3, _S3)
+_RC = RcAllocation(_S3, _S3, _S3, _S2, _S2)
+_TINY = frontier.TraceOptions(weights=(1.0,), restarts=1, max_iter=5)
+
+# (call, its conferencing gain, whether it evaluates that gain's +inf limit)
+_GAIN_MODES = {
+    "tc_rate_pair": (lambda g, p: txcoop.tc_rate_pair(g, p, _TC), "c12", False),
+    "rdpc_rate_pair": (lambda g, p: txcoop.rdpc_rate_pair(g, p, _TC), "c12", False),
+    "tc_phase_rates": (lambda g, p: txcoop.tc_phase_rates(g, p, _TC), "c12", False),
+    "tc_phase3_covariances": (lambda g, p: txcoop.tc_phase3_covariances(g, p, _TC), "c12", False),
+    "tc_budget_covariances": (lambda g, p: txcoop.tc_budget_covariances(g, p, _TC), "c12", False),
+    "rdpc_covariances": (lambda g, p: txcoop.rdpc_covariances(g, p, _TC), "c12", False),
+    "phase3_power_audit": (lambda g, p: txcoop.phase3_power_audit(g, p, _TC), "c12", False),
+    "rc_rate_pair": (lambda g, p: rxcoop.rc_rate_pair(g, p, _RC), "c34", False),
+    "rc_phase_rates": (lambda g, p: rxcoop.rc_phase_rates(g, p, _RC), "c34", False),
+    "trace_RDPC": (lambda g, p: frontier.trace("RDPC", g, p, _TINY), "c12", False),
+    "tc_limit_rate_pair": (lambda g, p: txcoop.tc_limit_rate_pair(g, p, _S3, _S3, True),
+                           "c12", True),
+    "rc_limit_rate_pair": (lambda g, p: rxcoop.rc_limit_rate_pair(g, p), "c34", True),
+    "trace_tc_limit": (lambda g, p: frontier.trace_tc_limit(g, p, _TINY), "c12", True),
+    "trace_rc_limit": (lambda g, p: frontier.trace_rc_limit(g, p, _TINY), "c34", True),
+}
+
+
+@pytest.mark.parametrize("name", _GAIN_MODES)
+def test_every_view_and_tracer_checks_its_gain_mode(name, ref_gains, ref_powers):
+    """Each view and tracer raises InfiniteGain, or NotInfinite for a limit,
+    when its own conferencing gain is in the other mode, and ignores the
+    other link's gain."""
+    call, link, limit = _GAIN_MODES[name]
+    other = "c34" if link == "c12" else "c12"
+    right = dataclasses.replace(ref_gains, **{link: math.inf if limit else 10.0})
+    with pytest.raises(NotInfinite if limit else InfiniteGain):
+        call(dataclasses.replace(right, **{link: 10.0 if limit else math.inf}), ref_powers)
+    for g in (right, dataclasses.replace(right, **{other: math.inf})):
+        call(g, ref_powers)

@@ -18,8 +18,10 @@ from coopic.model import (
     NegativeSnr,
     PowerBudget,
     RatePair,
+    RcAllocation,
     Simplex2,
     Simplex3,
+    TcAllocation,
     cap,
     det_pair,
     inverse,
@@ -211,6 +213,28 @@ def test_simplex3_exact_sum_after_construction(a, b, c):
 def test_zero_weights_allowed():
     assert list(Simplex3(0.0, 0.0, 1.0)) == [0.0, 0.0, 1.0]
     assert list(Simplex2(1.0, 0.0)) == [1.0, 0.0]
+
+
+@pytest.mark.parametrize("cls, field, value", [
+    (TcAllocation, "mu", [100.0, 0.0, 0.0]),
+    (TcAllocation, "eta", (100.0, 0.0, 0.0)),
+    (TcAllocation, "lam", Simplex2(0.5, 0.5)),
+    (RcAllocation, "mu", [50.0, 0.0, 0.0]),
+    (RcAllocation, "alpha", Simplex3(1.0, 0.0, 0.0)),
+    (RcAllocation, "beta", None),
+], ids=["tc-list", "tc-tuple", "tc-simplex2", "rc-list", "rc-simplex3", "rc-none"])
+def test_allocation_rejects_a_field_that_is_not_its_simplex(cls, field, value):
+    # A list block skipped the simplex checks: at the reference channel a
+    # phase-3-only TC allocation with mu = eta = [100, 0, 0] gave r2 = 8.97
+    # bits, above the 5.81-bit broadcast sum bound, and a phase-1-only RC
+    # one with mu = eta = [50, 0, 0] gave r1 = 7.97.
+    # A Simplex2 in a Simplex3 field raised a plain ValueError when evaluated.
+    s2, s3 = Simplex2(0.5, 0.5), Simplex3(0.2, 0.3, 0.5)
+    blocks = (dict(lam=s3, kappa=s2, gamma=s2, alpha=s2, beta=s2, mu=s3, eta=s3)
+              if cls is TcAllocation else dict(lam=s3, mu=s3, eta=s3, alpha=s2, beta=s2))
+    cls(**blocks)
+    with pytest.raises(InvalidAllocation, match=f"^{field} must be a Simplex"):
+        cls(**{**blocks, field: value})
 
 
 # ---------------------------------------------------------------------------

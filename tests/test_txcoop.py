@@ -466,6 +466,15 @@ def test_limit_rate_pair_requires_infinite_gain(ref_gains, ref_powers):
                                   Simplex3(0, 1, 0), Simplex3(0, 1, 0), True)
 
 
+def test_limit_rate_pair_rejects_splits_that_are_not_simplex3(ref_powers):
+    # A list split skipped the simplex checks and a Simplex2 one failed to unpack
+    g = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
+    for mu, eta, name in (([100.0, 0.0, 0.0], Simplex3(0, 1, 0), "mu"),
+                          (Simplex3(0, 1, 0), Simplex2(0.5, 0.5), "eta")):
+        with pytest.raises(InvalidAllocation, match=f"^{name} must be a Simplex3"):
+            txcoop.tc_limit_rate_pair(g, ref_powers, mu, eta, True)
+
+
 def test_limit_rate_pair_sum_point(ref_powers):
     g = ChannelGains(c12=math.inf, c13=1.0, c14=SQRT2, c23=SQRT2, c24=1.0, c34=10.0)
     # one joint stream per user at full node power: the pair sits on the
