@@ -208,8 +208,10 @@ def _allocation_to_dict(alloc) -> dict | None:
 
 
 def _bound_record(region: bounds_mod.OuterBound) -> dict:
-    """The JSON record of a pentagon's three constraints."""
-    return {"r1_max": region.r1_max, "r2_max": region.r2_max, "sum_max": region.sum_max}
+    """The JSON record of a pentagon's three constraints; an infinite one is
+    written "inf" (as ``_fmt`` does), since strict JSON has no Infinity."""
+    return {name: value if math.isfinite(value) else _fmt(value) for name, value in
+            (("r1_max", region.r1_max), ("r2_max", region.r2_max), ("sum_max", region.sum_max))}
 
 
 def _fmt(value: float) -> str:

@@ -7,19 +7,19 @@ gain comparison); in phase 3 the two sources, having exchanged messages, act
 as a two-antenna transmitter and broadcast a joint stream per user plus a
 fresh stream per user.
 
-Each source keeps its own power budget, as the relay cut-set bound assumes.
-The default joint-stream covariances (``tc_budget_covariances``) have
-per-source powers equal to the allocation's shares, so no source radiates
-more than it was allotted (``phase3_power_audit``).
-The paper's construction from the dual multiple-access solution
-(``tc_phase3_covariances``) pools the two budgets; it stays available
-through ``tc_phase_rates(..., cov=...)``.  The infinite-conferencing limit
-keeps the pooled construction: there the two sources act as one transmitter
-with a pooled budget.
-
-Also provides the recycled/parallel-DPC baseline (diagonal covariances, no
-coherent combining) and the infinite-conferencing limit of the scheme;
-``frontier.trace`` routes c12 = +inf to the limit's tracer.
+Phase 3's joint-stream covariances come from one of three rules with one
+signature, ``rule(c, joint1, joint2, user1_clean)``: each joint stream's
+(source 1, source 2) powers and the encoding order, which the caller decides
+once (``_user1_clean``; the limit tracer tries both).  The default,
+``_budget_cov`` (``tc_budget_covariances``), keeps each source's own budget,
+as the relay cut-set bound assumes: no source radiates more than it was
+allotted (``phase3_power_audit``).  The paper's dual multiple-access
+construction, ``_duality_cov`` (``tc_phase3_covariances``), pools the two
+budgets; it stays available through ``tc_phase_rates(..., cov=...)`` and is
+the rule of the infinite-conferencing limit, where the two sources act as
+one transmitter (``frontier.trace`` routes c12 = +inf to its tracer).
+``_rdpc_cov`` (``rdpc_covariances``) is the recycled/parallel-DPC baseline:
+diagonal covariances, no coherent combining.
 
 Each rate formula exists once, as a kernel on plain floats, for both users
 (``_exchange``, ``_phase3``): gains ``c`` and powers ``pw`` from
@@ -172,17 +172,17 @@ def _phase3_split(pw, a):
     return ((mu1 * p1_3, eta1 * p2_3), (mu2 * p1_3, eta3 * p2_3), (mu3 * p1_3, eta2 * p2_3))
 
 
-def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
+def _duality_cov(c, joint1, joint2, user1_clean: bool):
     """Joint-stream covariances from the dual multiple-access construction.
 
-    The clean stream's covariance is sigma1 = s_clean (I + s_other u u^T)^-1,
-    with u the encoding-order-dependent per-source gain vector; the other
-    stream gets s_other I inflated by the clean stream's leakage
-    u^T sigma1 u = s_clean |u|^2 / (1 + s_other |u|^2).
+    Each stream's per-source powers pool into one power s: the clean stream's
+    covariance is sigma1 = s_clean (I + s_other u u^T)^-1, with u the
+    order-dependent per-source gain vector; the other stream gets s_other I
+    inflated by the leakage u^T sigma1 u = s_clean |u|^2 / (1 + s_other |u|^2).
     """
     _, c13, c14, c23, c24, _ = c
-    u, s_clean, s_other = (((c23, c24), s_joint1, s_joint2) if user1_clean
-                           else ((c13, c14), s_joint2, s_joint1))
+    u, clean, other = ((c23, c24), joint1, joint2) if user1_clean else ((c13, c14), joint2, joint1)
+    s_clean, s_other = clean[0] + clean[1], other[0] + other[1]
     b11, b12, b22 = inverse(u, s_other)
     norm2 = u[0] * u[0] + u[1] * u[1]
     a_scale = 1.0 + s_clean * norm2 / (1.0 + s_other * norm2)
@@ -190,10 +190,9 @@ def _duality_cov(c, s_joint1: float, s_joint2: float, user1_clean: bool):
             (a_scale * s_other, 0.0, a_scale * s_other), user1_clean)
 
 
-def _budget_cov(c, joint1, joint2):
+def _budget_cov(c, joint1, joint2, user1_clean: bool):
     """Per-source-budget covariances (see ``tc_budget_covariances``)."""
     _, c13, c14, c23, c24, _ = c
-    user1_clean = _user1_clean(c)
     if user1_clean:
         clean, first, x, y = joint1, joint2, c14, c24
     else:
@@ -206,9 +205,8 @@ def _budget_cov(c, joint1, joint2):
             (f0 * f0, f0 * f1, f1 * f1), user1_clean)
 
 
-def _rdpc_cov(c, joint1, joint2):
+def _rdpc_cov(c, joint1, joint2, user1_clean: bool):
     """Diagonal covariances (see ``rdpc_covariances``)."""
-    user1_clean = _user1_clean(c)
     clean, first = (joint1, joint2) if user1_clean else (joint2, joint1)
     return ((clean[0], 0.0, clean[1]), (first[0], 0.0, first[1]), user1_clean)
 
@@ -245,16 +243,16 @@ def _phase3(c, lam3: float, fresh, cov):
 def _stream_rates(c, pw, a, build_cov=_budget_cov):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
-    The phase-3 covariances are ``build_cov(c, joint1, joint2)`` of the
-    joint-stream powers, the per-source-budget ones by default.  A silent
-    joint phase (lam3 = 0, which ``phase_power`` admits only with kappa2 =
-    gamma2 = 0) needs no branch: each phase-3 rate is lam3 times a finite
-    capacity, so all four are exactly 0.0.
+    The phase-3 covariances are ``build_cov(c, joint1, joint2, user1_clean)``,
+    a rule of the module docstring, the per-source-budget one by default.  A
+    silent joint phase (lam3 = 0, which ``phase_power`` admits only with
+    kappa2 = gamma2 = 0) needs no branch: each phase-3 rate is lam3 times a
+    finite capacity, so all four are exactly 0.0.
     """
     rates = _phase12(c, pw, a)
     fresh, joint1, joint2 = _phase3_split(pw, a)
     (_, _, lam3), _, _, _, _, _, _ = a
-    return rates + _phase3(c, lam3, fresh, build_cov(c, joint1, joint2))
+    return rates + _phase3(c, lam3, fresh, build_cov(c, joint1, joint2, _user1_clean(c)))
 
 
 def _pair(rates) -> tuple[float, float]:
@@ -283,7 +281,7 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
     """
     p1, p2, _, _ = pw
     (mu1, mu2, mu3), (eta1, eta2, eta3) = a
-    cov = _duality_cov(c, mu2 * p1 + eta3 * p2, mu3 * p1 + eta2 * p2, user1_clean)
+    cov = _duality_cov(c, (mu2 * p1, eta3 * p2), (mu3 * p1, eta2 * p2), user1_clean)
     r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov)
     return checked_pair(r1_d + r1_3, r2_d + r2_3)
 
@@ -293,9 +291,9 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
 
 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
-    """Kernel gains and per-source joint-stream powers; checks c12 first."""
+    """A covariance rule's arguments (c, joint1, joint2, user1_clean); checks c12 first."""
     c, pw = _conferencing_args(g, p, "c12")
-    return (c, *_phase3_split(pw, a)[1:])
+    return (c, *_phase3_split(pw, a)[1:], _user1_clean(c))
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -308,8 +306,7 @@ def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> T
     ``tc_budget_covariances`` instead.  A silent joint phase gives zero
     covariances.
     """
-    c, joint1, joint2 = _joint_streams(g, p, a)
-    return TcCovariances(*_duality_cov(c, sum(joint1), sum(joint2), _user1_clean(c)))
+    return TcCovariances(*_duality_cov(*_joint_streams(g, p, a)))
 
 
 def tc_budget_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -370,10 +367,10 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     (``tc_budget_covariances``).  A silent joint phase radiates nothing
     and is allotted nothing.
     """
-    _, pw = _conferencing_args(g, p, "c12")
+    c, pw = _conferencing_args(g, p, "c12")
+    (fresh1, fresh2), joint1, joint2 = _phase3_split(pw, a)
     if cov is None:
-        cov = tc_budget_covariances(g, p, a)
-    fresh1, fresh2 = _phase3_split(pw, a)[0]
+        cov = TcCovariances(*_budget_cov(c, joint1, joint2, _user1_clean(c)))
     radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
                 fresh2 + cov.sigma1[2] + cov.sigma2[2])
     return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, a))

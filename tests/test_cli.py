@@ -171,13 +171,23 @@ def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     ("region", {"schemes": ["IC"], "out": 5}),
     ("eval", {"scheme": 5, "allocation": TC_ALLOCATION}),
     ("region", {"schemes": ["RC", "rc"]}),  # one scheme traced twice
+    # the config file: missing (None), not JSON (text written as is), not an object
+    ("bounds", None),
+    ("bounds", "{"),
+    ("bounds", [1.0, 2.0]),
+    # the allocation: not an object, a key too many or too few, a block too short
+    ("eval", {"allocation": [1.0, 0.0, 0.0]}),
+    ("eval", {"allocation": dict(TC_ALLOCATION, zeta=[1.0])}),
+    ("eval", {"allocation": {"lambda": [1.0, 0.0, 0.0]}}),
+    ("eval", {"allocation": dict(TC_ALLOCATION, mu=[0.5, 0.5])}),
 ])
 def test_bad_config_types_exit_2(tmp_path, monkeypatch, capsys, command, config):
     # run in tmp_path: a region case that stopped failing would write its default out
     # there, and an --out flag would hide the bad "out" value of the third case
     monkeypatch.chdir(tmp_path)
     path = tmp_path / "config.json"
-    path.write_text(json.dumps(config))
+    if config is not None:
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
     assert run([command, "--config", str(path)]) == cli.EXIT_VALIDATION
     err = capsys.readouterr().err
     assert err.startswith("error: ") and len(err.strip().splitlines()) == 1
@@ -285,6 +295,22 @@ def _no_constant(name):
 def test_region_sidecar_is_strict_json(tmp_path):
     assert run(_region_args(tmp_path, schemes=["RC"])) == 0
     json.loads((tmp_path / "region.json").read_text(), parse_constant=_no_constant)
+
+
+@pytest.mark.parametrize("command", ["bounds", "region"])
+def test_infinite_bound_is_written_as_inf(tmp_path, capsys, command):
+    # c14 = c23 = 0.3: both receivers treat interference as noise, so the IC
+    # region's sum constraint does not bind; strict JSON cannot hold Infinity
+    if command == "bounds":
+        assert run(["bounds", "--config", write_config(tmp_path, c14=0.3, c23=0.3)]) == 0
+        record = json.loads(capsys.readouterr().out, parse_constant=_no_constant)["IC"]
+    else:
+        assert run(_region_args(tmp_path, schemes=["IC"], c14=0.3, c23=0.3)) == 0
+        sidecar = (tmp_path / "region.json").read_text()
+        record = json.loads(sidecar, parse_constant=_no_constant)["schemes"]["IC"]
+    # receiver 3 treats user 2 as noise: r1_max = cap(5 / (1 + 0.09 * 5))
+    assert record["r1_max"] == pytest.approx(math.log2(129.0 / 29.0), abs=1e-12)
+    assert record["sum_max"] == "inf"
 
 
 def test_region_rc_schemes(tmp_path):
@@ -441,3 +467,16 @@ def test_compare_dominance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "A dominates B" in out
     assert "max gap" in out
+
+
+@pytest.mark.parametrize("config_a, config_b, verdict", [
+    ({"scheme": "RDPC"}, {"scheme": "TC"}, "B dominates A"),  # test_compare_dominance reversed
+    # mirrored channels (c13 <-> c24): each favours its own strong user
+    ({"scheme": "RC", "c13": 2.0}, {"scheme": "RC", "c24": 2.0}, "incomparable"),
+])
+def test_compare_verdicts(tmp_path, capsys, config_a, config_b, verdict):
+    budget = {"weights": 7, "restarts": 6, "max_iter": 200}
+    a = write_config(tmp_path, "a.json", **config_a, **budget)
+    b = write_config(tmp_path, "b.json", **config_b, **budget)
+    assert run(["compare", a, b]) == 0
+    assert f"verdict: {verdict}\n" in capsys.readouterr().out

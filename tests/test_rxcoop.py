@@ -255,6 +255,36 @@ def test_one_strong_receiver_caps_the_sum_rate():
         assert pair.total <= sato + 1e-12
 
 
+def _log_uniform(rng, lo, hi, n):
+    return np.exp(rng.uniform(math.log(lo), math.log(hi), n))
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 12: receiver 4's decoder follows a comparison with "
+                          "receiver 3, which a larger c34 can flip; direction R fixes it")
+def test_weighted_objective_never_falls_when_c34_rises():
+    # A larger c34 gives each receiver more of the other's observation and
+    # takes nothing away, so the objective r1 + w r2 (r2 alone at w = inf) of
+    # a fixed allocation may not fall.  Worked example: r2 = 3.2539 bits at
+    # c34 in {0.5, 1, 2} and 0.4960 bits at c34 = 10.
+    def objective(c34, gains, p, a, w):
+        r1, r2 = rxcoop.rc_rate_pair(ChannelGains(0.0, *gains, c34), p, a, weight=w)
+        return r2 if math.isinf(w) else r1 + w * r2
+
+    half = (0.5, 0.5, 0.0)
+    example = ((2.0, 3.0, 2.0, 3.0), PowerBudget(10.0, 10.0, 10.0, 10.0),
+               make_alloc(lam=half, mu=half, eta=half, alpha=(1.0, 0.0), beta=(1.0, 0.0)),
+               math.inf)
+    cases = [((lo, hi), *example) for lo, hi in ((0.5, 1.0), (1.0, 2.0), (2.0, 10.0))]
+    rng = np.random.default_rng(12)
+    for i in range(2000):
+        cases.append((sorted(_log_uniform(rng, 0.05, 50.0, 2)), _log_uniform(rng, 0.1, 5.0, 4),
+                      random_powers(rng, 1.0, 20.0), random_rc_allocation(rng),
+                      (0.0, 0.5, 1.0, 2.0, math.inf)[i % 5]))
+    worst = max(objective(lo, *rest) - objective(hi, *rest) for (lo, hi), *rest in cases)
+    assert worst <= 1e-12
+
+
 def test_phase1_classification_boundary_evaluates():
     # exactly on the strong/weak boundary: ties classify as strong
     v = (1.0, 0.0)
