@@ -6,8 +6,11 @@ source's energy split between the two phases and the source/relay
 correlation.  An 81^3 grid picks a correlation window; inside it the
 correlation is maximized in closed form (one cut falls and the other rises
 in it), and a nested golden-section search covers the listen fraction and
-the energy split.  Searching only the grid's window is ROADMAP defect 4,
-kept because bench/bounds_reference.json pins the values it gives.
+the energy split.  The grid is evaluated slab by slab in the correlation,
+a few rows at a time in reused buffers, with the values of a one-shot
+evaluation bit for bit and ties going to the smallest correlation.
+Searching only the grid's window is ROADMAP defect 4, kept because
+bench/bounds_reference.json pins the values it gives.
 
 The sum rate is capped by the pooled-power two-antenna broadcast bound for
 transmitter cooperation and by the two-antenna multiple-access bound for
@@ -56,6 +59,8 @@ __all__ = [
 ]
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
+_GRID = 81  # cut-set grid points per axis of (rho, alpha, e)
+_SLAB = 9  # rho rows per grid slab (divides _GRID): 9 x 81 x 81 doubles, ~470 KB
 
 
 @dataclass(frozen=True)
@@ -218,6 +223,68 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
     return min(cuts(u * u))
 
 
+def _cutset_grid(sd: float, sr: float, rd: float, p_src: float,
+                 p_rel: float) -> tuple[float, float]:
+    """(rho, value) of the largest min-cut on the 81^3 grid over the
+    correlation rho, the listen fraction alpha and the energy share e.
+
+    The terms that do not depend on rho are computed once; the min-cut is
+    then evaluated _SLAB rows of rho at a time in two reused buffers, so no
+    81^3 temporary exists.  Each element goes through the same operations
+    in the same order as in a one-shot broadcast of the whole grid, so the
+    values are bit for bit the same.  A slab's best replaces the running
+    best only when strictly larger: ties go to the smallest rho, as the
+    first occurrence of a one-shot argmax does.
+    """
+    n = _GRID
+    rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
+    alpha = np.linspace(0.0, 1.0, n).reshape(1, -1, 1)
+    e = np.linspace(0.0, 1.0, n).reshape(1, 1, -1)
+    # Endpoint columns (alpha = 0 or 1) produce inf/nan lanes: the listen
+    # terms take 0 at alpha = 0 by np.where, the forwarding terms 0 at
+    # alpha = 1 (the last column, linspace's exact endpoint) by zeroing.
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        a_safe = np.maximum(alpha, 1e-300)
+        b_safe = np.maximum(1.0 - alpha, 1e-300)
+        pa = e * p_src / a_safe
+        pb = (1.0 - e) * p_src / b_safe
+        pr = p_rel / b_safe
+        listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / _LN2, 0.0)
+        listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / _LN2, 0.0)
+        fwd = 1.0 - alpha
+        base = sd * sd * pb + rd * rd * pr
+        drop = (1.0 - rho) * sd * sd  # per-row factors, shape (n, 1, 1)
+        cross = rho * sd * sd * rd * rd
+        cut1, cut2 = np.empty((_SLAB, n, n)), np.empty((_SLAB, n, n))
+        i_best, best = 0, -math.inf
+        for r0 in range(0, n, _SLAB):
+            rows = slice(r0, r0 + _SLAB)
+            # cut 1: listen1 + (1-alpha) log1p((1-rho) sd^2 pb) / ln 2
+            np.multiply(drop[rows], pb, out=cut1)
+            np.log1p(cut1, out=cut1)
+            np.multiply(fwd, cut1, out=cut1)
+            np.divide(cut1, _LN2, out=cut1)
+            cut1[:, -1, :] = 0.0
+            np.add(listen1, cut1, out=cut1)
+            # cut 2: listen2 + (1-alpha) log1p(base + 2 sqrt(rho sd^2 rd^2 pb pr)) / ln 2
+            np.multiply(cross[rows], pb, out=cut2)
+            np.multiply(cut2, pr, out=cut2)
+            np.sqrt(cut2, out=cut2)
+            np.multiply(2.0, cut2, out=cut2)
+            np.add(base, cut2, out=cut2)
+            np.log1p(cut2, out=cut2)
+            np.multiply(fwd, cut2, out=cut2)
+            np.divide(cut2, _LN2, out=cut2)
+            cut2[:, -1, :] = 0.0
+            np.add(listen2, cut2, out=cut2)
+            np.minimum(cut1, cut2, out=cut1)
+            np.nan_to_num(cut1, copy=False, nan=-math.inf)
+            i = int(np.argmax(cut1))
+            if cut1.flat[i] > best:
+                i_best, best = r0 + i // (n * n), float(cut1.flat[i])
+    return float(rho.ravel()[i_best]), best
+
+
 def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -> float:
     """Half-duplex relay cut-set bound for one source/relay/destination triple.
 
@@ -228,7 +295,9 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     upper bound).
 
     An 81^3 vectorized grid over (rho, alpha, e) picks a correlation window
-    of +-1.5 cells around its best rho.  A nested golden-section search over
+    of +-1.5 cells around its best rho (``_cutset_grid``: evaluated slab by
+    slab in rho, ties to the smallest rho, values unchanged from a one-shot
+    grid).  A nested golden-section search over
     (alpha, e) then maximizes the cut with rho maximized over that window in
     closed form (``_cutset_rho_max``).  In the cross energy
     K = sqrt(rho * Eb * Er) the cuts are jointly concave in (K, alpha, e), so
@@ -253,34 +322,9 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     if p_src == 0.0:
         return 0.0
 
-    n = 81
-    rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
-    alpha = np.linspace(0.0, 1.0, n).reshape(1, -1, 1)
-    e = np.linspace(0.0, 1.0, n).reshape(1, 1, -1)
-    # Endpoint columns (alpha = 0 or 1) produce masked inf/nan lanes; the
-    # np.where picks the analytic limits there.
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        a_safe = np.maximum(alpha, 1e-300)
-        b_safe = np.maximum(1.0 - alpha, 1e-300)
-        pa = e * p_src / a_safe
-        pb = (1.0 - e) * p_src / b_safe
-        pr = p_rel / b_safe
-        listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / _LN2, 0.0)
-        listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / _LN2, 0.0)
-        fwd1 = np.where(alpha < 1.0,
-                        (1.0 - alpha) * np.log1p((1.0 - rho) * sd * sd * pb) / _LN2, 0.0)
-        phi = np.sqrt(rho * sd * sd * rd * rd * pb * pr)
-        fwd2 = np.where(alpha < 1.0,
-                        (1.0 - alpha) * np.log1p(sd * sd * pb + rd * rd * pr + 2.0 * phi) / _LN2,
-                        0.0)
-        grid_val = np.minimum(listen1 + fwd1, listen2 + fwd2)
-    grid_val = np.nan_to_num(grid_val, nan=-math.inf)
-    i = int(np.argmax(grid_val))
-    rho_best = float(rho.ravel()[i // (n * n)])
-    best = float(grid_val.ravel()[i])
-
-    lo = max(0.0, rho_best - 1.5 / (n - 1))
-    hi = min(1.0, rho_best + 1.5 / (n - 1))
+    rho_best, best = _cutset_grid(sd, sr, rd, p_src, p_rel)
+    lo = max(0.0, rho_best - 1.5 / (_GRID - 1))
+    hi = min(1.0, rho_best + 1.5 / (_GRID - 1))
     sd2, sr2, rd2 = sd * sd, sr * sr, rd * rd
 
     def over_energy(listen: float) -> float:
@@ -297,9 +341,9 @@ def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,
 
     Under transmitter cooperation the peer source relays over c12; under
     receiver cooperation the peer receiver relays over c34 using its own
-    power budget.  ``user`` is 1 or 2.
+    power budget.  ``user`` is the int 1 or 2 (not a bool or a float).
     """
-    if user not in (1, 2):
+    if not isinstance(user, int) or isinstance(user, bool) or user not in (1, 2):
         raise ValueError(f"user must be 1 or 2, got {user}")
     if cooperation == "tx":
         if user == 1:

@@ -1,12 +1,17 @@
 """Outer bounds and baselines."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers, zero_cooperation_channels
-from coopic.model import ChannelGains, EvaluatorError, PowerBudget, cap
+from coopic.model import POWER_MAX, ChannelGains, EvaluatorError, PowerBudget, cap
 from coopic import bounds
 
 SQRT2 = math.sqrt(2.0)
@@ -73,6 +78,12 @@ def test_cutset_user_arguments(ref_gains, ref_powers):
         bounds.relay_cutset_bound(ref_gains, ref_powers, 3)
 
 
+@pytest.mark.parametrize("user", [True, False, 1.0, 2.0])
+def test_cutset_rejects_a_user_that_is_not_an_int(ref_gains, ref_powers, user):
+    with pytest.raises(ValueError, match="user must be 1 or 2"):
+        bounds.relay_cutset_bound(ref_gains, ref_powers, user)
+
+
 def _cutset_triples(g, p):
     """(sd, sr, rd, p_src, p_rel) of each (cooperation, user), as relay_cutset_bound maps them."""
     return {("tx", 1): (g.c13, g.c12, g.c23, p.p1, p.p2),
@@ -81,11 +92,8 @@ def _cutset_triples(g, p):
             ("rx", 2): (g.c24, g.c23, g.c34, p.p2, p.p3)}
 
 
-def _grid_golden_cutset(sd, sr, rd, p_src, p_rel):
-    """Slow reference: the 81^3 grid, its +-1.5-cell correlation window and a
-    three-level golden-section search (rho, then alpha, then e) in that window."""
-    if p_src == 0.0:
-        return 0.0
+def _one_shot_grid(sd, sr, rd, p_src, p_rel):
+    """(rho, value) of the best point of the 81^3 grid, broadcast in one shot."""
     n = 81
     ln2 = math.log(2.0)
     rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
@@ -108,8 +116,16 @@ def _grid_golden_cutset(sd, sr, rd, p_src, p_rel):
         grid_val = np.minimum(listen1 + fwd1, listen2 + fwd2)
     grid_val = np.nan_to_num(grid_val, nan=-math.inf)
     i = int(np.argmax(grid_val))
-    rho_best = float(rho.ravel()[i // (n * n)])
-    best = float(grid_val.ravel()[i])
+    return float(rho.ravel()[i // (n * n)]), float(grid_val.ravel()[i])
+
+
+def _grid_golden_cutset(sd, sr, rd, p_src, p_rel):
+    """Slow reference: the 81^3 grid, its +-1.5-cell correlation window and a
+    three-level golden-section search (rho, then alpha, then e) in that window."""
+    if p_src == 0.0:
+        return 0.0
+    n = 81
+    rho_best, best = _one_shot_grid(sd, sr, rd, p_src, p_rel)
     lo = max(0.0, rho_best - 1.5 / (n - 1))
     hi = min(1.0, rho_best + 1.5 / (n - 1))
 
@@ -156,6 +172,76 @@ def test_cutset_matches_grid_golden_reference():
             got = bounds.relay_cutset_bound(g, p, user, cooperation)
             want = _grid_golden_cutset(*triple)
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12), (g, p, cooperation, user)
+
+
+
+def _grid_cases():
+    """(sd, sr, rd, p_src, p_rel) triples: 300 seeded draws and the edge cases."""
+    rng = np.random.default_rng(22)
+    cases = [t for _ in range(75)
+             for t in _cutset_triples(random_gains(rng), random_powers(rng)).values()]
+    return cases + [
+        (0.0, 2.0, 3.0, 5.0, 5.0),              # sd = 0: flat in rho, the first slab must win
+        (1.0, 2.0, 0.0, 5.0, 5.0),              # rd = 0: cut 2 flat in rho
+        (1.0, 0.0, 3.0, 5.0, 5.0),              # sr = 0
+        (1.0, 2.0, 3.0, 5.0, 0.0),              # p_rel = 0
+        (1e-6, 1e-6, 1e-6, 5.0, 5.0),
+        (1.0, 2.0, 3.0, POWER_MAX, POWER_MAX),
+    ]
+
+
+def _grid_mismatches(cases):
+    """The cases whose slab grid (rho, value) differs from the one-shot grid's in any bit."""
+    def bits(pair):
+        return tuple(float.hex(v) for v in pair)
+    return [c for c in cases if bits(bounds._cutset_grid(*c)) != bits(_one_shot_grid(*c))]
+
+
+def test_cutset_grid_is_bit_identical_to_one_shot_grid():
+    assert _grid_mismatches(_grid_cases()) == []
+
+
+_GRID_PROBE = """
+import sys
+import numpy
+print("numpy started", flush=True)
+sys.path.insert(0, sys.argv[1])
+import test_bounds
+cases = test_bounds._grid_cases()
+print(test_bounds._grid_mismatches(cases[:-6:5] + cases[-6:]))
+"""
+
+
+def test_cutset_grid_is_bit_identical_at_baseline_cpu_dispatch():
+    # The slab and one-shot grids must pick the same numpy loops on every CPU:
+    # every fifth draw and the edge cases, with every SIMD target numpy
+    # dispatches on this host switched off (in the child only).
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not present:
+        pytest.skip("numpy dispatches no CPU feature on this host")
+    tests = Path(__file__).resolve().parent
+    src = str(Path(bounds.__file__).resolve().parent.parent)
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(present),
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    lowered = subprocess.run([sys.executable, "-c", _GRID_PROBE, str(tests)], env=env,
+                             capture_output=True, text=True)
+    if not lowered.stdout.startswith("numpy started"):
+        pytest.skip(f"the interpreter with {present} disabled cannot start: {lowered.stderr}")
+    assert lowered.returncode == 0, lowered.stderr
+    assert lowered.stdout.splitlines()[-1] == "[]"
+
+
+def test_cutset_bound_allocates_no_full_grid(ref_gains, ref_powers):
+    # An 81^3 float64 temporary alone is 4.25 MB.
+    bounds.relay_cutset_bound(ref_gains, ref_powers, 1)
+    tracemalloc.start()
+    try:
+        bounds.relay_cutset_bound(ref_gains, ref_powers, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6
 
 
 def _scan_rho_max(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi):
