@@ -63,8 +63,6 @@ DEFAULT_CONFIG = {
     "out": "region.csv",
 }
 
-_GAIN_KEYS = ("c12", "c13", "c14", "c23", "c24", "c34")
-_POWER_KEYS = ("p1", "p2", "p3", "p4")
 _SCHEMES = ("TC", "RDPC", "RC", "IC")
 _TRACED = _SCHEMES[:3]  # the schemes eval and compare accept
 
@@ -154,14 +152,11 @@ def load_config(path: str | None) -> dict:
     return config
 
 
-def build_gains(config: dict) -> ChannelGains:
-    return _valid("gains", ChannelGains,
-                  **{k: _number(k, config[k]) for k in _GAIN_KEYS})
-
-
-def build_powers(config: dict) -> PowerBudget:
-    return _valid("powers", PowerBudget,
-                  **{k: _number(k, config[k]) for k in _POWER_KEYS})
+def build_channel(config: dict) -> tuple[ChannelGains, PowerBudget]:
+    """The config's ChannelGains and PowerBudget, each built from its own
+    fields in declaration order, gains first."""
+    return tuple(_valid(what, cls, **{k: _number(k, config[k]) for k in cls.__dataclass_fields__})
+                 for what, cls in (("gains", ChannelGains), ("powers", PowerBudget)))
 
 
 def build_options(config: dict) -> frontier.TraceOptions:
@@ -210,8 +205,8 @@ def _allocation_to_dict(alloc) -> dict | None:
 def _bound_record(region: bounds_mod.OuterBound) -> dict:
     """The JSON record of a pentagon's three constraints; an infinite one is
     written "inf" (as ``_fmt`` does), since strict JSON has no Infinity."""
-    return {name: value if math.isfinite(value) else _fmt(value) for name, value in
-            (("r1_max", region.r1_max), ("r2_max", region.r2_max), ("sum_max", region.sum_max))}
+    return {name: value if math.isfinite(value) else _fmt(value)
+            for name, value in asdict(region).items()}
 
 
 def _fmt(value: float) -> str:
@@ -241,8 +236,7 @@ def cmd_eval(args) -> int:
     scheme, = _schemes(args.scheme or [config["scheme"]], _TRACED, one=True)
     if config["allocation"] is None:
         raise ValidationFailure("eval requires an 'allocation' entry in the config")
-    g = build_gains(config)
-    p = build_powers(config)
+    g, p = build_channel(config)
     alloc = build_allocation(scheme, config["allocation"])
     if scheme in ("TC", "RDPC"):
         cov = None if scheme == "TC" else txcoop.rdpc_covariances(g, p, alloc)
@@ -269,8 +263,7 @@ def cmd_region(args) -> int:
     config = load_config(args.config)
     _apply_flag_overrides(config, args)
     schemes = _schemes(args.scheme or config["schemes"], _SCHEMES)
-    g = build_gains(config)
-    p = build_powers(config)
+    g, p = build_channel(config)
     opts = build_options(config)
     seed = opts.seed
     out = Path(args.out or _text("out", config["out"]))
@@ -323,8 +316,7 @@ def cmd_region(args) -> int:
 
 def cmd_bounds(args) -> int:
     config = load_config(args.config)
-    g = build_gains(config)
-    p = build_powers(config)
+    g, p = build_channel(config)
     record = {"TC": _bound_record(bounds_mod.tc_outer_region(g, p)),
               "RC": _bound_record(bounds_mod.rc_outer_region(g, p)),
               "IC": _bound_record(bounds_mod.strong_ic_region(g, p))}
@@ -339,8 +331,7 @@ def cmd_compare(args) -> int:
         config = load_config(path)
         _apply_flag_overrides(config, args)
         scheme, = _schemes(args.scheme or [config["scheme"]], _TRACED, one=True)
-        g = build_gains(config)
-        p = build_powers(config)
+        g, p = build_channel(config)
         frontiers.append(frontier.trace(scheme, g, p, build_options(config)))
     fa, fb = frontiers
     b_outside_a = frontier.region_deviation(fb, fa)

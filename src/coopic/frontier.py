@@ -582,11 +582,8 @@ def hull(points) -> list[tuple[float, float]]:
     matters.  Idempotent.
     """
     best_y: dict[float, float] = {}
-    for x, y in points:
-        x, y = float(x), float(y)
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise ValueError(f"non-finite rate point ({x}, {y})")
-        x, y = max(x, 0.0), max(y, 0.0)
+    for x, y in _vertices_of(points):
+        x, y = max(float(x), 0.0), max(float(y), 0.0)
         if x not in best_y or y > best_y[x]:
             best_y[x] = y
     if not best_y:
@@ -641,9 +638,14 @@ def _ceiling(vertices_desc, x: float) -> float:
 
 
 def _vertices_of(region) -> list[tuple[float, float]]:
-    if hasattr(region, "vertices"):
-        return list(region.vertices())
-    return list(region)
+    """A region's vertices: its ``vertices()`` or the points it iterates.
+    Raises ValueError on a non-finite one (NaN compares false, so it would
+    pass every containment test)."""
+    vertices = list(region.vertices() if hasattr(region, "vertices") else region)
+    for x, y in vertices:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite rate point ({x}, {y})")
+    return vertices
 
 
 def _inside(vertices_desc, x: float, y: float, tol: float) -> bool:

@@ -104,7 +104,7 @@ class ChannelGains:
     c34: float
 
     def __post_init__(self) -> None:
-        for name in ("c12", "c13", "c14", "c23", "c24", "c34"):
+        for name in self.__dataclass_fields__:
             value = getattr(self, name)
             if not (name in ("c12", "c34") and value == math.inf):
                 _check_range(name, value, GAIN_MAX)
@@ -141,7 +141,7 @@ class PowerBudget:
     p4: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("p1", "p2", "p3", "p4"):
+        for name in self.__dataclass_fields__:
             _check_range(name, getattr(self, name), POWER_MAX)
 
 
@@ -205,10 +205,10 @@ class Simplex3(_Simplex):
     w3: float
 
 
-def _check_simplex(name: str, value, simplex: type) -> None:
-    """Raise InvalidAllocation naming ``name`` unless ``value`` is a ``simplex``."""
-    if not isinstance(value, simplex):
-        raise InvalidAllocation(f"{name} must be a {simplex.__name__}, got {value!r}")
+def _check_type(name: str, value, kind: type) -> None:
+    """Raise InvalidAllocation naming ``name`` unless ``value`` is a ``kind``."""
+    if not isinstance(value, kind):
+        raise InvalidAllocation(f"{name} must be a {kind.__name__}, got {value!r}")
 
 
 class _Allocation(_Fields):
@@ -222,7 +222,7 @@ class _Allocation(_Fields):
 
     def __post_init__(self) -> None:
         for name, simplex in self._layout.items():
-            _check_simplex(name, getattr(self, name), simplex)
+            _check_type(name, getattr(self, name), simplex)
 
 
 @dataclass(frozen=True)

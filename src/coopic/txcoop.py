@@ -49,7 +49,7 @@ from .model import (
     RatePair,
     Simplex3,
     TcAllocation,
-    _check_simplex,
+    _check_type,
     _conferencing_args,
     cap,
     checked_pair,
@@ -408,11 +408,12 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     sources form one two-antenna transmitter), so the order is an explicit
     argument and the region is the union over both.  Raises NotInfinite at
     a finite c12 and InvalidAllocation when ``mu`` or ``eta`` is not a
-    ``Simplex3``.
+    ``Simplex3`` or ``user1_clean`` is not a bool.
     """
     c, pw = _conferencing_args(g, p, "c12", limit=True)
-    _check_simplex("mu", mu, Simplex3)
-    _check_simplex("eta", eta, Simplex3)
+    _check_type("mu", mu, Simplex3)
+    _check_type("eta", eta, Simplex3)
+    _check_type("user1_clean", user1_clean, bool)
     return RatePair(*tc_limit_kernel(c, pw, (mu, eta), user1_clean))
 
 

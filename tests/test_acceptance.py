@@ -144,6 +144,23 @@ def test_criterion_5_strong_ic_baseline(tc_ref_frontier, rc_ref_frontier):
         print(f"  r1_max {region.r1_max:.6f}, sum {region.sum_max:.6f}", end=" ")
 
 
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 8: TC's phase 3 treats the fresh streams' "
+                          "interference as noise, so at c12 <= 1 it misses the strong-IC "
+                          "region; direction I fixes it")
+def test_tc_contains_ic_region_at_weak_conferencing():
+    """Conferencing can only add to the non-cooperative IC region, so TC
+    contains it at every c12.  Today it lies 0.82 bits outside TC at
+    c12 = 0.5 and 0.63 bits at c12 = 1 (``region_deviation``)."""
+    with report("TC contains the strong-IC region at c12 in {0.5, 1, 2, 10}"):
+        for c12 in (0.5, 1.0, 2.0, 10.0):
+            g = ref_gains_with(c12=c12)
+            tc = frontier.trace("TC", g, REF_POWERS, ZERO_COOPERATION_OPTS)
+            ic = bounds.strong_ic_region(g, REF_POWERS)
+            assert frontier.dominates(tc, ic, tol=1e-6), \
+                f"IC outside TC by {frontier.region_deviation(ic, tc)} bits at c12 = {c12}"
+
+
 def test_criterion_6_outer_bound_containment():
     """Every traced point satisfies the applicable outer-bound constraints.
 

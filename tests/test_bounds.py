@@ -84,6 +84,11 @@ def test_cutset_rejects_a_user_that_is_not_an_int(ref_gains, ref_powers, user):
         bounds.relay_cutset_bound(ref_gains, ref_powers, user)
 
 
+def test_cutset_rejects_an_unknown_cooperation(ref_gains, ref_powers):
+    with pytest.raises(ValueError, match="cooperation must be 'tx' or 'rx'"):
+        bounds.relay_cutset_bound(ref_gains, ref_powers, 1, "both")
+
+
 def _cutset_triples(g, p):
     """(sd, sr, rd, p_src, p_rel) of each (cooperation, user), as relay_cutset_bound maps them."""
     return {("tx", 1): (g.c13, g.c12, g.c23, p.p1, p.p2),

@@ -376,6 +376,24 @@ def test_region_unwritable_out_exits_4(tmp_path, capsys):
     assert run(args) == cli.EXIT_OUTPUT
 
 
+def test_region_rc_limit_mode(tmp_path):
+    # c34 = inf: the two corners of the two-antenna MAC pentagon, at weights
+    # 0 and inf, with no allocation to write
+    args = _region_args(tmp_path, c34="inf") + ["--scheme", "RC"]
+    assert run(args) == 0
+    rows = [line.split(",") for line in (tmp_path / "region.csv").read_text().split()[1:]]
+    r2_min = math.log2(56.0) - 4.0
+    limit_rows = [row for row in rows if row[2] == "RC_inf"]
+    assert [row[3] for row in limit_rows] == ["0", "inf"]
+    assert [float(x) for row in limit_rows for x in row[:2]] == \
+        pytest.approx([4.0, r2_min, r2_min, 4.0], abs=1e-11)
+    points = json.loads((tmp_path / "region.json").read_text())["schemes"]["RC_inf"]["points"]
+    assert [pt[key] for pt in points for key in ("r1_bits", "r2_bits")] == \
+        pytest.approx([4.0, r2_min, r2_min, 4.0], abs=1e-12)
+    assert [pt["weight"] for pt in points] == [0.0, math.inf]
+    assert all(pt["allocation"] is None for pt in points)
+
+
 def test_region_rdpc_with_infinite_gain_exits_3(tmp_path):
     args = _region_args(tmp_path, out="x.csv", schemes=["RDPC"], c12="inf")
     assert run(args) == cli.EXIT_EVALUATOR

@@ -82,6 +82,9 @@ def test_dominates_basic():
     assert frontier.dominates(a, [(1.0, 1.0)], 0.0)
     assert not frontier.dominates([(0.0, 0.0)], [(1.0, 0.0)], 0.0)
     assert frontier.dominates([(0.0, 0.0)], [(1.0, 0.0)], 1.0)
+    # a vertical frontier edge at r1 = 2 holds its top point
+    assert frontier.dominates([(2.0, 0.0), (2.0, 1.0), (0.0, 1.0)], [(2.0, 1.0)])
+    assert not frontier.dominates([(1.0, 1.0)], [(-1.0, 0.5)])
 
 
 def test_dominates_interpolates_chain():
@@ -97,11 +100,25 @@ def test_region_deviation_and_hausdorff():
     assert frontier.region_deviation(b, a) == pytest.approx(1.0, rel=1e-12)
     assert frontier.hausdorff(a, b) == pytest.approx(1.0, rel=1e-12)
     assert frontier.hausdorff(a, a) == 0.0
+    # the one-point region (0, 0) has a polygon edge of zero length
+    assert frontier.region_deviation([(3.0, 4.0)], [(0.0, 0.0)]) == 5.0
 
 
 def test_equal_rate_value():
     assert frontier.equal_rate_value([(2.0, 0.0), (0.0, 2.0)]) == pytest.approx(1.0, abs=1e-9)
     assert frontier.equal_rate_value([(3.0, 1.0)]) == pytest.approx(1.0, abs=1e-9)
+
+
+def test_region_geometry_rejects_non_finite_vertices():
+    # NaN fails every comparison: unchecked, a NaN vertex would pass as inside, at distance 0
+    tc = [(3.0, 0.0), (2.0, 2.0), (0.0, 3.0)]
+    for call in (lambda: frontier.dominates(tc, [(math.nan, 0.0)]),
+                 lambda: frontier.region_deviation([(math.nan, 1.0)], tc),
+                 lambda: frontier.region_deviation(tc, [(math.nan, 1.0)]),
+                 lambda: frontier.hausdorff([(math.nan, math.nan)], tc),
+                 lambda: frontier.equal_rate_value([(math.nan, 1.0)])):
+        with pytest.raises(ValueError, match="^non-finite rate point"):
+            call()
 
 
 # ---------------------------------------------------------------------------
@@ -470,6 +487,22 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
     assert stats.evaluations == calls[0]
     assert stats.penalized == raised and sum(raised.values()) > 0  # corner starts hit faces
     assert stats.unconverged == stats.runs  # 40 iterations never meet the tolerances
+
+
+def test_trace_whose_every_evaluation_raises(ref_gains, ref_powers, monkeypatch):
+    # No run re-validates, so the sweep keeps no candidate and the frontier
+    # is the origin alone; every evaluation is counted as penalized.
+    def raising_kernel(c, pw, s):
+        raise InvalidAllocation("every allocation is rejected")
+
+    monkeypatch.setattr(txcoop, "tc_kernel", raising_kernel)
+    opts = frontier.TraceOptions(weights=frontier.default_weights(1), restarts=2,
+                                 max_iter=20, seed=0)
+    fr = frontier.trace("TC", ref_gains, ref_powers, opts)
+    assert fr.points == (frontier.FrontierPoint(0.0, 0.0),)
+    assert fr.stats.runs == len(opts.weights) * opts.restarts
+    assert fr.stats.penalized == {"InvalidAllocation": fr.stats.evaluations} \
+        and fr.stats.evaluations > 0
 
 
 def test_limit_trace_stats(ref_powers):

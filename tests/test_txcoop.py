@@ -473,6 +473,11 @@ def test_limit_rate_pair_rejects_splits_that_are_not_simplex3(ref_powers):
                           (Simplex3(0, 1, 0), Simplex2(0.5, 0.5), "eta")):
         with pytest.raises(InvalidAllocation, match=f"^{name} must be a Simplex3"):
             txcoop.tc_limit_rate_pair(g, ref_powers, mu, eta, True)
+    # A non-bool encoding order would pick an order by its truth value
+    mu, eta = Simplex3(0.2, 0.3, 0.5), Simplex3(0.3, 0.3, 0.4)
+    for order in (None, 0, "no", 1, 2.5):
+        with pytest.raises(InvalidAllocation, match="^user1_clean must be a bool"):
+            txcoop.tc_limit_rate_pair(g, ref_powers, mu, eta, order)
 
 
 def test_limit_rate_pair_sum_point(ref_powers):
