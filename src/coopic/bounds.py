@@ -35,6 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (
+    FLOAT_OPS,
     ChannelGains,
     POWER_MAX,
     PowerBudget,
@@ -94,7 +95,8 @@ class OuterBound:
         return [v2] if v1[0] <= v2[0] else [v1, v2]
 
 
-def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[float, float]:
+def pentagon_corner(a1: float, a2: float, a12: float, weight: float,
+                    ops=FLOAT_OPS) -> tuple[float, float]:
     """Corner of {R1 <= a1, R2 <= a2, R1 + R2 <= a12} maximizing r1 + weight*r2.
 
     weight = 0 favors user 1, weight = +inf favors user 2; ties go to the
@@ -107,28 +109,38 @@ def pentagon_corner(a1: float, a2: float, a12: float, weight: float) -> tuple[fl
     equal in exact arithmetic at weight 1.  A box (a12 = +inf) gives (a1, a2)
     at every weight.  A NaN or negative weight raises EvaluatorError.
     """
-    _check_range("weight", weight)
-    if weight <= 1.0:
-        c1 = min(a1, a12)
-        return (c1, min(a2, max(a12 - c1, 0.0)))
-    c2 = min(a2, a12)
-    return (min(a1, max(a12 - c2, 0.0)), c2)
+    ops.check_range("weight", weight)
+    return ops.branch(weight <= 1.0, _user1_corner, _user2_corner)(a1, a2, a12, ops)
 
 
-def _decode_at(own: float, interference: float, strong: bool,
-               joint: float) -> tuple[float, float]:
+def _user1_corner(a1, a2, a12, ops):
+    c1 = ops.minimum(a1, a12)
+    return (c1, ops.minimum(a2, ops.maximum(a12 - c1, 0.0)))
+
+
+def _user2_corner(a1, a2, a12, ops):
+    c2 = ops.minimum(a2, a12)
+    return (ops.minimum(a1, ops.maximum(a12 - c2, 0.0)), c2)
+
+
+def _decode_both(own, interference, joint, ops):
     """(own user's rate, cap on R1 + R2) at one receiver that hears its own
     user at SNR ``own``, the interferer at ``interference`` and both at the
-    determinant ``joint``.  With ``strong`` interference it decodes both
-    messages: the single-user rate, and log2 ``joint`` caps the sum.  With
-    weak interference it treats it as noise: ``joint`` over the interferer's
-    1 + SNR (a quotient of at least 1, so never negative), no sum cap."""
-    if strong:
-        return cap(own), math.log2(joint)
-    return math.log2(joint / (1.0 + interference)), math.inf
+    determinant ``joint``, when the interference is strong: it decodes both
+    messages, so its user gets the single-user rate and log2 ``joint`` caps
+    the sum."""
+    return ops.cap(own), ops.log2(joint)
 
 
-def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float) -> tuple[float, float, float]:
+def _treat_as_noise(own, interference, joint, ops):
+    """``_decode_both``'s pair when the interference is weak and treated as
+    noise: ``joint`` over the interferer's 1 + SNR (a quotient of at least
+    1, so never negative), and no sum cap."""
+    return ops.log2(joint / (1.0 + interference)), math.inf
+
+
+def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float,
+                ops=FLOAT_OPS) -> tuple[float, float, float]:
     """Rate pentagon (a1, a2, a12) of the two-user interference channel whose
     receiver 3 hears users 1 and 2 through the 2-vectors u1, u2 and receiver
     4 through v1, v2, at powers p1 and p2.
@@ -143,9 +155,12 @@ def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float) -> tuple[float, float, flo
     """
     n_u1, n_u2 = u1[0] * u1[0] + u1[1] * u1[1], u2[0] * u2[0] + u2[1] * u2[1]
     n_v1, n_v2 = v1[0] * v1[0] + v1[1] * v1[1], v2[0] * v2[0] + v2[1] * v2[1]
-    a1, sum3 = _decode_at(p1 * n_u1, p2 * n_u2, n_u2 >= n_v2, det_pair(u1, p1, u2, p2))
-    a2, sum4 = _decode_at(p2 * n_v2, p1 * n_v1, n_v1 >= n_u1, det_pair(v2, p2, v1, p1))
-    return (a1, a2, min(sum3, sum4))
+    branch = ops.branch
+    a1, sum3 = branch(n_u2 >= n_v2, _decode_both, _treat_as_noise)(
+        p1 * n_u1, p2 * n_u2, det_pair(u1, p1, u2, p2), ops)
+    a2, sum4 = branch(n_v1 >= n_u1, _decode_both, _treat_as_noise)(
+        p2 * n_v2, p1 * n_v1, det_pair(v2, p2, v1, p1), ops)
+    return (a1, a2, ops.minimum(sum3, sum4))
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:

@@ -226,7 +226,7 @@ def _stats_line(fr: frontier.Frontier, wall_s: float) -> str:
     fields = [f"evaluations={st.evaluations}", f"penalized={sum(st.penalized.values())}"]
     fields += [f"penalized.{name}={n}" for name, n in st.penalized.items()]
     per_eval = f"{1e6 * wall_s / st.evaluations:.2f}" if st.evaluations else "-"
-    fields += [f"runs={st.runs}", f"unconverged={st.unconverged}",
+    fields += [f"runs={st.runs}", f"unconverged={st.unconverged}", f"dropped={st.dropped}",
                f"wall_s={wall_s:.3f}", f"us_per_eval={per_eval}"]
     return f"stats {fr.scheme}: " + " ".join(fields)
 

@@ -19,19 +19,28 @@ one ``_Space``: the simplex type of each block of its search vector, read
 from the allocation's field annotations, and its corner starts.
 ``_searches`` lists what a trace runs, one (space, score, revalidate) search
 for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
-``_sweep`` runs each search over every weight and restart.
+``_sweep`` runs each search over every weight and restart.  The runs of a
+search advance in lockstep: ``minimize`` holds their simplices as one
+(runs, n + 1, n) array, and each lockstep iteration evaluates the
+reflections of every live run as one batch, then their expansions and
+contractions, then their shrinks; each run still takes exactly the steps
+it would take alone.  At most ``_BATCH`` runs are held at once.
 ``_decode`` is the one map from a search vector to simplex weights: per
 block it squares, normalizes, checks and renormalizes, giving the weights
 ``Simplex2``/``Simplex3`` would store for the block's squares.  ``score``
-passes its blocks to the scheme's float kernel (``txcoop.tc_kernel``,
-``rxcoop.rc_kernel``, ...) and builds no dataclass per evaluation.
+passes its blocks to the scheme's kernel (``txcoop.tc_kernel``,
+``rxcoop.rc_kernel``, ...) and builds no dataclass per evaluation.  Decode
+and kernels are written once over ``model``'s ``ops``: a batch is scored
+over a ``model.ArrayOps`` (one column per coordinate, one lane per point),
+and the few lanes it marks suspect are re-scored on floats, which gives
+each lane the float path's bits or its error (``_batch_objective``).
 ``revalidate`` passes each Nelder-Mead result through the public decoder
 (``tc_/rc_allocation_from_vector``, ``_simplices`` for the limit), which
 stores ``_decode``'s weights as they are (``_Simplex._stored``), and the
 rate pair, which gives the same floats.  ``model.simplex_weights`` stays
 the rule for every simplex a user builds and ``_decode``'s raise path.
 ``Frontier.stats`` counts the evaluations, the penalized ones by error
-type, and the runs that did not converge.
+type, the runs that did not converge and the runs dropped by re-validation.
 
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
@@ -39,6 +48,7 @@ function of (seed, j, k), so growing the restart budget only appends starts.
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from collections import Counter
@@ -48,6 +58,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .model import (
+    FLOAT_OPS,
+    ArrayOps,
     ChannelGains,
     EvaluatorError,
     InfiniteGain,
@@ -88,6 +100,14 @@ _SIMPLEX_STEP = 0.5
 # Nelder-Mead stopping tolerances on the objective and on the vertices.
 _FATOL = 1e-9
 _XATOL = 1e-8
+# Most Nelder-Mead runs one ``minimize`` call advances in lockstep, so the
+# memory of a trace does not grow with its weights times restarts.
+_BATCH = 256
+# Fewest points scored over columns in one call: below it the column ops'
+# fixed cost per call outweighs what they save per point (the break-even is
+# 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
+# floats, with the same bits.
+_COLUMN_ROWS = 20
 
 
 def default_weights(n: int = 33) -> tuple[float, ...]:
@@ -137,15 +157,17 @@ class TraceStats:
 
     evaluations -- objective evaluations over all ``minimize`` runs (sum of nfev)
     penalized   -- evaluations that raised, by EvaluatorError subclass name
-    runs        -- ``minimize`` runs
-    unconverged -- runs that ended with success=False (evaluation budget or
+    runs        -- Nelder-Mead runs, one per (search, weight, restart)
+    unconverged -- runs that did not converge (evaluation budget or
                    iteration cap reached before the tolerances were met)
+    dropped     -- runs whose result failed re-validation, so it is no candidate
     """
 
     evaluations: int = 0
     penalized: dict[str, int] = field(default_factory=dict)
     runs: int = 0
     unconverged: int = 0
+    dropped: int = 0
 
 
 @dataclass(frozen=True)
@@ -175,54 +197,57 @@ class Frontier:
 # Simplex reparameterization (unconstrained vector -> allocation)
 
 
-def _decode(xs: list[float], blocks) -> list[list[float]]:
+def _decode(xs, blocks, ops=FLOAT_OPS) -> list[list[float]]:
     """The weights each simplex of the decoded allocation stores, one list per block.
 
     The package's one decode of a search vector: per block, x_i^2 / sum(x^2)
     (uniform when the block is all (near) zero), then ``simplex_weights``'
-    checks (every weight >= 0, sum within ``_SIMPLEX_SUM_TOL`` of 1) and its
-    division by the ``math.fsum`` of the weights (for two floats, their
-    sum); so each list is bit for bit what ``Simplex2``/``Simplex3`` built
-    from the block's squares would store.  One pass per block, unrolled for
-    the two block sizes, with no helper call.  A block that fails a check (a
-    NaN coordinate, an overflowed square or total) goes to
-    ``simplex_weights``, which raises its InvalidAllocation.
+    check (sum within ``_SIMPLEX_SUM_TOL`` of 1; the weights are squares
+    over their total, so only a NaN one can fail to be >= 0, and it makes
+    the sum NaN) and its division by the ``math.fsum`` of the weights (for
+    two floats, their sum); so each list is bit for bit what
+    ``Simplex2``/``Simplex3`` built from the block's squares would store.
+    One pass per block, unrolled for the two block sizes.  A block that
+    fails the check (a NaN coordinate, an overflowed square or total) goes
+    to ``simplex_weights``, which raises its InvalidAllocation.  ``xs``
+    holds floats, or over an ``ArrayOps`` one column per coordinate; an
+    all-zero block and a failed check are then rare lanes.
     """
     out = []
     i = 0
     for n in blocks:
         if n == 2:
             a, b = xs[i], xs[i + 1]
-            a *= a
-            b *= b
+            a = a * a
+            b = b * b
             total = a + b
-            if total < 1e-300:
+            if ops.rare(total < 1e-300):
                 a = b = 0.5
             else:
-                a /= total
-                b /= total
+                a = a / total
+                b = b / total
             total = a + b
-            if a >= 0.0 and b >= 0.0 and abs(total - 1.0) <= _SIMPLEX_SUM_TOL:
-                out.append([a / total, b / total])
-            else:
+            if ops.rare_unless(abs(total - 1.0) <= _SIMPLEX_SUM_TOL):  # a NaN sum fails
                 out.append(simplex_weights([a, b]))
+            else:
+                out.append([a / total, b / total])
         else:
             a, b, c = xs[i], xs[i + 1], xs[i + 2]
-            a *= a
-            b *= b
-            c *= c
+            a = a * a
+            b = b * b
+            c = c * c
             total = a + b + c
-            if total < 1e-300:
+            if ops.rare(total < 1e-300):
                 a = b = c = 1.0 / 3
             else:
-                a /= total
-                b /= total
-                c /= total
-            total = math.fsum((a, b, c))
-            if a >= 0.0 and b >= 0.0 and c >= 0.0 and abs(total - 1.0) <= _SIMPLEX_SUM_TOL:
-                out.append([a / total, b / total, c / total])
-            else:
+                a = a / total
+                b = b / total
+                c = c / total
+            total = ops.fsum3(a, b, c)
+            if ops.rare_unless(abs(total - 1.0) <= _SIMPLEX_SUM_TOL):
                 out.append(simplex_weights([a, b, c]))
+            else:
+                out.append([a / total, b / total, c / total])
         i += n
     return out
 
@@ -304,15 +329,17 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
 
 
 class SearchResult(NamedTuple):
-    """How one ``minimize`` run ended."""
+    """How the runs of one ``minimize`` call ended: for a 1-D ``x0`` the one
+    run's, otherwise one row (``x``) or element per run."""
 
     x: np.ndarray  # the best vertex
     nfev: int  # objective evaluations made
-    success: bool  # False when the evaluation budget or the iteration cap ended the run
+    converged: bool  # False where the evaluation budget or the iteration cap ended the run
 
-
-class _BudgetSpent(Exception):
-    """The next evaluation would exceed the run's budget."""
+    @property
+    def success(self) -> bool:
+        """True iff every run met the tolerances."""
+        return bool(np.all(self.converged))
 
 
 def minimize(f, x0, max_iter: int) -> SearchResult:
@@ -322,77 +349,126 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     no bounds) with ``maxiter=max_iter``, ``maxfev=2*max_iter``,
     ``fatol=_FATOL`` and ``xatol=_XATOL``, so a run gives the same bytes:
     reflection 1, expansion 2, contraction and shrink 1/2; the centroid adds
-    the kept rows in rank order (``np.add.reduce``); vertices are ranked by
+    the kept rows in rank order, row by row; vertices are ranked by
     ``np.argsort``, whose order of tied values (penalties, coordinates the
-    objective ignores) is numpy's unstable sort's.  ``f`` gets each vertex as
-    a list of floats.  The evaluation that would exceed the budget is not
-    made and ends the run; a shrink already partly applied stays applied.
+    objective ignores) is numpy's unstable sort's.  The evaluation that would
+    exceed the budget is not made and ends the run; a shrink already partly
+    applied stays applied.
+
+    A 1-D ``x0`` is one run, and ``f`` gets each vertex as a list of floats.
+    A 2-D ``x0`` holds one start per row, and its runs advance in lockstep:
+    ``f(runs, X)`` gets the points of one step of several runs as the rows
+    of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
+    their values as an array.  Each run takes the steps it would take alone.
     """
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim == 2:
+        sim, _, nfev, converged = _lockstep(f, x0, max_iter)
+        return SearchResult(sim[:, 0], nfev, converged)
+    sim, _, nfev, converged = _lockstep(
+        lambda _, points: np.array([f(x) for x in points.tolist()], dtype=float),
+        x0[None], max_iter)
+    return SearchResult(sim[0, 0], int(nfev[0]), bool(converged[0]))
+
+
+def _ranked(sim: np.ndarray, fsim: np.ndarray):
+    """Each run's vertices and values in ``np.argsort`` order of its values."""
+    order = np.argsort(fsim, axis=1)
+    rows = np.arange(len(fsim))[:, None]
+    return sim[rows, order], fsim[rows, order]
+
+
+def _lockstep(f, x0: np.ndarray, max_iter: int):
+    """``minimize`` of the runs starting at the rows of ``x0``: each run's
+    final ranked simplex and its values, evaluations and convergence flag.
+    Each lockstep iteration takes one Nelder-Mead step of every live run,
+    with one call of ``f`` for the reflections, one for the expansions and
+    contractions, and one for the shrinks; per-run budgets and iteration
+    counts follow ``minimize``'s rules."""
     max_fev = 2 * max_iter
-    sim = _initial_simplex(np.asarray(x0, dtype=float))
-    n = sim.shape[1]
-    fsim = np.full(n + 1, np.inf)
-    nfev = 0
-
-    def evaluate(x):
-        nonlocal nfev
-        if nfev >= max_fev:
-            raise _BudgetSpent
-        nfev += 1
-        return f(x.tolist())
-
-    try:
-        for k in range(n + 1):
-            fsim[k] = evaluate(sim[k])
-    except _BudgetSpent:
-        pass
+    count, n = x0.shape
+    sim = np.stack([_initial_simplex(x) for x in x0])
+    fsim = np.full((count, n + 1), np.inf)
+    first = min(n + 1, max_fev)  # a budget below n + 1 ends inside the first simplex
+    fsim[:, :first] = f(np.repeat(np.arange(count), first),
+                        sim[:, :first].reshape(-1, n)).reshape(count, first)
+    nfev = np.full(count, first)
     for _ in range(2):  # scipy ranks the first simplex twice; the second sort may move ties
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    iterations = 1
-    while nfev < max_fev and iterations < max_iter:
-        try:
-            # fsim is ranked, so its last minus its first is the largest spread.
-            if fsim[-1] - fsim[0] <= _FATOL and np.max(np.abs(sim[1:] - sim[0])) <= _XATOL:
-                break
-            xbar = np.add.reduce(sim[:-1], 0) / n
-            worst = sim[-1]
-            xr = 2.0 * xbar - worst
-            fxr = evaluate(xr)
-            shrink = False
-            if fxr < fsim[0]:
-                xe = 3.0 * xbar - 2.0 * worst
-                fxe = evaluate(xe)
-                if fxe < fxr:
-                    sim[-1], fsim[-1] = xe, fxe
-                else:
-                    sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-2]:
-                sim[-1], fsim[-1] = xr, fxr
-            elif fxr < fsim[-1]:
-                xc = 1.5 * xbar - 0.5 * worst
-                fxc = evaluate(xc)
-                if fxc <= fxr:
-                    sim[-1], fsim[-1] = xc, fxc
-                else:
-                    shrink = True
-            else:
-                xcc = 0.5 * xbar + 0.5 * worst
-                fxcc = evaluate(xcc)
-                if fxcc < fsim[-1]:
-                    sim[-1], fsim[-1] = xcc, fxcc
-                else:
-                    shrink = True
-            if shrink:
-                for j in range(1, n + 1):
-                    sim[j] = sim[0] + 0.5 * (sim[j] - sim[0])
-                    fsim[j] = evaluate(sim[j])
-            iterations += 1
-        except _BudgetSpent:
-            pass
-        order = np.argsort(fsim)
-        sim, fsim = sim[order], fsim[order]
-    return SearchResult(sim[0], nfev, nfev < max_fev and iterations < max_iter)
+        sim, fsim = _ranked(sim, fsim)
+    iterations = np.ones(count, dtype=int)
+    converged = np.zeros(count, dtype=bool)
+    while True:
+        live = np.flatnonzero(~converged & (nfev < max_fev) & (iterations < max_iter))
+        if not live.size:
+            break
+        whole = live.size == count  # then S and F are sim and fsim themselves
+        S, F = (sim, fsim) if whole else (sim[live], fsim[live])
+        # F is ranked, so its last minus its first is the largest spread; only
+        # runs whose values have settled need their vertex spread.
+        settled = np.flatnonzero(F[:, -1] - F[:, 0] <= _FATOL)
+        if settled.size:
+            near = S[settled]
+            stop = settled[np.max(np.abs(near[:, 1:] - near[:, :1]), axis=(1, 2)) <= _XATOL]
+            if stop.size:
+                converged[live[stop]] = True
+                keep = np.ones(len(live), dtype=bool)
+                keep[stop] = False
+                live, S, F, whole = live[keep], S[keep], F[keep], False
+                if not live.size:
+                    break
+        xbar = S[:, 0].copy()
+        for k in range(1, n):
+            xbar += S[:, k]
+        xbar /= n
+        worst = S[:, -1]
+        xr = 2.0 * xbar - worst
+        fxr = f(live, xr)
+        nfev[live] += 1
+        expand = fxr < F[:, 0]
+        reflect = ~expand & (fxr < F[:, -2])
+        outside = ~expand & ~reflect & (fxr < F[:, -1])
+        # One more point for every run that does not take its reflection.
+        second = ~reflect & (nfev[live] < max_fev)
+        spent = ~reflect & ~second  # the budget ends the step before its second point
+        xs = np.empty_like(xr)
+        fxs = np.full(len(live), np.nan)
+        if np.count_nonzero(second):
+            xb, w = xbar[second], worst[second]
+            xs[second] = np.where(expand[second, None], 3.0 * xb - 2.0 * w,
+                                  np.where(outside[second, None], 1.5 * xb - 0.5 * w,
+                                           0.5 * xb + 0.5 * w))
+            fxs[second] = f(live[second], xs[second])
+            nfev[live[second]] += 1
+        # Expansion keeps the better of its two points; an outside contraction
+        # needs fxc <= fxr, an inside one fxcc < the worst value; else shrink.
+        take_xs = second & np.where(expand, fxs < fxr,
+                                    np.where(outside, fxs <= fxr, fxs < F[:, -1]))
+        shrink = second & ~expand & ~take_xs
+        take_xr = reflect | (expand & second & ~take_xs)
+        S[take_xr, -1], F[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        S[take_xs, -1], F[take_xs, -1] = xs[take_xs], fxs[take_xs]
+        if np.count_nonzero(shrink):
+            rows = np.flatnonzero(shrink)
+            budget = max_fev - nfev[live[rows]]
+            spent[rows] = budget < n
+            best = S[rows, :1]
+            moved = best + 0.5 * (S[rows, 1:] - best)
+            j = np.arange(n)
+            # Vertex j + 1 moves when evaluation j may run or is the one that ends the budget.
+            S[rows, 1:] = np.where((j < budget[:, None] + 1)[:, :, None], moved, S[rows, 1:])
+            evaluated = j < budget[:, None]
+            if np.count_nonzero(evaluated):
+                made = evaluated.sum(axis=1)
+                shrunk = F[rows, 1:]
+                shrunk[evaluated] = f(np.repeat(live[rows], made), moved[evaluated])
+                F[rows, 1:] = shrunk
+                nfev[live[rows]] += made
+        iterations[live[~spent]] += 1
+        if whole:
+            sim, fsim = _ranked(S, F)
+        else:
+            sim[live], fsim[live] = _ranked(S, F)
+    return sim, fsim, nfev, (nfev < max_fev) & (iterations < max_iter)
 
 
 def _neg_objective(score, weight: float, penalized: Counter):
@@ -413,36 +489,75 @@ def _neg_objective(score, weight: float, penalized: Counter):
     return f
 
 
+def _batch_objective(score, weights, penalized: Counter):
+    """The lockstep form of ``_neg_objective``: ``f(runs, X)`` scores each row
+    of ``X`` at the weight ``weights[run]`` of its run, in one call of
+    ``score`` over an ``ArrayOps`` (the rows as columns).  Each suspect lane
+    is re-scored through the float path, which gives its exact value or
+    counts its error; if the column call itself raises an EvaluatorError,
+    every row is re-scored so.  Fewer than ``_COLUMN_ROWS`` rows are all
+    scored on floats."""
+    weights = np.asarray(weights, dtype=float)
+    infinite = np.isinf(weights)
+    k1 = np.where(infinite, 0.0, 1.0)
+    k2 = np.where(infinite, 1.0, weights)
+    on_floats = [_neg_objective(score, w, penalized) for w in weights.tolist()]
+
+    def f(runs, points):
+        if len(points) < _COLUMN_ROWS:
+            return np.array([on_floats[k](x) for k, x in zip(runs.tolist(), points.tolist())],
+                            dtype=float)
+        ops = ArrayOps(len(points))
+        try:
+            with np.errstate(all="ignore"):
+                r1, r2 = score(np.ascontiguousarray(points.T), weights[runs], ops)
+                values = -(k1[runs] * r1 + k2[runs] * r2)
+        except EvaluatorError:
+            ops.suspect[:] = True
+            values = np.empty(len(points))
+        for i in np.flatnonzero(ops.suspect).tolist():
+            values[i] = on_floats[runs[i]](points[i].tolist())
+        return values
+
+    return f
+
+
 def _sweep(searches, opts: TraceOptions):
     """Multi-start direct search: each search, then each weight, then each restart.
 
     ``searches`` are (space, score, revalidate) triples (see ``_searches``).
-    Each start is one ``minimize`` run with ``max_iter=opts.max_iter`` (at
+    Each start is one Nelder-Mead run with ``max_iter=opts.max_iter`` (at
     most twice as many evaluations); tied vertices rank in ``np.argsort``'s
-    order, so the runs are those scipy's Nelder-Mead would make.
-    ``score(xs, weight)`` maps the coordinates of a search vector (a list of
-    floats) to (r1, r2) or raises EvaluatorError; ``revalidate(x, weight)``
-    maps a search result to (r1, r2, allocation) through the public API.
-    Returns the re-validated maximizers and the trace's ``TraceStats``.
+    order, so the runs are those scipy's Nelder-Mead would make.  The runs
+    of a search advance in lockstep, at most ``_BATCH`` of them (a chunk)
+    in one ``minimize`` call.  ``score(xs, weight, ops)`` maps the
+    coordinates of a search vector (a list of floats, or columns over an
+    ``ArrayOps``) to (r1, r2) or raises EvaluatorError; ``revalidate(x,
+    weight)`` maps a search result to (r1, r2, allocation) through the
+    public API.  Returns the re-validated maximizers and the trace's
+    ``TraceStats``.
     """
     candidates: list[tuple[float, float, float, object]] = []
     penalized: Counter = Counter()
-    evaluations = runs = unconverged = 0
+    evaluations = runs = unconverged = dropped = 0
     for space, score, revalidate in searches:
-        for widx, w in enumerate(opts.weights):
-            objective = _neg_objective(score, w, penalized)
-            for ridx in range(opts.restarts):
-                x0 = _start_vector(opts.seed, widx, ridx, space)
-                result = minimize(objective, x0, opts.max_iter)
-                evaluations += result.nfev
-                runs += 1
-                unconverged += not result.success
+        starts = ((w, _start_vector(opts.seed, widx, ridx, space))
+                  for widx, w in enumerate(opts.weights) for ridx in range(opts.restarts))
+        while chunk := list(itertools.islice(starts, _BATCH)):
+            weights = [w for w, _ in chunk]
+            result = minimize(_batch_objective(score, weights, penalized),
+                              np.array([x0 for _, x0 in chunk]), opts.max_iter)
+            evaluations += int(result.nfev.sum())
+            runs += len(chunk)
+            unconverged += int(np.count_nonzero(~result.converged))
+            for w, x in zip(weights, result.x):
                 try:
-                    r1, r2, alloc = revalidate(result.x, w)
+                    r1, r2, alloc = revalidate(x, w)
                 except EvaluatorError:
+                    dropped += 1
                     continue
                 candidates.append((r1, r2, w, alloc))
-    stats = TraceStats(evaluations, dict(sorted(penalized.items())), runs, unconverged)
+    stats = TraceStats(evaluations, dict(sorted(penalized.items())), runs, unconverged, dropped)
     return candidates, stats
 
 
@@ -470,8 +585,8 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
     if scheme == "RC":
         kernel, blocks = rxcoop.rc_kernel, _RC.blocks
 
-        def score(xs, w):
-            return kernel(c, pw, _decode(xs, blocks), w)
+        def score(xs, w, ops=FLOAT_OPS):
+            return kernel(c, pw, _decode(xs, blocks, ops), w, ops)
 
         def revalidate(x, w):
             alloc = rc_allocation_from_vector(x)
@@ -483,8 +598,8 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
         kernel, blocks = txcoop.tc_limit_kernel, _LIMIT.blocks
 
         def in_order(user1_clean):
-            def score(xs, _w):
-                return kernel(c, pw, _decode(xs, blocks), user1_clean)
+            def score(xs, _w, ops=FLOAT_OPS):
+                return kernel(c, pw, _decode(xs, blocks, ops), user1_clean, ops)
 
             def revalidate(x, _w):
                 mu, eta = _simplices(x, _LIMIT)
@@ -496,8 +611,8 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
         return [in_order(True), in_order(False)]
     kernel, blocks = (txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel), _TC.blocks
 
-    def score(xs, _w):
-        return kernel(c, pw, _decode(xs, blocks))
+    def score(xs, _w, ops=FLOAT_OPS):
+        return kernel(c, pw, _decode(xs, blocks, ops), ops)
 
     def revalidate(x, _w):
         alloc = tc_allocation_from_vector(x)

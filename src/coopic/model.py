@@ -1,4 +1,4 @@
-"""Shared domain types and the small 2x2 toolkit.
+"""Shared domain types, the small 2x2 toolkit and the kernels' two op sets.
 
 The toolkit's closed forms for det(I + p u u^T + q v v^T) (``det_pair``) and
 (I + s u u^T)^-1 (``inverse``) have determinants of at least 1, so no
@@ -11,15 +11,38 @@ Conventions used throughout the package:
   real magnitudes and all arithmetic is real;
 * rates are in bits per channel use (base-2 logarithms everywhere).
 
+Every rate formula of the package is written once, over an ``ops``
+argument that supplies its primitives (``cap``, ``phase_power``, ``quad``,
+``minimum``, ``maximum``, ``branch``, ``divide``, ``fsum3``, ``log2``,
+``exp2m1``, ``sqrt``, ``checked_pair``, ``check_range``, ``rare`` and
+``rare_unless``):
+
+* ``FLOAT_OPS`` is the default: today's float functions, so a formula over
+  plain floats raises what it always raised, with the same message;
+* an ``ArrayOps`` evaluates the same formula over columns, one float array
+  element (a lane) per evaluation.  Its ops never raise.  Wherever the float
+  path would raise or take a rare branch (``if ops.rare(cond)``, or
+  ``ops.rare_unless(cond)`` where ``cond`` fails), it marks the lane in
+  ``suspect``, and the caller re-scores those lanes through the float path.
+  Every other lane is bit for bit the float path's: +, -, *, / and sqrt are
+  correctly rounded in both, and the transcendental functions are
+  ``math``'s, mapped over ``.tolist()`` (numpy's SIMD versions differ in the
+  last bits and depend on the CPU).  A three-term sum is ``math.fsum``,
+  never the builtin ``sum``, which from Python 3.12 compensates.
+
 Every type is an immutable value and every operation is a pure function,
-so everything here is safe to call concurrently.
+so everything here is safe to call concurrently (an ``ArrayOps`` belongs
+to one batch).
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from typing import get_type_hints
+
+import numpy as np
 
 __all__ = [
     "EvaluatorError",
@@ -42,6 +65,8 @@ __all__ = [
     "phase_power",
     "simplex_weights",
     "checked_pair",
+    "FLOAT_OPS",
+    "ArrayOps",
     "GAIN_MAX",
     "POWER_MAX",
     "BURST_POWER_MAX",
@@ -294,6 +319,13 @@ class RatePair(_Fields):
     def __post_init__(self) -> None:
         checked_pair(self.r1, self.r2)
 
+    @classmethod
+    def _checked(cls, pair) -> RatePair:
+        """The RatePair of a pair ``checked_pair`` returned, not checked again."""
+        rates = object.__new__(cls)
+        rates.__dict__["r1"], rates.__dict__["r2"] = pair
+        return rates
+
     @property
     def total(self) -> float:
         return self.r1 + self.r2
@@ -373,3 +405,158 @@ def phase_power(share: float, total: float, duration: float, what: str) -> float
             f"{what}: burst power {power:g} above {BURST_POWER_MAX:g} "
             f"(share {share} on a phase of duration {duration})")
     return power
+
+
+# ---------------------------------------------------------------------------
+# The kernels' primitives: on floats (``FLOAT_OPS``) and on columns (``ArrayOps``)
+
+
+def _select(cond, a, b):
+    return a if cond else b
+
+
+def _exp2m1(x):
+    """2**x - 1 as expm1(x ln 2), precise for tiny x; +inf above 512, where a
+    quotient by it has underflowed to zero long before 2**x overflows."""
+    return math.inf if x > 512.0 else math.expm1(x * _LN2)
+
+
+def _divide(num, den):
+    """num / den in Python floats, where overflow gives +inf quietly; +inf for
+    a zero den (num > 0)."""
+    return float(num) / den if den else math.inf
+
+
+def _fsum3(a, b, c):
+    return math.fsum((a, b, c))
+
+
+class _FloatOps:
+    """The primitives on floats, as plain instance attributes (the fastest to look up)."""
+
+    def __init__(self):
+        self.cap, self.phase_power, self.quad = cap, phase_power, quad
+        self.minimum, self.maximum, self.branch = min, max, _select
+        self.divide, self.fsum3, self.log2, self.exp2m1, self.sqrt = \
+            _divide, _fsum3, math.log2, _exp2m1, math.sqrt
+        self.checked_pair, self.check_range = checked_pair, _check_range
+        self.rare, self.rare_unless = operator.truth, operator.not_
+
+
+FLOAT_OPS = _FloatOps()
+
+
+class ArrayOps:
+    """The primitives over columns of ``size`` lanes, marking ``suspect`` lanes.
+
+    Each op gives, on every lane it leaves unmarked, the float op's result bit
+    for bit; a marked lane holds an arbitrary value, and the float path gives
+    its value or its error.  Python's ``min(a, b)`` keeps ``a`` unless
+    ``b < a`` (``max`` unless ``b > a``), and so do ``minimum`` and
+    ``maximum``, signed zeros and NaN included.  Call them under
+    ``np.errstate(all="ignore")``: marked lanes may divide by zero.
+    """
+
+    def __init__(self, size: int):
+        self.size = size
+        self.suspect = np.zeros(size, dtype=bool)
+
+    def rare(self, cond) -> bool:
+        """Mark the lanes that take the rare branch; every lane goes on with the common one."""
+        self.suspect |= cond
+        return False
+
+    def rare_unless(self, cond) -> bool:
+        """``rare`` of the lanes where ``cond`` fails (NaN comparisons included)."""
+        self.suspect |= ~cond
+        return False
+
+    def _column(self, x) -> np.ndarray:
+        if isinstance(x, np.ndarray) and x.shape == (self.size,):
+            return x
+        return np.full(self.size, x, dtype=float)
+
+    def _map(self, fn, x) -> np.ndarray:
+        return np.fromiter(map(fn, x.tolist()), float, self.size)
+
+    def cap(self, x):
+        x = self._column(x)
+        negative = x < 0.0
+        if np.count_nonzero(negative):
+            self.suspect |= x < -1e-12
+            x = np.where(negative, 0.0, x)
+        return self._map(math.log1p, x) / _LN2
+
+    def phase_power(self, share, total, duration, what):
+        power = share * total / duration
+        silent = share == 0.0
+        raises = (duration == 0.0) | (power > BURST_POWER_MAX)
+        if np.count_nonzero(raises):
+            self.suspect |= raises & ~silent
+        return np.where(silent, 0.0, power)
+
+    def quad(self, v0, v1, a11, a12, a22):
+        q = v0 * v0 * a11 + 2.0 * v0 * v1 * a12 + v1 * v1 * a22
+        return np.where((q >= -_PSD_TOL) & (q < 0.0), 0.0, q)
+
+    def minimum(self, a, b):
+        return np.where(b < a, b, a)
+
+    def maximum(self, a, b):
+        return np.where(b > a, b, a)
+
+    def branch(self, cond, if_true, if_false):
+        """A function that calls both (tuple-valued) branches and picks lane
+        by lane; each branch marks only the lanes that take it."""
+        def both(*args):
+            outer = self.suspect
+            self.suspect = np.zeros(self.size, dtype=bool)
+            true = if_true(*args)
+            marked = self.suspect
+            self.suspect = np.zeros(self.size, dtype=bool)
+            false = if_false(*args)
+            self.suspect = outer | np.where(cond, marked, self.suspect)
+            return tuple(np.where(cond, t, f) for t, f in zip(true, false))
+
+        return both
+
+    def divide(self, num, den):
+        zero = den == 0.0
+        # the float op gives +inf there, as IEEE division does for num > 0
+        if np.count_nonzero(zero):
+            self.suspect |= zero & (~(num > 0.0) | np.signbit(den))
+        return num / den
+
+    def fsum3(self, a, b, c):
+        a, b, c = self._column(a), self._column(b), self._column(c)
+        # fsum raises on inf - inf and on a total that overflows
+        finite = np.abs(a) + np.abs(b) + np.abs(c) <= 1e307
+        if np.count_nonzero(finite) < self.size:
+            self.suspect |= ~finite
+            a, b, c = (np.where(finite, v, 0.0) for v in (a, b, c))
+        return np.fromiter(map(math.fsum, zip(a.tolist(), b.tolist(), c.tolist())),
+                           float, self.size)
+
+    def log2(self, x):
+        x = self._column(x)
+        outside = x <= 0.0
+        if np.count_nonzero(outside):
+            self.suspect |= outside
+            x = np.where(outside, 1.0, x)
+        return self._map(math.log2, x)
+
+    def exp2m1(self, x):
+        huge = self._column(x) > 512.0
+        return np.where(huge, math.inf, self._map(math.expm1, np.where(huge, 0.0, x) * _LN2))
+
+    def sqrt(self, x):
+        self.suspect |= x < 0.0
+        return np.sqrt(x)
+
+    def check_range(self, name, value, limit=math.inf):
+        self.suspect |= ~((value >= 0.0) & (value <= limit))
+
+    def checked_pair(self, r1, r2):
+        self.suspect |= ~((r1 >= 0.0) & (r2 >= 0.0))
+        return r1, r2
+

@@ -8,9 +8,9 @@ as a two-antenna transmitter and broadcast a joint stream per user plus a
 fresh stream per user.
 
 Phase 3's joint-stream covariances come from one of three rules with one
-signature, ``rule(c, joint1, joint2, user1_clean)``: each joint stream's
-(source 1, source 2) powers and the encoding order, which the caller decides
-once (``_user1_clean``; the limit tracer tries both).  The default,
+signature, ``rule(c, joint1, joint2, user1_clean, ops)``: each joint
+stream's (source 1, source 2) powers and the encoding order, which the
+caller decides once (``_user1_clean``; the limit tracer tries both).  The default,
 ``_budget_cov`` (``tc_budget_covariances``), keeps each source's own budget,
 as the relay cut-set bound assumes: no source radiates more than it was
 allotted (``phase3_power_audit``).  The paper's dual multiple-access
@@ -21,16 +21,22 @@ one transmitter (``frontier.trace`` routes c12 = +inf to its tracer).
 ``_rdpc_cov`` (``rdpc_covariances``) is the recycled/parallel-DPC baseline:
 diagonal covariances, no coherent combining.
 
-Each rate formula exists once, as a kernel on plain floats, for both users
+Each rate formula exists once, as a kernel over ``ops``, for both users
 (``_exchange``, ``_phase3``): gains ``c`` and powers ``pw`` from
 ``model.kernel_args``, the allocation ``a`` as its simplex blocks in
 ``TcAllocation`` field order (the allocation itself or one list of weights
 per block), and a covariance as ``(sigma1, sigma2, user1_clean)`` with each
 sigma given by its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
 ``tc_kernel``, ``rdpc_kernel`` and ``tc_limit_kernel`` return the rate
-pair as floats; the frontier search scores every evaluation with them.
+pair; the frontier search scores every evaluation with them.  Every kernel
+and helper takes a trailing ``ops`` (see ``model``): on floats
+(``FLOAT_OPS``, the default) it raises as the views document, and over an
+``ArrayOps`` the same code scores a batch, one lane per allocation, with
+each block weight a column.  Only the encoding order and the DPC order
+branch in Python here, and both depend on the gains alone.
 The dataclass API is a thin view: it unpacks its arguments, calls the
-kernels and wraps the result, raising the same errors in the same order.
+kernels on floats and wraps the result, raising the same errors in the
+same order.
 The kernels do not check c12: the views and the tracer call the one
 gain-mode check, ``model._conferencing_args``.
 
@@ -39,11 +45,11 @@ All functions are pure; rates are bits per channel use.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 from .model import (
+    FLOAT_OPS,
     ChannelGains,
     PowerBudget,
     RatePair,
@@ -51,11 +57,7 @@ from .model import (
     TcAllocation,
     _check_type,
     _conferencing_args,
-    cap,
-    checked_pair,
     inverse,
-    phase_power,
-    quad,
 )
 
 __all__ = [
@@ -120,7 +122,7 @@ _AUDIT_RTOL = 1e-12
 
 
 # ---------------------------------------------------------------------------
-# Kernels (plain floats)
+# Kernels (on floats or columns, over ``ops``)
 
 
 def _user1_clean(c) -> bool:
@@ -129,11 +131,12 @@ def _user1_clean(c) -> bool:
     return c13 + c23 > c14 + c24
 
 
-def _exchange(lam, p, c12, own, cross, conf, relay):
+def _exchange(lam, p, c12, own, cross, conf, relay, ops):
     """(conferencing, own relayed, cross relayed) rates of one exchange phase:
     the conferencing stream (share ``conf``) also reaches the source's own
     receiver (gain ``own``), the relayed one (``relay``) the other receiver
     (``cross``), dirty-paper coded in an order set by own > cross."""
+    cap = ops.cap
     r_conf = lam * cap(c12 ** 2 * conf * p)
     if own > cross:
         r_own = lam * cap(own ** 2 * conf * p)
@@ -144,35 +147,35 @@ def _exchange(lam, p, c12, own, cross, conf, relay):
     return r_conf, r_own, r_cross
 
 
-def _phase12(c, pw, a):
+def _phase12(c, pw, a, ops=FLOAT_OPS):
     """Phase 1-2 rates (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)."""
     c12, c13, c14, c23, c24, _ = c
     p1, p2, _, _ = pw
     (lam1, lam2, _), (kappa1, _), (gamma1, _), alpha, beta, _, _ = a
-    p1_1 = phase_power(kappa1, p1, lam1, "kappa1")
-    p2_1 = phase_power(gamma1, p2, lam2, "gamma1")
+    p1_1 = ops.phase_power(kappa1, p1, lam1, "kappa1")
+    p2_1 = ops.phase_power(gamma1, p2, lam2, "gamma1")
     # Phase 1: source 1 broadcasts; phase 2: source 2.
-    r1_r1, r1_1, r2_1 = _exchange(lam1, p1_1, c12, c13, c14, *alpha)
-    r2_r1, r2_2, r1_2 = _exchange(lam2, p2_1, c12, c24, c23, *beta)
+    r1_r1, r1_1, r2_1 = _exchange(lam1, p1_1, c12, c13, c14, *alpha, ops)
+    r2_r1, r2_2, r1_2 = _exchange(lam2, p2_1, c12, c24, c23, *beta, ops)
     return (r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2)
 
 
-def _phase3_powers(pw, a) -> tuple[float, float]:
+def _phase3_powers(pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
     """Phase-3 burst power allotted to sources 1 and 2."""
     p1, p2, _, _ = pw
     (_, _, lam3), (_, kappa2), (_, gamma2), _, _, _, _ = a
-    return (phase_power(kappa2, p1, lam3, "kappa2"),
-            phase_power(gamma2, p2, lam3, "gamma2"))
+    return (ops.phase_power(kappa2, p1, lam3, "kappa2"),
+            ops.phase_power(gamma2, p2, lam3, "gamma2"))
 
 
-def _phase3_split(pw, a):
+def _phase3_split(pw, a, ops=FLOAT_OPS):
     """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2 streams."""
-    p1_3, p2_3 = _phase3_powers(pw, a)
+    p1_3, p2_3 = _phase3_powers(pw, a, ops)
     _, _, _, _, _, (mu1, mu2, mu3), (eta1, eta2, eta3) = a
     return ((mu1 * p1_3, eta1 * p2_3), (mu2 * p1_3, eta3 * p2_3), (mu3 * p1_3, eta2 * p2_3))
 
 
-def _duality_cov(c, joint1, joint2, user1_clean: bool):
+def _duality_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     """Joint-stream covariances from the dual multiple-access construction.
 
     Each stream's per-source powers pool into one power s: the clean stream's
@@ -190,7 +193,7 @@ def _duality_cov(c, joint1, joint2, user1_clean: bool):
             (a_scale * s_other, 0.0, a_scale * s_other), user1_clean)
 
 
-def _budget_cov(c, joint1, joint2, user1_clean: bool):
+def _budget_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     """Per-source-budget covariances (see ``tc_budget_covariances``)."""
     _, c13, c14, c23, c24, _ = c
     if user1_clean:
@@ -198,20 +201,21 @@ def _budget_cov(c, joint1, joint2, user1_clean: bool):
     else:
         clean, first, x, y = joint2, joint1, c13, c23
     s = first[0] + first[1]
-    rho_dual = -s * x * y / math.sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
+    sqrt = ops.sqrt
+    rho_dual = -s * x * y / sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
     rho = 1.0 + 2.0 * rho_dual
-    f0, f1 = math.sqrt(first[0]), math.sqrt(first[1])
-    return ((clean[0], rho * math.sqrt(clean[0] * clean[1]), clean[1]),
+    f0, f1 = sqrt(first[0]), sqrt(first[1])
+    return ((clean[0], rho * sqrt(clean[0] * clean[1]), clean[1]),
             (f0 * f0, f0 * f1, f1 * f1), user1_clean)
 
 
-def _rdpc_cov(c, joint1, joint2, user1_clean: bool):
+def _rdpc_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     """Diagonal covariances (see ``rdpc_covariances``)."""
     clean, first = (joint1, joint2) if user1_clean else (joint2, joint1)
     return ((clean[0], 0.0, clean[1]), (first[0], 0.0, first[1]), user1_clean)
 
 
-def _phase3(c, lam3: float, fresh, cov):
+def _phase3(c, lam3: float, fresh, cov, ops=FLOAT_OPS):
     """Phase-3 rates (r1_3, r2_3, r1_d, r2_d) under the covariances ``cov``.
 
     The receiver of the clean stream decodes its joint stream first (only
@@ -230,6 +234,7 @@ def _phase3(c, lam3: float, fresh, cov):
         u0, u1, v0, v1, own_u = c14, c24, c13, c23, c24 ** 2 * fresh2
     f1, f2 = v0 ** 2 * fresh1, v1 ** 2 * fresh2
     own_v, cross_v = (f2, f1) if user1_clean else (f1, f2)
+    cap, quad = ops.cap, ops.quad
     r_u3 = lam3 * cap(quad(u0, u1, *sigma1) / (1.0 + own_u))
     r_ud = lam3 * cap(own_u)
     leak = quad(v0, v1, *sigma1)
@@ -240,40 +245,41 @@ def _phase3(c, lam3: float, fresh, cov):
     return (r_v3, r_u3, r_vd, r_ud)
 
 
-def _stream_rates(c, pw, a, build_cov=_budget_cov):
+def _stream_rates(c, pw, a, build_cov=_budget_cov, ops=FLOAT_OPS):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
-    The phase-3 covariances are ``build_cov(c, joint1, joint2, user1_clean)``,
-    a rule of the module docstring, the per-source-budget one by default.  A
-    silent joint phase (lam3 = 0, which ``phase_power`` admits only with
-    kappa2 = gamma2 = 0) needs no branch: each phase-3 rate is lam3 times a
-    finite capacity, so all four are exactly 0.0.
+    The phase-3 covariances are ``build_cov(c, joint1, joint2, user1_clean,
+    ops)``, a rule of the module docstring, the per-source-budget one by
+    default.  A silent joint phase (lam3 = 0, which ``phase_power`` admits
+    only with kappa2 = gamma2 = 0) needs no branch: each phase-3 rate is lam3
+    times a finite capacity, so all four are exactly 0.0.
     """
-    rates = _phase12(c, pw, a)
-    fresh, joint1, joint2 = _phase3_split(pw, a)
+    rates = _phase12(c, pw, a, ops)
+    fresh, joint1, joint2 = _phase3_split(pw, a, ops)
     (_, _, lam3), _, _, _, _, _, _ = a
-    return rates + _phase3(c, lam3, fresh, build_cov(c, joint1, joint2, _user1_clean(c)))
+    cov = build_cov(c, joint1, joint2, _user1_clean(c), ops)
+    return rates + _phase3(c, lam3, fresh, cov, ops)
 
 
-def _pair(rates) -> tuple[float, float]:
+def _pair(rates, ops=FLOAT_OPS) -> tuple[float, float]:
     # Each user's relayed stream is limited both by the conferencing hop and
     # by what its receiver collects across the three phases.
     r1_r1, r2_r1, r1_1, r2_1, r1_2, r2_2, r1_3, r2_3, r1_d, r2_d = rates
-    return checked_pair(r1_d + min(r1_r1, r1_1 + r1_2 + r1_3),
-                        r2_d + min(r2_r1, r2_1 + r2_2 + r2_3))
+    return ops.checked_pair(r1_d + ops.minimum(r1_r1, r1_1 + r1_2 + r1_3),
+                            r2_d + ops.minimum(r2_r1, r2_1 + r2_2 + r2_3))
 
 
-def tc_kernel(c, pw, a) -> tuple[float, float]:
+def tc_kernel(c, pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
     """(R1, R2) of transmitter cooperation; float form of ``tc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, a))
+    return _pair(_stream_rates(c, pw, a, _budget_cov, ops), ops)
 
 
-def rdpc_kernel(c, pw, a) -> tuple[float, float]:
+def rdpc_kernel(c, pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
     """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, a, _rdpc_cov))
+    return _pair(_stream_rates(c, pw, a, _rdpc_cov, ops), ops)
 
 
-def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
+def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, float]:
     """(R1, R2) at c12 = +inf for the joint-phase splits a = (mu, eta).
 
     Float form of ``tc_limit_rate_pair``: the joint phase fills the block
@@ -282,8 +288,8 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool) -> tuple[float, float]:
     p1, p2, _, _ = pw
     (mu1, mu2, mu3), (eta1, eta2, eta3) = a
     cov = _duality_cov(c, (mu2 * p1, eta3 * p2), (mu3 * p1, eta2 * p2), user1_clean)
-    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov)
-    return checked_pair(r1_d + r1_3, r2_d + r2_3)
+    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov, ops)
+    return ops.checked_pair(r1_d + r1_3, r2_d + r2_3)
 
 
 # ---------------------------------------------------------------------------
@@ -390,12 +396,12 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
-    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair._checked(tc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return RatePair(*rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair._checked(rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,
@@ -414,7 +420,7 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     _check_type("mu", mu, Simplex3)
     _check_type("eta", eta, Simplex3)
     _check_type("user1_clean", user1_clean, bool)
-    return RatePair(*tc_limit_kernel(c, pw, (mu, eta), user1_clean))
+    return RatePair._checked(tc_limit_kernel(c, pw, (mu, eta), user1_clean))
 
 
 def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

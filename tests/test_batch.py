@@ -1,0 +1,177 @@
+"""The column path (``model.ArrayOps``) against the float path (``model.FLOAT_OPS``).
+
+Every lane a column op or kernel leaves unmarked must carry the float
+path's result bit for bit, and every lane where the float path raises must
+be marked suspect.  Checked op by op on edge values, and for every search
+objective on seeded and adversarial search vectors.
+"""
+
+import dataclasses
+import itertools
+import math
+from collections import Counter
+
+import numpy as np
+import pytest
+
+from conftest import random_gains
+from coopic import frontier
+from coopic.model import FLOAT_OPS, ArrayOps, ChannelGains, EvaluatorError, PowerBudget
+
+EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e-13, -1e-13, -1e-11, -1.0, 0.25, 1.0, 2.5, 512.0,
+         512.5, 710.0, 1e100, 1e101, 1e200, 1e308, math.inf, -math.inf, math.nan)
+
+
+def _bits(value) -> str:
+    return float(value).hex()
+
+
+def _check_op(name, *columns):
+    """Column op ``name`` over the lanes of ``columns`` against the float op per lane."""
+    size = len(columns[0])
+    ops = ArrayOps(size)
+    with np.errstate(all="ignore"):
+        got = getattr(ops, name)(*(np.array(c, dtype=float) for c in columns))
+    for i in range(size):
+        try:
+            want = getattr(FLOAT_OPS, name)(*(c[i] for c in columns))
+        except Exception:  # noqa: BLE001 -- any raise of the float op must be marked
+            assert ops.suspect[i], (name, [c[i] for c in columns])
+            continue
+        if ops.suspect[i]:
+            continue
+        pairs = zip(got, want) if isinstance(want, tuple) else [(got, want)]
+        for column, value in pairs:
+            assert _bits(np.broadcast_to(column, (size,))[i]) == _bits(value), \
+                (name, [c[i] for c in columns])
+
+
+def test_array_ops_match_float_ops():
+    for name in ("cap", "log2", "exp2m1", "sqrt"):
+        _check_op(name, EDGES)
+    pairs = list(itertools.product(EDGES, repeat=2))
+    a, b = [p[0] for p in pairs], [p[1] for p in pairs]
+    for name in ("minimum", "maximum", "divide", "checked_pair"):
+        _check_op(name, a, b)
+    triples = list(itertools.product((0.0, 0.25, 1.0, 1e308, math.inf, -math.inf, math.nan),
+                                     repeat=3))
+    _check_op("fsum3", *zip(*triples))
+    for total in (0.0, 5.0, 1e8):
+        ops = ArrayOps(len(pairs))
+        with np.errstate(all="ignore"):
+            got = ops.phase_power(np.array(a), total, np.array(b), "share")
+        for i, (share, duration) in enumerate(pairs):
+            try:
+                want = FLOAT_OPS.phase_power(share, total, duration, "share")
+            except EvaluatorError:
+                assert ops.suspect[i]
+                continue
+            assert ops.suspect[i] or _bits(got[i]) == _bits(want)
+    rng = np.random.default_rng(3)
+    entries = rng.standard_normal((3, 200)) * 10.0 ** rng.integers(-12, 3, (3, 200))
+    for v0, v1 in ((1.0, 1.4), (0.0, 2.0), (1e8, 1e-8)):
+        ops = ArrayOps(200)
+        got = ops.quad(v0, v1, *entries)
+        assert not ops.suspect.any()
+        for i in range(200):
+            assert _bits(got[i]) == _bits(FLOAT_OPS.quad(v0, v1, *entries[:, i]))
+
+
+def test_array_ops_branch_and_rare_mark_only_their_lanes():
+    ops = ArrayOps(4)
+    cond = np.array([True, False, True, False])
+    assert ops.rare(np.array([False, False, False, True])) is False
+    got = ops.branch(cond, lambda x, o: (o.log2(x),), lambda x, o: (x * 2.0,))(
+        np.array([0.0, 0.0, 4.0, 1.0]), ops)
+    # lane 0 takes the branch whose log2(0) the float path raises on; lane 1
+    # takes the other, so its log2(0) does not mark it
+    assert ops.suspect.tolist() == [True, False, False, True]
+    assert got[0].tolist()[1:3] == [0.0, 2.0]
+    assert FLOAT_OPS.branch(False, None, abs)(-3.0) == 3.0
+    # rare_unless marks where its condition fails, a NaN comparison included
+    ops = ArrayOps(3)
+    with np.errstate(invalid="ignore"):
+        assert ops.rare_unless(np.array([0.5, math.nan, 2.0]) <= 1.0) is False
+    assert ops.suspect.tolist() == [False, True, True]
+    assert FLOAT_OPS.rare_unless(math.nan <= 1.0) and not FLOAT_OPS.rare_unless(0.5 <= 1.0)
+
+
+# ---------------------------------------------------------------------------
+# search objectives
+
+WEIGHTS = (0.0, 0.5, 1.0, 2.0, math.inf)
+
+
+def _vectors(space, rng) -> np.ndarray:
+    """Seeded and adversarial search vectors of ``space``, one per row: draws
+    at five scales, the corner starts, every block all zero, tiny, huge, NaN
+    or infinite, and every coordinate alone zero (a zero-duration phase that
+    may still carry power, or a silent share)."""
+    blocks = space.blocks
+    n = sum(blocks)
+    rows = [rng.standard_normal(n) * scale for scale in (1e-3, 0.3, 1.0, 3.0, 1e3)
+            for _ in range(24)]
+    rows += [frontier._start_vector(0, 0, k, space) for k in range(len(space.corners))]
+    lo = 0
+    for size in blocks:
+        for fill in (0.0, -0.0, 1e-160, 1e155, 1e200, math.nan, math.inf):
+            x = rng.standard_normal(n)
+            x[lo:lo + size] = fill
+            rows.append(x)
+        lo += size
+    for i in range(n):
+        x = rng.standard_normal(n)
+        x[i] = 0.0
+        rows.append(x)
+        rows.append(np.where(np.arange(n) == i, 1.0, 0.0))
+    return np.array(rows)
+
+
+def _channels(scheme, ref_gains, ref_powers, rng):
+    channels = [(ref_gains, ref_powers), (random_gains(rng), PowerBudget(3.0, 0.5, 0.0, 0.0)),
+                (ChannelGains(0.0, 1.0, 0.0, 0.0, 1e8, 0.0), PowerBudget(1e8, 1e-9, 1e8, 0.0))]
+    if scheme == "TC_inf":
+        return [(dataclasses.replace(g, c12=math.inf), p) for g, p in channels]
+    return channels
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_column_scores_match_float_scores(scheme, ref_gains, ref_powers):
+    # Each unmarked lane of the column score has the float score's bits; the
+    # float score raises only on marked lanes (TC_inf: both encoding orders).
+    rng = np.random.default_rng(5)
+    for g, p in _channels(scheme, ref_gains, ref_powers, rng):
+        for space, score, _ in frontier._searches(scheme, g, p):
+            points = _vectors(space, rng)
+            columns = np.ascontiguousarray(points.T)
+            for w in WEIGHTS:
+                ops = ArrayOps(len(points))
+                with np.errstate(all="ignore"):
+                    r1, r2 = score(columns, np.full(len(points), w), ops)
+                for i, x in enumerate(points.tolist()):
+                    try:
+                        want = score(x, w)
+                    except EvaluatorError:
+                        assert ops.suspect[i], x
+                        continue
+                    if not ops.suspect[i]:
+                        assert (_bits(r1[i]), _bits(r2[i])) == tuple(map(_bits, want)), x
+                # seeded draws are rarely suspect: the column path does the work
+                assert np.count_nonzero(ops.suspect[:120]) <= 12
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_batch_objective_matches_scalar_objective(scheme, ref_gains, ref_powers):
+    # What the search sees: the same objective bits row by row (re-scored
+    # suspects included) and the same penalties by error type.
+    rng = np.random.default_rng(8)
+    for g, p in _channels(scheme, ref_gains, ref_powers, rng):
+        for space, score, _ in frontier._searches(scheme, g, p):
+            points = _vectors(space, rng)
+            runs = np.arange(len(points)) % len(WEIGHTS)
+            batched, alone = Counter(), Counter()
+            got = frontier._batch_objective(score, WEIGHTS, batched)(runs, points)
+            want = [frontier._neg_objective(score, WEIGHTS[k], alone)(x)
+                    for k, x in zip(runs.tolist(), points.tolist())]
+            assert got.tobytes() == np.array(want).tobytes()
+            assert batched == alone and sum(alone.values()) > 0

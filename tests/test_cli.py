@@ -268,6 +268,7 @@ def test_region_stats_flag(tmp_path, capsys):
                 if k.startswith("penalized.")} == stats["penalized"]
         assert int(fields["runs"]) == stats["runs"] == len(frontier.default_weights(1)) * 2
         assert int(fields["unconverged"]) == stats["unconverged"]
+        assert int(fields["dropped"]) == stats["dropped"] == 0
         wall_s, us_per_eval = float(fields["wall_s"]), float(fields["us_per_eval"])
         assert us_per_eval > 0.0
         # wall_s is printed to 1e-3 s and us_per_eval to 1e-2 us

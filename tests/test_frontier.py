@@ -345,6 +345,16 @@ def _same_run(f, x0, max_iter):
     return ours
 
 
+def _same_final_simplex(f, x0, max_iter):
+    """The whole final simplex of one lockstep run, and its values, equal
+    scipy's: a partly applied shrink and an expansion cut by the budget show
+    there even when the best vertex does not move."""
+    sim, fsim, _, _ = frontier._lockstep(
+        lambda runs, points: np.array([f(x) for x in points.tolist()]), x0[None], max_iter)
+    final, values = _scipy_nelder_mead(f, x0, max_iter).final_simplex
+    assert sim[0].tobytes() == final.tobytes() and fsim[0].tobytes() == values.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref_powers):
     pytest.importorskip("scipy.optimize")
@@ -382,6 +392,105 @@ def test_minimize_takes_scipys_steps_on_toy_objectives():
     n = 4
     for max_iter in range(1, 40):
         _same_run(lambda xs: 0.0, rng.standard_normal(n), max_iter)
+
+
+def test_lockstep_final_simplex_is_scipys():
+    # Every budget from 2 to 120 evaluations: some end inside the first
+    # simplex, some on an expansion's or contraction's second point, some
+    # inside a shrink (the constant objective shrinks every iteration).
+    pytest.importorskip("scipy.optimize")
+    rng = np.random.default_rng(11)
+
+    def bowl(xs):
+        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
+
+    def tilted(xs):  # a slope, so runs expand again and again
+        return -xs[0] - 0.5 * xs[1]
+
+    x0 = rng.standard_normal(5)
+    for max_iter in range(1, 61):
+        for f in (bowl, tilted, lambda xs: 0.0):
+            _same_final_simplex(f, x0, max_iter)
+    # 18 vertices, 15 of them tied: ranking runs numpy's sort past its
+    # small-array insertion sort, and the first simplex is ranked twice
+    wide = rng.standard_normal(17)
+    for max_iter in (5, 9, 40):
+        _same_final_simplex(bowl, wide, max_iter)
+
+
+def _same_as_single_runs(batch, single, starts, max_iter):
+    """The lockstep runs of ``starts`` (rows) under the batch objective equal
+    one single ``minimize`` run per start under its scalar objective."""
+    runs = frontier.minimize(batch, np.array(starts), max_iter)
+    assert runs.x.shape == (len(starts), len(starts[0]))
+    for k, x0 in enumerate(starts):
+        alone = frontier.minimize(single(k), x0, max_iter)
+        assert runs.x[k].tobytes() == alone.x.tobytes()
+        assert (int(runs.nfev[k]), bool(runs.converged[k])) == (alone.nfev, alone.success)
+    assert runs.success == all(runs.converged)
+    return runs
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_lockstep_runs_equal_single_runs_on_search_objectives(scheme, ref_gains, ref_powers,
+                                                             monkeypatch):
+    # The scipy step tests' starts and weights, stacked into one lockstep
+    # batch scored by the column kernels (however few rows): each run takes
+    # the steps (and the penalties) of its single run, with budgets that end
+    # inside the first simplex (3), mid-search (25) and near convergence (250).
+    monkeypatch.setattr(frontier, "_COLUMN_ROWS", 1)
+    rng = np.random.default_rng(12)
+    for g in (ref_gains, random_gains(rng)):
+        if scheme == "TC_inf":
+            g = dataclasses.replace(g, c12=math.inf)
+        searches = frontier._searches(scheme, g, ref_powers)
+        space = searches[0][0]
+        starts = [frontier._start_vector(0, 0, k, space) for k in (1, 2)]
+        starts += [rng.standard_normal(sum(space.blocks)) for _ in range(2)]
+        weights = (0.0, 1.0, 2.5, math.inf)
+        for (_, score, _), max_iter in itertools.product(searches, (3, 25, 250)):
+            batched, alone = Counter(), Counter()
+            _same_as_single_runs(
+                frontier._batch_objective(score, weights, batched),
+                lambda k: frontier._neg_objective(score, weights[k], alone), starts, max_iter)
+            assert batched == alone
+
+
+def test_lockstep_runs_equal_single_runs_on_toy_objectives():
+    # Budgets that end inside the first simplex and inside a shrink (the
+    # constant objective shrinks every iteration), several runs at once.
+    rng = np.random.default_rng(7)
+
+    def bowl(xs):
+        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
+
+    def batch(fn):
+        return lambda runs, points: np.array([fn(x) for x in points.tolist()], dtype=float)
+
+    starts = [rng.standard_normal(5) for _ in range(4)]
+    for max_iter in (2, 5, 60, 2000):
+        _same_as_single_runs(batch(bowl), lambda k: bowl, starts, max_iter)
+    starts = [rng.standard_normal(4) for _ in range(3)]
+    for max_iter in range(1, 40):
+        _same_as_single_runs(batch(lambda xs: 0.0), lambda k: (lambda xs: 0.0), starts, max_iter)
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_trace_does_not_depend_on_batch_size(scheme, ref_gains, ref_powers, monkeypatch):
+    # At most _BATCH runs advance together; chunks of 3 (scored on floats,
+    # below _COLUMN_ROWS) give the same trace as one chunk (over columns).
+    g = dataclasses.replace(ref_gains, c12=math.inf) if scheme == "TC_inf" else ref_gains
+    traced = "TC" if scheme == "TC_inf" else scheme
+    opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=4,
+                                 max_iter=60, seed=2)
+    whole = frontier.trace(traced, g, ref_powers, opts)
+    monkeypatch.setattr(frontier, "_BATCH", 3)
+    calls = []
+    minimize = frontier.minimize
+    monkeypatch.setattr(frontier, "minimize", lambda *a: calls.append(1) or minimize(*a))
+    _same_frontier(frontier.trace(traced, g, ref_powers, opts), whole)
+    searches = 2 if scheme == "TC_inf" else 1
+    assert len(calls) == searches * math.ceil(len(opts.weights) * opts.restarts / 3)
 
 
 # ---------------------------------------------------------------------------
@@ -457,19 +566,29 @@ def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, m
 
 
 def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
-    # Count the kernel calls made inside Nelder-Mead runs (not the one
-    # re-validation per run), and their raises, independently of the trace.
-    searching, calls, raised = [False], [0], {}
-    kernel, minimize = txcoop.tc_kernel, frontier.minimize
+    # Count the rows the lockstep search evaluates at its batch boundary
+    # inside Nelder-Mead runs (not the one re-validation per run), and the
+    # kernel's raises (the float path, which re-scores suspect rows),
+    # independently of the trace.
+    searching, rows, raised = [False], [0], {}
+    kernel, minimize, batch = txcoop.tc_kernel, frontier.minimize, frontier._batch_objective
 
-    def counting_kernel(c, pw, s):
-        calls[0] += searching[0]
+    def counting_kernel(c, pw, s, ops=model.FLOAT_OPS):
         try:
-            return kernel(c, pw, s)
+            return kernel(c, pw, s, ops)
         except EvaluatorError as exc:
             if searching[0]:
                 raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
             raise
+
+    def counting_batch(*args):
+        f = batch(*args)
+
+        def counted(runs, points):
+            rows[0] += searching[0] * len(points)
+            return f(runs, points)
+
+        return counted
 
     def flagged_minimize(*args, **kwargs):
         searching[0] = True
@@ -480,19 +599,22 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
 
     monkeypatch.setattr(txcoop, "tc_kernel", counting_kernel)
     monkeypatch.setattr(frontier, "minimize", flagged_minimize)
+    monkeypatch.setattr(frontier, "_batch_objective", counting_batch)
     opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=8,
                                  max_iter=40, seed=0)
     stats = frontier.trace("TC", ref_gains, ref_powers, opts).stats
     assert stats.runs == len(opts.weights) * opts.restarts
-    assert stats.evaluations == calls[0]
+    assert stats.evaluations == rows[0]
     assert stats.penalized == raised and sum(raised.values()) > 0  # corner starts hit faces
     assert stats.unconverged == stats.runs  # 40 iterations never meet the tolerances
 
 
 def test_trace_whose_every_evaluation_raises(ref_gains, ref_powers, monkeypatch):
     # No run re-validates, so the sweep keeps no candidate and the frontier
-    # is the origin alone; every evaluation is counted as penalized.
-    def raising_kernel(c, pw, s):
+    # is the origin alone; every evaluation is counted as penalized (the
+    # column call raises too, so every row is re-scored through the float
+    # path), and every run is counted as dropped.
+    def raising_kernel(c, pw, s, ops=model.FLOAT_OPS):
         raise InvalidAllocation("every allocation is rejected")
 
     monkeypatch.setattr(txcoop, "tc_kernel", raising_kernel)
@@ -503,6 +625,7 @@ def test_trace_whose_every_evaluation_raises(ref_gains, ref_powers, monkeypatch)
     assert fr.stats.runs == len(opts.weights) * opts.restarts
     assert fr.stats.penalized == {"InvalidAllocation": fr.stats.evaluations} \
         and fr.stats.evaluations > 0
+    assert fr.stats.dropped == fr.stats.runs == 6
 
 
 def test_limit_trace_stats(ref_powers):
