@@ -11,20 +11,20 @@ time-shared closure of the achievable set only when every weight's search
 finds the global maximizer; otherwise it is an inner approximation.
 ``trace`` also routes infinite conferencing gains to the limit tracers.
 
-The search is this module's ``minimize``, which takes exactly the steps of
-scipy's Nelder-Mead, so the package needs numpy alone.  The order of tied
-vertices (penalties, coordinates the objective ignores) is the one
-``np.argsort`` gives.  Each search space (``_TC``, ``_RC``, ``_LIMIT``) is
-one ``_Space``: the simplex type of each block of its search vector, read
-from the allocation's field annotations, and its corner starts.
-``_searches`` lists what a trace runs, one (space, score, revalidate) search
-for TC, RDPC and RC and one per encoding order for TC at c12 = +inf, and
-``_sweep`` runs each search over every weight and restart.  The runs of a
-search advance in lockstep: ``minimize`` holds their simplices as one
-(runs, n + 1, n) array, and each lockstep iteration evaluates the
-reflections of every live run as one batch, then their expansions and
-contractions, then their shrinks; each run still takes exactly the steps
-it would take alone.  At most ``_BATCH`` runs are held at once.
+The search is this module's ``minimize``: one Nelder-Mead run per row of
+its start array, each taking exactly the steps of scipy's Nelder-Mead, so
+the package needs numpy alone.  The order of tied vertices (penalties,
+coordinates the objective ignores) is the one ``np.argsort`` gives.  Each
+search space (``_TC``, ``_RC``, ``_LIMIT``) is one ``_Space``: the simplex
+type of each block of its search vector, read from the allocation's field
+annotations, and its corner starts.  ``_searches`` lists what a trace runs,
+one (space, score, revalidate) search for TC, RDPC and RC and one per
+encoding order for TC at c12 = +inf, and ``_sweep`` runs each search over
+every weight and restart.  The runs of a search advance in lockstep:
+``minimize`` holds their simplices as one (runs, n + 1, n) array, and each
+lockstep iteration scores the reflections of every live run as one batch
+``f(runs, X)``, then their expansions and contractions, then their
+shrinks.  At most ``_BATCH`` runs are held at once.
 ``_decode`` is the one map from a search vector to simplex weights: per
 block it squares, normalizes, checks and renormalizes, giving the weights
 ``Simplex2``/``Simplex3`` would store for the block's squares.  ``score``
@@ -111,8 +111,8 @@ _COLUMN_ROWS = 20
 
 
 def default_weights(n: int = 33) -> tuple[float, ...]:
-    """Log-spaced scalarization weights 2**[-6, 6] plus the two axes."""
-    if n < 2:
+    """``n`` log-spaced scalarization weights 2**[-6, 6] (1 if n = 1) plus both axes."""
+    if n == 1:
         grid = (1.0,)
     else:
         grid = tuple(2.0 ** (-6.0 + 12.0 * i / (n - 1)) for i in range(n))
@@ -123,7 +123,7 @@ def default_weights(n: int = 33) -> tuple[float, ...]:
 class TraceOptions:
     """Optimizer budget and reproducibility knobs; at least one weight, each
     in [0, +inf], integer restarts and max_iter at least 1, and an integer
-    seed at least 0."""
+    seed at least 0 (no bool is a weight, count or seed)."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
@@ -136,13 +136,16 @@ class TraceOptions:
         # NaN one, NaN objectives.
         object.__setattr__(self, "weights", tuple(self.weights))
         try:
-            valid = bool(self.weights) and all(w >= 0.0 for w in self.weights)
+            valid = bool(self.weights) and all(
+                w >= 0.0 and not isinstance(w, (bool, np.bool_)) for w in self.weights)
         except TypeError:  # a non-numeric weight
             valid = False
         if not valid:
             raise ValueError(f"weights {self.weights}: need at least one, each >= 0 or inf")
+        counts = (self.restarts, self.max_iter, self.seed)
         try:
-            valid = (operator.index(self.restarts) >= 1 and operator.index(self.max_iter) >= 1
+            valid = (not any(isinstance(n, bool) for n in counts)
+                     and operator.index(self.restarts) >= 1 and operator.index(self.max_iter) >= 1
                      and operator.index(self.seed) >= 0)
         except TypeError:  # a float or other non-integer count
             valid = False
@@ -329,12 +332,12 @@ def _initial_simplex(x0: np.ndarray) -> np.ndarray:
 
 
 class SearchResult(NamedTuple):
-    """How the runs of one ``minimize`` call ended: for a 1-D ``x0`` the one
-    run's, otherwise one row (``x``) or element per run."""
+    """How the runs of one ``minimize`` call ended, one row (``x``) or
+    element per run."""
 
-    x: np.ndarray  # the best vertex
-    nfev: int  # objective evaluations made
-    converged: bool  # False where the evaluation budget or the iteration cap ended the run
+    x: np.ndarray  # each run's best vertex
+    nfev: np.ndarray  # each run's objective evaluations
+    converged: np.ndarray  # False where the evaluation budget or the iteration cap ended the run
 
     @property
     def success(self) -> bool:
@@ -343,32 +346,25 @@ class SearchResult(NamedTuple):
 
 
 def minimize(f, x0, max_iter: int) -> SearchResult:
-    """Nelder-Mead minimization of ``f`` from the simplex ``_initial_simplex(x0)``.
+    """Nelder-Mead minimization of ``f`` from the simplices ``_initial_simplex``
+    of the rows of ``x0``, one run per row, advanced in lockstep.
 
-    Takes exactly the steps of scipy's Nelder-Mead (1.17, ``adaptive=False``,
-    no bounds) with ``maxiter=max_iter``, ``maxfev=2*max_iter``,
-    ``fatol=_FATOL`` and ``xatol=_XATOL``, so a run gives the same bytes:
-    reflection 1, expansion 2, contraction and shrink 1/2; the centroid adds
-    the kept rows in rank order, row by row; vertices are ranked by
-    ``np.argsort``, whose order of tied values (penalties, coordinates the
-    objective ignores) is numpy's unstable sort's.  The evaluation that would
-    exceed the budget is not made and ends the run; a shrink already partly
-    applied stays applied.
+    Each run takes exactly the steps of scipy's Nelder-Mead (1.17,
+    ``adaptive=False``, no bounds) with ``maxiter=max_iter``,
+    ``maxfev=2*max_iter``, ``fatol=_FATOL`` and ``xatol=_XATOL``, so it gives
+    the same bytes: reflection 1, expansion 2, contraction and shrink 1/2;
+    the centroid adds the kept rows in rank order, row by row; vertices are
+    ranked by ``np.argsort``, whose order of tied values (penalties,
+    coordinates the objective ignores) is numpy's unstable sort's.  The
+    evaluation that would exceed the budget is not made and ends the run; a
+    shrink already partly applied stays applied.
 
-    A 1-D ``x0`` is one run, and ``f`` gets each vertex as a list of floats.
-    A 2-D ``x0`` holds one start per row, and its runs advance in lockstep:
     ``f(runs, X)`` gets the points of one step of several runs as the rows
     of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
-    their values as an array.  Each run takes the steps it would take alone.
+    their values as an array.
     """
-    x0 = np.asarray(x0, dtype=float)
-    if x0.ndim == 2:
-        sim, _, nfev, converged = _lockstep(f, x0, max_iter)
-        return SearchResult(sim[:, 0], nfev, converged)
-    sim, _, nfev, converged = _lockstep(
-        lambda _, points: np.array([f(x) for x in points.tolist()], dtype=float),
-        x0[None], max_iter)
-    return SearchResult(sim[0, 0], int(nfev[0]), bool(converged[0]))
+    sim, _, nfev, converged = _lockstep(f, np.asarray(x0, dtype=float), max_iter)
+    return SearchResult(sim[:, 0], nfev, converged)
 
 
 def _ranked(sim: np.ndarray, fsim: np.ndarray):

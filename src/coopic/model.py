@@ -319,13 +319,6 @@ class RatePair(_Fields):
     def __post_init__(self) -> None:
         checked_pair(self.r1, self.r2)
 
-    @classmethod
-    def _checked(cls, pair) -> RatePair:
-        """The RatePair of a pair ``checked_pair`` returned, not checked again."""
-        rates = object.__new__(cls)
-        rates.__dict__["r1"], rates.__dict__["r2"] = pair
-        return rates
-
     @property
     def total(self) -> float:
         return self.r1 + self.r2

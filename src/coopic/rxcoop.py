@@ -218,7 +218,7 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     ``weight`` picks the operating corner of the phase-1 pentagon, which
     has a sum face when at least one equivalent interference is strong.
     """
-    return RatePair._checked(rc_kernel(*_conferencing_args(g, p, "c34"), a, weight))
+    return RatePair(*rc_kernel(*_conferencing_args(g, p, "c34"), a, weight))
 
 
 def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> RatePair:

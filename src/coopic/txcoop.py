@@ -396,12 +396,12 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
-    return RatePair._checked(tc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return RatePair._checked(rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair(*rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,
@@ -420,7 +420,7 @@ def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simpl
     _check_type("mu", mu, Simplex3)
     _check_type("eta", eta, Simplex3)
     _check_type("user1_clean", user1_clean, bool)
-    return RatePair._checked(tc_limit_kernel(c, pw, (mu, eta), user1_clean))
+    return RatePair(*tc_limit_kernel(c, pw, (mu, eta), user1_clean))
 
 
 def tc_limit_region(g: ChannelGains, p: PowerBudget, opts=None):

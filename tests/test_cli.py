@@ -276,6 +276,15 @@ def test_region_stats_flag(tmp_path, capsys):
             <= 1e6 * 5e-4 + 5e-3 * stats["evaluations"]
 
 
+def test_region_weights_zero_traces_the_axes_alone(tmp_path):
+    # --weights is the number of log-spaced weights; 0 used to trace weight 1 too
+    args = _region_args(tmp_path, schemes=["TC"], restarts=1, max_iter=5)
+    assert run(args + ["--weights", "0"]) == 0
+    sidecar = json.loads((tmp_path / "region.json").read_text())
+    assert sidecar["schemes"]["TC"]["weights"] == ["0", "inf"]
+    assert sidecar["schemes"]["TC"]["stats"]["runs"] == 2
+
+
 def test_region_limit_mode_tagging(tmp_path):
     args = _region_args(tmp_path, out="lim.csv", schemes=["TC"], c12="inf",
                         weights=5, restarts=2, max_iter=80)

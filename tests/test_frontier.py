@@ -336,12 +336,22 @@ def _scipy_nelder_mead(f, x0, max_iter):
                  "initial_simplex": frontier._initial_simplex(x0)})
 
 
+def _one_by_one(f):
+    """The batch objective that scores each row with the scalar objective ``f``."""
+    return lambda runs, points: np.array([f(x) for x in points.tolist()], dtype=float)
+
+
+def _single_run(f, x0, max_iter):
+    """frontier.minimize of one run from ``x0``: a one-row batch scored by ``f``."""
+    return frontier.minimize(_one_by_one(f), np.asarray(x0, dtype=float)[None], max_iter)
+
+
 def _same_run(f, x0, max_iter):
     """frontier.minimize's run, checked step for step against scipy's."""
-    ours = frontier.minimize(f, x0, max_iter)
+    ours = _single_run(f, x0, max_iter)
     theirs = _scipy_nelder_mead(f, x0, max_iter)
-    assert np.asarray(ours.x).tobytes() == theirs.x.tobytes()
-    assert (ours.nfev, ours.success) == (theirs.nfev, theirs.success)
+    assert ours.x[0].tobytes() == theirs.x.tobytes()
+    assert (int(ours.nfev[0]), ours.success) == (theirs.nfev, theirs.success)
     return ours
 
 
@@ -349,8 +359,7 @@ def _same_final_simplex(f, x0, max_iter):
     """The whole final simplex of one lockstep run, and its values, equal
     scipy's: a partly applied shrink and an expansion cut by the budget show
     there even when the best vertex does not move."""
-    sim, fsim, _, _ = frontier._lockstep(
-        lambda runs, points: np.array([f(x) for x in points.tolist()]), x0[None], max_iter)
+    sim, fsim, _, _ = frontier._lockstep(_one_by_one(f), x0[None], max_iter)
     final, values = _scipy_nelder_mead(f, x0, max_iter).final_simplex
     assert sim[0].tobytes() == final.tobytes() and fsim[0].tobytes() == values.tobytes()
 
@@ -372,7 +381,7 @@ def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref
                 searches, zip(starts, (0.0, 1.0, 2.5, math.inf))):
             for max_iter in (3, 25, 250):  # 6 evaluations cannot finish the first simplex
                 run = _same_run(frontier._neg_objective(score, w, Counter()), x0, max_iter)
-                early += run.nfev < dim + 1
+                early += run.nfev[0] < dim + 1
     assert early == 8 * len(searches)
 
 
@@ -424,9 +433,9 @@ def _same_as_single_runs(batch, single, starts, max_iter):
     runs = frontier.minimize(batch, np.array(starts), max_iter)
     assert runs.x.shape == (len(starts), len(starts[0]))
     for k, x0 in enumerate(starts):
-        alone = frontier.minimize(single(k), x0, max_iter)
-        assert runs.x[k].tobytes() == alone.x.tobytes()
-        assert (int(runs.nfev[k]), bool(runs.converged[k])) == (alone.nfev, alone.success)
+        alone = _single_run(single(k), x0, max_iter)
+        assert runs.x[k].tobytes() == alone.x[0].tobytes()
+        assert (int(runs.nfev[k]), bool(runs.converged[k])) == (int(alone.nfev[0]), alone.success)
     assert runs.success == all(runs.converged)
     return runs
 
@@ -464,15 +473,13 @@ def test_lockstep_runs_equal_single_runs_on_toy_objectives():
     def bowl(xs):
         return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
 
-    def batch(fn):
-        return lambda runs, points: np.array([fn(x) for x in points.tolist()], dtype=float)
-
     starts = [rng.standard_normal(5) for _ in range(4)]
     for max_iter in (2, 5, 60, 2000):
-        _same_as_single_runs(batch(bowl), lambda k: bowl, starts, max_iter)
+        _same_as_single_runs(_one_by_one(bowl), lambda k: bowl, starts, max_iter)
     starts = [rng.standard_normal(4) for _ in range(3)]
     for max_iter in range(1, 40):
-        _same_as_single_runs(batch(lambda xs: 0.0), lambda k: (lambda xs: 0.0), starts, max_iter)
+        _same_as_single_runs(_one_by_one(lambda xs: 0.0), lambda k: (lambda xs: 0.0), starts,
+                             max_iter)
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
@@ -508,12 +515,22 @@ def _same_frontier(a, b):
         [(pt.r1, pt.r2, pt.weight, pt.allocation) for pt in b.points]
 
 
+def test_default_weights_counts_the_log_spaced_weights():
+    # n log-spaced weights between the two axes: 0 used to give (0, 1, inf), as 1 does
+    assert frontier.default_weights(0) == (0.0, math.inf)
+    assert frontier.default_weights(1) == (0.0, 1.0, math.inf)
+    assert frontier.default_weights(3) == (0.0, 2.0 ** -6, 1.0, 2.0 ** 6, math.inf)
+    assert [len(frontier.default_weights(n)) for n in range(6)] == [2, 3, 4, 5, 6, 7]
+
+
 def test_trace_options_reject_empty_weights():
     # An empty weight tuple used to pass, and the trace returned the origin alone.
     with pytest.raises(ValueError, match="weights"):
         frontier.TraceOptions(weights=())
     # A NaN weight makes every objective NaN; a negative one rewards a lower rate.
-    for weights in ((-1.0, math.nan), (1.0, math.nan), (-1.0,), (0.5, -0.0 - 1e-300)):
+    # A bool is no weight: True was stored and written to the sidecar as "1".
+    for weights in ((-1.0, math.nan), (1.0, math.nan), (-1.0,), (0.5, -0.0 - 1e-300),
+                    (True,), (0.5, False), (np.True_,)):
         with pytest.raises(ValueError, match="weights"):
             frontier.TraceOptions(weights=weights)
     assert frontier.TraceOptions(weights=(0.0, -0.0, math.inf)).weights[-1] == math.inf
@@ -534,10 +551,12 @@ def test_trace_options_freeze_weights(ref_gains, ref_powers):
 
 @pytest.mark.parametrize("field, value", [
     ("restarts", 7.5), ("restarts", 0), ("max_iter", 2.0), ("max_iter", "3"),
-    ("seed", -1), ("seed", 1.5), ("seed", None)])
+    ("seed", -1), ("seed", 1.5), ("seed", None),
+    ("restarts", True), ("max_iter", True), ("seed", False), ("seed", True)])
 def test_trace_options_reject_bad_counts(field, value):
     # A float count used to pass and the trace raised TypeError; a negative
-    # seed raised numpy's ValueError only at the first random start.
+    # seed raised numpy's ValueError only at the first random start; a bool
+    # passed as the integer it stands for (restarts=True traced one restart).
     with pytest.raises(ValueError, match=f"{field} {value!r}"):
         frontier.TraceOptions(**{field: value})
     assert frontier.TraceOptions(restarts=np.int64(2), seed=np.uint8(0)).restarts == 2
