@@ -161,7 +161,8 @@ def build_channel(config: dict) -> tuple[ChannelGains, PowerBudget]:
 
 def build_options(config: dict) -> frontier.TraceOptions:
     return _valid("options", frontier.TraceOptions,
-                  weights=frontier.default_weights(_count("weights", config["weights"])),
+                  weights=_valid("weights", frontier.default_weights,
+                                 _count("weights", config["weights"])),
                   restarts=_count("restarts", config["restarts"]),
                   max_iter=_count("max_iter", config["max_iter"]),
                   seed=_count("seed", config["seed"]))

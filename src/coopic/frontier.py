@@ -42,6 +42,15 @@ the rule for every simplex a user builds and ``_decode``'s raise path.
 ``Frontier.stats`` counts the evaluations, the penalized ones by error
 type, the runs that did not converge and the runs dropped by re-validation.
 
+Region geometry: a region is convex and down-closed in the quadrant, given
+as a ``Frontier``, an ``OuterBound`` or rate points in any order, and each
+geometry function takes it through ``hull`` (an empty region is the
+origin).  As u >= 0 turns from (1, 0) to (0, 1), the region's support
+point (the maximizer of u.r) steps from hull vertex to hull vertex at each
+frontier edge's normal.  ``region_deviation`` walks both regions' steps at
+once, and ``equal_rate_value`` is the least h(u)/(u1 + u2) over the edge
+normals.  ``dominates`` tests points against the ceiling, per axis.
+
 Everything is deterministic for a fixed seed: start k of weight j is a pure
 function of (seed, j, k), so growing the restart budget only appends starts.
 """
@@ -50,6 +59,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import operator
 from collections import Counter
 from dataclasses import dataclass, field
@@ -108,10 +118,15 @@ _BATCH = 256
 # 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
 # floats, with the same bits.
 _COLUMN_ROWS = 20
+# Most weights ``default_weights`` builds (a trace runs weights x restarts).
+MAX_WEIGHTS = 10_000
 
 
 def default_weights(n: int = 33) -> tuple[float, ...]:
-    """``n`` log-spaced scalarization weights 2**[-6, 6] (1 if n = 1) plus both axes."""
+    """``n`` log-spaced scalarization weights 2**[-6, 6] (1 if n = 1) plus both axes;
+    ValueError unless n is an integer in [0, ``MAX_WEIGHTS``]."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral) or not 0 <= n <= MAX_WEIGHTS:
+        raise ValueError(f"count {n!r} is not an integer in [0, {MAX_WEIGHTS}]")
     if n == 1:
         grid = (1.0,)
     else:
@@ -729,23 +744,14 @@ def hull(points) -> list[tuple[float, float]]:
 
 def _ceiling(vertices_desc, x: float) -> float:
     """Max r2 of the region at abscissa x, which is at most its r1 reach."""
-    v = vertices_desc
-    if x <= v[-1][0]:
-        return v[-1][1]
-    for i in range(len(v) - 1):
-        xa, ya = v[i]
-        xb, yb = v[i + 1]
-        if xb <= x <= xa:
-            if xa == xb:
-                return max(ya, yb)
+    for (xa, ya), (xb, yb) in zip(vertices_desc, vertices_desc[1:]):
+        if x >= xb:
             # Exact at the vertices: yb + 1*(ya - yb) can round below ya.
             if x == xa:
                 return ya
-            if x == xb:
-                return yb
             t = (x - xb) / (xa - xb)
             return yb + t * (ya - yb)
-    return v[-1][1]
+    return vertices_desc[-1][1]
 
 
 def _vertices_of(region) -> list[tuple[float, float]]:
@@ -760,54 +766,43 @@ def _vertices_of(region) -> list[tuple[float, float]]:
 
 
 def _inside(vertices_desc, x: float, y: float, tol: float) -> bool:
-    if x < -tol or y < -tol:
-        return False
-    if x > vertices_desc[0][0] + tol:
-        return False
-    return y <= _ceiling(vertices_desc, min(x, vertices_desc[0][0])) + tol
+    reach = vertices_desc[0][0]
+    return -tol <= x <= reach + tol and -tol <= y <= _ceiling(vertices_desc, min(x, reach)) + tol
 
 
-def _region_polygon(vertices_desc) -> list[tuple[float, float]]:
-    """Closed boundary of the region (origin, bottom edge, frontier, left edge)."""
-    x0 = vertices_desc[0][0]
-    yk = vertices_desc[-1][1]
-    poly: list[tuple[float, float]] = [(0.0, 0.0)]
-    if x0 > 0.0:
-        poly.append((x0, 0.0))
-    for pt in vertices_desc:
-        if pt != poly[-1]:
-            poly.append(pt)
-    if yk > 0.0 and poly[-1] != (0.0, yk):
-        poly.append((0.0, yk))
-    return poly
+def _normals(vertices_desc) -> list[tuple[float, float]]:
+    """Each frontier edge's outward normal (both components > 0), in walk order."""
+    return [(yb - ya, xa - xb) for (xa, ya), (xb, yb) in zip(vertices_desc, vertices_desc[1:])]
 
 
-def _segment_distance(p, a, b) -> float:
-    px, py = p
-    ax, ay = a
-    bx, by = b
-    dx, dy = bx - ax, by - ay
-    norm2 = dx * dx + dy * dy
-    if norm2 == 0.0:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / norm2))
-    return math.hypot(px - ax - t * dx, py - ay - t * dy)
+def _arc_max(lo, hi, d) -> float:
+    """Largest u.d over unit u from direction lo to hi (a turn of at most a right
+    angle): |d| when d points into that arc, else the value at one of its ends."""
+    (l1, l2), (h1, h2), (d1, d2) = lo, hi, d
+    if l1 * d2 - l2 * d1 >= 0.0 and d1 * h2 - d2 * h1 >= 0.0:
+        return math.hypot(d1, d2)
+    return max((l1 * d1 + l2 * d2) / math.hypot(l1, l2),
+               (h1 * d1 + h2 * d2) / math.hypot(h1, h2))
 
 
 def region_deviation(region_a, region_b) -> float:
     """How far region_a sticks out of region_b, in bits (0 when contained).
 
-    Exact for convex regions: the maximum of the distance-to-b over a's
-    boundary is attained at a's polygon vertices.
+    The largest h_a(u) - h_b(u) over unit u >= 0, clipped at 0, in one walk
+    from u = (1, 0) to (0, 1) across both regions' edge normals; between two
+    steps the support points a and b are fixed, so h_a - h_b is u.(a - b).
+    Shared vertices and edges give exactly 0.
     """
-    va, vb = _vertices_of(region_a), _vertices_of(region_b)
-    poly_b = _region_polygon(vb)
-    edges = list(zip(poly_b, poly_b[1:] + poly_b[:1]))
-    worst = 0.0
-    for pt in _region_polygon(va):
-        if _inside(vb, pt[0], pt[1], 0.0):
-            continue
-        worst = max(worst, min(_segment_distance(pt, a, b) for a, b in edges))
+    va, vb = hull(region_a), hull(region_b)
+    na, nb = _normals(va) + [(0.0, 1.0)], _normals(vb) + [(0.0, 1.0)]
+    lo, i, j, worst = (1.0, 0.0), 0, 0, 0.0
+    while i < len(va):
+        (n1, n2), (m1, m2) = na[i], nb[j]
+        turn = n1 * m2 - n2 * m1  # > 0: a steps first; 0: both step
+        hi = na[i] if turn >= 0.0 else nb[j]
+        (xa, ya), (xb, yb) = va[i], vb[j]
+        worst = max(worst, _arc_max(lo, hi, (xa - xb, ya - yb)))
+        lo, i, j = hi, i + (turn >= 0.0), j + (turn <= 0.0)
     return worst
 
 
@@ -818,19 +813,21 @@ def hausdorff(region_a, region_b) -> float:
 
 
 def dominates(region_a, region_b, tol: float = 0.0) -> bool:
-    """True iff every point of region_b lies inside region_a expanded by tol."""
-    va, vb = _vertices_of(region_a), _vertices_of(region_b)
-    return all(_inside(va, x, y, tol) for x, y in vb)
+    """True iff every point of region_b lies inside region_a expanded by tol.
+
+    region_b's points are tested as given, so a negative one is outside.
+    The tolerance is per axis: (x, y) is inside when x, y >= -tol, x is at
+    most region_a's r1 reach + tol, and y at most its ceiling at min(x,
+    reach) + tol.  That is not the Euclidean expansion of
+    ``region_deviation``, which ``coopic compare`` holds to 1e-6.
+    """
+    va = hull(region_a)
+    return all(_inside(va, x, y, tol) for x, y in _vertices_of(region_b))
 
 
 def equal_rate_value(region) -> float:
-    """Largest t with (t, t) inside the region (the symmetric-rate point)."""
-    v = _vertices_of(region)
-    lo, hi = 0.0, max(v[0][0], v[-1][1]) + 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if _inside(v, mid, mid, 0.0):
-            lo = mid
-        else:
-            hi = mid
-    return lo
+    """Largest t with (t, t) inside the region (the symmetric-rate point): by
+    LP duality the least h(u)/(u1 + u2) over its edge normals, axes included."""
+    v = hull(region)
+    return min([v[0][0], v[-1][1]] + [(n1 * x + n2 * y) / (n1 + n2)
+                                      for (n1, n2), (x, y) in zip(_normals(v), v)])

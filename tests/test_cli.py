@@ -119,6 +119,9 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
 
 @pytest.mark.parametrize("command, config, flags", [
     ("region", {"schemes": ["IC"], "weights": math.inf}, []),  # written as 1e400
+    # more weights than default_weights builds; they used to be built, until memory ran out
+    ("region", {"schemes": ["IC"], "weights": 1e300}, []),
+    ("region", {"schemes": ["IC"]}, ["--weights", str(10 ** 300)]),
     ("region", {"schemes": ["IC"], "restarts": math.inf}, []),
     ("region", {"schemes": ["IC"], "p1": None}, []),
     ("region", {"schemes": ["IC"], "c13": [1]}, []),
@@ -495,6 +498,12 @@ def test_compare_dominance(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "A dominates B" in out
     assert "max gap" in out
+
+
+def test_compare_oversized_weight_count_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path)
+    assert run(["compare", cfg, cfg, "--weights", str(10 ** 300)]) == cli.EXIT_VALIDATION
+    assert capsys.readouterr().err.startswith("error: weights: count ")
 
 
 @pytest.mark.parametrize("config_a, config_b, verdict", [

@@ -109,6 +109,113 @@ def test_equal_rate_value():
     assert frontier.equal_rate_value([(3.0, 1.0)]) == pytest.approx(1.0, abs=1e-9)
 
 
+def _random_hulls(seed, count):
+    """``count`` seeded random hulls of 1 to 40 vertices: uniform points, points
+    on an arc (every one a vertex) and points crowded toward the axes."""
+    rng = np.random.default_rng(seed)
+    hulls = []
+    for k in range(count):
+        n = int(rng.integers(1, 41))
+        if k % 3 == 0:
+            pts = rng.uniform(0.0, 5.0, size=(n, 2))
+        elif k % 3 == 1:
+            t = rng.uniform(0.0, math.pi / 2, size=n)
+            pts = np.c_[rng.uniform(0.5, 5.0) * np.cos(t), rng.uniform(0.5, 5.0) * np.sin(t)]
+        else:
+            pts = rng.uniform(0.0, 5.0, size=(n, 2)) ** 2 / 5.0
+        hulls.append(frontier.hull([(float(x), float(y)) for x, y in pts]))
+    return hulls
+
+
+def _polygon(vertices_desc):
+    """The region's boundary, counterclockwise: origin, reach, frontier, top."""
+    (x0, _), (_, yk) = vertices_desc[0], vertices_desc[-1]
+    return [(0.0, 0.0), (x0, 0.0), *vertices_desc, (0.0, yk)]
+
+
+def _segment_distance(p, a, b):
+    (px, py), (ax, ay), (bx, by) = p, a, b
+    dx, dy = bx - ax, by - ay
+    norm2 = dx * dx + dy * dy
+    t = 0.0 if norm2 == 0.0 else min(1.0, max(0.0, ((px - ax) * dx + (py - ay) * dy) / norm2))
+    return math.hypot(px - ax - t * dx, py - ay - t * dy)
+
+
+def _reference_distance(p, vertices_desc):
+    """Distance from p to the region: 0 inside its polygon (every edge turns
+    left to p), else the nearest of its edges' projections."""
+    poly = _polygon(vertices_desc)
+    edges = list(zip(poly, poly[1:] + poly[:1]))
+    area = sum(ax * by - bx * ay for (ax, ay), (bx, by) in edges)
+    if area > 0.0 and all((bx - ax) * (p[1] - ay) - (by - ay) * (p[0] - ax) >= 0.0
+                          for (ax, ay), (bx, by) in edges):
+        return 0.0
+    return min(_segment_distance(p, a, b) for a, b in edges)
+
+
+def _reference_deviation(va, vb):
+    # the distance to a convex region is convex, so its maximum is at a vertex
+    return max(_reference_distance(p, vb) for p in _polygon(va))
+
+
+def _reference_equal_rate(vertices_desc):
+    """Where the diagonal r1 = r2 crosses the boundary from the reach to the top."""
+    chain = _polygon(vertices_desc)[1:]
+    for (xa, ya), (xb, yb) in zip(chain, chain[1:]):
+        fa, fb = xa - ya, xb - yb
+        if fa >= 0.0 >= fb:
+            return xa if fa == fb else xa + fa / (fa - fb) * (xb - xa)
+    raise AssertionError("the boundary runs from r1 >= r2 to r1 <= r2")
+
+
+def test_region_geometry_matches_reference():
+    hulls = _random_hulls(26, 400)
+    for a, b in zip(hulls[::2], hulls[1::2]):
+        for x, y in ((a, b), (b, a)):
+            assert frontier.region_deviation(x, y) == pytest.approx(
+                _reference_deviation(x, y), rel=0.0, abs=1e-12)
+        assert frontier.equal_rate_value(a) == pytest.approx(
+            _reference_equal_rate(a), rel=0.0, abs=1e-12)
+
+
+def test_region_deviation_is_exactly_zero_on_shared_vertices():
+    rng = np.random.default_rng(27)
+    for b in _random_hulls(28, 300):
+        a = [v for v in b if rng.random() < 0.5] or b[:1]
+        assert frontier.region_deviation(b, b) == 0.0
+        assert frontier.hausdorff(b, b) == 0.0
+        assert frontier.region_deviation(a, b) == 0.0
+
+
+def test_region_geometry_is_order_free():
+    rng = np.random.default_rng(29)
+    hulls = _random_hulls(30, 60)
+    points = [(float(x), float(y)) for x, y in rng.uniform(-0.5, 5.5, size=(40, 2))]
+    for a, b in zip(hulls[::2], hulls[1::2]):
+        shuffled = list(a)
+        rng.shuffle(shuffled)
+        for other in (a[::-1], shuffled):
+            assert frontier.region_deviation(other, b) == frontier.region_deviation(a, b)
+            assert frontier.region_deviation(b, other) == frontier.region_deviation(b, a)
+            assert frontier.hausdorff(other, b) == frontier.hausdorff(a, b)
+            assert frontier.equal_rate_value(other) == frontier.equal_rate_value(a)
+            assert frontier.dominates(other, a)
+            assert [frontier.dominates(other, [p]) for p in points] == \
+                [frontier.dominates(a, [p]) for p in points]
+    # a frontier given r1 ascending used to have equal-rate value 0
+    assert frontier.equal_rate_value([(0.0, 2.0), (1.5, 1.5), (2.0, 0.0)]) == 1.5
+
+
+def test_empty_region_is_the_origin():
+    a = [(3.0, 0.0), (2.0, 2.0), (0.0, 3.0)]
+    assert frontier.region_deviation([], a) == 0.0  # used to raise IndexError
+    assert frontier.region_deviation(a, []) == frontier.region_deviation(a, [(0.0, 0.0)]) == 3.0
+    assert frontier.hausdorff([], a) == 3.0
+    assert frontier.equal_rate_value([]) == 0.0
+    assert frontier.dominates([], [(0.0, 0.0)]) and frontier.dominates(a, [])
+    assert not frontier.dominates([], [(0.1, 0.0)])
+
+
 def test_region_geometry_rejects_non_finite_vertices():
     # NaN fails every comparison: unchecked, a NaN vertex would pass as inside, at distance 0
     tc = [(3.0, 0.0), (2.0, 2.0), (0.0, 3.0)]
@@ -521,6 +628,14 @@ def test_default_weights_counts_the_log_spaced_weights():
     assert frontier.default_weights(1) == (0.0, 1.0, math.inf)
     assert frontier.default_weights(3) == (0.0, 2.0 ** -6, 1.0, 2.0 ** 6, math.inf)
     assert [len(frontier.default_weights(n)) for n in range(6)] == [2, 3, 4, 5, 6, 7]
+    assert len(frontier.default_weights(frontier.MAX_WEIGHTS)) == frontier.MAX_WEIGHTS + 2
+
+
+@pytest.mark.parametrize("n", [10 ** 300, frontier.MAX_WEIGHTS + 1, -1, 3.0, True, "3", None])
+def test_default_weights_rejects_non_counts_and_huge_counts(n):
+    # 10**300 used to be built as a tuple, eagerly, until memory ran out
+    with pytest.raises(ValueError, match=r"^count .* is not an integer in \[0, 10000\]$"):
+        frontier.default_weights(n)
 
 
 def test_trace_options_reject_empty_weights():
