@@ -56,6 +56,7 @@ from .frontier import (
     hull,
     region_deviation,
     trace,
+    trace_many,
 )
 
 __version__ = "0.1.0"

@@ -4,10 +4,12 @@ Subcommands:
 
 * ``eval``    -- evaluate one scheme at one explicit allocation and print a
                  machine-readable per-stream rate record (JSON).
-* ``region``  -- trace frontiers for the configured schemes and write a CSV
-                 (plus a JSON sidecar with the achieving allocations and
-                 each trace's ``Frontier.stats``); ``--stats`` also prints
-                 each trace's counts and timing (``_stats_line``).
+* ``region``  -- trace frontiers for the configured schemes (one
+                 ``frontier.trace_many`` call, so TC and RDPC share a
+                 lockstep) and write a CSV (plus a JSON sidecar with the
+                 achieving allocations and each trace's ``Frontier.stats``);
+                 ``--stats`` also prints each trace's counts and timing
+                 (``_stats_line``).
 * ``bounds``  -- print the outer-bound constants for the configured channel.
 * ``compare`` -- trace two configurations and report the dominance verdict.
 
@@ -222,7 +224,12 @@ def _stats_line(fr: frontier.Frontier, wall_s: float) -> str:
     """One line of ``region --stats``: a trace's ``Frontier.stats`` (penalized
     evaluations in total and by error type) and its wall time, also per
     evaluation ("-" when it made none).  Wall time covers the whole trace
-    (searches, re-validation, hull), so it is printed, never in the sidecar."""
+    (searches, re-validation, hull), so it is printed, never in the sidecar.
+    Traces that share a lockstep cannot be timed one by one: ``region``
+    times its one ``trace_many`` call and gives each trace the share of
+    that time its evaluations make of all of them (an equal share when none
+    made any), so the lines' wall_s add up to the call's and they all show
+    its mean cost per evaluation."""
     st = fr.stats
     fields = [f"evaluations={st.evaluations}", f"penalized={sum(st.penalized.values())}"]
     fields += [f"penalized.{name}={n}" for name, n in st.penalized.items()]
@@ -275,16 +282,21 @@ def cmd_region(args) -> int:
 
     rows: list[tuple[float, float, str, float | None]] = []
     sidecar: dict = {"seed": seed, "schemes": {}, "bounds": {}}
+    traced = [scheme for scheme in schemes if scheme != "IC"]
+    start = time.perf_counter()
+    fronts = dict(zip(traced, frontier.trace_many([(s, g, p) for s in traced], opts)))
+    wall_s = time.perf_counter() - start
+    evaluations = sum(fr.stats.evaluations for fr in fronts.values())
     for scheme in schemes:
         if scheme == "IC":
             region = bounds_mod.strong_ic_region(g, p)
             rows.extend((r1, r2, "IC", None) for r1, r2 in region.vertices())
             sidecar["schemes"]["IC"] = _bound_record(region)
             continue
-        start = time.perf_counter()
-        fr = frontier.trace(scheme, g, p, opts)
+        fr = fronts[scheme]
         if args.stats:
-            print(_stats_line(fr, time.perf_counter() - start))
+            share = fr.stats.evaluations / evaluations if evaluations else 1 / len(fronts)
+            print(_stats_line(fr, wall_s * share))
         for pt in fr.points:
             rows.append((pt.r1, pt.r2, fr.scheme, pt.weight))
         sidecar["schemes"][fr.scheme] = {

@@ -17,14 +17,27 @@ the package needs numpy alone.  The order of tied vertices (penalties,
 coordinates the objective ignores) is the one ``np.argsort`` gives.  Each
 search space (``_TC``, ``_RC``, ``_LIMIT``) is one ``_Space``: the simplex
 type of each block of its search vector, read from the allocation's field
-annotations, and its corner starts.  ``_searches`` lists what a trace runs,
-one (space, score, revalidate) search for TC, RDPC and RC and one per
-encoding order for TC at c12 = +inf, and ``_sweep`` runs each search over
-every weight and restart.  The runs of a search advance in lockstep:
-``minimize`` holds their simplices as one (runs, n + 1, n) array, and each
-lockstep iteration scores the reflections of every live run as one batch
-``f(runs, X)``, then their expansions and contractions, then their
-shrinks.  At most ``_BATCH`` runs are held at once.
+annotations, its corner starts and its objective kernel.  ``_searches``
+lists what a trace runs, one (space, score, revalidate) search for TC,
+RDPC and RC and one per encoding order for TC at c12 = +inf.
+
+Jobs, groups and chunks.  ``trace_many`` takes jobs, (scheme, g, p)
+triples; ``trace`` is its one-job case.  Jobs whose searches share a space
+and options form a group (TC and RDPC on any channels, RC, or TC at
+c12 = +inf), and ``_sweep`` runs every run of a group (job, search, weight,
+restart) as one lockstep, in chunks of at most ``_BATCH`` runs, which may
+straddle searches and jobs.  ``minimize`` holds a chunk's simplices as one
+(runs, n + 1, n) array, and each lockstep iteration scores the reflections
+of every live run as one batch ``f(runs, X)``, then their expansions and
+contractions, then their shrinks.  A run's steps depend on its own values
+alone, so each job gets the runs, counts and candidates, in order, of its
+lone trace.  What differs between the searches of a batch, gains ``c``,
+powers ``pw`` and the scheme variant (TC's covariance rule, the TC
+limit's encoding order), the kernels read as lane columns
+(``_lane_inputs``); what they share stays a float, so a lone trace makes
+exactly the operations it always made.  A batch's kernel call has a fixed
+cost plus a small one per lane, so one lockstep over several jobs costs
+much less than one per job.
 ``_decode`` is the one map from a search vector to simplex weights: per
 block it squares, normalizes, checks and renormalizes, giving the weights
 ``Simplex2``/``Simplex3`` would store for the block's squares.  ``score``
@@ -79,6 +92,7 @@ from .model import (
     TcAllocation,
     _SIMPLEX_SUM_TOL,
     _conferencing_args,
+    lanes,
     simplex_weights,
 )
 from . import rxcoop, txcoop
@@ -90,6 +104,7 @@ __all__ = [
     "Frontier",
     "default_weights",
     "trace",
+    "trace_many",
     "trace_tc_limit",
     "trace_rc_limit",
     "hull",
@@ -118,8 +133,13 @@ _BATCH = 256
 # 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
 # floats, with the same bits.
 _COLUMN_ROWS = 20
-# Most weights ``default_weights`` builds (a trace runs weights x restarts).
+# Most weights ``default_weights`` builds, restarts per weight and iterations
+# per run that ``TraceOptions`` takes (a trace runs weights x restarts runs of
+# up to 2 x max_iter evaluations), so no count that passes validation makes
+# a trace that never ends.
 MAX_WEIGHTS = 10_000
+MAX_RESTARTS = 10_000
+MAX_ITER = 100_000
 
 
 def default_weights(n: int = 33) -> tuple[float, ...]:
@@ -137,8 +157,9 @@ def default_weights(n: int = 33) -> tuple[float, ...]:
 @dataclass(frozen=True)
 class TraceOptions:
     """Optimizer budget and reproducibility knobs; at least one weight, each
-    in [0, +inf], integer restarts and max_iter at least 1, and an integer
-    seed at least 0 (no bool is a weight, count or seed)."""
+    in [0, +inf], integer restarts in [1, ``MAX_RESTARTS``] and max_iter in
+    [1, ``MAX_ITER``], and an integer seed at least 0 (no bool is a weight,
+    count or seed)."""
 
     weights: tuple[float, ...] = field(default_factory=default_weights)
     restarts: int = 32
@@ -160,13 +181,15 @@ class TraceOptions:
         counts = (self.restarts, self.max_iter, self.seed)
         try:
             valid = (not any(isinstance(n, bool) for n in counts)
-                     and operator.index(self.restarts) >= 1 and operator.index(self.max_iter) >= 1
+                     and 1 <= operator.index(self.restarts) <= MAX_RESTARTS
+                     and 1 <= operator.index(self.max_iter) <= MAX_ITER
                      and operator.index(self.seed) >= 0)
         except TypeError:  # a float or other non-integer count
             valid = False
         if not valid:
             raise ValueError(f"restarts {self.restarts!r}, max_iter {self.max_iter!r}, seed "
-                             f"{self.seed!r}: need integers, counts >= 1 and seed >= 0")
+                             f"{self.seed!r}: need integers, restarts in [1, {MAX_RESTARTS}], "
+                             f"max_iter in [1, {MAX_ITER}] and seed >= 0")
 
 
 @dataclass(frozen=True)
@@ -281,16 +304,31 @@ def _simplices(x, space: _Space) -> list:
 
 class _Space(NamedTuple):
     """A search space: the simplex type of each block of its search vector,
-    in allocation field order, and the explicit starts of each weight's
-    first restarts, block by block."""
+    in allocation field order, the explicit starts of each weight's first
+    restarts, block by block, and the objective ``kernel(c, pw, a, variant,
+    weight, ops)`` of its decoded blocks ``a`` (see ``_Score``)."""
 
     simplices: tuple[type, ...]
     corners: tuple[tuple[tuple[float, ...], ...], ...]
+    kernel: object
 
     @property
     def blocks(self) -> tuple[int, ...]:
         """The size of each block, the number of its simplex's weights."""
         return tuple(len(simplex.__dataclass_fields__) for simplex in self.simplices)
+
+
+# The spaces' objectives look their kernel up at each call, never at import.
+def _tc_objective(c, pw, a, rdpc, _weight, ops):
+    return txcoop.tc_kernel(c, pw, a, rdpc, ops)
+
+
+def _rc_objective(c, pw, a, _variant, weight, ops):
+    return rxcoop.rc_kernel(c, pw, a, weight, ops)
+
+
+def _limit_objective(c, pw, a, user1_clean, _weight, ops):
+    return txcoop.tc_limit_kernel(c, pw, a, user1_clean, ops)
 
 
 # The corner starts pair zero-duration phases with zero power mass, so every
@@ -302,14 +340,14 @@ _TC = _Space(tuple(TcAllocation._layout.values()), (
     ((0, 1, 1.4), (0, 1), (1, 1), (1, 1), (1, 0), (0, 0, 1), (0, 1, 0)),
     ((1, 1, 1.4), (1, 1), (1, 1), (1, 0.5), (1, 0.5), (1, 2, 1), (1, 2, 1)),
     ((0, 0, 1), (0, 1), (0, 1), (1, 1), (1, 1), (1, 0, 0), (1, 0, 0)),
-))
+), _tc_objective)
 _RC = _Space(tuple(RcAllocation._layout.values()), (
     ((1, 1, 1), (1, 1, 1), (1, 1, 1), (1, 1), (1, 1)),
     ((1.4, 1, 1), (1.4, 1, 1), (1.4, 1, 1), (1, 1), (1, 1)),
     ((1, 1, 0.3), (1, 1, 0), (0, 0, 1), (1, 0), (1, 1)),
     ((1, 0.3, 1), (0, 1, 0), (1, 0, 1), (1, 1), (1, 0)),
     ((0, 1, 1), (0, 1, 1), (0, 1, 1), (1, 1), (1, 1)),
-))
+), _rc_objective)
 # The two joint-phase power splits (mu, eta) of TC at c12 = +inf.
 _LIMIT = _Space((Simplex3, Simplex3), (
     ((1, 1, 1), (1, 1, 1)),
@@ -318,7 +356,9 @@ _LIMIT = _Space((Simplex3, Simplex3), (
     ((0, 1, 0), (0, 1, 0)),
     ((1, 0, 0), (1, 0, 0)),
     ((0, 1, 1), (0, 1, 1)),
-))
+), _limit_objective)
+# The space each traced scheme searches ("RC_inf" searches none).
+_SPACES = {"TC": _TC, "RDPC": _TC, "RC": _RC, "TC_inf": _LIMIT}
 
 
 def tc_allocation_from_vector(x) -> TcAllocation:
@@ -500,28 +540,75 @@ def _neg_objective(score, weight: float, penalized: Counter):
     return f
 
 
-def _batch_objective(score, weights, penalized: Counter):
+class _Score(NamedTuple):
+    """The objective of one search: ``score(xs, weight, ops)`` is its space's
+    ``kernel`` of the decoded search vector at the search's own gains ``c``,
+    powers ``pw`` and scheme variant (TC's ``rdpc`` flag, the TC limit's
+    ``user1_clean``; None for RC), which are the inputs a lockstep over
+    several searches passes as lane columns (``_batch_objective``)."""
+
+    kernel: object
+    blocks: tuple[int, ...]
+    c: tuple
+    pw: tuple
+    variant: object
+
+    def __call__(self, xs, weight, ops=FLOAT_OPS):
+        return self.kernel(self.c, self.pw, _decode(xs, self.blocks, ops), self.variant,
+                           weight, ops)
+
+
+def _lane_inputs(scores):
+    """The kernel inputs of the lanes of a batch over the distinct ``scores``
+    of one space, as a function of each lane's index into ``scores``: (c,
+    pw, variant), where an input every score shares (by ``repr``, so 0.0 and
+    -0.0 differ) is passed as it is, and one that differs is a lane column:
+    ``model.lanes`` for a gain or power, a bool array for the variant."""
+    *tables, variants = zip(*((*s.c, *s.pw, s.variant) for s in scores))
+    inputs = [table[0] if len(set(map(repr, table))) == 1 else lanes(table) for table in tables]
+    variant = variants[0] if len(set(variants)) == 1 else np.array(variants, dtype=bool)
+
+    def at(index):
+        leaves = [leaf(index) if callable(leaf) else leaf for leaf in inputs]
+        return (tuple(leaves[:6]), tuple(leaves[6:]),
+                variant[index] if isinstance(variant, np.ndarray) else variant)
+
+    return at
+
+
+def _batch_objective(scores, weights, penalized):
     """The lockstep form of ``_neg_objective``: ``f(runs, X)`` scores each row
-    of ``X`` at the weight ``weights[run]`` of its run, in one call of
-    ``score`` over an ``ArrayOps`` (the rows as columns).  Each suspect lane
-    is re-scored through the float path, which gives its exact value or
-    counts its error; if the column call itself raises an EvaluatorError,
-    every row is re-scored so.  Fewer than ``_COLUMN_ROWS`` rows are all
-    scored on floats."""
+    of ``X`` with the score ``scores[run]`` of its run at ``weights[run]``,
+    counting penalties in ``penalized[run]``, in one kernel call over an
+    ``ArrayOps`` (the rows as columns).  The scores share one space, and
+    their gains, powers and variants are lane columns where they differ
+    (``_lane_inputs``).  Each suspect lane is re-scored through the float
+    path, which gives its exact value or counts its error; if the column
+    call itself raises an EvaluatorError, every row is re-scored so.  Fewer
+    than ``_COLUMN_ROWS`` rows are all scored on floats."""
     weights = np.asarray(weights, dtype=float)
     infinite = np.isinf(weights)
     k1 = np.where(infinite, 0.0, 1.0)
     k2 = np.where(infinite, 1.0, weights)
-    on_floats = [_neg_objective(score, w, penalized) for w in weights.tolist()]
+    on_floats = [_neg_objective(score, w, counter)
+                 for score, w, counter in zip(scores, weights.tolist(), penalized)]
+    # Searches by identity: equal floats need not be the same input (0.0, -0.0).
+    distinct = {id(score): score for score in scores}
+    position = {key: k for k, key in enumerate(distinct)}
+    search = np.array([position[id(score)] for score in scores])
+    lane_inputs = _lane_inputs(list(distinct.values()))
+    kernel, blocks = scores[0].kernel, scores[0].blocks
 
     def f(runs, points):
         if len(points) < _COLUMN_ROWS:
             return np.array([on_floats[k](x) for k, x in zip(runs.tolist(), points.tolist())],
                             dtype=float)
         ops = ArrayOps(len(points))
+        c, pw, variants = lane_inputs(search[runs])
         try:
             with np.errstate(all="ignore"):
-                r1, r2 = score(np.ascontiguousarray(points.T), weights[runs], ops)
+                r1, r2 = kernel(c, pw, _decode(np.ascontiguousarray(points.T), blocks, ops),
+                                variants, weights[runs], ops)
                 values = -(k1[runs] * r1 + k2[runs] * r2)
         except EvaluatorError:
             ops.suspect[:] = True
@@ -533,43 +620,48 @@ def _batch_objective(score, weights, penalized: Counter):
     return f
 
 
-def _sweep(searches, opts: TraceOptions):
-    """Multi-start direct search: each search, then each weight, then each restart.
+def _sweep(jobs, opts: TraceOptions):
+    """Multi-start direct search of jobs whose searches share one space:
+    each job, then each of its searches, each weight, each restart.
 
-    ``searches`` are (space, score, revalidate) triples (see ``_searches``).
-    Each start is one Nelder-Mead run with ``max_iter=opts.max_iter`` (at
-    most twice as many evaluations); tied vertices rank in ``np.argsort``'s
-    order, so the runs are those scipy's Nelder-Mead would make.  The runs
-    of a search advance in lockstep, at most ``_BATCH`` of them (a chunk)
-    in one ``minimize`` call.  ``score(xs, weight, ops)`` maps the
-    coordinates of a search vector (a list of floats, or columns over an
-    ``ArrayOps``) to (r1, r2) or raises EvaluatorError; ``revalidate(x,
-    weight)`` maps a search result to (r1, r2, allocation) through the
-    public API.  Returns the re-validated maximizers and the trace's
-    ``TraceStats``.
+    ``jobs`` holds each job's (space, score, revalidate) searches (see
+    ``_searches``).  Each start is one Nelder-Mead run with
+    ``max_iter=opts.max_iter`` (at most twice as many evaluations); tied
+    vertices rank in ``np.argsort``'s order, so the runs are those scipy's
+    Nelder-Mead would make.  All runs advance in lockstep, at most
+    ``_BATCH`` of them (a chunk, which may straddle searches and jobs) in
+    one ``minimize`` call; a run's steps depend on its own values alone, so
+    each is the run a lone trace makes.  ``revalidate(x, weight)`` maps a
+    search result to (r1, r2, allocation) through the public API.  Returns
+    each job's re-validated maximizers, in run order, and its ``TraceStats``.
     """
-    candidates: list[tuple[float, float, float, object]] = []
-    penalized: Counter = Counter()
-    evaluations = runs = unconverged = dropped = 0
-    for space, score, revalidate in searches:
-        starts = ((w, _start_vector(opts.seed, widx, ridx, space))
-                  for widx, w in enumerate(opts.weights) for ridx in range(opts.restarts))
-        while chunk := list(itertools.islice(starts, _BATCH)):
-            weights = [w for w, _ in chunk]
-            result = minimize(_batch_objective(score, weights, penalized),
-                              np.array([x0 for _, x0 in chunk]), opts.max_iter)
-            evaluations += int(result.nfev.sum())
-            runs += len(chunk)
-            unconverged += int(np.count_nonzero(~result.converged))
-            for w, x in zip(weights, result.x):
-                try:
-                    r1, r2, alloc = revalidate(x, w)
-                except EvaluatorError:
-                    dropped += 1
-                    continue
-                candidates.append((r1, r2, w, alloc))
-    stats = TraceStats(evaluations, dict(sorted(penalized.items())), runs, unconverged, dropped)
-    return candidates, stats
+    candidates: list[list] = [[] for _ in jobs]
+    penalized = [Counter() for _ in jobs]
+    counts = [[0, 0, 0, 0] for _ in jobs]  # evaluations, runs, unconverged, dropped
+    starts = ((k, score, revalidate, w, _start_vector(opts.seed, widx, ridx, space))
+              for k, searches in enumerate(jobs) for space, score, revalidate in searches
+              for widx, w in enumerate(opts.weights) for ridx in range(opts.restarts))
+    while chunk := list(itertools.islice(starts, _BATCH)):
+        owners, scores, checks, weights, x0 = zip(*chunk)
+        result = minimize(_batch_objective(scores, weights, [penalized[k] for k in owners]),
+                          np.array(x0), opts.max_iter)
+        for k, revalidate, w, x, nfev, converged in zip(
+                owners, checks, weights, result.x, result.nfev.tolist(),
+                result.converged.tolist()):
+            tally = counts[k]
+            tally[0] += nfev
+            tally[1] += 1
+            tally[2] += not converged
+            try:
+                r1, r2, alloc = revalidate(x, w)
+            except EvaluatorError:
+                tally[3] += 1
+                continue
+            candidates[k].append((r1, r2, w, alloc))
+    return [(found, TraceStats(evaluations, dict(sorted(counter.items())), runs, unconverged,
+                               dropped))
+            for found, counter, (evaluations, runs, unconverged, dropped)
+            in zip(candidates, penalized, counts)]
 
 
 def _build_frontier(candidates, stats: TraceStats, scheme: str,
@@ -589,41 +681,32 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
     """The (space, score, revalidate) searches of a "TC", "RDPC", "RC" or
     "TC_inf" trace, in sweep order (see ``_sweep``).  TC_inf has one search
     per encoding order, user 1's first.  Checks the scheme's conferencing
-    gain: finite, or +inf for TC_inf.  Kernels are looked up here and rate
-    pairs and decoders at each call, never at import."""
+    gain: finite, or +inf for TC_inf.  Rate pairs and decoders are looked up
+    at each call, never at import."""
     c, pw = _conferencing_args(g, p, "c34" if scheme == "RC" else "c12",
                                limit=scheme == "TC_inf")
+    space = _SPACES[scheme]
+
+    def score(variant):
+        return _Score(space.kernel, space.blocks, c, pw, variant)
+
     if scheme == "RC":
-        kernel, blocks = rxcoop.rc_kernel, _RC.blocks
-
-        def score(xs, w, ops=FLOAT_OPS):
-            return kernel(c, pw, _decode(xs, blocks, ops), w, ops)
-
         def revalidate(x, w):
             alloc = rc_allocation_from_vector(x)
             pair = rxcoop.rc_rate_pair(g, p, alloc, weight=w)
             return pair.r1, pair.r2, alloc
 
-        return [(_RC, score, revalidate)]
+        return [(space, score(None), revalidate)]
     if scheme == "TC_inf":
-        kernel, blocks = txcoop.tc_limit_kernel, _LIMIT.blocks
-
         def in_order(user1_clean):
-            def score(xs, _w, ops=FLOAT_OPS):
-                return kernel(c, pw, _decode(xs, blocks, ops), user1_clean, ops)
-
             def revalidate(x, _w):
                 mu, eta = _simplices(x, _LIMIT)
                 pair = txcoop.tc_limit_rate_pair(g, p, mu, eta, user1_clean)
                 return pair.r1, pair.r2, (mu, eta, user1_clean)
 
-            return _LIMIT, score, revalidate
+            return space, score(user1_clean), revalidate
 
         return [in_order(True), in_order(False)]
-    kernel, blocks = (txcoop.tc_kernel if scheme == "TC" else txcoop.rdpc_kernel), _TC.blocks
-
-    def score(xs, _w, ops=FLOAT_OPS):
-        return kernel(c, pw, _decode(xs, blocks, ops), ops)
 
     def revalidate(x, _w):
         alloc = tc_allocation_from_vector(x)
@@ -631,7 +714,31 @@ def _searches(scheme: str, g: ChannelGains, p: PowerBudget) -> list:
         pair = pair_fn(g, p, alloc)
         return pair.r1, pair.r2, alloc
 
-    return [(_TC, score, revalidate)]
+    return [(space, score(scheme == "RDPC"), revalidate)]
+
+
+def _route(scheme, g: ChannelGains, opts: TraceOptions | None):
+    """The traced scheme of ``trace(scheme, g, p, opts)`` and its options:
+    "TC", "RDPC" or "RC" with ``opts`` or ``TraceOptions()``, or at an
+    infinite conferencing gain "TC_inf" or "RC_inf" with the limit options;
+    raises as ``trace`` documents."""
+    if isinstance(scheme, str):
+        scheme = scheme.upper()
+    if scheme not in ("TC", "RDPC", "RC"):
+        raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")
+    if math.isinf(g.c34 if scheme == "RC" else g.c12):
+        if scheme == "RDPC":
+            raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
+        return scheme + "_inf", _limit_options(opts)
+    return scheme, opts or TraceOptions()
+
+
+def _traced(jobs, opts: TraceOptions) -> list[Frontier]:
+    """The frontier of each (scheme, g, p) job, every job's searches in one
+    space, traced as one lockstep (``_sweep``)."""
+    swept = _sweep([_searches(scheme, g, p) for scheme, g, p in jobs], opts)
+    return [_build_frontier(candidates, stats, scheme, opts)
+            for (scheme, _, _), (candidates, stats) in zip(jobs, swept)]
 
 
 def trace(scheme: str, g: ChannelGains, p: PowerBudget,
@@ -646,16 +753,40 @@ def trace(scheme: str, g: ChannelGains, p: PowerBudget,
     RDPC has no limit mode and raises InfiniteGain at c12 = +inf.  Any
     other scheme, or one that is not a string, raises ValueError.
     """
-    if isinstance(scheme, str):
-        scheme = scheme.upper()
-    if scheme not in ("TC", "RDPC", "RC"):
-        raise ValueError(f"unknown scheme {scheme!r}; expected TC, RDPC or RC")
-    if math.isinf(g.c34 if scheme == "RC" else g.c12):
-        if scheme == "RDPC":
-            raise InfiniteGain("c12 is infinite: frontier.trace has a limit for TC, not RDPC")
-        return trace_tc_limit(g, p, opts) if scheme == "TC" else trace_rc_limit(g, p, opts)
-    opts = opts or TraceOptions()
-    return _build_frontier(*_sweep(_searches(scheme, g, p), opts), scheme, opts)
+    traced, opts = _route(scheme, g, opts)
+    if traced == "TC_inf":
+        return trace_tc_limit(g, p, opts)
+    if traced == "RC_inf":
+        return trace_rc_limit(g, p, opts)
+    return _traced([(traced, g, p)], opts)[0]
+
+
+def trace_many(jobs, opts: TraceOptions | None = None) -> list[Frontier]:
+    """The frontier of each (scheme, g, p) job: exactly ``trace(scheme, g, p,
+    opts)``, points, options and stats alike.
+
+    Every job is checked (and routed) as ``trace`` does before any is
+    traced.  Jobs whose searches share a space (TC and RDPC; RC; TC at
+    c12 = +inf) and options form a group, and the runs of a group's jobs
+    advance as one lockstep, so each batch of evaluations is one kernel
+    call however many jobs it spans.  A group of one job, and RC at
+    c34 = +inf (which searches nothing), is traced by ``trace``.
+    """
+    jobs = [tuple(job) for job in jobs]
+    routed = [_route(scheme, g, opts) for scheme, g, _ in jobs]
+    groups: dict[tuple, list[int]] = {}
+    for k, (traced, options) in enumerate(routed):
+        groups.setdefault((_SPACES.get(traced), options), []).append(k)
+    frontiers: list = [None] * len(jobs)
+    for (space, options), members in groups.items():
+        if space is None or len(members) == 1:
+            for k in members:
+                frontiers[k] = trace(*jobs[k], opts)
+            continue
+        group = [(routed[k][0], *jobs[k][1:]) for k in members]
+        for k, fr in zip(members, _traced(group, options)):
+            frontiers[k] = fr
+    return frontiers
 
 
 def _limit_options(opts: TraceOptions | None) -> TraceOptions:
@@ -671,11 +802,11 @@ def trace_tc_limit(g: ChannelGains, p: PowerBudget,
     """Frontier of transmitter cooperation at c12 = +inf.
 
     Sweeps the joint-phase power splits under both encoding orders (the two
-    sources act as one two-antenna transmitter, so the order is free).
-    Raises NotInfinite when c12 is finite.
+    sources act as one two-antenna transmitter, so the order is free), as
+    one lockstep, user 1's clean order first.  Raises NotInfinite when c12
+    is finite.
     """
-    opts = _limit_options(opts)
-    return _build_frontier(*_sweep(_searches("TC_inf", g, p), opts), "TC_inf", opts)
+    return _traced([("TC_inf", g, p)], _limit_options(opts))[0]
 
 
 def trace_rc_limit(g: ChannelGains, p: PowerBudget,

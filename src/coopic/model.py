@@ -13,9 +13,9 @@ Conventions used throughout the package:
 
 Every rate formula of the package is written once, over an ``ops``
 argument that supplies its primitives (``cap``, ``phase_power``, ``quad``,
-``minimum``, ``maximum``, ``branch``, ``divide``, ``fsum3``, ``log2``,
-``exp2m1``, ``sqrt``, ``checked_pair``, ``check_range``, ``rare`` and
-``rare_unless``):
+``minimum``, ``maximum``, ``branch``, ``select``, ``divide``, ``fsum3``,
+``log2``, ``exp2m1``, ``sqrt``, ``checked_pair``, ``check_range``, ``rare``
+and ``rare_unless``):
 
 * ``FLOAT_OPS`` is the default: today's float functions, so a formula over
   plain floats raises what it always raised, with the same message;
@@ -28,7 +28,11 @@ argument that supplies its primitives (``cap``, ``phase_power``, ``quad``,
   correctly rounded in both, and the transcendental functions are
   ``math``'s, mapped over ``.tolist()`` (numpy's SIMD versions differ in the
   last bits and depend on the CPU).  A three-term sum is ``math.fsum``,
-  never the builtin ``sum``, which from Python 3.12 compensates.
+  never the builtin ``sum``, which from Python 3.12 compensates.  A
+  kernel input that differs between lanes (the gains and powers of a
+  batch that spans several channels) is a ``_Lanes`` column, whose ``**``
+  is Python's: libm's ``pow(x, 2)`` differs from numpy's ``x * x`` in the
+  last bit for about one float in 1200.
 
 Every type is an immutable value and every operation is a pure function,
 so everything here is safe to call concurrently (an ``ArrayOps`` belongs
@@ -429,7 +433,7 @@ class _FloatOps:
 
     def __init__(self):
         self.cap, self.phase_power, self.quad = cap, phase_power, quad
-        self.minimum, self.maximum, self.branch = min, max, _select
+        self.minimum, self.maximum, self.branch, self.select = min, max, _select, _select
         self.divide, self.fsum3, self.log2, self.exp2m1, self.sqrt = \
             _divide, _fsum3, math.log2, _exp2m1, math.sqrt
         self.checked_pair, self.check_range = checked_pair, _check_range
@@ -499,8 +503,13 @@ class ArrayOps:
         return np.where(b > a, b, a)
 
     def branch(self, cond, if_true, if_false):
-        """A function that calls both (tuple-valued) branches and picks lane
-        by lane; each branch marks only the lanes that take it."""
+        """The branch a bool ``cond`` takes, as the float op (only it runs);
+        for a column ``cond``, a function that calls both branches and picks
+        lane by lane (``select``), each branch marking only the lanes that
+        take it."""
+        if not isinstance(cond, np.ndarray):
+            return if_true if cond else if_false
+
         def both(*args):
             outer = self.suspect
             self.suspect = np.zeros(self.size, dtype=bool)
@@ -509,9 +518,26 @@ class ArrayOps:
             self.suspect = np.zeros(self.size, dtype=bool)
             false = if_false(*args)
             self.suspect = outer | np.where(cond, marked, self.suspect)
-            return tuple(np.where(cond, t, f) for t, f in zip(true, false))
+            return self.select(cond, true, false)
 
         return both
+
+    def select(self, cond, if_true, if_false):
+        """``if_true`` where ``cond`` holds, else ``if_false``: as the float op
+        for a bool ``cond``, lane by lane for a column, entry by entry through
+        nested tuples.  An entry both sides share is kept as it is, and one
+        that is a number or a ``_Lanes`` column on both sides (a gain) stays
+        a ``_Lanes`` column, so its ``**`` is still the float path's."""
+        if not isinstance(cond, np.ndarray):
+            return if_true if cond else if_false
+        if type(if_true) is tuple:
+            return tuple([self.select(cond, t, f) for t, f in zip(if_true, if_false)])
+        if if_true is if_false:
+            return if_true
+        if type(if_true) is np.ndarray or type(if_false) is np.ndarray:
+            return np.where(cond, if_true, if_false)
+        (table, index), (other, other_index) = _lane_table(if_true), _lane_table(if_false)
+        return lanes(table + other)(np.where(cond, index, np.add(other_index, len(table))))
 
     def divide(self, num, den):
         zero = den == 0.0
@@ -553,3 +579,43 @@ class ArrayOps:
         self.suspect |= ~((r1 >= 0.0) & (r2 >= 0.0))
         return r1, r2
 
+
+class _Lanes(np.ndarray):
+    """A column whose lanes take a few values, ``table[index]``: a kernel
+    input (a gain or a power) that differs between the channels of a batch
+    (made by ``lanes``).
+
+    ``x ** y`` is Python's power of each table entry, as the float path
+    computes it, then spread over the lanes: CPython's float ``**`` is
+    libm's ``pow``, which for about one float in 1200 rounds ``x ** 2`` to
+    the other neighbour of ``x * x``, numpy's square.  Every other operation
+    gives a plain ndarray, so a derived column never takes this path.
+    """
+
+    def __pow__(self, exponent):
+        powers = self.powers
+        if exponent not in powers:
+            powers[exponent] = np.array([float(v ** exponent) for v in self.table])
+        return powers[exponent][self.index]
+
+    def __array_wrap__(self, array, context=None, return_scalar=False):
+        return array[()] if return_scalar else array.view(np.ndarray)
+
+
+def _lane_table(x):
+    """(table, index) of a ``_Lanes`` column or a number (a one-entry table)."""
+    return (tuple(x.table), x.index) if isinstance(x, _Lanes) else ((x,), 0)
+
+
+def lanes(table):
+    """The function that maps a lane index array to the ``_Lanes`` column
+    ``table[index]`` of the Python numbers ``table`` (each power of an entry
+    computed once)."""
+    values, powers = np.array([float(v) for v in table]), {}
+
+    def column(index):
+        lanes = values[index].view(_Lanes)
+        lanes.table, lanes.powers, lanes.index = table, powers, index
+        return lanes
+
+    return column

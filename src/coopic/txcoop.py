@@ -27,13 +27,18 @@ Each rate formula exists once, as a kernel over ``ops``, for both users
 ``TcAllocation`` field order (the allocation itself or one list of weights
 per block), and a covariance as ``(sigma1, sigma2, user1_clean)`` with each
 sigma given by its entries (a11, a12, a22), the tuple ``TcCovariances`` names.
-``tc_kernel``, ``rdpc_kernel`` and ``tc_limit_kernel`` return the rate
-pair; the frontier search scores every evaluation with them.  Every kernel
-and helper takes a trailing ``ops`` (see ``model``): on floats
-(``FLOAT_OPS``, the default) it raises as the views document, and over an
-``ArrayOps`` the same code scores a batch, one lane per allocation, with
-each block weight a column.  Only the encoding order and the DPC order
-branch in Python here, and both depend on the gains alone.
+``tc_kernel`` (with ``rdpc`` for the baseline) and ``tc_limit_kernel``
+return the rate pair; the frontier search scores every evaluation with
+them.  Every kernel and helper takes a trailing ``ops`` (see ``model``):
+on floats (``FLOAT_OPS``, the default) it raises as the views document,
+and over an ``ArrayOps`` the same code scores a batch, one lane per
+allocation, with each block weight a column.  The gains and powers may be columns too (a
+batch over several channels), and so may ``tc_kernel``'s covariance rule
+(``rdpc``) and the limit's encoding order (``user1_clean``): the choices
+they make, the DPC order of an exchange phase (own > cross), the encoding
+order and the rule, go through ``ops.branch`` and ``ops.select``, which
+pick lane by lane for a column and, like the float path, take one branch
+for a bool shared by the whole batch.
 The dataclass API is a thin view: it unpacks its arguments, calls the
 kernels on floats and wraps the result, raising the same errors in the
 same order.
@@ -65,7 +70,6 @@ __all__ = [
     "TcCovariances",
     "Phase3PowerAudit",
     "tc_kernel",
-    "rdpc_kernel",
     "tc_limit_kernel",
     "tc_phase3_covariances",
     "tc_budget_covariances",
@@ -136,15 +140,23 @@ def _exchange(lam, p, c12, own, cross, conf, relay, ops):
     the conferencing stream (share ``conf``) also reaches the source's own
     receiver (gain ``own``), the relayed one (``relay``) the other receiver
     (``cross``), dirty-paper coded in an order set by own > cross."""
+    r_conf = lam * ops.cap(c12 ** 2 * conf * p)
+    return (r_conf, *ops.branch(own > cross, _conf_clean, _relay_clean)(
+        lam, p, own, cross, conf, relay, ops))
+
+
+def _conf_clean(lam, p, own, cross, conf, relay, ops):
+    """``_exchange``'s (own, cross) rates when the conferencing stream is coded last."""
     cap = ops.cap
-    r_conf = lam * cap(c12 ** 2 * conf * p)
-    if own > cross:
-        r_own = lam * cap(own ** 2 * conf * p)
-        r_cross = lam * cap(cross ** 2 * relay * p / (1.0 + cross ** 2 * conf * p))
-    else:
-        r_own = lam * cap(own ** 2 * conf * p / (1.0 + own ** 2 * relay * p))
-        r_cross = lam * cap(cross ** 2 * relay * p)
-    return r_conf, r_own, r_cross
+    return (lam * cap(own ** 2 * conf * p),
+            lam * cap(cross ** 2 * relay * p / (1.0 + cross ** 2 * conf * p)))
+
+
+def _relay_clean(lam, p, own, cross, conf, relay, ops):
+    """``_exchange``'s (own, cross) rates when the relayed stream is coded last."""
+    cap = ops.cap
+    return (lam * cap(own ** 2 * conf * p / (1.0 + own ** 2 * relay * p)),
+            lam * cap(cross ** 2 * relay * p))
 
 
 def _phase12(c, pw, a, ops=FLOAT_OPS):
@@ -184,7 +196,8 @@ def _duality_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     inflated by the leakage u^T sigma1 u = s_clean |u|^2 / (1 + s_other |u|^2).
     """
     _, c13, c14, c23, c24, _ = c
-    u, clean, other = ((c23, c24), joint1, joint2) if user1_clean else ((c13, c14), joint2, joint1)
+    u, clean, other = ops.select(user1_clean, ((c23, c24), joint1, joint2),
+                                 ((c13, c14), joint2, joint1))
     s_clean, s_other = clean[0] + clean[1], other[0] + other[1]
     b11, b12, b22 = inverse(u, s_other)
     norm2 = u[0] * u[0] + u[1] * u[1]
@@ -196,10 +209,8 @@ def _duality_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
 def _budget_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     """Per-source-budget covariances (see ``tc_budget_covariances``)."""
     _, c13, c14, c23, c24, _ = c
-    if user1_clean:
-        clean, first, x, y = joint1, joint2, c14, c24
-    else:
-        clean, first, x, y = joint2, joint1, c13, c23
+    clean, first, x, y = ops.select(user1_clean, (joint1, joint2, c14, c24),
+                                    (joint2, joint1, c13, c23))
     s = first[0] + first[1]
     sqrt = ops.sqrt
     rho_dual = -s * x * y / sqrt((1.0 + s * x * x) * (1.0 + s * y * y))
@@ -211,7 +222,7 @@ def _budget_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
 
 def _rdpc_cov(c, joint1, joint2, user1_clean: bool, ops=FLOAT_OPS):
     """Diagonal covariances (see ``rdpc_covariances``)."""
-    clean, first = (joint1, joint2) if user1_clean else (joint2, joint1)
+    clean, first = ops.select(user1_clean, (joint1, joint2), (joint2, joint1))
     return ((clean[0], 0.0, clean[1]), (first[0], 0.0, first[1]), user1_clean)
 
 
@@ -228,21 +239,18 @@ def _phase3(c, lam3: float, fresh, cov, ops=FLOAT_OPS):
     fresh1, fresh2 = fresh
     # Roles: gains (u0, u1) into the clean receiver, (v0, v1) into the other;
     # the fresh streams there as users 1 and 2 (f1, f2) and as own and cross.
-    if user1_clean:
-        u0, u1, v0, v1, own_u = c13, c23, c14, c24, c13 ** 2 * fresh1
-    else:
-        u0, u1, v0, v1, own_u = c14, c24, c13, c23, c24 ** 2 * fresh2
+    u0, u1, v0, v1, own, own_fresh = ops.select(user1_clean, (c13, c23, c14, c24, c13, fresh1),
+                                                (c14, c24, c13, c23, c24, fresh2))
+    own_u = own ** 2 * own_fresh
     f1, f2 = v0 ** 2 * fresh1, v1 ** 2 * fresh2
-    own_v, cross_v = (f2, f1) if user1_clean else (f1, f2)
+    own_v, cross_v = ops.select(user1_clean, (f2, f1), (f1, f2))
     cap, quad = ops.cap, ops.quad
     r_u3 = lam3 * cap(quad(u0, u1, *sigma1) / (1.0 + own_u))
     r_ud = lam3 * cap(own_u)
     leak = quad(v0, v1, *sigma1)
     r_v3 = lam3 * cap(quad(v0, v1, *sigma2) / (1.0 + leak + f1 + f2))
     r_vd = lam3 * cap(own_v / (1.0 + leak + cross_v))
-    if user1_clean:
-        return (r_u3, r_v3, r_ud, r_vd)
-    return (r_v3, r_u3, r_vd, r_ud)
+    return ops.select(user1_clean, (r_u3, r_v3, r_ud, r_vd), (r_v3, r_u3, r_vd, r_ud))
 
 
 def _stream_rates(c, pw, a, build_cov=_budget_cov, ops=FLOAT_OPS):
@@ -269,14 +277,12 @@ def _pair(rates, ops=FLOAT_OPS) -> tuple[float, float]:
                             r2_d + ops.minimum(r2_r1, r2_1 + r2_2 + r2_3))
 
 
-def tc_kernel(c, pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
-    """(R1, R2) of transmitter cooperation; float form of ``tc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, a, _budget_cov, ops), ops)
-
-
-def rdpc_kernel(c, pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
-    """(R1, R2) of the RDPC baseline; float form of ``rdpc_rate_pair``."""
-    return _pair(_stream_rates(c, pw, a, _rdpc_cov, ops), ops)
+def tc_kernel(c, pw, a, rdpc=False, ops=FLOAT_OPS) -> tuple[float, float]:
+    """(R1, R2) of transmitter cooperation; float form of ``tc_rate_pair``,
+    and with ``rdpc`` of ``rdpc_rate_pair`` (over an ``ArrayOps`` ``rdpc``
+    may be a bool column, which picks the covariance rule lane by lane)."""
+    build_cov = ops.branch(rdpc, _rdpc_cov, _budget_cov)
+    return _pair(_stream_rates(c, pw, a, build_cov, ops), ops)
 
 
 def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, float]:
@@ -287,7 +293,7 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, 
     """
     p1, p2, _, _ = pw
     (mu1, mu2, mu3), (eta1, eta2, eta3) = a
-    cov = _duality_cov(c, (mu2 * p1, eta3 * p2), (mu3 * p1, eta2 * p2), user1_clean)
+    cov = _duality_cov(c, (mu2 * p1, eta3 * p2), (mu3 * p1, eta2 * p2), user1_clean, ops)
     r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov, ops)
     return ops.checked_pair(r1_d + r1_3, r2_d + r2_3)
 
@@ -401,7 +407,7 @@ def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return RatePair(*rdpc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a, True))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,

@@ -173,18 +173,18 @@ def test_criterion_6_outer_bound_containment():
     with report("criterion 6: outer-bound containment"):
         rng = np.random.default_rng(2026)
         worst = {"TC": (-math.inf, None), "RC": (-math.inf, None)}
-        bounds_s = traces_s = 0.0
-        for index in range(50):
-            g = random_gains(rng)
-            p = random_powers(rng)
-            start = time.perf_counter()
-            fronts = (frontier.trace("TC", g, p, SUITE_OPTS),
-                      frontier.trace("RC", g, p, SUITE_OPTS))
+        channels = [(random_gains(rng), random_powers(rng)) for _ in range(50)]
+        start = time.perf_counter()
+        fronts = frontier.trace_many([(scheme, g, p) for g, p in channels
+                                      for scheme in ("TC", "RC")], SUITE_OPTS)
+        traces_s = time.perf_counter() - start
+        bounds_s = 0.0
+        for index, (g, p) in enumerate(channels):
             middle = time.perf_counter()
             regions = (bounds.tc_outer_region(g, p), bounds.rc_outer_region(g, p))
             bounds_s += time.perf_counter() - middle
-            traces_s += middle - start
-            for scheme, fr, region in zip(("TC", "RC"), fronts, regions):
+            for scheme, fr, region in zip(("TC", "RC"), fronts[2 * index:2 * index + 2],
+                                          regions):
                 for r1, r2 in fr.vertices():
                     excess = region.violation(r1, r2)
                     if excess > worst[scheme][0]:
@@ -204,9 +204,11 @@ def test_zero_cooperation_rc_lies_in_ic_outer_bound():
     channel, so every traced vertex lies in its outer bound."""
     with report("zero cooperation: RC inside the IC outer bound"):
         worst, worst_index = -math.inf, None
-        for index, (g, p) in enumerate(zero_cooperation_channels(2026, 20)):
+        channels = list(zero_cooperation_channels(2026, 20))
+        fronts = frontier.trace_many([("RC", g, p) for g, p in channels], ZERO_COOPERATION_OPTS)
+        for index, ((g, p), fr) in enumerate(zip(channels, fronts)):
             region = bounds.ic_outer_region(g, p)
-            for r1, r2 in frontier.trace("RC", g, p, ZERO_COOPERATION_OPTS).vertices():
+            for r1, r2 in fr.vertices():
                 if region.violation(r1, r2) > worst:
                     worst, worst_index = region.violation(r1, r2), index
         print(f"  worst violation {worst:.3e} bits (channel {worst_index})", end=" ")
@@ -224,9 +226,9 @@ def test_zero_cooperation_tc_lies_in_ic_outer_bound():
         g = ChannelGains(c12=0.0, c13=1.0, c14=0.1, c23=1.0, c24=1.0, c34=0.0)
         p = PowerBudget(10.0, 10.0, 10.0, 10.0)
         region = bounds.ic_outer_region(g, p)
-        worst = {scheme: max(region.violation(r1, r2) for r1, r2
-                             in frontier.trace(scheme, g, p, ZERO_COOPERATION_OPTS).vertices())
-                 for scheme in ("TC", "RDPC")}
+        fronts = frontier.trace_many([("TC", g, p), ("RDPC", g, p)], ZERO_COOPERATION_OPTS)
+        worst = {fr.scheme: max(region.violation(r1, r2) for r1, r2 in fr.vertices())
+                 for fr in fronts}
         print(f"  worst violation TC {worst['TC']:.3e}, RDPC {worst['RDPC']:.3e} bits", end=" ")
         assert max(worst.values()) <= 1e-6, f"outside the IC outer bound by {worst} bits"
 
@@ -234,12 +236,13 @@ def test_zero_cooperation_tc_lies_in_ic_outer_bound():
 def test_criterion_7_frontier_nesting():
     """Frontiers are nested in the conferencing gain."""
     with report("criterion 7: frontier nesting in conferencing gain"):
-        tc = {c: frontier.trace("TC", ref_gains_with(c12=c), REF_POWERS, NESTING_OPTS)
-              for c in (2.0, 5.0, 10.0)}
+        gains = (2.0, 5.0, 10.0)
+        fronts = frontier.trace_many(
+            [("TC", ref_gains_with(c12=c), REF_POWERS) for c in gains]
+            + [("RC", ref_gains_with(c34=c), REF_POWERS) for c in gains], NESTING_OPTS)
+        tc, rc = dict(zip(gains, fronts[:3])), dict(zip(gains, fronts[3:]))
         assert frontier.dominates(tc[5.0], tc[2.0], tol=1e-6)
         assert frontier.dominates(tc[10.0], tc[5.0], tol=1e-6)
-        rc = {c: frontier.trace("RC", ref_gains_with(c34=c), REF_POWERS, NESTING_OPTS)
-              for c in (2.0, 5.0, 10.0)}
         assert frontier.dominates(rc[5.0], rc[2.0], tol=1e-6)
         assert frontier.dominates(rc[10.0], rc[5.0], tol=1e-6)
 

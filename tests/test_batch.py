@@ -15,9 +15,10 @@ import numpy as np
 import pytest
 
 from conftest import random_gains
-from coopic import frontier
+from coopic import frontier, model
 from coopic.model import FLOAT_OPS, ArrayOps, ChannelGains, EvaluatorError, PowerBudget
 
+SQRT2 = math.sqrt(2.0)
 EDGES = (0.0, -0.0, 5e-324, 1e-300, 1e-13, -1e-13, -1e-11, -1.0, 0.25, 1.0, 2.5, 512.0,
          512.5, 710.0, 1e100, 1e101, 1e200, 1e308, math.inf, -math.inf, math.nan)
 
@@ -96,6 +97,31 @@ def test_array_ops_branch_and_rare_mark_only_their_lanes():
     assert FLOAT_OPS.rare_unless(math.nan <= 1.0) and not FLOAT_OPS.rare_unless(0.5 <= 1.0)
 
 
+def _odd_square(rng) -> float:
+    """A gain whose Python square (libm's pow) is not x * x (numpy's square),
+    if this platform has one in 20,000 draws."""
+    draws = rng.uniform(0.5, 1.7, 20000).tolist()
+    return next((x for x in draws if x ** 2 != x * x), draws[0])
+
+
+def test_lane_columns_keep_python_powers_and_plain_results():
+    odd = _odd_square(np.random.default_rng(0))
+    column = model.lanes([odd, 2.0, -0.0])(np.array([0, 1, 2, 0]))
+    assert [_bits(v) for v in (column ** 2).tolist()] == [_bits(x ** 2)
+                                                          for x in (odd, 2.0, -0.0, odd)]
+    assert type(column * 2.0) is np.ndarray and type(column > 1.0) is np.ndarray
+    # a select of two gains is still a lane column; of anything else, plain
+    ops = ArrayOps(4)
+    cond = np.array([True, False, True, False])
+    picked = ops.select(cond, (column, 7.0), (3.0, np.ones(4)))
+    assert [_bits(v) for v in (picked[0] ** 2).tolist()] == [_bits(x ** 2)
+                                                             for x in (odd, 3.0, -0.0, 3.0)]
+    assert type(picked[1]) is np.ndarray and picked[1].tolist() == [7.0, 1.0, 7.0, 1.0]
+    assert ops.select(cond, column, column) is column
+    # a bool condition takes one branch, as the float op does
+    assert ops.branch(True, abs, None) is abs and ops.select(False, 1.0, 2.0) == 2.0
+
+
 # ---------------------------------------------------------------------------
 # search objectives
 
@@ -170,8 +196,83 @@ def test_batch_objective_matches_scalar_objective(scheme, ref_gains, ref_powers)
             points = _vectors(space, rng)
             runs = np.arange(len(points)) % len(WEIGHTS)
             batched, alone = Counter(), Counter()
-            got = frontier._batch_objective(score, WEIGHTS, batched)(runs, points)
+            got = frontier._batch_objective([score] * len(WEIGHTS), WEIGHTS,
+                                            [batched] * len(WEIGHTS))(runs, points)
             want = [frontier._neg_objective(score, WEIGHTS[k], alone)(x)
                     for k, x in zip(runs.tolist(), points.tolist())]
             assert got.tobytes() == np.array(want).tobytes()
             assert batched == alone and sum(alone.values()) > 0
+
+
+def _lane_searches(scheme, rng):
+    """Searches of one space on channels that together take both outcomes of
+    every gain comparison the kernels select on: own > cross in each
+    exchange phase, the user whose stream is clean in phase 3, and for TC
+    the covariance rule (TC and RDPC lanes); one gain squares differently in
+    Python and numpy (``_odd_square``)."""
+    odd = _odd_square(rng)
+    channels = [  # (c12, c13, c14, c23, c24, c34)
+        (ChannelGains(10.0, 1.0, SQRT2, SQRT2, 1.0, 10.0), PowerBudget(5.0, 5.0, 5.0, 5.0)),
+        (ChannelGains(3.0, 2.0, 0.5, 0.3, odd, 4.0), PowerBudget(3.0, 0.5, 2.0, 1.0)),
+        (ChannelGains(odd, 0.4, 1.3, 0.7, 2.0, 0.2), PowerBudget(0.7, 9.0, 0.0, 4.0)),
+        (random_gains(rng), PowerBudget(3.0, 0.5, 0.0, 0.0)),
+    ]
+    gains = [g for g, _ in channels]
+    assert {g.c13 > g.c14 for g in gains} == {g.c24 > g.c23 for g in gains} == {True, False}
+    assert {g.c13 + g.c23 > g.c14 + g.c24 for g in gains} == {True, False}
+    if scheme == "TC_inf":
+        channels = [(dataclasses.replace(g, c12=math.inf), p) for g, p in channels]
+    schemes = ("TC", "RDPC") if scheme == "TC" else (scheme,)
+    return [search for g, p in channels for s in schemes for search in frontier._searches(s, g, p)]
+
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_lanes_from_different_channels_match_float_scores(scheme):
+    # One column call over lanes of several channels (and TC/RDPC rules, or
+    # both encoding orders): each unmarked lane has its own float score's
+    # bits, and the float score raises only on marked lanes.
+    rng = np.random.default_rng(21)
+    searches = _lane_searches(scheme, rng)
+    space = searches[0][0]
+    scores = [score for _, score, _ in searches]
+    points = _vectors(space, rng)
+    index = np.arange(len(points)) % len(scores)
+    weights = np.array(WEIGHTS)[np.arange(len(points)) % len(WEIGHTS)]
+    c, pw, variant = frontier._lane_inputs(scores)(index)
+    assert all(isinstance(v, np.ndarray) for v in (*c[1:5], *pw[:2]))
+    ops = ArrayOps(len(points))
+    with np.errstate(all="ignore"):
+        r1, r2 = space.kernel(c, pw, frontier._decode(np.ascontiguousarray(points.T),
+                                                      space.blocks, ops),
+                              variant, weights, ops)
+    for i, x in enumerate(points.tolist()):
+        try:
+            want = scores[index[i]](x, weights[i])
+        except EvaluatorError:
+            assert ops.suspect[i], (i, x)
+            continue
+        if not ops.suspect[i]:
+            assert (_bits(r1[i]), _bits(r2[i])) == tuple(map(_bits, want)), (i, x)
+    assert np.count_nonzero(ops.suspect[:120]) <= 12
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_batch_objective_over_several_searches_matches_scalar_objective(scheme):
+    # Runs of several searches in one batch: each row's objective bits, and
+    # each search's penalty counts, equal its own scalar objective's.
+    rng = np.random.default_rng(22)
+    searches = _lane_searches(scheme, rng)
+    runs_of = list(itertools.product(range(len(searches)), WEIGHTS))
+    points = _vectors(searches[0][0], rng)
+    runs = np.arange(len(points)) % len(runs_of)
+    batched = [Counter() for _ in searches]
+    alone = [Counter() for _ in searches]
+    f = frontier._batch_objective([searches[k][1] for k, _ in runs_of], [w for _, w in runs_of],
+                                  [batched[k] for k, _ in runs_of])
+    got = f(runs, points)
+    want = [frontier._neg_objective(searches[runs_of[r][0]][1], runs_of[r][1],
+                                    alone[runs_of[r][0]])(x)
+            for r, x in zip(runs.tolist(), points.tolist())]
+    assert got.tobytes() == np.array(want).tobytes()
+    assert batched == alone and sum(sum(c.values()) for c in alone) > 0

@@ -156,6 +156,10 @@ SMALL_TC = {"schemes": ["TC"], "weights": 1, "restarts": 8, "max_iter": 5}
     # more weights than default_weights builds; they used to be built, until memory ran out
     ("region", {"schemes": ["IC"], "weights": 1e300}, []),
     ("region", {"schemes": ["IC"]}, ["--weights", str(10 ** 300)]),
+    # more restarts or iterations than TraceOptions takes; they used to trace without end
+    ("region", {"schemes": ["IC"]}, ["--restarts", str(10 ** 300)]),
+    ("region", {"schemes": ["IC"], "restarts": 1e300}, []),
+    ("region", {"schemes": ["IC"], "max_iter": 1e300}, []),
 ])
 def test_bad_config_numbers_exit_2(tmp_path, capsys, command, config, flags):
     path = tmp_path / "config.json"
@@ -251,8 +255,10 @@ def test_region_csv_layout_and_roundtrip(tmp_path, capsys):
 
 def test_region_stats_flag(tmp_path, capsys):
     # --stats prints one line per traced scheme (IC is not traced) with the
-    # sidecar's counts plus wall time; the sidecar itself is unchanged.
-    args = _region_args(tmp_path, schemes=["TC", "RC", "IC"], weights=1, max_iter=20)
+    # sidecar's counts plus wall time; the sidecar itself is unchanged.  TC
+    # and RDPC share a lockstep, and every line gets the share of the one
+    # timed call that its evaluations make, so all show one cost per evaluation.
+    args = _region_args(tmp_path, schemes=["TC", "RDPC", "RC", "IC"], weights=1, max_iter=20)
     assert run(args) == 0
     plain = capsys.readouterr().out.splitlines()
     sidecar = (tmp_path / "region.json").read_text()
@@ -260,7 +266,9 @@ def test_region_stats_flag(tmp_path, capsys):
     assert run(args + ["--stats"]) == 0
     lines = capsys.readouterr().out.splitlines()
     assert lines[-1] == plain[0] and (tmp_path / "region.json").read_text() == sidecar
-    assert [line.split(":")[0] for line in lines[:-1]] == ["stats TC", "stats RC"]
+    assert [line.split(":")[0] for line in lines[:-1]] == ["stats TC", "stats RDPC", "stats RC"]
+    per_eval = [float(line.split("us_per_eval=")[1]) for line in lines[:-1]]
+    assert max(per_eval) - min(per_eval) <= 0.011
     for line in lines[:-1]:
         scheme = line.split(":")[0].split()[1]
         fields = dict(f.split("=") for f in line.split(": ")[1].split())

@@ -567,7 +567,8 @@ def test_lockstep_runs_equal_single_runs_on_search_objectives(scheme, ref_gains,
         for (_, score, _), max_iter in itertools.product(searches, (3, 25, 250)):
             batched, alone = Counter(), Counter()
             _same_as_single_runs(
-                frontier._batch_objective(score, weights, batched),
+                frontier._batch_objective([score] * len(weights), weights,
+                                          [batched] * len(weights)),
                 lambda k: frontier._neg_objective(score, weights[k], alone), starts, max_iter)
             assert batched == alone
 
@@ -603,8 +604,50 @@ def test_trace_does_not_depend_on_batch_size(scheme, ref_gains, ref_powers, monk
     minimize = frontier.minimize
     monkeypatch.setattr(frontier, "minimize", lambda *a: calls.append(1) or minimize(*a))
     _same_frontier(frontier.trace(traced, g, ref_powers, opts), whole)
-    searches = 2 if scheme == "TC_inf" else 1
-    assert len(calls) == searches * math.ceil(len(opts.weights) * opts.restarts / 3)
+    searches = 2 if scheme == "TC_inf" else 1  # the limit's two orders share one lockstep
+    assert len(calls) == math.ceil(searches * len(opts.weights) * opts.restarts / 3)
+
+
+def test_trace_many_matches_trace(ref_gains, ref_powers, monkeypatch):
+    # Each job's frontier is its lone trace's, byte for byte and stats alike:
+    # TC, RDPC and RC on two channels (TC and RDPC share a lockstep), both
+    # channels' TC limits (two encoding orders each, one lockstep), RC at
+    # c34 = +inf (no search, so trace_many hands it to frontier.trace) and a
+    # repeated job; chunks of 5 runs straddle searches and jobs.
+    rng = np.random.default_rng(31)
+    channels = [(ref_gains, ref_powers), (random_gains(rng), random_powers(rng))]
+    jobs = [(scheme, g, p) for g, p in channels for scheme in ("TC", "RDPC", "RC")]
+    jobs += [("TC", dataclasses.replace(g, c12=math.inf), p) for g, p in channels]
+    jobs += [("rc", dataclasses.replace(ref_gains, c34=math.inf), ref_powers), jobs[0]]
+    opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=3,
+                                 max_iter=40, seed=4)
+    alone = [frontier.trace(*job, opts) for job in jobs]
+    trace = frontier.trace
+    for batch in (frontier._BATCH, 5):
+        monkeypatch.setattr(frontier, "_BATCH", batch)
+        handed = []
+        monkeypatch.setattr(frontier, "trace", lambda *job: handed.append(job[0]) or trace(*job))
+        many = frontier.trace_many(jobs, opts)
+        monkeypatch.setattr(frontier, "trace", trace)
+        assert handed == ["rc"]
+        assert len(many) == len(jobs)
+        for got, want in zip(many, alone):
+            assert repr(got) == repr(want) and repr(got.stats) == repr(want.stats)
+        assert all(fr.stats.runs > 0 for fr in many if fr.scheme != "RC_inf")
+
+
+def test_trace_many_checks_every_job_before_tracing(ref_gains, ref_powers, monkeypatch):
+    # A bad job anywhere in the list raises before any search runs.
+    def no_search(*args):
+        raise AssertionError("searched before checking every job")
+
+    monkeypatch.setattr(frontier, "minimize", no_search)
+    g12 = dataclasses.replace(ref_gains, c12=math.inf)
+    with pytest.raises(ValueError, match="unknown scheme"):
+        frontier.trace_many([("TC", ref_gains, ref_powers), ("XX", ref_gains, ref_powers)], FAST)
+    with pytest.raises(InfiniteGain):
+        frontier.trace_many([("RC", ref_gains, ref_powers), ("RDPC", g12, ref_powers)], FAST)
+    assert frontier.trace_many([], FAST) == []
 
 
 # ---------------------------------------------------------------------------
@@ -667,7 +710,9 @@ def test_trace_options_freeze_weights(ref_gains, ref_powers):
 @pytest.mark.parametrize("field, value", [
     ("restarts", 7.5), ("restarts", 0), ("max_iter", 2.0), ("max_iter", "3"),
     ("seed", -1), ("seed", 1.5), ("seed", None),
-    ("restarts", True), ("max_iter", True), ("seed", False), ("seed", True)])
+    ("restarts", True), ("max_iter", True), ("seed", False), ("seed", True),
+    ("restarts", frontier.MAX_RESTARTS + 1), ("restarts", 10 ** 300),
+    ("max_iter", frontier.MAX_ITER + 1), ("max_iter", 10 ** 300)])
 def test_trace_options_reject_bad_counts(field, value):
     # A float count used to pass and the trace raised TypeError; a negative
     # seed raised numpy's ValueError only at the first random start; a bool
@@ -675,6 +720,8 @@ def test_trace_options_reject_bad_counts(field, value):
     with pytest.raises(ValueError, match=f"{field} {value!r}"):
         frontier.TraceOptions(**{field: value})
     assert frontier.TraceOptions(restarts=np.int64(2), seed=np.uint8(0)).restarts == 2
+    at_caps = frontier.TraceOptions(restarts=frontier.MAX_RESTARTS, max_iter=frontier.MAX_ITER)
+    assert (at_caps.restarts, at_caps.max_iter) == (frontier.MAX_RESTARTS, frontier.MAX_ITER)
 
 
 def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, monkeypatch):
@@ -695,7 +742,8 @@ def test_trace_rejects_unknown_scheme_and_infinite_gain(ref_gains, ref_powers, m
     limit_defaults = frontier._limit_options(None)
     assert limit_defaults != frontier.TraceOptions()
     assert frontier.trace("RC", g34, ref_powers).options == limit_defaults
-    monkeypatch.setattr(frontier, "_sweep", lambda *args: ([], frontier.TraceStats()))
+    monkeypatch.setattr(frontier, "_sweep",
+                        lambda jobs, opts: [([], frontier.TraceStats())] * len(jobs))
     assert frontier.trace("TC", g12, ref_powers).options == limit_defaults
 
 
@@ -707,9 +755,9 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
     searching, rows, raised = [False], [0], {}
     kernel, minimize, batch = txcoop.tc_kernel, frontier.minimize, frontier._batch_objective
 
-    def counting_kernel(c, pw, s, ops=model.FLOAT_OPS):
+    def counting_kernel(c, pw, s, rdpc=False, ops=model.FLOAT_OPS):
         try:
-            return kernel(c, pw, s, ops)
+            return kernel(c, pw, s, rdpc, ops)
         except EvaluatorError as exc:
             if searching[0]:
                 raised[type(exc).__name__] = raised.get(type(exc).__name__, 0) + 1
@@ -748,7 +796,7 @@ def test_trace_whose_every_evaluation_raises(ref_gains, ref_powers, monkeypatch)
     # is the origin alone; every evaluation is counted as penalized (the
     # column call raises too, so every row is re-scored through the float
     # path), and every run is counted as dropped.
-    def raising_kernel(c, pw, s, ops=model.FLOAT_OPS):
+    def raising_kernel(c, pw, s, rdpc=False, ops=model.FLOAT_OPS):
         raise InvalidAllocation("every allocation is rejected")
 
     monkeypatch.setattr(txcoop, "tc_kernel", raising_kernel)
