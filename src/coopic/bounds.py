@@ -330,7 +330,8 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     """
     if math.isinf(sr):
         # Unbounded exchange cut: full-time coherent combining at rho = 1.
-        return cap((math.sqrt(sd * sd * p_src) + math.sqrt(rd * rd * p_rel)) ** 2)
+        root = math.sqrt(sd * sd * p_src) + math.sqrt(rd * rd * p_rel)
+        return cap(root * root)
     if math.isinf(rd):
         # Unbounded forwarding cut: full-time joint reception.
         return cap((sr * sr + sd * sd) * p_src)
@@ -433,8 +434,8 @@ def ic_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
     c12 = 0 and RC at c34 = 0, but not once either conferencing link is up.
     On strong channels it equals ``strong_ic_region``.
     """
-    s1, s2 = g.c13 ** 2 * p.p1, g.c24 ** 2 * p.p2
-    i3, i4 = g.c23 ** 2 * p.p2, g.c14 ** 2 * p.p1
+    s1, s2 = g.c13 * g.c13 * p.p1, g.c24 * g.c24 * p.p2
+    i3, i4 = g.c23 * g.c23 * p.p2, g.c14 * g.c14 * p.p1
     return OuterBound(
         r1_max=cap(s1),
         r2_max=cap(s2),
@@ -470,8 +471,8 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
     _check_range("p_total", p_total, 2 * POWER_MAX)
     if p_total == 0.0:
         return [(0.0, 0.0)]
-    n1 = g.g1[0] ** 2 + g.g1[1] ** 2
-    n2 = g.g2[0] ** 2 + g.g2[1] ** 2
+    n1 = g.c13 * g.c13 + g.c23 * g.c23
+    n2 = g.c14 * g.c14 + g.c24 * g.c24
     points: list[tuple[float, float]] = []
     for i in range(2001):
         q1 = p_total * i / 2000

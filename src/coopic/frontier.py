@@ -92,7 +92,6 @@ from .model import (
     TcAllocation,
     _SIMPLEX_SUM_TOL,
     _conferencing_args,
-    lanes,
     simplex_weights,
 )
 from . import rxcoop, txcoop
@@ -562,16 +561,16 @@ def _lane_inputs(scores):
     """The kernel inputs of the lanes of a batch over the distinct ``scores``
     of one space, as a function of each lane's index into ``scores``: (c,
     pw, variant), where an input every score shares (by ``repr``, so 0.0 and
-    -0.0 differ) is passed as it is, and one that differs is a lane column:
-    ``model.lanes`` for a gain or power, a bool array for the variant."""
+    -0.0 differ) is passed as it is, and one that differs is a column of
+    each lane's value: float for a gain or power, bool for the variant."""
     *tables, variants = zip(*((*s.c, *s.pw, s.variant) for s in scores))
-    inputs = [table[0] if len(set(map(repr, table))) == 1 else lanes(table) for table in tables]
-    variant = variants[0] if len(set(variants)) == 1 else np.array(variants, dtype=bool)
+    inputs = [table[0] if len(set(map(repr, table))) == 1 else np.array(table, dtype=float)
+              for table in tables]
+    inputs.append(variants[0] if len(set(variants)) == 1 else np.array(variants, dtype=bool))
 
     def at(index):
-        leaves = [leaf(index) if callable(leaf) else leaf for leaf in inputs]
-        return (tuple(leaves[:6]), tuple(leaves[6:]),
-                variant[index] if isinstance(variant, np.ndarray) else variant)
+        leaves = [leaf[index] if isinstance(leaf, np.ndarray) else leaf for leaf in inputs]
+        return tuple(leaves[:6]), tuple(leaves[6:10]), leaves[10]
 
     return at
 

@@ -29,10 +29,11 @@ and ``rare_unless``):
   ``math``'s, mapped over ``.tolist()`` (numpy's SIMD versions differ in the
   last bits and depend on the CPU).  A three-term sum is ``math.fsum``,
   never the builtin ``sum``, which from Python 3.12 compensates.  A
-  kernel input that differs between lanes (the gains and powers of a
-  batch that spans several channels) is a ``_Lanes`` column, whose ``**``
-  is Python's: libm's ``pow(x, 2)`` differs from numpy's ``x * x`` in the
-  last bit for about one float in 1200.
+  square is ``x * x``, correctly rounded on floats and columns alike, and
+  never ``x ** 2``, which is libm's ``pow`` and misrounds about one square
+  in 1200.  So a gain or power that differs between lanes is a plain float
+  column.  The kernels still call libm's ``log1p``, ``log2`` and
+  ``expm1``, so their bits still depend on the platform's libm.
 
 Every type is an immutable value and every operation is a pure function,
 so everything here is safe to call concurrently (an ``ArrayOps`` belongs
@@ -524,20 +525,16 @@ class ArrayOps:
 
     def select(self, cond, if_true, if_false):
         """``if_true`` where ``cond`` holds, else ``if_false``: as the float op
-        for a bool ``cond``, lane by lane for a column, entry by entry through
-        nested tuples.  An entry both sides share is kept as it is, and one
-        that is a number or a ``_Lanes`` column on both sides (a gain) stays
-        a ``_Lanes`` column, so its ``**`` is still the float path's."""
+        for a bool ``cond``, lane by lane for a column (``np.where``), entry
+        by entry through nested tuples.  An entry both sides share is kept
+        as it is."""
         if not isinstance(cond, np.ndarray):
             return if_true if cond else if_false
         if type(if_true) is tuple:
             return tuple([self.select(cond, t, f) for t, f in zip(if_true, if_false)])
         if if_true is if_false:
             return if_true
-        if type(if_true) is np.ndarray or type(if_false) is np.ndarray:
-            return np.where(cond, if_true, if_false)
-        (table, index), (other, other_index) = _lane_table(if_true), _lane_table(if_false)
-        return lanes(table + other)(np.where(cond, index, np.add(other_index, len(table))))
+        return np.where(cond, if_true, if_false)
 
     def divide(self, num, den):
         zero = den == 0.0
@@ -579,43 +576,3 @@ class ArrayOps:
         self.suspect |= ~((r1 >= 0.0) & (r2 >= 0.0))
         return r1, r2
 
-
-class _Lanes(np.ndarray):
-    """A column whose lanes take a few values, ``table[index]``: a kernel
-    input (a gain or a power) that differs between the channels of a batch
-    (made by ``lanes``).
-
-    ``x ** y`` is Python's power of each table entry, as the float path
-    computes it, then spread over the lanes: CPython's float ``**`` is
-    libm's ``pow``, which for about one float in 1200 rounds ``x ** 2`` to
-    the other neighbour of ``x * x``, numpy's square.  Every other operation
-    gives a plain ndarray, so a derived column never takes this path.
-    """
-
-    def __pow__(self, exponent):
-        powers = self.powers
-        if exponent not in powers:
-            powers[exponent] = np.array([float(v ** exponent) for v in self.table])
-        return powers[exponent][self.index]
-
-    def __array_wrap__(self, array, context=None, return_scalar=False):
-        return array[()] if return_scalar else array.view(np.ndarray)
-
-
-def _lane_table(x):
-    """(table, index) of a ``_Lanes`` column or a number (a one-entry table)."""
-    return (tuple(x.table), x.index) if isinstance(x, _Lanes) else ((x,), 0)
-
-
-def lanes(table):
-    """The function that maps a lane index array to the ``_Lanes`` column
-    ``table[index]`` of the Python numbers ``table`` (each power of an entry
-    computed once)."""
-    values, powers = np.array([float(v) for v in table]), {}
-
-    def column(index):
-        lanes = values[index].view(_Lanes)
-        lanes.table, lanes.powers, lanes.index = table, powers, index
-        return lanes
-
-    return column

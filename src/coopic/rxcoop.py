@@ -124,10 +124,10 @@ def _phase23(c, pw, a, ops=FLOAT_OPS):
         p3_2 = phase_power(beta2, p3, lam3, "beta2")
 
     # Phase 2: receiver 3 listens, helped by 4; phase 3: receiver 4, helped by 3.
-    r1_2r2, r1_s, r2_2r1, r1_d = _listen(lam2, c13 ** 2 * p1_2, c23 ** 2 * p2_2, True,
-                                         c34 ** 2 * p4_1, c34 ** 2 * p4_2, ops)
-    r2_2r2, r2_s, r1_2r1, r2_d = _listen(lam3, c14 ** 2 * p1_3, c24 ** 2 * p2_3, False,
-                                         c34 ** 2 * p3_1, c34 ** 2 * p3_2, ops)
+    r1_2r2, r1_s, r2_2r1, r1_d = _listen(lam2, c13 * c13 * p1_2, c23 * c23 * p2_2, True,
+                                         c34 * c34 * p4_1, c34 * c34 * p4_2, ops)
+    r2_2r2, r2_s, r1_2r1, r2_d = _listen(lam3, c14 * c14 * p1_3, c24 * c24 * p2_3, False,
+                                         c34 * c34 * p3_1, c34 * c34 * p3_2, ops)
     return (r1_d, r2_d, r1_s, r2_s, r1_2r1, r1_2r2, r2_2r1, r2_2r2)
 
 

@@ -140,7 +140,7 @@ def _exchange(lam, p, c12, own, cross, conf, relay, ops):
     the conferencing stream (share ``conf``) also reaches the source's own
     receiver (gain ``own``), the relayed one (``relay``) the other receiver
     (``cross``), dirty-paper coded in an order set by own > cross."""
-    r_conf = lam * ops.cap(c12 ** 2 * conf * p)
+    r_conf = lam * ops.cap(c12 * c12 * conf * p)
     return (r_conf, *ops.branch(own > cross, _conf_clean, _relay_clean)(
         lam, p, own, cross, conf, relay, ops))
 
@@ -148,15 +148,15 @@ def _exchange(lam, p, c12, own, cross, conf, relay, ops):
 def _conf_clean(lam, p, own, cross, conf, relay, ops):
     """``_exchange``'s (own, cross) rates when the conferencing stream is coded last."""
     cap = ops.cap
-    return (lam * cap(own ** 2 * conf * p),
-            lam * cap(cross ** 2 * relay * p / (1.0 + cross ** 2 * conf * p)))
+    return (lam * cap(own * own * conf * p),
+            lam * cap(cross * cross * relay * p / (1.0 + cross * cross * conf * p)))
 
 
 def _relay_clean(lam, p, own, cross, conf, relay, ops):
     """``_exchange``'s (own, cross) rates when the relayed stream is coded last."""
     cap = ops.cap
-    return (lam * cap(own ** 2 * conf * p / (1.0 + own ** 2 * relay * p)),
-            lam * cap(cross ** 2 * relay * p))
+    return (lam * cap(own * own * conf * p / (1.0 + own * own * relay * p)),
+            lam * cap(cross * cross * relay * p))
 
 
 def _phase12(c, pw, a, ops=FLOAT_OPS):
@@ -241,8 +241,8 @@ def _phase3(c, lam3: float, fresh, cov, ops=FLOAT_OPS):
     # the fresh streams there as users 1 and 2 (f1, f2) and as own and cross.
     u0, u1, v0, v1, own, own_fresh = ops.select(user1_clean, (c13, c23, c14, c24, c13, fresh1),
                                                 (c14, c24, c13, c23, c24, fresh2))
-    own_u = own ** 2 * own_fresh
-    f1, f2 = v0 ** 2 * fresh1, v1 ** 2 * fresh2
+    own_u = own * own * own_fresh
+    f1, f2 = v0 * v0 * fresh1, v1 * v1 * fresh2
     own_v, cross_v = ops.select(user1_clean, (f2, f1), (f1, f2))
     cap, quad = ops.cap, ops.quad
     r_u3 = lam3 * cap(quad(u0, u1, *sigma1) / (1.0 + own_u))

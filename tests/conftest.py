@@ -39,6 +39,15 @@ def random_powers(rng: np.random.Generator, lo: float = 0.1, hi: float = 20.0) -
     return PowerBudget(*v)
 
 
+def odd_squares(rng: np.random.Generator, n: int) -> list[float]:
+    """n gains whose ``x ** 2`` (libm's pow) is not ``x * x``, where this
+    platform has them in 20,000 draws (plain draws make up the rest).  The
+    kernels square by multiplying, on floats and on lane columns alike, so
+    even such gains score the same both ways."""
+    draws = rng.uniform(0.5, 1.7, 20000).tolist()
+    return ([x for x in draws if x ** 2 != x * x] + draws)[:n]
+
+
 def zero_cooperation_channels(seed: int, n: int):
     """n channels with c12 = c34 = 0: direct and cross gains log-uniform in
     [0.1, 5], all four powers equal and log-uniform in [1, 20]."""

@@ -91,6 +91,19 @@ def test_kernels_read_no_positional_index():
     assert not reads, f"positional kernel reads: {reads}"
 
 
+def test_no_module_squares_with_pow():
+    """Every square is ``x * x``: ``x ** 2`` is libm's ``pow``, which misrounds
+    some squares that the column path's multiply rounds correctly."""
+    squares = []
+    for name in MODULES:
+        path = Path(coopic.__file__).parent / f"{name}.py"
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow) \
+                    and isinstance(node.right, ast.Constant) and node.right.value == 2:
+                squares.append(f"{name}.py:{node.lineno} {ast.unparse(node)}")
+    assert not squares, f"squares by **: {squares}"
+
+
 _S2, _S3 = Simplex2(0.5, 0.5), Simplex3(0.2, 0.3, 0.5)
 _TC = TcAllocation(_S3, _S2, _S2, _S2, _S2, _S3, _S3)
 _RC = RcAllocation(_S3, _S3, _S3, _S2, _S2)

@@ -14,8 +14,8 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from conftest import random_gains
-from coopic import frontier, model
+from conftest import odd_squares, random_gains
+from coopic import frontier
 from coopic.model import FLOAT_OPS, ArrayOps, ChannelGains, EvaluatorError, PowerBudget
 
 SQRT2 = math.sqrt(2.0)
@@ -97,29 +97,21 @@ def test_array_ops_branch_and_rare_mark_only_their_lanes():
     assert FLOAT_OPS.rare_unless(math.nan <= 1.0) and not FLOAT_OPS.rare_unless(0.5 <= 1.0)
 
 
-def _odd_square(rng) -> float:
-    """A gain whose Python square (libm's pow) is not x * x (numpy's square),
-    if this platform has one in 20,000 draws."""
-    draws = rng.uniform(0.5, 1.7, 20000).tolist()
-    return next((x for x in draws if x ** 2 != x * x), draws[0])
-
-
-def test_lane_columns_keep_python_powers_and_plain_results():
-    odd = _odd_square(np.random.default_rng(0))
-    column = model.lanes([odd, 2.0, -0.0])(np.array([0, 1, 2, 0]))
-    assert [_bits(v) for v in (column ** 2).tolist()] == [_bits(x ** 2)
-                                                          for x in (odd, 2.0, -0.0, odd)]
-    assert type(column * 2.0) is np.ndarray and type(column > 1.0) is np.ndarray
-    # a select of two gains is still a lane column; of anything else, plain
+def test_array_ops_select_picks_lanes_through_nested_tuples():
     ops = ArrayOps(4)
     cond = np.array([True, False, True, False])
-    picked = ops.select(cond, (column, 7.0), (3.0, np.ones(4)))
-    assert [_bits(v) for v in (picked[0] ** 2).tolist()] == [_bits(x ** 2)
-                                                             for x in (odd, 3.0, -0.0, 3.0)]
-    assert type(picked[1]) is np.ndarray and picked[1].tolist() == [7.0, 1.0, 7.0, 1.0]
-    assert ops.select(cond, column, column) is column
-    # a bool condition takes one branch, as the float op does
-    assert ops.branch(True, abs, None) is abs and ops.select(False, 1.0, 2.0) == 2.0
+    gains = np.array([1.5, 2.0, -0.0, 1.5])
+    shared = np.ones(4)
+    picked = ops.select(cond, ((gains, 7.0), shared, 2.0), ((3.0, shared), shared, 2.0))
+    assert [[_bits(v) for v in column.tolist()] for column in picked[0]] == [
+        [_bits(v) for v in (1.5, 3.0, -0.0, 3.0)], [_bits(v) for v in (7.0, 1.0, 7.0, 1.0)]]
+    # an entry both sides share comes back as it is
+    assert picked[1] is shared and picked[2] == 2.0
+    assert ops.select(cond, gains, gains) is gains
+    # a bool condition takes one side, as the float op does
+    assert ops.select(False, 1.0, 2.0) == FLOAT_OPS.select(False, 1.0, 2.0) == 2.0
+    assert ops.select(True, (gains,), (shared,))[0] is gains
+    assert ops.branch(True, abs, None) is abs
 
 
 # ---------------------------------------------------------------------------
@@ -208,9 +200,9 @@ def _lane_searches(scheme, rng):
     """Searches of one space on channels that together take both outcomes of
     every gain comparison the kernels select on: own > cross in each
     exchange phase, the user whose stream is clean in phase 3, and for TC
-    the covariance rule (TC and RDPC lanes); one gain squares differently in
-    Python and numpy (``_odd_square``)."""
-    odd = _odd_square(rng)
+    the covariance rule (TC and RDPC lanes); one gain's ``x ** 2`` is not
+    ``x * x`` (``odd_squares``)."""
+    odd, = odd_squares(rng, 1)
     channels = [  # (c12, c13, c14, c23, c24, c34)
         (ChannelGains(10.0, 1.0, SQRT2, SQRT2, 1.0, 10.0), PowerBudget(5.0, 5.0, 5.0, 5.0)),
         (ChannelGains(3.0, 2.0, 0.5, 0.3, odd, 4.0), PowerBudget(3.0, 0.5, 2.0, 1.0)),

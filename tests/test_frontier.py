@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_gains, random_powers
+from conftest import odd_squares, random_gains, random_powers
 from coopic.model import (ChannelGains, EvaluatorError, InfiniteGain, InvalidAllocation,
                           NotInfinite, PowerBudget)
 from coopic import frontier, model, txcoop, rxcoop
@@ -610,12 +610,14 @@ def test_trace_does_not_depend_on_batch_size(scheme, ref_gains, ref_powers, monk
 
 def test_trace_many_matches_trace(ref_gains, ref_powers, monkeypatch):
     # Each job's frontier is its lone trace's, byte for byte and stats alike:
-    # TC, RDPC and RC on two channels (TC and RDPC share a lockstep), both
-    # channels' TC limits (two encoding orders each, one lockstep), RC at
-    # c34 = +inf (no search, so trace_many hands it to frontier.trace) and a
-    # repeated job; chunks of 5 runs straddle searches and jobs.
+    # TC, RDPC and RC on three channels (TC and RDPC share a lockstep; every
+    # gain of the third has an x ** 2 that is not x * x), each channel's TC
+    # limit (two encoding orders each, one lockstep), RC at c34 = +inf (no
+    # search, so trace_many hands it to frontier.trace) and a repeated job;
+    # chunks of 5 runs straddle searches and jobs.
     rng = np.random.default_rng(31)
-    channels = [(ref_gains, ref_powers), (random_gains(rng), random_powers(rng))]
+    channels = [(ref_gains, ref_powers), (random_gains(rng), random_powers(rng)),
+                (ChannelGains(*odd_squares(rng, 6)), random_powers(rng))]
     jobs = [(scheme, g, p) for g, p in channels for scheme in ("TC", "RDPC", "RC")]
     jobs += [("TC", dataclasses.replace(g, c12=math.inf), p) for g, p in channels]
     jobs += [("rc", dataclasses.replace(ref_gains, c34=math.inf), ref_powers), jobs[0]]
