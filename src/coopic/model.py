@@ -314,6 +314,14 @@ def _conferencing_args(g: ChannelGains, p: PowerBudget, link: str, limit: bool =
     return kernel_args(g, p)
 
 
+def _view_args(g: ChannelGains, p: PowerBudget, a, kind: type):
+    """``_conferencing_args`` of a view of the ``kind`` allocation ``a``, then
+    InvalidAllocation unless ``a`` is one (the kernels take raw lists too)."""
+    args = _conferencing_args(g, p, "c12" if kind is TcAllocation else "c34")
+    _check_type("allocation", a, kind)
+    return args
+
+
 @dataclass(frozen=True)
 class RatePair(_Fields):
     """A nonnegative (R1, R2) point in bits per channel use; iterates (r1, r2)."""
@@ -449,10 +457,10 @@ class ArrayOps:
 
     Each op gives, on every lane it leaves unmarked, the float op's result bit
     for bit; a marked lane holds an arbitrary value, and the float path gives
-    its value or its error.  Python's ``min(a, b)`` keeps ``a`` unless
-    ``b < a`` (``max`` unless ``b > a``), and so do ``minimum`` and
-    ``maximum``, signed zeros and NaN included.  Call them under
-    ``np.errstate(all="ignore")``: marked lanes may divide by zero.
+    its value or its error.  No op clears a mark.  Python's ``min(a, b)``
+    keeps ``a`` unless ``b < a`` (``max`` unless ``b > a``), and so do
+    ``minimum`` and ``maximum``, signed zeros and NaN included.  Call them
+    under ``np.errstate(all="ignore")``: marked lanes may divide by zero.
     """
 
     def __init__(self, size: int):
@@ -506,22 +514,11 @@ class ArrayOps:
     def branch(self, cond, if_true, if_false):
         """The branch a bool ``cond`` takes, as the float op (only it runs);
         for a column ``cond``, a function that calls both branches and picks
-        lane by lane (``select``), each branch marking only the lanes that
-        take it."""
+        lane by lane (``select``), keeping the marks of both: it chooses
+        between formulas valid on every lane (``rare`` guards a raise)."""
         if not isinstance(cond, np.ndarray):
             return if_true if cond else if_false
-
-        def both(*args):
-            outer = self.suspect
-            self.suspect = np.zeros(self.size, dtype=bool)
-            true = if_true(*args)
-            marked = self.suspect
-            self.suspect = np.zeros(self.size, dtype=bool)
-            false = if_false(*args)
-            self.suspect = outer | np.where(cond, marked, self.suspect)
-            return self.select(cond, true, false)
-
-        return both
+        return lambda *args: self.select(cond, if_true(*args), if_false(*args))
 
     def select(self, cond, if_true, if_false):
         """``if_true`` where ``cond`` holds, else ``if_false``: as the float op

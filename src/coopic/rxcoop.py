@@ -27,7 +27,8 @@ The dataclass API (``rc_rate_pair`` and ``rc_phase_rates``) is a thin view:
 it unpacks its arguments, calls the kernels on floats and wraps the result,
 raising the same errors in the same order.  The kernels do not check c34:
 the views and the tracer call the one gain-mode check,
-``model._conferencing_args``.
+``model._conferencing_args``.  The views take no allocation but an
+``RcAllocation`` (``model._view_args``, after that check).
 ``frontier.trace`` routes c34 = +inf to the limit's tracer, which uses
 ``rc_limit_rate_pair``.
 
@@ -46,6 +47,7 @@ from .model import (
     RatePair,
     RcAllocation,
     _conferencing_args,
+    _view_args,
     det_pair,
 )
 
@@ -207,7 +209,7 @@ def rc_kernel(c, pw, a, weight: float = 1.0, ops=FLOAT_OPS) -> tuple[float, floa
 def rc_phase_rates(g: ChannelGains, p: PowerBudget, a: RcAllocation,
                    weight: float = 1.0) -> RcPhaseRates:
     """All per-stream rates of the receiver-cooperation scheme."""
-    return RcPhaseRates(*_stream_rates(*_conferencing_args(g, p, "c34"), a, weight))
+    return RcPhaseRates(*_stream_rates(*_view_args(g, p, a, RcAllocation), a, weight))
 
 
 def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
@@ -218,7 +220,7 @@ def rc_rate_pair(g: ChannelGains, p: PowerBudget, a: RcAllocation,
     ``weight`` picks the operating corner of the phase-1 pentagon, which
     has a sum face when at least one equivalent interference is strong.
     """
-    return RatePair(*rc_kernel(*_conferencing_args(g, p, "c34"), a, weight))
+    return RatePair(*rc_kernel(*_view_args(g, p, a, RcAllocation), a, weight))
 
 
 def rc_limit_rate_pair(g: ChannelGains, p: PowerBudget, weight: float = 1.0) -> RatePair:

@@ -43,7 +43,8 @@ The dataclass API is a thin view: it unpacks its arguments, calls the
 kernels on floats and wraps the result, raising the same errors in the
 same order.
 The kernels do not check c12: the views and the tracer call the one
-gain-mode check, ``model._conferencing_args``.
+gain-mode check, ``model._conferencing_args``.  The views take no
+allocation but a ``TcAllocation`` (``model._view_args``, after that check).
 
 All functions are pure; rates are bits per channel use.
 """
@@ -62,6 +63,7 @@ from .model import (
     TcAllocation,
     _check_type,
     _conferencing_args,
+    _view_args,
     inverse,
 )
 
@@ -304,7 +306,7 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, 
 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """A covariance rule's arguments (c, joint1, joint2, user1_clean); checks c12 first."""
-    c, pw = _conferencing_args(g, p, "c12")
+    c, pw = _view_args(g, p, a, TcAllocation)
     return (c, *_phase3_split(pw, a)[1:], _user1_clean(c))
 
 
@@ -379,7 +381,7 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     (``tc_budget_covariances``).  A silent joint phase radiates nothing
     and is allotted nothing.
     """
-    c, pw = _conferencing_args(g, p, "c12")
+    c, pw = _view_args(g, p, a, TcAllocation)
     (fresh1, fresh2), joint1, joint2 = _phase3_split(pw, a)
     if cov is None:
         cov = TcCovariances(*_budget_cov(c, joint1, joint2, _user1_clean(c)))
@@ -397,17 +399,17 @@ def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     ``tc_phase3_covariances(g, p, a)`` for the paper's construction.
     """
     build_cov = _budget_cov if cov is None else lambda *_: cov
-    return TcPhaseRates(*_stream_rates(*_conferencing_args(g, p, "c12"), a, build_cov))
+    return TcPhaseRates(*_stream_rates(*_view_args(g, p, a, TcAllocation), a, build_cov))
 
 
 def tc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the transmitter-cooperation scheme."""
-    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a))
+    return RatePair(*tc_kernel(*_view_args(g, p, a, TcAllocation), a))
 
 
 def rdpc_rate_pair(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> RatePair:
     """Achievable (R1, R2) of the recycled/parallel-DPC baseline."""
-    return RatePair(*tc_kernel(*_conferencing_args(g, p, "c12"), a, True))
+    return RatePair(*tc_kernel(*_view_args(g, p, a, TcAllocation), a, True))
 
 
 def tc_limit_rate_pair(g: ChannelGains, p: PowerBudget, mu: Simplex3, eta: Simplex3,

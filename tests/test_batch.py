@@ -78,16 +78,21 @@ def test_array_ops_match_float_ops():
             assert _bits(got[i]) == _bits(FLOAT_OPS.quad(v0, v1, *entries[:, i]))
 
 
-def test_array_ops_branch_and_rare_mark_only_their_lanes():
-    ops = ArrayOps(4)
-    cond = np.array([True, False, True, False])
-    assert ops.rare(np.array([False, False, False, True])) is False
-    got = ops.branch(cond, lambda x, o: (o.log2(x),), lambda x, o: (x * 2.0,))(
-        np.array([0.0, 0.0, 4.0, 1.0]), ops)
-    # lane 0 takes the branch whose log2(0) the float path raises on; lane 1
-    # takes the other, so its log2(0) does not mark it
-    assert ops.suspect.tolist() == [True, False, False, True]
-    assert got[0].tolist()[1:3] == [0.0, 2.0]
+def test_array_ops_branch_keeps_every_mark_and_rare_marks_only_its_lanes():
+    ops = ArrayOps(5)
+    cond = np.array([True, False, True, False, False])
+    x = np.array([0.0, 0.0, 4.0, 1.0, 3.0])
+    assert ops.rare(np.array([False, False, False, True, False])) is False
+    bodies = (lambda v, o: (o.log2(v),), lambda v, o: (v * 2.0,))
+    got = ops.branch(cond, *bodies)(x, ops)
+    # both bodies run on every lane and every mark stays: lane 0 takes the
+    # body whose log2(0) the float path raises on, and lane 1 does not take
+    # it, yet is marked by it too (the float path re-scores it exactly)
+    assert ops.suspect.tolist() == [True, True, False, True, False]
+    # every unmarked lane carries the value of the body it takes
+    for i in np.flatnonzero(~ops.suspect).tolist():
+        want, = FLOAT_OPS.branch(bool(cond[i]), *bodies)(float(x[i]), FLOAT_OPS)
+        assert _bits(got[0][i]) == _bits(want)
     assert FLOAT_OPS.branch(False, None, abs)(-3.0) == 3.0
     # rare_unless marks where its condition fails, a NaN comparison included
     ops = ArrayOps(3)
@@ -218,17 +223,12 @@ def _lane_searches(scheme, rng):
     return [search for g, p in channels for s in schemes for search in frontier._searches(s, g, p)]
 
 
-
-@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
-def test_lanes_from_different_channels_match_float_scores(scheme):
-    # One column call over lanes of several channels (and TC/RDPC rules, or
-    # both encoding orders): each unmarked lane has its own float score's
-    # bits, and the float score raises only on marked lanes.
-    rng = np.random.default_rng(21)
-    searches = _lane_searches(scheme, rng)
+def _column_call(searches, points):
+    """One column kernel call over the rows of ``points``, lane i scored by
+    search i mod len(searches) at WEIGHTS[i mod len(WEIGHTS)], whose gains
+    and powers are lane columns: (ops, r1, r2, lane scores, lane weights)."""
     space = searches[0][0]
     scores = [score for _, score, _ in searches]
-    points = _vectors(space, rng)
     index = np.arange(len(points)) % len(scores)
     weights = np.array(WEIGHTS)[np.arange(len(points)) % len(WEIGHTS)]
     c, pw, variant = frontier._lane_inputs(scores)(index)
@@ -238,15 +238,42 @@ def test_lanes_from_different_channels_match_float_scores(scheme):
         r1, r2 = space.kernel(c, pw, frontier._decode(np.ascontiguousarray(points.T),
                                                       space.blocks, ops),
                               variant, weights, ops)
+    return ops, r1, r2, [scores[k] for k in index.tolist()], weights
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_lanes_from_different_channels_match_float_scores(scheme):
+    # One column call over lanes of several channels (and TC/RDPC rules, or
+    # both encoding orders): each unmarked lane has its own float score's
+    # bits, and the float score raises only on marked lanes.
+    rng = np.random.default_rng(21)
+    searches = _lane_searches(scheme, rng)
+    points = _vectors(searches[0][0], rng)
+    ops, r1, r2, scores, weights = _column_call(searches, points)
     for i, x in enumerate(points.tolist()):
         try:
-            want = scores[index[i]](x, weights[i])
+            want = scores[i](x, weights[i])
         except EvaluatorError:
             assert ops.suspect[i], (i, x)
             continue
         if not ops.suspect[i]:
             assert (_bits(r1[i]), _bits(r2[i])) == tuple(map(_bits, want)), (i, x)
     assert np.count_nonzero(ops.suspect[:120]) <= 12
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_column_kernels_mark_no_interior_lane(scheme):
+    # A column ``ops.branch`` runs both bodies on every lane and keeps their
+    # marks, so a body that marked lanes it does not serve would send them
+    # to the float path.  On interior search vectors (every share well away
+    # from zero) of mixed channels and variants, at every weight, one column
+    # kernel call marks no lane.
+    rng = np.random.default_rng(23)
+    searches = _lane_searches(scheme, rng)
+    shape = (600 * len(WEIGHTS), sum(searches[0][0].blocks))
+    points = rng.uniform(0.5, 2.0, shape) * rng.choice((-1.0, 1.0), shape)
+    ops = _column_call(searches, points)[0]
+    assert np.count_nonzero(ops.suspect) == 0
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])

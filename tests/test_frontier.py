@@ -1,6 +1,7 @@
 """Frontier tracing, hull geometry, region comparison."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 import os
@@ -471,8 +472,9 @@ def _same_final_simplex(f, x0, max_iter):
     assert sim[0].tobytes() == final.tobytes() and fsim[0].tobytes() == values.tobytes()
 
 
-@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
-def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref_powers):
+def _steps_on_search_objectives(scheme, ref_gains, ref_powers, objective):
+    """``_same_run`` on ``objective(score, w)`` of each search of ``scheme``,
+    from two corner and two random starts at four weights and three budgets."""
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(12)
     early = 0
@@ -487,9 +489,57 @@ def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref
         for (_, score, _), (x0, w) in itertools.product(
                 searches, zip(starts, (0.0, 1.0, 2.5, math.inf))):
             for max_iter in (3, 25, 250):  # 6 evaluations cannot finish the first simplex
-                run = _same_run(frontier._neg_objective(score, w, Counter()), x0, max_iter)
+                run = _same_run(objective(score, w), x0, max_iter)
                 early += run.nfev[0] < dim + 1
     assert early == 8 * len(searches)
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref_powers):
+    _steps_on_search_objectives(scheme, ref_gains, ref_powers,
+                                lambda score, w: frontier._neg_objective(score, w, Counter()))
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_minimize_takes_scipys_steps_on_tie_free_search_objectives(scheme, ref_gains,
+                                                                   ref_powers):
+    # The same runs on objectives without ties, where any ranking rule gives
+    # scipy's order: each value gets a deterministic offset below
+    # 1e-6 (1 + |value|), drawn from the bytes of its point, so that
+    # distinct points, penalized ones included, score apart.
+    tables = []
+
+    def tie_free(score, w):
+        f, values = frontier._neg_objective(score, w, Counter()), {}
+        tables.append(values)
+
+        def g(xs):
+            key = np.array(xs, dtype=float).tobytes()
+            u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") / 2.0 ** 64
+            value = f(xs)
+            values[key] = value + 1e-6 * u * (1.0 + abs(value))
+            return values[key]
+
+        return g
+
+    _steps_on_search_objectives(scheme, ref_gains, ref_powers, tie_free)
+    assert all(len(set(values.values())) == len(values) for values in tables)
+
+
+def test_ranked_orders_ties_as_numpy_argsort():
+    # Tied values rank in np.argsort's order, scipy's, which depends on
+    # numpy's CPU dispatch (ROADMAP defect 11): rows of 7, 14 and 18
+    # vertices (the limit, RC and TC spaces) with three values, the
+    # penalty among them.
+    rng = np.random.default_rng(31)
+    rows = np.arange(40)[:, None]
+    for n in (7, 14, 18):
+        fsim = rng.choice((-2.5, -1.0, frontier._PENALTY), (40, n))
+        sim = rng.standard_normal((40, n, n - 1))
+        order = np.argsort(fsim, axis=1)
+        ranked_sim, ranked_fsim = frontier._ranked(sim, fsim)
+        assert ranked_sim.tobytes() == sim[rows, order].tobytes()
+        assert ranked_fsim.tobytes() == fsim[rows, order].tobytes()
 
 
 def test_minimize_takes_scipys_steps_on_toy_objectives():

@@ -7,16 +7,20 @@ the paper's phase-3 construction) must not raise at all there, and the
 limit's rates must match the same formulas in exact rational arithmetic.
 """
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
 from conftest import random_tc_allocation
 from coopic import bounds, rxcoop, txcoop
 from coopic.model import (
     ChannelGains,
     EvaluatorError,
+    InfiniteGain,
+    InvalidAllocation,
     PowerBudget,
     RcAllocation,
     Simplex2,
@@ -31,6 +35,30 @@ U2 = Simplex2(0.5, 0.5)
 U3 = Simplex3(1 / 3, 1 / 3, 1 / 3)
 TC_UNIFORM = TcAllocation(lam=U3, kappa=U2, gamma=U2, alpha=U2, beta=U2, mu=U3, eta=U3)
 RC_UNIFORM = RcAllocation(lam=U3, mu=U3, eta=U3, alpha=U2, beta=U2)
+
+
+TC_VIEWS = (txcoop.tc_rate_pair, txcoop.rdpc_rate_pair, txcoop.tc_phase_rates,
+            txcoop.phase3_power_audit, txcoop.tc_phase3_covariances,
+            txcoop.tc_budget_covariances, txcoop.rdpc_covariances)
+RC_VIEWS = (rxcoop.rc_rate_pair, rxcoop.rc_phase_rates)
+
+
+@pytest.mark.parametrize("view", TC_VIEWS + RC_VIEWS, ids=lambda view: view.__name__)
+def test_views_take_only_their_own_allocation(view, ref_gains, ref_powers):
+    # Raw weight lists, which no simplex checked (all ones spend a multiple
+    # of the budget, and TC scored them far above the same shares as an
+    # allocation), the other scheme's allocation and a bare tuple of the
+    # right simplices are each an InvalidAllocation, after the gain-mode
+    # check.
+    own, other, link = ((TC_UNIFORM, RC_UNIFORM, "c12") if view in TC_VIEWS
+                        else (RC_UNIFORM, TC_UNIFORM, "c34"))
+    view(ref_gains, ref_powers, own)
+    infinite = dataclasses.replace(ref_gains, **{link: math.inf})
+    for bad in ([[1.0 for _ in simplex] for simplex in own], other, tuple(own)):
+        with pytest.raises(InvalidAllocation):
+            view(ref_gains, ref_powers, bad)
+        with pytest.raises(InfiniteGain):
+            view(infinite, ref_powers, bad)
 
 
 def log_uniform_channels(seed: int, n: int):

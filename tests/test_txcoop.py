@@ -519,3 +519,20 @@ def test_limit_trace_within_bc_sum_capacity():
                                  max_iter=150, seed=0)
     sums = [r1 + r2 for r1, r2 in frontier.trace("TC", g, p, opts).vertices()]
     assert max(sums) <= bounds.mimo_bc_sum_bound(g, p.p1 + p.p2) + 1e-9
+
+
+@pytest.mark.xfail(raises=AssertionError,
+                   reason="ROADMAP defect 1: the c12 = inf limit shapes the clean stream with "
+                          "the wrong gains and falls short of the BC region; direction F "
+                          "fixes it")
+def test_limit_trace_reaches_bc_sum_capacity():
+    # The undershoot face of the same defect, with c14 != c23.  Every point of
+    # the pooled two-antenna broadcast region is a limit operating point, so
+    # the limit's max sum must reach the BC sum capacity.  Today it is
+    # 7.5941 against 7.8449, and stronger searches leave the gap as it is.
+    g = ChannelGains(c12=math.inf, c13=2.0, c14=0.3, c23=0.7, c24=1.5, c34=1.0)
+    p = PowerBudget(5.0, 5.0, 5.0, 5.0)
+    opts = frontier.TraceOptions(weights=frontier.default_weights(9), restarts=4,
+                                 max_iter=150, seed=0)
+    sums = [r1 + r2 for r1, r2 in frontier.trace("TC", g, p, opts).vertices()]
+    assert max(sums) >= bounds.mimo_bc_sum_bound(g, p.p1 + p.p2) - 1e-2
