@@ -182,10 +182,10 @@ def _phase3_powers(pw, a, ops=FLOAT_OPS) -> tuple[float, float]:
             ops.phase_power(gamma2, p2, lam3, "gamma2"))
 
 
-def _phase3_split(pw, a, ops=FLOAT_OPS):
-    """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2 streams."""
-    p1_3, p2_3 = _phase3_powers(pw, a, ops)
-    _, _, _, _, _, (mu1, mu2, mu3), (eta1, eta2, eta3) = a
+def _phase3_split(p1_3, p2_3, mu, eta):
+    """Per-source (source 1, source 2) powers of the fresh, joint-1 and joint-2
+    streams at the phase-3 burst powers (p1_3, p2_3) and the splits mu, eta."""
+    (mu1, mu2, mu3), (eta1, eta2, eta3) = mu, eta
     return ((mu1 * p1_3, eta1 * p2_3), (mu2 * p1_3, eta3 * p2_3), (mu3 * p1_3, eta2 * p2_3))
 
 
@@ -255,18 +255,18 @@ def _phase3(c, lam3: float, fresh, cov, ops=FLOAT_OPS):
     return ops.select(user1_clean, (r_u3, r_v3, r_ud, r_vd), (r_v3, r_u3, r_vd, r_ud))
 
 
-def _stream_rates(c, pw, a, build_cov=_budget_cov, ops=FLOAT_OPS):
+def _stream_rates(c, pw, a, build_cov, ops=FLOAT_OPS):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
     The phase-3 covariances are ``build_cov(c, joint1, joint2, user1_clean,
-    ops)``, a rule of the module docstring, the per-source-budget one by
-    default.  A silent joint phase (lam3 = 0, which ``phase_power`` admits
-    only with kappa2 = gamma2 = 0) needs no branch: each phase-3 rate is lam3
-    times a finite capacity, so all four are exactly 0.0.
+    ops)``, a rule of the module docstring.  A silent joint phase (lam3 = 0,
+    which ``phase_power`` admits only with kappa2 = gamma2 = 0) needs no
+    branch: each phase-3 rate is lam3 times a finite capacity, so all four
+    are exactly 0.0.
     """
     rates = _phase12(c, pw, a, ops)
-    fresh, joint1, joint2 = _phase3_split(pw, a, ops)
-    (_, _, lam3), _, _, _, _, _, _ = a
+    (_, _, lam3), _, _, _, _, mu, eta = a
+    fresh, joint1, joint2 = _phase3_split(*_phase3_powers(pw, a, ops), mu, eta)
     cov = build_cov(c, joint1, joint2, _user1_clean(c), ops)
     return rates + _phase3(c, lam3, fresh, cov, ops)
 
@@ -294,9 +294,9 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, 
     (lam3 = 1, all power in phase 3) with the pooled duality covariances.
     """
     p1, p2, _, _ = pw
-    (mu1, mu2, mu3), (eta1, eta2, eta3) = a
-    cov = _duality_cov(c, (mu2 * p1, eta3 * p2), (mu3 * p1, eta2 * p2), user1_clean, ops)
-    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, (mu1 * p1, eta1 * p2), cov, ops)
+    fresh, joint1, joint2 = _phase3_split(p1, p2, *a)
+    cov = _duality_cov(c, joint1, joint2, user1_clean, ops)
+    r1_3, r2_3, r1_d, r2_d = _phase3(c, 1.0, fresh, cov, ops)
     return ops.checked_pair(r1_d + r1_3, r2_d + r2_3)
 
 
@@ -307,7 +307,7 @@ def tc_limit_kernel(c, pw, a, user1_clean: bool, ops=FLOAT_OPS) -> tuple[float, 
 def _joint_streams(g: ChannelGains, p: PowerBudget, a: TcAllocation):
     """A covariance rule's arguments (c, joint1, joint2, user1_clean); checks c12 first."""
     c, pw = _view_args(g, p, a, TcAllocation)
-    return (c, *_phase3_split(pw, a)[1:], _user1_clean(c))
+    return (c, *_phase3_split(*_phase3_powers(pw, a), a.mu, a.eta)[1:], _user1_clean(c))
 
 
 def tc_phase3_covariances(g: ChannelGains, p: PowerBudget, a: TcAllocation) -> TcCovariances:
@@ -382,12 +382,13 @@ def phase3_power_audit(g: ChannelGains, p: PowerBudget, a: TcAllocation,
     and is allotted nothing.
     """
     c, pw = _view_args(g, p, a, TcAllocation)
-    (fresh1, fresh2), joint1, joint2 = _phase3_split(pw, a)
+    allotted = _phase3_powers(pw, a)
+    (fresh1, fresh2), joint1, joint2 = _phase3_split(*allotted, a.mu, a.eta)
     if cov is None:
         cov = TcCovariances(*_budget_cov(c, joint1, joint2, _user1_clean(c)))
     radiated = (fresh1 + cov.sigma1[0] + cov.sigma2[0],
                 fresh2 + cov.sigma1[2] + cov.sigma2[2])
-    return Phase3PowerAudit(radiated=radiated, allotted=_phase3_powers(pw, a))
+    return Phase3PowerAudit(radiated=radiated, allotted=allotted)
 
 
 def tc_phase_rates(g: ChannelGains, p: PowerBudget, a: TcAllocation,

@@ -47,7 +47,7 @@ def phase12(g, p, a) -> txcoop.TcPhaseRates:
 def phase3(g, p, a, cov) -> txcoop.TcPhaseRates:
     """Phase-3 fields of TcPhaseRates from the kernel, under ``cov``."""
     c, pw = model.kernel_args(g, p)
-    fresh = txcoop._phase3_split(pw, a)[0]
+    fresh = txcoop._phase3_split(*txcoop._phase3_powers(pw, a), a.mu, a.eta)[0]
     r1_3, r2_3, r1_d, r2_d = txcoop._phase3(c, a.lam.w3, fresh, cov)
     return txcoop.TcPhaseRates(r1_3=r1_3, r2_3=r2_3, r1_d=r1_d, r2_d=r2_d)
 
