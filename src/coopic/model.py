@@ -201,8 +201,8 @@ class _Fields:
 
 
 class _Simplex(_Fields):
-    """Nonnegative weights in the fields of a frozen dataclass subclass,
-    renormalized on construction to sum to one (written in ``__dict__``).
+    """Nonnegative weights, in the fields of a frozen dataclass subclass, whose
+    sum is within 1e-9 of 1; construction divides them by their ``math.fsum``.
     ``_stored`` keeps weights that ``simplex_weights`` already produced,
     exactly what construction would store, as they are: dividing them by
     their sum again is not the identity in floats (it moves last bits)."""
@@ -220,7 +220,7 @@ class _Simplex(_Fields):
 
 @dataclass(frozen=True)
 class Simplex2(_Simplex):
-    """Two nonnegative weights, renormalized on construction to sum to one."""
+    """Two nonnegative weights summing to 1 within 1e-9, divided by their fsum."""
 
     w1: float
     w2: float
@@ -228,7 +228,7 @@ class Simplex2(_Simplex):
 
 @dataclass(frozen=True)
 class Simplex3(_Simplex):
-    """Three nonnegative weights, renormalized on construction to sum to one."""
+    """Three nonnegative weights summing to 1 within 1e-9, divided by their fsum."""
 
     w1: float
     w2: float

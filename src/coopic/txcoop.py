@@ -258,11 +258,10 @@ def _phase3(c, lam3: float, fresh, cov, ops=FLOAT_OPS):
 def _stream_rates(c, pw, a, build_cov, ops=FLOAT_OPS):
     """All ten stream rates in ``TcPhaseRates`` field order.
 
-    The phase-3 covariances are ``build_cov(c, joint1, joint2, user1_clean,
-    ops)``, a rule of the module docstring.  A silent joint phase (lam3 = 0,
-    which ``phase_power`` admits only with kappa2 = gamma2 = 0) needs no
-    branch: each phase-3 rate is lam3 times a finite capacity, so all four
-    are exactly 0.0.
+    ``build_cov(c, joint1, joint2, user1_clean, ops)`` is a covariance rule
+    of the module docstring.  A silent joint phase (lam3 = 0, admitted by
+    ``phase_power`` only with kappa2 = gamma2 = 0) needs no branch: each
+    phase-3 rate is lam3 times a finite capacity, so all four are exactly 0.0.
     """
     rates = _phase12(c, pw, a, ops)
     (_, _, lam3), _, _, _, _, mu, eta = a

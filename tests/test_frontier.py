@@ -500,30 +500,38 @@ def test_minimize_takes_scipys_steps_on_search_objectives(scheme, ref_gains, ref
                                 lambda score, w: frontier._neg_objective(score, w, Counter()))
 
 
+def _tie_free(f, tables):
+    """``f`` without ties, where any ranking rule gives scipy's order: each
+    value gets a deterministic offset below 1e-6 (1 + |value|), drawn from
+    the bytes of its point, so that distinct points, penalized ones
+    included, score apart.  Each point's value is kept in a new table in
+    ``tables``, for the caller to check that no two tie."""
+    values = {}
+    tables.append(values)
+
+    def g(xs):
+        key = np.array(xs, dtype=float).tobytes()
+        u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") / 2.0 ** 64
+        value = f(xs)
+        values[key] = value + 1e-6 * u * (1.0 + abs(value))
+        return values[key]
+
+    return g
+
+
+def _no_ties(tables):
+    return all(len(set(values.values())) == len(values) for values in tables)
+
+
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_minimize_takes_scipys_steps_on_tie_free_search_objectives(scheme, ref_gains,
                                                                    ref_powers):
-    # The same runs on objectives without ties, where any ranking rule gives
-    # scipy's order: each value gets a deterministic offset below
-    # 1e-6 (1 + |value|), drawn from the bytes of its point, so that
-    # distinct points, penalized ones included, score apart.
+    # The same runs on objectives without ties (``_tie_free``).
     tables = []
-
-    def tie_free(score, w):
-        f, values = frontier._neg_objective(score, w, Counter()), {}
-        tables.append(values)
-
-        def g(xs):
-            key = np.array(xs, dtype=float).tobytes()
-            u = int.from_bytes(hashlib.blake2b(key, digest_size=8).digest(), "big") / 2.0 ** 64
-            value = f(xs)
-            values[key] = value + 1e-6 * u * (1.0 + abs(value))
-            return values[key]
-
-        return g
-
-    _steps_on_search_objectives(scheme, ref_gains, ref_powers, tie_free)
-    assert all(len(set(values.values())) == len(values) for values in tables)
+    _steps_on_search_objectives(
+        scheme, ref_gains, ref_powers,
+        lambda score, w: _tie_free(frontier._neg_objective(score, w, Counter()), tables))
+    assert _no_ties(tables)
 
 
 def test_ranked_orders_ties_as_numpy_argsort():
@@ -542,14 +550,19 @@ def test_ranked_orders_ties_as_numpy_argsort():
         assert ranked_fsim.tobytes() == fsim[rows, order].tobytes()
 
 
+def _toy_bowl(xs):  # convex in xs[0] and xs[1]; the rest is ignored, so values tie
+    return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
+
+
+def _toy_tilted(xs):  # a slope, so runs expand again and again
+    return -xs[0] - 0.5 * xs[1]
+
+
 def test_minimize_takes_scipys_steps_on_toy_objectives():
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(7)
-
-    def bowl(xs):  # convex in xs[0] and xs[1]; the rest is ignored, so values tie
-        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
-
-    runs = [_same_run(bowl, rng.standard_normal(5), max_iter) for max_iter in (5, 60, 2000)]
+    runs = [_same_run(_toy_bowl, rng.standard_normal(5), max_iter)
+            for max_iter in (5, 60, 2000)]
     assert [run.success for run in runs] == [False, False, True]
     # A constant makes every iteration a reflection, an inside contraction and
     # a shrink of all n other vertices, n + 2 evaluations after the n + 1 of
@@ -558,30 +571,36 @@ def test_minimize_takes_scipys_steps_on_toy_objectives():
     n = 4
     for max_iter in range(1, 40):
         _same_run(lambda xs: 0.0, rng.standard_normal(n), max_iter)
+    # The same runs on tie-free objectives (``_tie_free``), where scipy's
+    # steps do not depend on how a sort orders ties.
+    tables = []
+    for max_iter in (5, 60, 2000):
+        _same_run(_tie_free(_toy_bowl, tables), rng.standard_normal(5), max_iter)
+    for max_iter in range(1, 40):
+        _same_run(_tie_free(lambda xs: 0.0, tables), rng.standard_normal(n), max_iter)
+    assert _no_ties(tables)
 
 
 def test_lockstep_final_simplex_is_scipys():
     # Every budget from 2 to 120 evaluations: some end inside the first
     # simplex, some on an expansion's or contraction's second point, some
     # inside a shrink (the constant objective shrinks every iteration).
+    # Each objective also on its tie-free form (``_tie_free``).
     pytest.importorskip("scipy.optimize")
     rng = np.random.default_rng(11)
-
-    def bowl(xs):
-        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
-
-    def tilted(xs):  # a slope, so runs expand again and again
-        return -xs[0] - 0.5 * xs[1]
-
+    tables = []
     x0 = rng.standard_normal(5)
     for max_iter in range(1, 61):
-        for f in (bowl, tilted, lambda xs: 0.0):
+        for f in (_toy_bowl, _toy_tilted, lambda xs: 0.0):
             _same_final_simplex(f, x0, max_iter)
+            _same_final_simplex(_tie_free(f, tables), x0, max_iter)
     # 18 vertices, 15 of them tied: ranking runs numpy's sort past its
     # small-array insertion sort, and the first simplex is ranked twice
     wide = rng.standard_normal(17)
     for max_iter in (5, 9, 40):
-        _same_final_simplex(bowl, wide, max_iter)
+        _same_final_simplex(_toy_bowl, wide, max_iter)
+        _same_final_simplex(_tie_free(_toy_bowl, tables), wide, max_iter)
+    assert _no_ties(tables)
 
 
 def _same_as_single_runs(batch, single, starts, max_iter):
@@ -627,13 +646,9 @@ def test_lockstep_runs_equal_single_runs_on_toy_objectives():
     # Budgets that end inside the first simplex and inside a shrink (the
     # constant objective shrinks every iteration), several runs at once.
     rng = np.random.default_rng(7)
-
-    def bowl(xs):
-        return (xs[0] - 0.3) ** 2 + 2.0 * (xs[1] + 1.0) ** 2
-
     starts = [rng.standard_normal(5) for _ in range(4)]
     for max_iter in (2, 5, 60, 2000):
-        _same_as_single_runs(_one_by_one(bowl), lambda k: bowl, starts, max_iter)
+        _same_as_single_runs(_one_by_one(_toy_bowl), lambda k: _toy_bowl, starts, max_iter)
     starts = [rng.standard_normal(4) for _ in range(3)]
     for max_iter in range(1, 40):
         _same_as_single_runs(_one_by_one(lambda xs: 0.0), lambda k: (lambda xs: 0.0), starts,
@@ -886,12 +901,17 @@ def test_trace_deterministic(ref_gains, ref_powers):
 
 
 _DISPATCH_PROBE = """
-import math
+import dataclasses, math
 from coopic import frontier
 from coopic.model import ChannelGains, PowerBudget
 g = ChannelGains(c12=10.0, c13=1.0, c14=math.sqrt(2.0), c23=math.sqrt(2.0), c24=1.0, c34=10.0)
+p = PowerBudget(5.0, 5.0, 5.0, 5.0)
 opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=2, max_iter=100)
-print(repr(frontier.trace("TC", g, PowerBudget(5.0, 5.0, 5.0, 5.0), opts)))
+# TC and RDPC trace as one lockstep; RC and TC at c12 = +inf each alone
+limit = dataclasses.replace(g, c12=math.inf)
+jobs = [("TC", g, p), ("RDPC", g, p), ("RC", g, p), ("TC", limit, p)]
+for fr in frontier.trace_many(jobs, opts):
+    print(repr(fr))  # points, options and stats
 """
 
 
@@ -899,8 +919,9 @@ print(repr(frontier.trace("TC", g, PowerBudget(5.0, 5.0, 5.0, 5.0), opts)))
                    reason="ROADMAP defect 11: Nelder-Mead ranks tied vertices with np.argsort, "
                           "whose SIMD sorts order ties differently from the baseline sort")
 def test_trace_does_not_depend_on_numpy_cpu_dispatch():
-    # Determinism must hold on every CPU: the same trace with every SIMD
-    # target numpy dispatches on this host switched off (in the child only).
+    # Determinism must hold on every CPU: the same traces of every search
+    # space with every SIMD target numpy dispatches on this host switched off
+    # (in the child only).
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not present:
