@@ -6,9 +6,13 @@ source's energy split between the two phases and the source/relay
 correlation.  An 81^3 grid picks a correlation window; inside it the
 correlation is maximized in closed form (one cut falls and the other rises
 in it), and a nested golden-section search covers the listen fraction and
-the energy split.  The grid is evaluated slab by slab in the correlation,
-a few rows at a time in reused buffers, with the values of a one-shot
-evaluation bit for bit and ties going to the smallest correlation.
+the energy split.  In each grid column (one listen fraction and energy
+share) the min-cut is largest where the cuts cross, so the grid is
+evaluated at the two correlation rows around that crossing.  A skipped row
+cannot win, since below the crossing it is at most the rising cut there
+and above it at most the falling one; every column whose bound does not
+rule it out is evaluated in full.  The values are a one-shot
+evaluation's bit for bit, and ties go to the smallest correlation.
 Searching only the grid's window is ROADMAP defect 4, kept because
 bench/bounds_reference.json pins the values it gives.
 
@@ -61,7 +65,8 @@ __all__ = [
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _GRID = 81  # cut-set grid points per axis of (rho, alpha, e)
-_SLAB = 9  # rho rows per grid slab (divides _GRID): 9 x 81 x 81 doubles, ~470 KB
+_FALLBACK = 729  # grid columns per full evaluation: 81 x 729 doubles, ~470 KB
+_SLACK = 1e-12  # relative slack on a skipped grid row's bound: log1p's last-ulp rounding
 
 
 @dataclass(frozen=True)
@@ -204,29 +209,28 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
     c = b - (T-1)(1+a) takes T - 1 from expm1, so a listen gap below an ulp
     (tiny source-relay gain) still places the crossing.  Where rounding
     leaves c >= 0 although cut 1 is above cut 2 at lo, the crossing is at lo.
+
+    Every cap argument here is nonnegative, so cap is written out as
+    log1p(x) / ln 2 (the golden search makes 1,764 calls per bound).
     """
+    log1p = math.log1p
     l1 = l2 = 0.0  # listen-phase terms of cut 1 / cut 2
     if alpha > 0.0 and e > 0.0:
         pa = e * p_src / alpha
-        l1 = alpha * cap((sr2 + sd2) * pa)
-        l2 = alpha * cap(sd2 * pa)
+        l1 = alpha * (log1p((sr2 + sd2) * pa) / _LN2)
+        l2 = alpha * (log1p(sd2 * pa) / _LN2)
     if alpha >= 1.0:
         return min(l1, l2)
     f = 1.0 - alpha
     a = sd2 * ((1.0 - e) * p_src / f)
     b = rd2 * (p_rel / f)
     m = math.sqrt(a * b)
-
-    def cuts(rho: float) -> tuple[float, float]:
-        return (l1 + f * cap((1.0 - rho) * a),
-                l2 + f * cap(a + b + 2.0 * m * math.sqrt(rho)))
-
-    cut1, cut2 = cuts(hi)
-    if cut1 >= cut2:  # cut 2 binds on the whole window
+    cut2 = l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(hi)) / _LN2)
+    if l1 + f * (log1p((1.0 - hi) * a) / _LN2) >= cut2:  # cut 2 binds on the whole window
         return cut2
-    cut1, cut2 = cuts(lo)
-    if cut1 <= cut2:  # cut 1 binds on the whole window
-        return cut1
+    cut1 = l1 + f * (log1p((1.0 - lo) * a) / _LN2)
+    if cut1 <= l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(lo)) / _LN2):
+        return cut1  # cut 1 binds on the whole window
     tm1 = math.expm1((l1 - l2) / f * _LN2)  # T - 1, exact even for a sub-ulp gap
     c = b - tm1 * (1.0 + a)  # (1+a+b) - T(1+a): negative, cut 1 is above cut 2 at u = 0
     if c >= 0.0:  # rounding disagrees with the comparison at lo: cross there
@@ -235,7 +239,72 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
         denom = 2.0 * m + math.sqrt(max(0.0, 4.0 * m * m - 4.0 * (1.0 + tm1) * a * c))
         u = -2.0 * c / denom if denom > 0.0 else math.inf  # denom == 0: a*c underflowed
     u = min(max(u, math.sqrt(lo)), math.sqrt(hi))
-    return min(cuts(u * u))
+    rho = u * u
+    return min(l1 + f * (log1p((1.0 - rho) * a) / _LN2),
+               l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(rho)) / _LN2))
+
+
+def _cutset_crossing_rows(l1, l2, f, a, b):
+    """Estimated grid row k of each column's cut crossing, in [0, _GRID - 2].
+
+    The arrays are the column terms of ``_cutset_rho_max`` (listen terms,
+    forwarding fraction f = 1 - alpha, a = sd^2 Pb and b = rd^2 Pr), and the
+    root is its closed form divided through by T, so that a large finite
+    listen gap overflows nothing: a u^2 + 2 (m/T) u + c/T = 0.  k is
+    floor(rho * (_GRID - 1)) at the crossing rho = u^2: row 0 where cut 1
+    binds at rho = 0 (c >= 0), and the last pair of rows where the crossing
+    lies beyond rho = 1 or is nan (T = inf, and alpha = 1, where both cuts
+    are flat in rho and cut 2 binds).  An estimate only:
+    ``_cutset_grid`` bounds every row it skips, so a wrong row costs time
+    and never changes the result.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        tm1 = np.expm1((l1 - l2) / f * _LN2)  # T - 1
+        inv = 1.0 / (1.0 + tm1)
+        c = b * inv - tm1 * inv * (1.0 + a)
+        m = np.sqrt(a * b) * inv
+        disc = np.maximum(0.0, 4.0 * m * m - 4.0 * a * c)
+        u = np.where(c >= 0.0, 0.0, -2.0 * c / (2.0 * m + np.sqrt(disc)))
+        row = np.nan_to_num(u * u * (_GRID - 1), nan=_GRID - 2)
+    return np.clip(row, 0, _GRID - 2).astype(np.intp)
+
+
+def _cuts(rows, drop, cross, pb, pr, fwd, listen1, listen2, base, edge):
+    """(cut 1, cut 2) at the grid rows ``rows`` of the per-row factors
+    drop = (1-rho) sd^2 and cross = rho sd^2 rd^2, broadcast against the
+    columns' terms.
+
+    Each element goes through the operations of a one-shot broadcast of the
+    whole grid in the same order, so its bits are the one-shot grid's.  The
+    forwarding terms are zeroed where ``edge`` (alpha = 1) is set: there
+    they are inf/nan lanes that a one-shot ``np.where`` would drop.
+    """
+    # cut 1: listen1 + (1-alpha) log1p((1-rho) sd^2 pb) / ln 2
+    cut1 = np.multiply(drop[rows], pb)
+    np.log1p(cut1, out=cut1)
+    np.multiply(fwd, cut1, out=cut1)
+    np.divide(cut1, _LN2, out=cut1)
+    np.copyto(cut1, 0.0, where=edge)
+    np.add(listen1, cut1, out=cut1)
+    # cut 2: listen2 + (1-alpha) log1p(base + 2 sqrt(rho sd^2 rd^2 pb pr)) / ln 2
+    cut2 = np.multiply(cross[rows], pb)
+    np.multiply(cut2, pr, out=cut2)
+    np.sqrt(cut2, out=cut2)
+    np.multiply(2.0, cut2, out=cut2)
+    np.add(base, cut2, out=cut2)
+    np.log1p(cut2, out=cut2)
+    np.multiply(fwd, cut2, out=cut2)
+    np.divide(cut2, _LN2, out=cut2)
+    np.copyto(cut2, 0.0, where=edge)
+    np.add(listen2, cut2, out=cut2)
+    return cut1, cut2
+
+
+def _min_cut(cut1, cut2):
+    """min(cut 1, cut 2) in cut1's buffer, with nan lanes at -inf (and +inf
+    at the largest float) as a one-shot grid's ``np.nan_to_num`` makes them."""
+    np.minimum(cut1, cut2, out=cut1)
+    return np.nan_to_num(cut1, copy=False, nan=-math.inf)
 
 
 def _cutset_grid(sd: float, sr: float, rd: float, p_src: float,
@@ -243,61 +312,72 @@ def _cutset_grid(sd: float, sr: float, rd: float, p_src: float,
     """(rho, value) of the largest min-cut on the 81^3 grid over the
     correlation rho, the listen fraction alpha and the energy share e.
 
-    The terms that do not depend on rho are computed once; the min-cut is
-    then evaluated _SLAB rows of rho at a time in two reused buffers, so no
-    81^3 temporary exists.  Each element goes through the same operations
-    in the same order as in a one-shot broadcast of the whole grid, so the
-    values are bit for bit the same.  A slab's best replaces the running
-    best only when strictly larger: ties go to the smallest rho, as the
-    first occurrence of a one-shot argmax does.
+    A column is one (alpha, e) pair and its 81 rows of rho.  In a column
+    cut 1 falls in rho and cut 2 rises (their log1p arguments are monotone
+    in floating point too), so the column's largest min-cut sits where the
+    two cross.  ``_cutset_crossing_rows`` estimates that row k, and only
+    rows k and k + 1 are evaluated.  A skipped row cannot win: below k its
+    min-cut is at most cut 2 at row k, above k + 1 at most cut 1 at row
+    k + 1, and a relative slack of _SLACK covers log1p's rounding.  Every
+    column whose bound is not strictly below the best value found (a tie, a
+    nan, or a wrong estimate) is evaluated in full, _FALLBACK columns at a
+    time.  So the result does not depend on the estimate.
+
+    Each evaluated element has the bits of a one-shot broadcast of the
+    whole grid (``_cuts``), and ties go to the smallest rho, as the first
+    occurrence of a one-shot argmax does.
     """
     n = _GRID
-    rho = np.linspace(0.0, 1.0, n).reshape(-1, 1, 1)
-    alpha = np.linspace(0.0, 1.0, n).reshape(1, -1, 1)
-    e = np.linspace(0.0, 1.0, n).reshape(1, 1, -1)
+    rho = np.linspace(0.0, 1.0, n)
+    alpha = np.linspace(0.0, 1.0, n).reshape(-1, 1)  # columns: (alpha, e) on axes (0, 1)
+    e = np.linspace(0.0, 1.0, n).reshape(1, -1)
     # Endpoint columns (alpha = 0 or 1) produce inf/nan lanes: the listen
     # terms take 0 at alpha = 0 by np.where, the forwarding terms 0 at
-    # alpha = 1 (the last column, linspace's exact endpoint) by zeroing.
+    # alpha = 1 (linspace's exact endpoint) by ``edge``.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         a_safe = np.maximum(alpha, 1e-300)
         b_safe = np.maximum(1.0 - alpha, 1e-300)
         pa = e * p_src / a_safe
-        pb = (1.0 - e) * p_src / b_safe
-        pr = p_rel / b_safe
         listen1 = np.where(alpha > 0.0, alpha * np.log1p((sr * sr + sd * sd) * pa) / _LN2, 0.0)
         listen2 = np.where(alpha > 0.0, alpha * np.log1p(sd * sd * pa) / _LN2, 0.0)
+        del pa
+        pb = (1.0 - e) * p_src / b_safe
+        pr = p_rel / b_safe
         fwd = 1.0 - alpha
-        base = sd * sd * pb + rd * rd * pr
-        drop = (1.0 - rho) * sd * sd  # per-row factors, shape (n, 1, 1)
+        edge = alpha == 1.0
+        a = sd * sd * pb
+        b = rd * rd * pr
+        base = a + b
+        k = _cutset_crossing_rows(listen1, listen2, fwd, a, b)
+        del a
+        drop = (1.0 - rho) * sd * sd  # per-row factors
         cross = rho * sd * sd * rd * rd
-        cut1, cut2 = np.empty((_SLAB, n, n)), np.empty((_SLAB, n, n))
-        i_best, best = 0, -math.inf
-        for r0 in range(0, n, _SLAB):
-            rows = slice(r0, r0 + _SLAB)
-            # cut 1: listen1 + (1-alpha) log1p((1-rho) sd^2 pb) / ln 2
-            np.multiply(drop[rows], pb, out=cut1)
-            np.log1p(cut1, out=cut1)
-            np.multiply(fwd, cut1, out=cut1)
-            np.divide(cut1, _LN2, out=cut1)
-            cut1[:, -1, :] = 0.0
-            np.add(listen1, cut1, out=cut1)
-            # cut 2: listen2 + (1-alpha) log1p(base + 2 sqrt(rho sd^2 rd^2 pb pr)) / ln 2
-            np.multiply(cross[rows], pb, out=cut2)
-            np.multiply(cut2, pr, out=cut2)
-            np.sqrt(cut2, out=cut2)
-            np.multiply(2.0, cut2, out=cut2)
-            np.add(base, cut2, out=cut2)
-            np.log1p(cut2, out=cut2)
-            np.multiply(fwd, cut2, out=cut2)
-            np.divide(cut2, _LN2, out=cut2)
-            cut2[:, -1, :] = 0.0
-            np.add(listen2, cut2, out=cut2)
-            np.minimum(cut1, cut2, out=cut1)
-            np.nan_to_num(cut1, copy=False, nan=-math.inf)
-            i = int(np.argmax(cut1))
-            if cut1.flat[i] > best:
-                i_best, best = r0 + i // (n * n), float(cut1.flat[i])
-    return float(rho.ravel()[i_best]), best
+        cols = (pb, pr, fwd, listen1, listen2, base, edge)
+
+        cut1, cut2 = _cuts(k + np.arange(2).reshape(-1, 1, 1), drop, cross, *cols)  # rows k, k + 1
+        # Below row k a min-cut is at most cut 2 at row k, above row k + 1 at
+        # most cut 1 at row k + 1.
+        bound = np.maximum(np.where(k > 0, cut2[0], -math.inf),
+                           np.where(k < n - 2, cut1[1], -math.inf))
+        bound *= 1.0 + _SLACK
+        value = _min_cut(cut1, cut2)
+        best = value.max()
+        r, j, i = np.nonzero(value == best)
+        row = int((k[j, i] + r).min())
+        del cut1, cut2, value
+
+        full = np.flatnonzero(~(bound < best))  # a skipped row may reach best (or nan)
+        every_row = np.arange(n).reshape(-1, 1)
+        for start in range(0, full.size, _FALLBACK):
+            j, i = np.divmod(full[start:start + _FALLBACK], n)
+            value = _min_cut(*_cuts(every_row, drop, cross,
+                                    *(np.broadcast_to(x, (n, n))[j, i] for x in cols)))
+            flat = int(np.argmax(value))  # first occurrence: the smallest row first
+            top, r = value.flat[flat], flat // j.size
+            del value  # freed before the next chunk is evaluated
+            if top > best or (top == best and r < row):
+                best, row = top, r
+    return float(rho[row]), float(best)
 
 
 def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -> float:
@@ -309,10 +389,13 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     power into short phases, so flat per-phase powers would not be a valid
     upper bound).
 
-    An 81^3 vectorized grid over (rho, alpha, e) picks a correlation window
-    of +-1.5 cells around its best rho (``_cutset_grid``: evaluated slab by
-    slab in rho, ties to the smallest rho, values unchanged from a one-shot
-    grid).  A nested golden-section search over
+    An 81^3 grid over (rho, alpha, e) picks a correlation window of +-1.5
+    cells around its best rho (``_cutset_grid``).  Each (alpha, e) column is
+    evaluated at the two rho rows around its cuts' crossing; a skipped row
+    is bounded by cut 2 at the lower row or cut 1 at the upper one, and a
+    column whose bound is not below the best value is evaluated in full, so
+    the grid gives a one-shot grid's values bit for bit, ties to the
+    smallest rho.  A nested golden-section search over
     (alpha, e) then maximizes the cut with rho maximized over that window in
     closed form (``_cutset_rho_max``).  In the cross energy
     K = sqrt(rho * Eb * Er) the cuts are jointly concave in (K, alpha, e), so

@@ -1,5 +1,6 @@
 """Outer bounds and baselines."""
 
+import functools
 import math
 import os
 import subprocess
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers, zero_cooperation_channels
-from coopic.model import POWER_MAX, ChannelGains, EvaluatorError, PowerBudget, cap
+from coopic.model import GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError, PowerBudget, cap
 from coopic import bounds
 
 SQRT2 = math.sqrt(2.0)
@@ -180,26 +181,40 @@ def test_cutset_matches_grid_golden_reference():
 
 
 
+_GRID_EDGES = [
+    (0.0, 2.0, 3.0, 5.0, 5.0),              # sd = 0: flat in rho, row 0 must win
+    (0.0, 2.0, 0.0, 5.0, 5.0),              # sd = rd = 0: every column ties at 0
+    (0.0, 2.0, 3.0, 5.0, 0.0),              # sd = p_rel = 0: every column ties at 0
+    (1.0, 2.0, 0.0, 5.0, 5.0),              # rd = 0: cut 2 flat in rho
+    (1.0, 0.0, 3.0, 5.0, 5.0),              # sr = 0
+    (1.0, 2.0, 3.0, 5.0, 0.0),              # p_rel = 0
+    (1e-6, 1e-6, 1e-6, 5.0, 5.0),
+    (1e-6, 1e-9, 1e-8, 1.0, 1.0),           # listen gap below an ulp
+    (1.0, 2.0, 3.0, POWER_MAX, POWER_MAX),
+    (GAIN_MAX, GAIN_MAX, GAIN_MAX, POWER_MAX, POWER_MAX),
+    (GAIN_MAX, GAIN_MAX, GAIN_MAX, 1e-9, 1e-9),
+    (1.0, 0.5, 3.0, 5.0, 5.0),              # the best column's cuts cross below rho = 0
+    (0.1, 1e8, 1.0, 5.0, 5.0),              # and beyond rho = 1
+]
+
+
 def _grid_cases():
     """(sd, sr, rd, p_src, p_rel) triples: 300 seeded draws and the edge cases."""
     rng = np.random.default_rng(22)
     cases = [t for _ in range(75)
              for t in _cutset_triples(random_gains(rng), random_powers(rng)).values()]
-    return cases + [
-        (0.0, 2.0, 3.0, 5.0, 5.0),              # sd = 0: flat in rho, the first slab must win
-        (1.0, 2.0, 0.0, 5.0, 5.0),              # rd = 0: cut 2 flat in rho
-        (1.0, 0.0, 3.0, 5.0, 5.0),              # sr = 0
-        (1.0, 2.0, 3.0, 5.0, 0.0),              # p_rel = 0
-        (1e-6, 1e-6, 1e-6, 5.0, 5.0),
-        (1.0, 2.0, 3.0, POWER_MAX, POWER_MAX),
-    ]
+    return cases + _GRID_EDGES
+
+
+@functools.cache
+def _one_shot_bits(case):
+    return tuple(float.hex(v) for v in _one_shot_grid(*case))
 
 
 def _grid_mismatches(cases):
-    """The cases whose slab grid (rho, value) differs from the one-shot grid's in any bit."""
-    def bits(pair):
-        return tuple(float.hex(v) for v in pair)
-    return [c for c in cases if bits(bounds._cutset_grid(*c)) != bits(_one_shot_grid(*c))]
+    """The cases whose grid (rho, value) differs from the one-shot grid's in any bit."""
+    return [c for c in cases
+            if tuple(float.hex(v) for v in bounds._cutset_grid(*c)) != _one_shot_bits(c)]
 
 
 def test_cutset_grid_is_bit_identical_to_one_shot_grid():
@@ -213,12 +228,13 @@ print("numpy started", flush=True)
 sys.path.insert(0, sys.argv[1])
 import test_bounds
 cases = test_bounds._grid_cases()
-print(test_bounds._grid_mismatches(cases[:-6:5] + cases[-6:]))
+edges = test_bounds._GRID_EDGES
+print(test_bounds._grid_mismatches(cases[:-len(edges):5] + edges))
 """
 
 
 def test_cutset_grid_is_bit_identical_at_baseline_cpu_dispatch():
-    # The slab and one-shot grids must pick the same numpy loops on every CPU:
+    # The grid and the one-shot grid must pick the same numpy loops on every CPU:
     # every fifth draw and the edge cases, with every SIMD target numpy
     # dispatches on this host switched off (in the child only).
     umath = pytest.importorskip("numpy._core._multiarray_umath")
@@ -237,16 +253,59 @@ def test_cutset_grid_is_bit_identical_at_baseline_cpu_dispatch():
     assert lowered.stdout.splitlines()[-1] == "[]"
 
 
-def test_cutset_bound_allocates_no_full_grid(ref_gains, ref_powers):
-    # An 81^3 float64 temporary alone is 4.25 MB.
-    bounds.relay_cutset_bound(ref_gains, ref_powers, 1)
+@pytest.mark.parametrize("estimate", ["row 0", "row 79", "random rows"])
+def test_cutset_grid_is_exact_whatever_the_crossing_estimate(monkeypatch, estimate):
+    # The bound on the skipped rows, not the crossing estimate, makes the
+    # grid exact: with every column's crossing put at row 0, at the last
+    # pair of rows or at random rows it still equals the one-shot grid.
+    n = bounds._GRID
+    rng = np.random.default_rng(9)
+    rows = {"row 0": lambda: np.zeros((n, n), np.intp),
+            "row 79": lambda: np.full((n, n), n - 2, np.intp),
+            "random rows": lambda: rng.integers(0, n - 1, size=(n, n))}[estimate]
+    monkeypatch.setattr(bounds, "_cutset_crossing_rows", lambda *terms: rows())
+    cases = _grid_cases()
+    assert _grid_mismatches(cases[:-len(_GRID_EDGES):5] + _GRID_EDGES) == []
+
+
+def test_cutset_grid_evaluates_few_columns_in_full(monkeypatch, ref_gains, ref_powers):
+    # The grid evaluates two rows of every column, then every row of the
+    # columns its bound cannot rule out: at the reference triple the best
+    # column and at most two more.
+    n = bounds._GRID
+    cuts, shapes = bounds._cuts, []
+
+    def counting(*args):
+        cut1, cut2 = cuts(*args)
+        shapes.append(cut1.shape)
+        return cut1, cut2
+
+    monkeypatch.setattr(bounds, "_cuts", counting)
+    bounds._cutset_grid(*_cutset_triples(ref_gains, ref_powers)[("tx", 1)])
+    assert shapes[0] == (2, n, n)
+    assert all(rows == n for rows, _ in shapes[1:])
+    assert 1 <= sum(columns for _, columns in shapes[1:]) <= 3
+
+
+def _peak_bytes(f, *args):
+    """tracemalloc's peak over one call of f, after a warm-up call."""
+    f(*args)
     tracemalloc.start()
     try:
-        bounds.relay_cutset_bound(ref_gains, ref_powers, 1)
-        peak = tracemalloc.get_traced_memory()[1]
+        f(*args)
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4e6
+
+
+def test_cutset_bound_allocates_no_full_grid(ref_gains, ref_powers):
+    # An 81^3 float64 temporary alone is 4.25 MB.  The grid keeps a few
+    # 81^2 column arrays alive; one that ties everywhere (sd = rd = 0) is
+    # evaluated in full, in chunks.
+    assert _peak_bytes(bounds.relay_cutset_bound, ref_gains, ref_powers, 1) < 4e6
+    assert _peak_bytes(bounds._cutset_grid,
+                       *_cutset_triples(ref_gains, ref_powers)[("tx", 1)]) < 1e6
+    assert _peak_bytes(bounds._cutset_grid, 0.0, 2.0, 0.0, 5.0, 5.0) < 4e6
 
 
 def _scan_rho_max(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi):
