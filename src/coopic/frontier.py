@@ -40,7 +40,8 @@ cost plus a small one per lane, so one lockstep over several jobs costs
 much less than one per job.
 ``_decode`` is the one map from a search vector to simplex weights: per
 block it squares, normalizes, checks and renormalizes, giving the weights
-``Simplex2``/``Simplex3`` would store for the block's squares.  ``score``
+``Simplex2``/``Simplex3`` would store for the block's squares; over columns
+it takes every block of one size at once (``ops.grouped``).  ``score``
 passes its blocks to the scheme's kernel (``txcoop.tc_kernel``,
 ``rxcoop.rc_kernel``, ...) and builds no dataclass per evaluation.  Decode
 and kernels are written once over ``model``'s ``ops``: a batch is scored
@@ -129,7 +130,7 @@ _XATOL = 1e-8
 _BATCH = 256
 # Fewest points scored over columns in one call: below it the column ops'
 # fixed cost per call outweighs what they save per point (the break-even is
-# 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
+# 18 to 28 points for the TC, RC and TC-limit scores), so they are scored on
 # floats, with the same bits.
 _COLUMN_ROWS = 20
 # Most weights ``default_weights`` builds, restarts per weight and iterations
@@ -247,25 +248,28 @@ def _decode(xs, blocks, ops=FLOAT_OPS) -> list[list[float]]:
     the sum NaN) and its division by the ``math.fsum`` of the weights (for
     two floats, their sum); so each list is bit for bit what
     ``Simplex2``/``Simplex3`` built from the block's squares would store.
-    One pass per block, unrolled for the two block sizes.  A block that
-    fails the check (a NaN coordinate, an overflowed square or total) goes
-    to ``simplex_weights``, which raises its InvalidAllocation.  ``xs``
-    holds floats, or over an ``ArrayOps`` one column per coordinate; an
-    all-zero block and a failed check are then rare lanes.
+    A block that fails the check (a NaN coordinate, an overflowed square or
+    total) goes to ``simplex_weights``, which raises its InvalidAllocation.
+    The formula, unrolled for the two block sizes, runs once per block of
+    ``ops.grouped``: each block of the floats ``xs``, or over an
+    ``ArrayOps`` (``xs`` one row per coordinate, one column per lane) all
+    blocks of one size as one, in place on one gathered copy; an all-zero
+    block and a failed check are then rare lanes.
     """
     out = []
     i = 0
-    for n in blocks:
+    xs, groups = ops.grouped(xs, blocks)
+    for n in groups:
         if n == 2:
             a, b = xs[i], xs[i + 1]
-            a = a * a
-            b = b * b
+            a *= a
+            b *= b
             total = a + b
             if ops.rare(total < 1e-300):
                 a = b = 0.5
             else:
-                a = a / total
-                b = b / total
+                a /= total
+                b /= total
             total = a + b
             if ops.rare_unless(abs(total - 1.0) <= _SIMPLEX_SUM_TOL):  # a NaN sum fails
                 out.append(simplex_weights([a, b]))
@@ -273,23 +277,23 @@ def _decode(xs, blocks, ops=FLOAT_OPS) -> list[list[float]]:
                 out.append([a / total, b / total])
         else:
             a, b, c = xs[i], xs[i + 1], xs[i + 2]
-            a = a * a
-            b = b * b
-            c = c * c
+            a *= a
+            b *= b
+            c *= c
             total = a + b + c
             if ops.rare(total < 1e-300):
                 a = b = c = 1.0 / 3
             else:
-                a = a / total
-                b = b / total
-                c = c / total
+                a /= total
+                b /= total
+                c /= total
             total = ops.fsum3(a, b, c)
             if ops.rare_unless(abs(total - 1.0) <= _SIMPLEX_SUM_TOL):
                 out.append(simplex_weights([a, b, c]))
             else:
                 out.append([a / total, b / total, c / total])
         i += n
-    return out
+    return ops.ungrouped(out, blocks)
 
 
 def _simplices(x, space: _Space) -> list:
@@ -606,8 +610,8 @@ def _batch_objective(scores, weights, penalized):
         c, pw, variants = lane_inputs(search[runs])
         try:
             with np.errstate(all="ignore"):
-                r1, r2 = kernel(c, pw, _decode(np.ascontiguousarray(points.T), blocks, ops),
-                                variants, weights[runs], ops)
+                r1, r2 = kernel(c, pw, _decode(points.T, blocks, ops), variants,
+                                weights[runs], ops)
                 values = -(k1[runs] * r1 + k2[runs] * r2)
         except EvaluatorError:
             ops.suspect[:] = True

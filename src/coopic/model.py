@@ -14,8 +14,8 @@ Conventions used throughout the package:
 Every rate formula of the package is written once, over an ``ops``
 argument that supplies its primitives (``cap``, ``phase_power``, ``quad``,
 ``minimum``, ``maximum``, ``branch``, ``select``, ``divide``, ``fsum3``,
-``log2``, ``exp2m1``, ``sqrt``, ``checked_pair``, ``check_range``, ``rare``
-and ``rare_unless``):
+``log2``, ``exp2m1``, ``sqrt``, ``checked_pair``, ``check_range``, ``rare``,
+``rare_unless``, and ``grouped`` and ``ungrouped`` for a vector's blocks):
 
 * ``FLOAT_OPS`` is the default: today's float functions, so a formula over
   plain floats raises what it always raised, with the same message;
@@ -28,9 +28,11 @@ and ``rare_unless``):
   correctly rounded in both, and the transcendental functions are
   ``math``'s, mapped over ``.tolist()`` (numpy's SIMD versions differ in the
   last bits and depend on the CPU).  A three-term sum is ``math.fsum``,
-  never the builtin ``sum``, which from Python 3.12 compensates.  A
-  square is ``x * x``, correctly rounded on floats and columns alike, and
-  never ``x ** 2``, which is libm's ``pow`` and misrounds about one square
+  never the builtin ``sum``, which from Python 3.12 compensates; over
+  columns, two TwoSums whose errors add up exactly give fsum's bits, and
+  a lane where they do not is marked (``ArrayOps.fsum3``).  A square is
+  ``x * x``, correctly rounded on floats and columns alike, and never
+  ``x ** 2``, which is libm's ``pow`` and misrounds about one square
   in 1200.  So a gain or power that differs between lanes is a plain float
   column.  The kernels still call libm's ``log1p``, ``log2`` and
   ``expm1``, so their bits still depend on the platform's libm.
@@ -42,6 +44,7 @@ to one batch).
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -437,6 +440,35 @@ def _fsum3(a, b, c):
     return math.fsum((a, b, c))
 
 
+@functools.cache
+def _by_size(blocks):
+    """``ArrayOps.grouped``'s layout: the coordinates in gathered order (per
+    block size in order of first appearance, weight by weight, block by
+    block), the rows of each weight, and the sizes."""
+    starts = [sum(blocks[:j]) for j in range(len(blocks))]
+    sizes = tuple(dict.fromkeys(blocks))
+    order, rows = [], []
+    for size in sizes:
+        group = [i for n, i in zip(blocks, starts) if n == size]
+        for k in range(size):
+            rows.append(slice(len(order), len(order) + len(group)))
+            order += [i + k for i in group]
+    order = np.array(order)
+    order.flags.writeable = False  # shared by every call
+    return order, tuple(rows), sizes
+
+
+def _two_sum(x, y):
+    """Knuth's TwoSum: fl(x + y) and its error, x + y = s + e exactly if nothing overflows."""
+    s = x + y
+    v = s - x
+    e = s - v
+    np.subtract(x, e, out=e)
+    np.subtract(y, v, out=v)
+    e += v
+    return s, e
+
+
 class _FloatOps:
     """The primitives on floats, as plain instance attributes (the fastest to look up)."""
 
@@ -447,6 +479,8 @@ class _FloatOps:
             _divide, _fsum3, math.log2, _exp2m1, math.sqrt
         self.checked_pair, self.check_range = checked_pair, _check_range
         self.rare, self.rare_unless = operator.truth, operator.not_
+        self.grouped = lambda xs, blocks: (xs, blocks)
+        self.ungrouped = lambda out, _blocks: out
 
 
 FLOAT_OPS = _FloatOps()
@@ -468,14 +502,29 @@ class ArrayOps:
         self.suspect = np.zeros(size, dtype=bool)
 
     def rare(self, cond) -> bool:
-        """Mark the lanes that take the rare branch; every lane goes on with the common one."""
-        self.suspect |= cond
+        """Mark the lanes that take the rare branch; every lane goes on with
+        the common one.  Of a (blocks, lanes) ``cond``, any block's."""
+        self.suspect |= cond.any(axis=0) if np.ndim(cond) == 2 else cond
         return False
 
     def rare_unless(self, cond) -> bool:
         """``rare`` of the lanes where ``cond`` fails (NaN comparisons included)."""
-        self.suspect |= ~cond
-        return False
+        return self.rare(~cond)
+
+    def grouped(self, xs, blocks):
+        """``coords, sizes``: the search vectors (the rows of ``xs``, lanes as
+        columns) gathered into one fresh array, so ops may work in place, as
+        one block per size, each coordinate a (blocks, lanes) matrix of that
+        coordinate of every block of that size.  ``FLOAT_OPS.grouped`` gives
+        ``xs`` and ``blocks`` as they are."""
+        order, rows, sizes = _by_size(blocks)
+        gathered = xs[order]
+        return [gathered[r] for r in rows], sizes
+
+    def ungrouped(self, out, blocks):
+        """Each block's rows of its group's matrices in ``out``, in block order."""
+        rows = {n: zip(*weights) for n, weights in zip(_by_size(blocks)[2], out)}
+        return [list(next(rows[n])) for n in blocks]
 
     def _column(self, x) -> np.ndarray:
         if isinstance(x, np.ndarray) and x.shape == (self.size,):
@@ -541,14 +590,26 @@ class ArrayOps:
         return num / den
 
     def fsum3(self, a, b, c):
-        a, b, c = self._column(a), self._column(b), self._column(c)
-        # fsum raises on inf - inf and on a total that overflows
-        finite = np.abs(a) + np.abs(b) + np.abs(c) <= 1e307
-        if np.count_nonzero(finite) < self.size:
-            self.suspect |= ~finite
-            a, b, c = (np.where(finite, v, 0.0) for v in (a, b, c))
-        return np.fromiter(map(math.fsum, zip(a.tolist(), b.tolist(), c.tolist())),
-                           float, self.size)
+        """``math.fsum`` entry by entry of three columns or (blocks, lanes)
+        matrices.  TwoSum gives a + b = s + e1 and s + c = t + e2, so where r
+        = e1 + e2 is exact, t + r rounds a + b + c correctly, as fsum does.
+        r is exact iff r - e1 == e2 and r - e2 == e1 (with Dekker's Fast2Sum,
+        the difference by the larger is exact).  Marked: an inexact r, NaN or
+        magnitudes adding up above 1e307 (fsum raises on inf - inf or
+        overflow; TwoSum is exact while nothing overflows).  An exact zero
+        sum is +0.0, as fsum gives it: no TwoSum error is -0.0."""
+        ok = np.abs(a)
+        ok += np.abs(b)
+        ok += np.abs(c)
+        ok = ok <= 1e307
+        s, e1 = _two_sum(a, b)
+        t, e2 = _two_sum(s, c)
+        r = np.add(e1, e2, out=s)
+        ok &= r - e1 == e2
+        ok &= r - e2 == e1
+        t += r
+        self.rare(~ok)
+        return t
 
     def log2(self, x):
         x = self._column(x)

@@ -7,9 +7,15 @@ objective on seeded and adversarial search vectors.
 """
 
 import dataclasses
+import hashlib
 import itertools
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -56,6 +62,14 @@ def test_array_ops_match_float_ops():
         _check_op(name, a, b)
     triples = list(itertools.product((0.0, 0.25, 1.0, 1e308, math.inf, -math.inf, math.nan),
                                      repeat=3))
+    triples += list(itertools.product((0.0, -0.0, 0.25, -0.25), repeat=3))  # signed zeros
+    triples += list(itertools.product((5e-324, -5e-324, 1e-310, -2.2250738585072014e-308),
+                                      repeat=3))  # subnormals
+    # half-ulp ties that a later or an earlier tiny term breaks, and magnitudes far apart
+    for triple in ((1.0, 2.0 ** -53, 2.0 ** -106), (1.0, 2.0 ** -53, -2.0 ** -106),
+                   (1.0, -2.0 ** -120, 3.0 * 2.0 ** -53), (1e300, 1.0, 1e-300),
+                   (-1e300, 1.0, 1e-300), (1e300, -1e300, 1e-300)):
+        triples += list(itertools.permutations(triple))
     _check_op("fsum3", *zip(*triples))
     for total in (0.0, 5.0, 1e8):
         ops = ArrayOps(len(pairs))
@@ -69,6 +83,7 @@ def test_array_ops_match_float_ops():
                 continue
             assert ops.suspect[i] or _bits(got[i]) == _bits(want)
     rng = np.random.default_rng(3)
+    _check_fsum3_of_normalized_squares(rng)
     entries = rng.standard_normal((3, 200)) * 10.0 ** rng.integers(-12, 3, (3, 200))
     for v0, v1 in ((1.0, 1.4), (0.0, 2.0), (1e8, 1e-8)):
         ops = ArrayOps(200)
@@ -76,6 +91,26 @@ def test_array_ops_match_float_ops():
         assert not ops.suspect.any()
         for i in range(200):
             assert _bits(got[i]) == _bits(FLOAT_OPS.quad(v0, v1, *entries[:, i]))
+
+
+def _check_fsum3_of_normalized_squares(rng):
+    """fsum3 of 10^5 seeded normalized squares, as ``_decode`` makes them, as
+    columns and as (blocks, lanes) matrices: fsum's bits, and no lane marked."""
+    a, b, c = rng.standard_normal((3, 10 ** 5)) ** 2
+    total = a + b + c
+    a, b, c = a / total, b / total, c / total
+    want = np.array([math.fsum(t) for t in zip(a.tolist(), b.tolist(), c.tolist())])
+    ops = ArrayOps(10 ** 5)
+    assert ops.fsum3(a, b, c).tobytes() == want.tobytes()
+    assert not ops.suspect.any()
+    ops = ArrayOps(25_000)
+    c[2 * 25_000 + 7] = math.nan  # block 2 of lane 7
+    with np.errstate(invalid="ignore"):
+        got = ops.fsum3(*(v.reshape(4, 25_000) for v in (a, b, c)))
+    assert ops.suspect.tolist() == [lane == 7 for lane in range(25_000)]
+    got = got.ravel()
+    assert got[:50_007].tobytes() == want[:50_007].tobytes()
+    assert got[50_008:].tobytes() == want[50_008:].tobytes()
 
 
 def test_array_ops_branch_keeps_every_mark_and_rare_marks_only_its_lanes():
@@ -100,6 +135,12 @@ def test_array_ops_branch_keeps_every_mark_and_rare_marks_only_its_lanes():
         assert ops.rare_unless(np.array([0.5, math.nan, 2.0]) <= 1.0) is False
     assert ops.suspect.tolist() == [False, True, True]
     assert FLOAT_OPS.rare_unless(math.nan <= 1.0) and not FLOAT_OPS.rare_unless(0.5 <= 1.0)
+    # a (blocks, lanes) condition marks a lane where any block's holds (fails)
+    ops = ArrayOps(3)
+    ops.rare(np.array([[False, True, False], [False, False, False]]))
+    assert ops.suspect.tolist() == [False, True, False]
+    ops.rare_unless(np.array([[True, True, True], [True, True, False]]))
+    assert ops.suspect.tolist() == [False, True, True]
 
 
 def test_array_ops_select_picks_lanes_through_nested_tuples():
@@ -166,11 +207,10 @@ def test_column_scores_match_float_scores(scheme, ref_gains, ref_powers):
     for g, p in _channels(scheme, ref_gains, ref_powers, rng):
         for space, score, _ in frontier._searches(scheme, g, p):
             points = _vectors(space, rng)
-            columns = np.ascontiguousarray(points.T)
             for w in WEIGHTS:
                 ops = ArrayOps(len(points))
                 with np.errstate(all="ignore"):
-                    r1, r2 = score(columns, np.full(len(points), w), ops)
+                    r1, r2 = score(points.T, np.full(len(points), w), ops)
                 for i, x in enumerate(points.tolist()):
                     try:
                         want = score(x, w)
@@ -235,9 +275,8 @@ def _column_call(searches, points):
     assert all(isinstance(v, np.ndarray) for v in (*c[1:5], *pw[:2]))
     ops = ArrayOps(len(points))
     with np.errstate(all="ignore"):
-        r1, r2 = space.kernel(c, pw, frontier._decode(np.ascontiguousarray(points.T),
-                                                      space.blocks, ops),
-                              variant, weights, ops)
+        r1, r2 = space.kernel(c, pw, frontier._decode(points.T, space.blocks, ops), variant,
+                              weights, ops)
     return ops, r1, r2, [scores[k] for k in index.tolist()], weights
 
 
@@ -295,3 +334,84 @@ def test_batch_objective_over_several_searches_matches_scalar_objective(scheme):
             for r, x in zip(runs.tolist(), points.tolist())]
     assert got.tobytes() == np.array(want).tobytes()
     assert batched == alone and sum(sum(c.values()) for c in alone) > 0
+
+
+def test_batch_objective_first_simplex_stays_lean_in_memory(ref_gains, ref_powers):
+    # The first batch of a region trace's TC and RDPC lockstep: 176 runs (11
+    # weights x 8 restarts x 2 searches) x 18 initial vertices = 3,168 lanes.
+    # The decode gathers the batch once and works in place on that copy, so
+    # it peaks under 1 MB and one call (decode and kernel) under 1.25 MB.
+    weights = frontier.default_weights(9)
+    runs_of = [(score, w, frontier._start_vector(0, k, r, space))
+               for scheme in ("TC", "RDPC")
+               for space, score, _ in frontier._searches(scheme, ref_gains, ref_powers)
+               for k, w in enumerate(weights) for r in range(8)]
+    scores, run_weights, x0 = zip(*runs_of)
+    points = np.concatenate([frontier._initial_simplex(x) for x in x0])
+    assert points.shape == (3168, 17)
+    runs = np.repeat(np.arange(len(runs_of)), 18)
+    f = frontier._batch_objective(scores, run_weights, [Counter() for _ in runs_of])
+    want = f(runs, points)
+
+    def peak(call):
+        tracemalloc.start()
+        try:
+            return call(), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    ops = ArrayOps(len(points))
+    assert peak(lambda: frontier._decode(points.T, frontier._TC.blocks, ops))[1] < 2 ** 20
+    got, call_peak = peak(lambda: f(runs, points))
+    assert got.tobytes() == want.tobytes()
+    assert call_peak < 1.25 * 2 ** 20
+
+
+def _column_decode_digest() -> str:
+    """SHA-256 of every search space's column decode of ``_vectors`` and of
+    ``fsum3`` over edge triples: the marks and each unmarked lane's bytes (a
+    marked lane's value is arbitrary, and a NaN's sign bit may differ)."""
+    digest = hashlib.sha256()
+    rng = np.random.default_rng(31)
+    values = (0.0, -0.0, 5e-324, 1e-310, 2.0 ** -106, 2.0 ** -53, 0.25, 1.0, 1e300, math.nan)
+    triples = np.array(list(itertools.product(values + tuple(-v for v in values), repeat=3)))
+    for space in (frontier._TC, frontier._RC, frontier._LIMIT, None):
+        points = triples if space is None else _vectors(space, rng)
+        ops = ArrayOps(len(points))
+        with np.errstate(all="ignore"):
+            columns = ([[ops.fsum3(*points.T)]] if space is None
+                       else frontier._decode(points.T, space.blocks, ops))
+        digest.update(ops.suspect.tobytes())
+        for weights in itertools.chain.from_iterable(columns):
+            digest.update(np.where(ops.suspect, 0.0, weights).tobytes())
+    return digest.hexdigest()
+
+
+_DECODE_PROBE = """
+import sys
+sys.path.insert(0, sys.argv[1])
+import test_batch
+print(test_batch._column_decode_digest())
+"""
+
+
+def test_column_decode_does_not_depend_on_numpy_cpu_dispatch():
+    # The column decode and fsum3 use only correctly rounded arithmetic,
+    # comparisons and reductions, so they give the same bytes with every SIMD
+    # target numpy dispatches on this host switched off (in the child only).
+    umath = pytest.importorskip("numpy._core._multiarray_umath")
+    present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
+    if not present:
+        pytest.skip("numpy dispatches no CPU feature on this host")
+    tests = str(Path(__file__).resolve().parent)
+    src = str(Path(frontier.__file__).resolve().parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    plain = subprocess.run([sys.executable, "-c", _DECODE_PROBE, tests], env=env,
+                           capture_output=True, text=True, check=True)
+    lowered = subprocess.run([sys.executable, "-c", _DECODE_PROBE, tests], capture_output=True,
+                             text=True, env={**env, "NPY_DISABLE_CPU_FEATURES": " ".join(present)})
+    if lowered.returncode != 0:
+        pytest.skip(f"the interpreter with {present} disabled cannot start: {lowered.stderr}")
+    assert plain.stdout == lowered.stdout == _column_decode_digest() + "\n"

@@ -358,12 +358,25 @@ def test_decode_matches_public_simplices(space):
         raising += [overflow, nan]
         i += n
     outcomes = set()
-    for x in vectors + raising:
+    ops = model.ArrayOps(len(vectors + raising))
+    with np.errstate(all="ignore"):
+        columns = frontier._decode(np.array(vectors + raising).T, blocks, ops)
+    for lane, x in enumerate(vectors + raising):
         want = _decoded(lambda: [list(s) for s in _constructed(x.tolist(), space)])
         assert _decoded(lambda: frontier._decode(x.tolist(), blocks)) == want
         assert _decoded(lambda: [list(s) for s in frontier._simplices(x, space)]) == want
         outcomes.add(want is InvalidAllocation)
+        # over columns (every block of one size at once), a lane the float
+        # decode rejects is marked, and an unmarked one has its bits
+        if want is InvalidAllocation or ops.suspect[lane]:
+            assert ops.suspect[lane]
+            continue
+        assert [[float(w[lane]).hex() for w in block] for block in columns] == want
     assert outcomes == {False, True}
+    # at unit scale only a lane with an all-zero (uniform) block is marked
+    starts = np.cumsum((0,) + blocks[:-1])
+    assert ops.suspect[:300].tolist() == [
+        any(not x[i:i + n].any() for i, n in zip(starts, blocks)) for x in vectors[:300]]
     for x in raising:
         with pytest.raises(InvalidAllocation):
             frontier._decode(x.tolist(), blocks)
