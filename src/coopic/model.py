@@ -598,10 +598,7 @@ class ArrayOps:
         magnitudes adding up above 1e307 (fsum raises on inf - inf or
         overflow; TwoSum is exact while nothing overflows).  An exact zero
         sum is +0.0, as fsum gives it: no TwoSum error is -0.0."""
-        ok = np.abs(a)
-        ok += np.abs(b)
-        ok += np.abs(c)
-        ok = ok <= 1e307
+        ok = np.abs(a) + np.abs(b) + np.abs(c) <= 1e307
         s, e1 = _two_sum(a, b)
         t, e2 = _two_sum(s, c)
         r = np.add(e1, e2, out=s)
