@@ -513,10 +513,10 @@ class ArrayOps:
 
     def grouped(self, xs, blocks):
         """``coords, sizes``: the search vectors (the rows of ``xs``, lanes as
-        columns) gathered into one fresh array, so ops may work in place, as
-        one block per size, each coordinate a (blocks, lanes) matrix of that
-        coordinate of every block of that size.  ``FLOAT_OPS.grouped`` gives
-        ``xs`` and ``blocks`` as they are."""
+        columns) regrouped as one block per block size, whose coordinate k
+        is the (blocks, lanes) matrix of coordinate k of every block of that
+        size, all in one fresh array, so ops may work in place.
+        ``FLOAT_OPS.grouped`` gives ``xs`` and ``blocks`` as they are."""
         order, rows, sizes = _by_size(blocks)
         gathered = xs[order]
         return [gathered[r] for r in rows], sizes
