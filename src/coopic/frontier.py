@@ -29,15 +29,16 @@ restart) as one lockstep, in chunks of at most ``_BATCH`` runs, which may
 straddle searches and jobs.  ``minimize`` holds a chunk's simplices as one
 (runs, n + 1, n) array, and each lockstep iteration scores the reflections
 of every live run as one batch ``f(runs, X)``, then their expansions and
-contractions, then their shrinks.  A run's steps depend on its own values
-alone, so each job gets the runs, counts and candidates, in order, of its
-lone trace.  What differs between the searches of a batch, gains ``c``,
-powers ``pw`` and the scheme variant (TC's covariance rule, the TC
-limit's encoding order), the kernels read as lane columns
-(``_lane_inputs``); what they share stays a float, so a lone trace makes
-exactly the operations it always made.  A batch's kernel call has a fixed
-cost plus a small one per lane, so one lockstep over several jobs costs
-much less than one per job.
+contractions, then their shrinks; a run that ends leaves that array, so
+each iteration works on whole arrays of live runs.  A run's steps depend
+on its own values alone, so each job gets the runs, counts and
+candidates, in order, of its lone trace.  What differs between the
+searches of a batch, gains ``c``, powers ``pw`` and the scheme variant
+(TC's covariance rule, the TC limit's encoding order), the kernels read
+as lane columns (``_lane_inputs``); what they share stays a float, so a
+lone trace makes exactly the operations it always made.  A batch's kernel
+call has a fixed cost plus a small one per lane, so one lockstep over
+several jobs costs much less than one per job.
 ``_decode`` is the one map from a search vector to simplex weights: per
 block it squares, normalizes, checks and renormalizes, giving the weights
 ``Simplex2``/``Simplex3`` would store for the block's squares; over columns
@@ -130,7 +131,7 @@ _XATOL = 1e-8
 _BATCH = 256
 # Fewest points scored over columns in one call: below it the column ops'
 # fixed cost per call outweighs what they save per point (the break-even is
-# 18 to 28 points for the TC, RC and TC-limit scores), so they are scored on
+# 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
 # floats, with the same bits.
 _COLUMN_ROWS = 20
 # Most weights ``default_weights`` builds, restarts per weight and iterations
@@ -415,7 +416,8 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     ranked by ``np.argsort``, whose order of tied values (penalties,
     coordinates the objective ignores) is numpy's unstable sort's.  The
     evaluation that would exceed the budget is not made and ends the run; a
-    shrink already partly applied stays applied.
+    shrink already partly applied stays applied.  A run that has ended
+    leaves the working set, so later batches hold only live runs' points.
 
     ``f(runs, X)`` gets the points of one step of several runs as the rows
     of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
@@ -432,13 +434,26 @@ def _ranked(sim: np.ndarray, fsim: np.ndarray):
     return sim[rows, order], fsim[rows, order]
 
 
+def _centroid(sim: np.ndarray) -> np.ndarray:
+    """Each run's centroid of its ranked vertices but the worst, as scipy's
+    ``np.add.reduce(sim[:-1], 0) / n``: one reduction over the vertex axis,
+    which numpy adds row by row in rank order (it sums pairwise only along
+    the contiguous last axis)."""
+    xbar = np.add.reduce(sim[:, :-1], axis=1)
+    xbar /= sim.shape[2]
+    return xbar
+
+
 def _lockstep(f, x0: np.ndarray, max_iter: int):
     """``minimize`` of the runs starting at the rows of ``x0``: each run's
     final ranked simplex and its values, evaluations and convergence flag.
     Each lockstep iteration takes one Nelder-Mead step of every live run,
     with one call of ``f`` for the reflections, one for the expansions and
     contractions, and one for the shrinks; per-run budgets and iteration
-    counts follow ``minimize``'s rules."""
+    counts follow ``minimize``'s rules.  A run that ends (converged, or out
+    of budget or iterations) has its simplex, values and counts written to
+    the result and leaves the working arrays, so each iteration works on
+    whole arrays of live runs, ``ids`` holding each one's row of ``x0``."""
     max_fev = 2 * max_iter
     count, n = x0.shape
     sim = np.stack([_initial_simplex(x) for x in x0])
@@ -450,78 +465,77 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
     for _ in range(2):  # scipy ranks the first simplex twice; the second sort may move ties
         sim, fsim = _ranked(sim, fsim)
     iterations = np.ones(count, dtype=int)
-    converged = np.zeros(count, dtype=bool)
+    ids = np.arange(count)
+    # The result: the working arrays of the first iteration in which a run
+    # ends (later iterations work on copies), then each run's row as it ends.
+    final = None
     while True:
-        live = np.flatnonzero(~converged & (nfev < max_fev) & (iterations < max_iter))
-        if not live.size:
-            break
-        whole = live.size == count  # then S and F are sim and fsim themselves
-        S, F = (sim, fsim) if whole else (sim[live], fsim[live])
-        # F is ranked, so its last minus its first is the largest spread; only
-        # runs whose values have settled need their vertex spread.
-        settled = np.flatnonzero(F[:, -1] - F[:, 0] <= _FATOL)
+        ended = (nfev >= max_fev) | (iterations >= max_iter)
+        # fsim is ranked, so its last minus its first is the largest spread;
+        # only runs whose values have settled need their vertex spread.
+        settled = np.flatnonzero(fsim[:, -1] - fsim[:, 0] <= _FATOL)
         if settled.size:
-            near = S[settled]
-            stop = settled[np.max(np.abs(near[:, 1:] - near[:, :1]), axis=(1, 2)) <= _XATOL]
-            if stop.size:
-                converged[live[stop]] = True
-                keep = np.ones(len(live), dtype=bool)
-                keep[stop] = False
-                live, S, F, whole = live[keep], S[keep], F[keep], False
-                if not live.size:
-                    break
-        xbar = S[:, 0].copy()
-        for k in range(1, n):
-            xbar += S[:, k]
-        xbar /= n
-        worst = S[:, -1]
+            near = sim[settled]
+            ended[settled[np.max(np.abs(near[:, 1:] - near[:, :1]), axis=(1, 2)) <= _XATOL]] = True
+        if np.count_nonzero(ended):
+            if final is None:
+                final = sim, fsim, nfev, iterations
+            else:
+                for out, working in zip(final, (sim, fsim, nfev, iterations)):
+                    out[ids[ended]] = working[ended]
+            live = ~ended
+            sim, fsim, nfev, iterations, ids = (
+                sim[live], fsim[live], nfev[live], iterations[live], ids[live])
+            if not ids.size:
+                break
+        xbar = _centroid(sim)
+        worst = sim[:, -1]
         xr = 2.0 * xbar - worst
-        fxr = f(live, xr)
-        nfev[live] += 1
-        expand = fxr < F[:, 0]
-        reflect = ~expand & (fxr < F[:, -2])
-        outside = ~expand & ~reflect & (fxr < F[:, -1])
+        fxr = f(ids, xr)
+        nfev += 1
+        expand = fxr < fsim[:, 0]
+        reflect = ~expand & (fxr < fsim[:, -2])
+        outside = ~expand & ~reflect & (fxr < fsim[:, -1])
         # One more point for every run that does not take its reflection.
-        second = ~reflect & (nfev[live] < max_fev)
+        second = ~reflect & (nfev < max_fev)
         spent = ~reflect & ~second  # the budget ends the step before its second point
-        xs = np.empty_like(xr)
-        fxs = np.full(len(live), np.nan)
+        fxs = np.full(len(ids), np.nan)
         if np.count_nonzero(second):
-            xb, w = xbar[second], worst[second]
-            xs[second] = np.where(expand[second, None], 3.0 * xb - 2.0 * w,
-                                  np.where(outside[second, None], 1.5 * xb - 0.5 * w,
-                                           0.5 * xb + 0.5 * w))
-            fxs[second] = f(live[second], xs[second])
-            nfev[live[second]] += 1
+            # a xbar - b worst: expansion (3, 2), outside contraction (1.5, 0.5)
+            # and inside contraction (0.5, -0.5), which is 0.5 xbar + 0.5 worst
+            a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
+            b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
+            xs = a * xbar - b * worst
+            fxs[second] = f(ids[second], xs[second])
+            nfev[second] += 1
         # Expansion keeps the better of its two points; an outside contraction
         # needs fxc <= fxr, an inside one fxcc < the worst value; else shrink.
         take_xs = second & np.where(expand, fxs < fxr,
-                                    np.where(outside, fxs <= fxr, fxs < F[:, -1]))
+                                    np.where(outside, fxs <= fxr, fxs < fsim[:, -1]))
         shrink = second & ~expand & ~take_xs
         take_xr = reflect | (expand & second & ~take_xs)
-        S[take_xr, -1], F[take_xr, -1] = xr[take_xr], fxr[take_xr]
-        S[take_xs, -1], F[take_xs, -1] = xs[take_xs], fxs[take_xs]
+        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        if np.count_nonzero(take_xs):
+            sim[take_xs, -1], fsim[take_xs, -1] = xs[take_xs], fxs[take_xs]
         if np.count_nonzero(shrink):
             rows = np.flatnonzero(shrink)
-            budget = max_fev - nfev[live[rows]]
+            budget = max_fev - nfev[rows]
             spent[rows] = budget < n
-            best = S[rows, :1]
-            moved = best + 0.5 * (S[rows, 1:] - best)
+            best = sim[rows, :1]
+            moved = best + 0.5 * (sim[rows, 1:] - best)
             j = np.arange(n)
             # Vertex j + 1 moves when evaluation j may run or is the one that ends the budget.
-            S[rows, 1:] = np.where((j < budget[:, None] + 1)[:, :, None], moved, S[rows, 1:])
+            sim[rows, 1:] = np.where((j < budget[:, None] + 1)[:, :, None], moved, sim[rows, 1:])
             evaluated = j < budget[:, None]
             if np.count_nonzero(evaluated):
                 made = evaluated.sum(axis=1)
-                shrunk = F[rows, 1:]
-                shrunk[evaluated] = f(np.repeat(live[rows], made), moved[evaluated])
-                F[rows, 1:] = shrunk
-                nfev[live[rows]] += made
-        iterations[live[~spent]] += 1
-        if whole:
-            sim, fsim = _ranked(S, F)
-        else:
-            sim[live], fsim[live] = _ranked(S, F)
+                shrunk = fsim[rows, 1:]
+                shrunk[evaluated] = f(np.repeat(ids[rows], made), moved[evaluated])
+                fsim[rows, 1:] = shrunk
+                nfev[rows] += made
+        iterations[~spent] += 1
+        sim, fsim = _ranked(sim, fsim)
+    sim, fsim, nfev, iterations = final
     return sim, fsim, nfev, (nfev < max_fev) & (iterations < max_iter)
 
 

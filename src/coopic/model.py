@@ -29,8 +29,8 @@ argument that supplies its primitives (``cap``, ``phase_power``, ``quad``,
   ``math``'s, mapped over ``.tolist()`` (numpy's SIMD versions differ in the
   last bits and depend on the CPU).  A three-term sum is ``math.fsum``,
   never the builtin ``sum``, which from Python 3.12 compensates; over
-  columns, two TwoSums whose errors add up exactly give fsum's bits, and
-  a lane where they do not is marked (``ArrayOps.fsum3``).  A square is
+  columns, two TwoSums whose errors are added rounding to odd give fsum's
+  bits, correctly rounded (``ArrayOps.fsum3``).  A square is
   ``x * x``, correctly rounded on floats and columns alike, and never
   ``x ** 2``, which is libm's ``pow`` and misrounds about one square
   in 1200.  So a gain or power that differs between lanes is a plain float
@@ -469,6 +469,18 @@ def _two_sum(x, y):
     return s, e
 
 
+def _round_to_odd(v, x, y, lanes):
+    """Round v = fl(x + y) to odd in place on ``lanes``, where x + y is finite
+    and inexact: the neighbour of x + y whose last significand bit is odd.
+    Where v's last bit is even, that is one ulp from v toward the TwoSum
+    error, which is one step of v's int64 view (sign and magnitude, so +1
+    moves away from zero and -1 toward it)."""
+    r, e = _two_sum(x[lanes], y[lanes])
+    bits = r.view(np.int64)
+    bits += np.where(bits & 1, 0, np.where((e > 0.0) == (r > 0.0), 1, -1))
+    v[lanes] = r
+
+
 class _FloatOps:
     """The primitives on floats, as plain instance attributes (the fastest to look up)."""
 
@@ -591,20 +603,27 @@ class ArrayOps:
 
     def fsum3(self, a, b, c):
         """``math.fsum`` entry by entry of three columns or (blocks, lanes)
-        matrices.  TwoSum gives a + b = s + e1 and s + c = t + e2, so where r
-        = e1 + e2 is exact, t + r rounds a + b + c correctly, as fsum does.
-        r is exact iff r - e1 == e2 and r - e2 == e1 (with Dekker's Fast2Sum,
-        the difference by the larger is exact).  Marked: an inexact r, NaN or
-        magnitudes adding up above 1e307 (fsum raises on inf - inf or
-        overflow; TwoSum is exact while nothing overflows).  An exact zero
-        sum is +0.0, as fsum gives it: no TwoSum error is -0.0."""
+        matrices: a + b + c correctly rounded, as fsum gives it.  TwoSum
+        gives b + c = u + ul and a + u = t + tl, and t + v with v = tl + ul
+        rounded to odd is a + b + c correctly rounded (Boldo and Melquiond,
+        "Emulation of FMA and correctly rounded sums: proved algorithms using
+        rounding to odd", IEEE Trans. Computers 57(4), 2008).  v is first
+        rounded to nearest; it is exact, and so already odd-rounded, iff v -
+        tl == ul and v - ul == tl (with Dekker's Fast2Sum, the difference by
+        the larger is exact), so only a call with an inexact lane pays for
+        ``_round_to_odd``.  Marked: NaN or magnitudes adding up above 1e307
+        (fsum raises on inf - inf or overflow; TwoSum is exact while nothing
+        overflows).  An exact zero sum is +0.0, as fsum gives it: no TwoSum
+        error is -0.0."""
         ok = np.abs(a) + np.abs(b) + np.abs(c) <= 1e307
-        s, e1 = _two_sum(a, b)
-        t, e2 = _two_sum(s, c)
-        r = np.add(e1, e2, out=s)
-        ok &= r - e1 == e2
-        ok &= r - e2 == e1
-        t += r
+        u, ul = _two_sum(b, c)
+        t, tl = _two_sum(a, u)
+        v = np.add(tl, ul, out=u)
+        exact = v - tl == ul
+        exact &= v - ul == tl
+        if not exact.all():
+            _round_to_odd(v, tl, ul, ok & ~exact)
+        t += v
         self.rare(~ok)
         return t
 

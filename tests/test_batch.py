@@ -83,7 +83,7 @@ def test_array_ops_match_float_ops():
                 continue
             assert ops.suspect[i] or _bits(got[i]) == _bits(want)
     rng = np.random.default_rng(3)
-    _check_fsum3_of_normalized_squares(rng)
+    _check_fsum3_of_normalized_squares(*rng.standard_normal((3, 10 ** 5)) ** 2)
     entries = rng.standard_normal((3, 200)) * 10.0 ** rng.integers(-12, 3, (3, 200))
     for v0, v1 in ((1.0, 1.4), (0.0, 2.0), (1e8, 1e-8)):
         ops = ArrayOps(200)
@@ -93,10 +93,10 @@ def test_array_ops_match_float_ops():
             assert _bits(got[i]) == _bits(FLOAT_OPS.quad(v0, v1, *entries[:, i]))
 
 
-def _check_fsum3_of_normalized_squares(rng):
-    """fsum3 of 10^5 seeded normalized squares, as ``_decode`` makes them, as
-    columns and as (blocks, lanes) matrices: fsum's bits, and no lane marked."""
-    a, b, c = rng.standard_normal((3, 10 ** 5)) ** 2
+def _check_fsum3_of_normalized_squares(a, b, c):
+    """fsum3 of 10^5 squares a, b, c normalized as ``_decode`` normalizes them,
+    as columns and as (blocks, lanes) matrices: fsum's bits, no lane marked,
+    and one NaN entry marks only its lane."""
     total = a + b + c
     a, b, c = a / total, b / total, c / total
     want = np.array([math.fsum(t) for t in zip(a.tolist(), b.tolist(), c.tolist())])
@@ -111,6 +111,35 @@ def _check_fsum3_of_normalized_squares(rng):
     got = got.ravel()
     assert got[:50_007].tobytes() == want[:50_007].tobytes()
     assert got[50_008:].tobytes() == want[50_008:].tobytes()
+
+
+def _near_vertex_squares(rng, lanes):
+    """(3, lanes) squares of search vectors near a simplex vertex: one entry 1
+    and two from 1e-20 to 1e-8, in random positions; lane 0 is the block
+    (3.1e-17, 0.99999999699, 3e-9), decoded by a TC-limit search."""
+    squares = np.vstack([np.ones(lanes), 10.0 ** rng.uniform(-20.0, -8.0, (2, lanes))])
+    squares = np.take_along_axis(squares, rng.permuted(np.tile(np.arange(3), (lanes, 1)),
+                                                       axis=1).T, axis=0)
+    squares[:, 0] = (3.1e-17, 0.99999999699, 3e-9)
+    return squares
+
+
+def test_column_decode_of_near_vertex_blocks_marks_no_lane():
+    # A search that converges to a simplex vertex decodes blocks whose three
+    # normalized squares sum with an inexact error term; fsum3 rounds that
+    # term to odd, so the sum is still fsum's and no lane goes to the float
+    # path.  Decoded as the TC limit's two 3-blocks, (blocks, lanes) matrices.
+    rng = np.random.default_rng(41)
+    squares = _near_vertex_squares(rng, 10 ** 5)
+    _check_fsum3_of_normalized_squares(*squares)
+    coords = np.sqrt(squares) * rng.choice((-1.0, 1.0), squares.shape)
+    points = coords.T.reshape(-1, 6)
+    ops = ArrayOps(len(points))
+    got = frontier._decode(points.T, frontier._LIMIT.blocks, ops)
+    assert not ops.suspect.any()
+    want = [frontier._decode(x, frontier._LIMIT.blocks) for x in points.tolist()]
+    for k, block in enumerate(got):
+        assert np.array(block).T.tobytes() == np.array([w[k] for w in want]).tobytes()
 
 
 def test_array_ops_branch_keeps_every_mark_and_rare_marks_only_its_lanes():
@@ -369,12 +398,15 @@ def test_batch_objective_first_simplex_stays_lean_in_memory(ref_gains, ref_power
 
 def _column_decode_digest() -> str:
     """SHA-256 of every search space's column decode of ``_vectors`` and of
-    ``fsum3`` over edge triples: the marks and each unmarked lane's bytes (a
-    marked lane's value is arbitrary, and a NaN's sign bit may differ)."""
+    ``fsum3`` over edge triples and near-vertex blocks (whose error terms
+    are rounded to odd): the marks and each unmarked lane's bytes (a marked
+    lane's value is arbitrary, and a NaN's sign bit may differ)."""
     digest = hashlib.sha256()
     rng = np.random.default_rng(31)
     values = (0.0, -0.0, 5e-324, 1e-310, 2.0 ** -106, 2.0 ** -53, 0.25, 1.0, 1e300, math.nan)
     triples = np.array(list(itertools.product(values + tuple(-v for v in values), repeat=3)))
+    near = _near_vertex_squares(np.random.default_rng(41), 2000)
+    triples = np.vstack([triples, (near / near.sum(axis=0)).T])
     for space in (frontier._TC, frontier._RC, frontier._LIMIT, None):
         points = triples if space is None else _vectors(space, rng)
         ops = ArrayOps(len(points))
@@ -397,7 +429,8 @@ print(test_batch._column_decode_digest())
 
 def test_column_decode_does_not_depend_on_numpy_cpu_dispatch():
     # The column decode and fsum3 use only correctly rounded arithmetic,
-    # comparisons and reductions, so they give the same bytes with every SIMD
+    # comparisons, reductions and integer steps of a float's bits (fsum3's
+    # rounding to odd), so they give the same bytes with every SIMD
     # target numpy dispatches on this host switched off (in the child only).
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]

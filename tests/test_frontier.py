@@ -668,6 +668,49 @@ def test_lockstep_runs_equal_single_runs_on_toy_objectives():
                              max_iter)
 
 
+def _toy_plateau(xs):  # a bowl with a flat floor, where runs shrink once they reach it
+    return max(_toy_bowl(xs), 0.5)
+
+
+def test_lockstep_runs_that_end_at_different_times_equal_single_runs():
+    # One chunk mixes constant objectives, which shrink every step and end
+    # first, steep and flat bowls, which converge at their own pace, a
+    # slope, which expands until the budget ends it, and plateaus, where
+    # runs shrink only after reaching the floor, so after runs of lower rows
+    # have left the working set.  Budgets of 2 and 4 evaluations end every
+    # run in the first simplex, and 8, 10, 14 and 16 end the constant runs
+    # inside a shrink (see test_minimize_takes_scipys_steps_on_toy_objectives).
+    rng = np.random.default_rng(13)
+    kinds = (lambda xs: 0.0, lambda xs: 1e3 * _toy_bowl(xs), lambda xs: 1e-3 * _toy_bowl(xs),
+             _toy_tilted, _toy_plateau)
+    objectives = [kinds[k % len(kinds)] for k in range(15)]
+    starts = [rng.standard_normal(4) * 3.0 for _ in objectives]
+
+    def batch(runs, points):
+        return np.array([objectives[k](x) for k, x in zip(runs.tolist(), points.tolist())])
+
+    for max_iter in (1, 2, 4, 5, 7, 8, 60, 2000):
+        runs = _same_as_single_runs(batch, lambda k: objectives[k], starts, max_iter)
+    assert len(set(runs.nfev.tolist())) >= 10 and 0 < np.count_nonzero(runs.converged) < 15
+
+
+def test_lockstep_centroid_adds_the_kept_vertices_row_by_row():
+    # The lockstep's one reduction gives the centroid scipy's row-by-row sum
+    # gives, on each space's simplex shape and on chunks of 1 to 256 runs,
+    # with coordinates whose sum depends on the order of its terms.
+    rng = np.random.default_rng(17)
+    for n in (6, 13, 17):
+        for count in (1, 7, 256):
+            sim = rng.standard_normal((count, n + 1, n)) * 10.0 ** rng.integers(
+                -12, 12, (count, n + 1, n))
+            sim, _ = frontier._ranked(sim, rng.standard_normal((count, n + 1)))
+            want = sim[:, 0].copy()
+            for k in range(1, n):
+                want += sim[:, k]
+            want /= n
+            assert frontier._centroid(sim).tobytes() == want.tobytes()
+
+
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
 def test_trace_does_not_depend_on_batch_size(scheme, ref_gains, ref_powers, monkeypatch):
     # At most _BATCH runs advance together; chunks of 3 (scored on floats,
