@@ -6,19 +6,26 @@ source's energy split between the two phases and the source/relay
 correlation.  An 81^3 grid picks a correlation window; inside it the
 correlation is maximized in closed form (one cut falls and the other rises
 in it), and a nested golden-section search covers the listen fraction and
-the energy split.  In each grid column (one listen fraction and energy
-share) the min-cut is largest where the cuts cross, so the grid is
-evaluated at the two correlation rows around that crossing.  A skipped row
-cannot win, since below the crossing it is at most the rising cut there
-and above it at most the falling one; every column whose bound does not
-rule it out is evaluated in full.  The values are a one-shot
-evaluation's bit for bit, and ties go to the smallest correlation.
-Searching only the grid's window is ROADMAP defect 4, kept because
-bench/bounds_reference.json pins the values it gives.
+the energy split, with one objective in the split per listen fraction that
+computes the terms free of the split once.  In each grid column (one
+listen fraction and energy share) the min-cut is largest where the cuts
+cross, so the grid is evaluated at the two correlation rows around that
+crossing.  A skipped row cannot win, since below the crossing it is at
+most the rising cut there and above it at most the falling one; every
+column whose bound does not rule it out is evaluated in full.  The values
+are a one-shot evaluation's bit for bit, and ties go to the smallest
+correlation.  Searching only the grid's window is ROADMAP defect 4, kept
+because bench/bounds_reference.json pins the values it gives.
+
+When both users' relay channels have the same arguments, as on a
+symmetric channel, an outer region searches once and gives user 2 user
+1's bound.
 
 The sum rate is capped by the pooled-power two-antenna broadcast bound for
 transmitter cooperation and by the two-antenna multiple-access bound for
-receiver cooperation.  ``ic_outer_region`` bounds the non-cooperative
+receiver cooperation.  ``bc_region_vertices`` samples the broadcast region
+on arrays, with libm's log1p and log2 per element, so its vertices are a
+loop's bit for bit.  ``ic_outer_region`` bounds the non-cooperative
 interference channel (c12 = c34 = 0) by its single-user, one-sided and
 Etkin-Tse-Wang sum bounds.
 
@@ -40,6 +47,7 @@ import numpy as np
 
 from .model import (
     FLOAT_OPS,
+    ArrayOps,
     ChannelGains,
     POWER_MAX,
     PowerBudget,
@@ -169,7 +177,8 @@ def ic_pentagon(u1, u2, v1, v2, p1: float, p2: float,
 
 
 def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
-    """Golden-section refinement of a max on [lo, hi]; returns the best value."""
+    """Golden-section refinement of a max on [lo, hi]; returns the best value,
+    ``max`` of the values in the order they were evaluated."""
     a, b = lo, hi
     c = b - _GOLDEN * (b - a)
     d = a + _GOLDEN * (b - a)
@@ -181,22 +190,32 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
         if fc > fd:
             b, d, fd = d, c, fc
             c = b - _GOLDEN * (b - a)
-            fc = f(c)
+            fc = new = f(c)
         else:
             a, c, fc = c, d, fd
             d = a + _GOLDEN * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
+            fd = new = f(d)
+        if new > best:  # max(best, fc, fd): the value kept is already in best
+            best = new
     return best
 
 
 def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: float,
                     alpha: float, e: float, lo: float, hi: float) -> float:
-    """Max over the correlation rho in [lo, hi] of the min of the two relay cuts.
+    """Max over the correlation rho in [lo, hi] of the min of the two relay
+    cuts, at the listen fraction alpha and the energy share e: the function
+    ``_cutset_over_rho`` of alpha, at e."""
+    return _cutset_over_rho(sd2, sr2, rd2, p_src, p_rel, alpha, lo, hi)(e)
 
-    sd2, sr2, rd2 are squared gains; alpha is the listen fraction and e the
-    source's listen-phase energy share.  Per-phase powers burst the average
-    budgets (energy alpha*Pa + (1-alpha)*Pb = p_src, (1-alpha)*Pr = p_rel):
+
+def _cutset_over_rho(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: float,
+                     alpha: float, lo: float, hi: float):
+    """The max over the correlation rho in [lo, hi] of the min of the two relay
+    cuts, as a function of the source's listen-phase energy share e.
+
+    sd2, sr2, rd2 are squared gains and alpha is the listen fraction.
+    Per-phase powers burst the average budgets (energy
+    alpha*Pa + (1-alpha)*Pb = p_src, (1-alpha)*Pr = p_rel):
 
         cut 1 = L1 + (1-alpha) cap((1-rho) a)             falls in rho
         cut 2 = L2 + (1-alpha) cap(a + b + 2 m sqrt(rho)) rises in rho
@@ -211,37 +230,49 @@ def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: flo
     leaves c >= 0 although cut 1 is above cut 2 at lo, the crossing is at lo.
 
     Every cap argument here is nonnegative, so cap is written out as
-    log1p(x) / ln 2 (the golden search makes 1,764 calls per bound).
+    log1p(x) / ln 2.  The golden search calls the function 42 times per
+    listen fraction, so the terms free of e (1 - alpha, b, the window's
+    square roots and complements, sr2 + sd2) are computed once, by the same
+    float operations on the same operands as in every call: the values
+    keep their bits.
     """
-    log1p = math.log1p
-    l1 = l2 = 0.0  # listen-phase terms of cut 1 / cut 2
-    if alpha > 0.0 and e > 0.0:
-        pa = e * p_src / alpha
-        l1 = alpha * (log1p((sr2 + sd2) * pa) / _LN2)
-        l2 = alpha * (log1p(sd2 * pa) / _LN2)
-    if alpha >= 1.0:
-        return min(l1, l2)
+    log1p, sqrt, ln2 = math.log1p, math.sqrt, _LN2
+    listens, listens_only = alpha > 0.0, alpha >= 1.0
+    joint2 = sr2 + sd2
     f = 1.0 - alpha
-    a = sd2 * ((1.0 - e) * p_src / f)
-    b = rd2 * (p_rel / f)
-    m = math.sqrt(a * b)
-    cut2 = l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(hi)) / _LN2)
-    if l1 + f * (log1p((1.0 - hi) * a) / _LN2) >= cut2:  # cut 2 binds on the whole window
-        return cut2
-    cut1 = l1 + f * (log1p((1.0 - lo) * a) / _LN2)
-    if cut1 <= l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(lo)) / _LN2):
-        return cut1  # cut 1 binds on the whole window
-    tm1 = math.expm1((l1 - l2) / f * _LN2)  # T - 1, exact even for a sub-ulp gap
-    c = b - tm1 * (1.0 + a)  # (1+a+b) - T(1+a): negative, cut 1 is above cut 2 at u = 0
-    if c >= 0.0:  # rounding disagrees with the comparison at lo: cross there
-        u = 0.0
-    else:
-        denom = 2.0 * m + math.sqrt(max(0.0, 4.0 * m * m - 4.0 * (1.0 + tm1) * a * c))
-        u = -2.0 * c / denom if denom > 0.0 else math.inf  # denom == 0: a*c underflowed
-    u = min(max(u, math.sqrt(lo)), math.sqrt(hi))
-    rho = u * u
-    return min(l1 + f * (log1p((1.0 - rho) * a) / _LN2),
-               l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(rho)) / _LN2))
+    b = 0.0 if listens_only else rd2 * (p_rel / f)  # unused without a forwarding phase
+    root_lo, root_hi = sqrt(lo), sqrt(hi)
+    drop_lo, drop_hi = 1.0 - lo, 1.0 - hi
+
+    def over_rho(e):
+        l1 = l2 = 0.0  # listen-phase terms of cut 1 / cut 2
+        if listens and e > 0.0:
+            pa = e * p_src / alpha
+            l1 = alpha * (log1p(joint2 * pa) / ln2)
+            l2 = alpha * (log1p(sd2 * pa) / ln2)
+        if listens_only:
+            return min(l1, l2)
+        a = sd2 * ((1.0 - e) * p_src / f)
+        m = sqrt(a * b)
+        cut2 = l2 + f * (log1p(a + b + 2.0 * m * root_hi) / ln2)
+        if l1 + f * (log1p(drop_hi * a) / ln2) >= cut2:  # cut 2 binds on the whole window
+            return cut2
+        cut1 = l1 + f * (log1p(drop_lo * a) / ln2)
+        if cut1 <= l2 + f * (log1p(a + b + 2.0 * m * root_lo) / ln2):
+            return cut1  # cut 1 binds on the whole window
+        tm1 = math.expm1((l1 - l2) / f * ln2)  # T - 1, exact even for a sub-ulp gap
+        c = b - tm1 * (1.0 + a)  # (1+a+b) - T(1+a): negative, cut 1 is above cut 2 at u = 0
+        if c >= 0.0:  # rounding disagrees with the comparison at lo: cross there
+            u = 0.0
+        else:
+            denom = 2.0 * m + sqrt(max(0.0, 4.0 * m * m - 4.0 * (1.0 + tm1) * a * c))
+            u = -2.0 * c / denom if denom > 0.0 else math.inf  # denom == 0: a*c underflowed
+        u = min(max(u, root_lo), root_hi)
+        rho = u * u
+        return min(l1 + f * (log1p((1.0 - rho) * a) / ln2),
+                   l2 + f * (log1p(a + b + 2.0 * m * sqrt(rho)) / ln2))
+
+    return over_rho
 
 
 def _cutset_crossing_rows(l1, l2, f, a, b):
@@ -397,7 +428,10 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     the grid gives a one-shot grid's values bit for bit, ties to the
     smallest rho.  A nested golden-section search over
     (alpha, e) then maximizes the cut with rho maximized over that window in
-    closed form (``_cutset_rho_max``).  In the cross energy
+    closed form.  Each listen fraction alpha gets its own objective in e
+    (``_cutset_over_rho``), which computes the terms free of e once for that
+    fraction's 42 evaluations, with the bits of computing them in every
+    call (``_cutset_rho_max``).  In the cross energy
     K = sqrt(rho * Eb * Er) the cuts are jointly concave in (K, alpha, e), so
     for a window that starts at rho = 0 this search is global.  The result
     is the larger of the grid and the search values.
@@ -427,11 +461,27 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     sd2, sr2, rd2 = sd * sd, sr * sr, rd * rd
 
     def over_energy(listen: float) -> float:
-        return _golden_max(
-            lambda share: _cutset_rho_max(sd2, sr2, rd2, p_src, p_rel, listen, share, lo, hi),
-            0.0, 1.0, iters=40)
+        return _golden_max(_cutset_over_rho(sd2, sr2, rd2, p_src, p_rel, listen, lo, hi),
+                           0.0, 1.0, iters=40)
 
     return max(best, _golden_max(over_energy, 0.0, 1.0, iters=40))
+
+
+def _cutset_args(g: ChannelGains, p: PowerBudget, user: int,
+                 cooperation: str) -> tuple[float, float, float, float, float]:
+    """(sd, sr, rd, p_src, p_rel) of ``user``'s relay channel: the arguments
+    of ``_relay_cutset`` that ``relay_cutset_bound`` passes."""
+    if not isinstance(user, int) or isinstance(user, bool) or user not in (1, 2):
+        raise ValueError(f"user must be 1 or 2, got {user}")
+    if cooperation == "tx":
+        if user == 1:
+            return (g.c13, g.c12, g.c23, p.p1, p.p2)
+        return (g.c24, g.c12, g.c14, p.p2, p.p1)
+    if cooperation == "rx":
+        if user == 1:
+            return (g.c13, g.c14, g.c34, p.p1, p.p4)
+        return (g.c24, g.c23, g.c34, p.p2, p.p3)
+    raise ValueError(f"cooperation must be 'tx' or 'rx', got {cooperation!r}")
 
 
 def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,
@@ -442,17 +492,17 @@ def relay_cutset_bound(g: ChannelGains, p: PowerBudget, user: int,
     receiver cooperation the peer receiver relays over c34 using its own
     power budget.  ``user`` is the int 1 or 2 (not a bool or a float).
     """
-    if not isinstance(user, int) or isinstance(user, bool) or user not in (1, 2):
-        raise ValueError(f"user must be 1 or 2, got {user}")
-    if cooperation == "tx":
-        if user == 1:
-            return _relay_cutset(g.c13, g.c12, g.c23, p.p1, p.p2)
-        return _relay_cutset(g.c24, g.c12, g.c14, p.p2, p.p1)
-    if cooperation == "rx":
-        if user == 1:
-            return _relay_cutset(g.c13, g.c14, g.c34, p.p1, p.p4)
-        return _relay_cutset(g.c24, g.c23, g.c34, p.p2, p.p3)
-    raise ValueError(f"cooperation must be 'tx' or 'rx', got {cooperation!r}")
+    return _relay_cutset(*_cutset_args(g, p, user, cooperation))
+
+
+def _cutset_pair(g: ChannelGains, p: PowerBudget, cooperation: str) -> tuple[float, float]:
+    """Both users' ``relay_cutset_bound``.  User 2's is user 1's when their
+    relay channels have the same arguments (by ``repr``, so 0.0 and -0.0
+    differ), as on a symmetric channel: the bound is a function of them."""
+    r1 = relay_cutset_bound(g, p, 1, cooperation)
+    if repr(_cutset_args(g, p, 2, cooperation)) == repr(_cutset_args(g, p, 1, cooperation)):
+        return r1, r1
+    return r1, relay_cutset_bound(g, p, 2, cooperation)
 
 
 def mimo_bc_sum_bound(g: ChannelGains, p_total: float) -> float:
@@ -482,20 +532,12 @@ def mimo_mac_sum_bound(g: ChannelGains, p: PowerBudget) -> float:
 
 def tc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
     """Outer bound for transmitter cooperation."""
-    return OuterBound(
-        r1_max=relay_cutset_bound(g, p, 1, "tx"),
-        r2_max=relay_cutset_bound(g, p, 2, "tx"),
-        sum_max=mimo_bc_sum_bound(g, p.p1 + p.p2),
-    )
+    return OuterBound(*_cutset_pair(g, p, "tx"), sum_max=mimo_bc_sum_bound(g, p.p1 + p.p2))
 
 
 def rc_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
     """Outer bound for receiver cooperation."""
-    return OuterBound(
-        r1_max=relay_cutset_bound(g, p, 1, "rx"),
-        r2_max=relay_cutset_bound(g, p, 2, "rx"),
-        sum_max=mimo_mac_sum_bound(g, p),
-    )
+    return OuterBound(*_cutset_pair(g, p, "rx"), sum_max=mimo_mac_sum_bound(g, p))
 
 
 def ic_outer_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
@@ -541,6 +583,17 @@ def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
                                    p.p1, p.p2))
 
 
+def _bc_corners(g: ChannelGains, n1: float, n2: float, q1, q2, ops=FLOAT_OPS):
+    """(c1, s - c1, s - c2, c2), the differences clamped at 0: the two Pareto
+    corners of the multiple-access pentagon at the power split (q1, q2), with
+    c1, c2 the single-user rates (n1, n2 the squared gain norms) and s the
+    sum rate."""
+    c1 = ops.cap(q1 * n1)
+    c2 = ops.cap(q2 * n2)
+    s = ops.log2(det_pair(g.g1, q1, g.g2, q2))
+    return c1, ops.maximum(s - c1, 0.0), ops.maximum(s - c2, 0.0), c2
+
+
 def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, float]]:
     """Pareto vertices of the pooled-power two-antenna broadcast region.
 
@@ -548,6 +601,12 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
     power splits q1 + q2 = p_total of the per-split pentagons, sampled at
     q1 = p_total * i / 2000 and convexified.  This is the region the
     transmitter-cooperation scheme attains at infinite conferencing gain.
+
+    The 2001 splits are evaluated at once over an ``ArrayOps`` (libm's
+    log1p and log2 per element, so each corner has the bits of a loop over
+    the splits), and a split it marks is evaluated again on floats, which
+    gives its value or its error: q1 can round above p_total, and a
+    negative q2 * n2 below -1e-12 raises NegativeSnr.
     """
     from .frontier import hull  # local import: bounds stays usable without frontier
 
@@ -556,13 +615,12 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
         return [(0.0, 0.0)]
     n1 = g.c13 * g.c13 + g.c23 * g.c23
     n2 = g.c14 * g.c14 + g.c24 * g.c24
-    points: list[tuple[float, float]] = []
-    for i in range(2001):
-        q1 = p_total * i / 2000
+    splits = np.arange(2001)
+    ops = ArrayOps(splits.size)
+    with np.errstate(all="ignore"):
+        q1 = p_total * splits / 2000
         q2 = p_total - q1
-        c1 = cap(q1 * n1)
-        c2 = cap(q2 * n2)
-        s = math.log2(det_pair(g.g1, q1, g.g2, q2))
-        points.append((c1, max(s - c1, 0.0)))
-        points.append((max(s - c2, 0.0), c2))
-    return hull(points)
+        corners = np.column_stack(_bc_corners(g, n1, n2, q1, q2, ops))
+    for i in np.flatnonzero(ops.suspect):
+        corners[i] = _bc_corners(g, n1, n2, float(q1[i]), float(q2[i]))
+    return hull(corners.reshape(-1, 2))  # (c1, s - c1), (s - c2, c2) of each split in turn

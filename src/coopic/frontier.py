@@ -854,23 +854,36 @@ def hull(points) -> list[tuple[float, float]]:
     against 1e-9 times the bounding box, so vertices are stable under
     small perturbations such as 12-digit rounding).  Input order never
     matters.  Idempotent.
+
+    The points may also be an (n, 2) array.  The Pareto stage runs on one
+    float array: negative coordinates clamp to 0 (-0.0 stays), each
+    abscissa keeps its largest ordinate, the first of equal ones, under its
+    first key in input order (so of 0.0 and -0.0 the first), and a scan
+    from the largest abscissa keeps the strictly rising ordinates.  Its
+    only sort is stable, so ties do not depend on numpy's CPU dispatch.
+    The monotone chain then runs over the Pareto points.
     """
-    best_y: dict[float, float] = {}
-    for x, y in _vertices_of(points):
-        x, y = max(float(x), 0.0), max(float(y), 0.0)
-        if x not in best_y or y > best_y[x]:
-            best_y[x] = y
-    if not best_y:
+    if hasattr(points, "vertices"):
+        points = points.vertices()
+    if not isinstance(points, np.ndarray):
+        points = list(points)
+    xy = np.array(points, dtype=float).reshape(len(points), 2)
+    finite = np.isfinite(xy).all(axis=1)
+    if not finite.all():  # NaN compares false, so it would pass every containment test
+        x, y = points[int(np.argmin(finite))]
+        raise ValueError(f"non-finite rate point ({x}, {y})")
+    if not len(xy):
         return [(0.0, 0.0)]
-    # Pareto filter: scan x descending, keep strictly rising y.
-    pareto: list[tuple[float, float]] = []
-    top = -math.inf
-    for x in sorted(best_y, reverse=True):
-        y = best_y[x]
-        if y > top:
-            pareto.append((x, y))
-            top = y
-    pareto.reverse()  # x ascending, y descending
+    x, y = np.where(xy < 0.0, 0.0, xy).T  # max(v, 0.0) keeps -0.0
+    order = np.lexsort((-y, x))  # x ascending, then y descending, then input order
+    sorted_x = x[order]
+    first = np.flatnonzero(np.concatenate(([True], sorted_x[1:] != sorted_x[:-1])))
+    xs = x[np.minimum.reduceat(order, first)]  # the first key in input order
+    ys = y[order[first]]
+    # Pareto filter: from the largest x down, keep strictly rising y.
+    above = np.concatenate((np.maximum.accumulate(ys[::-1])[-2::-1], [-math.inf]))
+    rising = ys > above
+    pareto = list(zip(xs[rising].tolist(), ys[rising].tolist()))  # x ascending, y descending
     if len(pareto) <= 2:
         return pareto[::-1]
     span_x = pareto[-1][0] - pareto[0][0]

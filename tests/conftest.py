@@ -62,6 +62,29 @@ def zero_cooperation_channels(seed: int, n: int):
                PowerBudget(*[draw(1.0, 20.0)] * 4))
 
 
+def tie_heavy_points(rng: np.random.Generator, n: int) -> list[tuple[float, float]]:
+    """n rate points full of the ties a hull must break: coordinates from a
+    few values with 0.0, -0.0 and negatives (which clamp to 0), so abscissae
+    repeat with equal and unequal ordinates, plus collinear runs on the
+    lines x + y = 3 and x + 2y = 4 and a few uniform points."""
+    values = [-1.0, -1e-300, -0.0, 0.0, 0.5, 1.0, 1.5, 2.0, 3.0]
+    line = np.linspace(0.0, 3.0, 7).tolist()
+    points = []
+    for k in range(n):
+        kind = k % 4
+        if kind == 0:
+            points.append((values[rng.integers(len(values))], values[rng.integers(len(values))]))
+        elif kind == 1:
+            x = line[rng.integers(len(line))]
+            points.append((x, 3.0 - x))
+        elif kind == 2:
+            x = line[rng.integers(len(line))]
+            points.append((x, (4.0 - x) / 2.0))
+        else:
+            points.append(tuple(rng.uniform(0.0, 3.0, size=2).tolist()))
+    return points
+
+
 def random_tc_allocation(rng: np.random.Generator) -> TcAllocation:
     return TcAllocation(
         lam=Simplex3(*rng.dirichlet([1.0, 1.0, 1.0])),

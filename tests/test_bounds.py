@@ -1,6 +1,8 @@
 """Outer bounds and baselines."""
 
 import functools
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -11,9 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import random_gains, random_powers, zero_cooperation_channels
-from coopic.model import GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError, PowerBudget, cap
-from coopic import bounds
+from conftest import random_gains, random_powers, tie_heavy_points, zero_cooperation_channels
+from coopic.model import (GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError, NegativeSnr,
+                          PowerBudget, cap, det_pair)
+from coopic import bounds, frontier
 
 SQRT2 = math.sqrt(2.0)
 
@@ -221,6 +224,123 @@ def test_cutset_grid_is_bit_identical_to_one_shot_grid():
     assert _grid_mismatches(_grid_cases()) == []
 
 
+_POOL = Path(__file__).resolve().parent.parent / "bench" / "bounds_reference.json"
+
+
+@functools.cache
+def _pool_configs():
+    """(gains, powers) of the 48 configurations of the benchmark's bounds pool."""
+    return tuple((ChannelGains(*e["gains"]), PowerBudget(*e["powers"]))
+                 for e in json.loads(_POOL.read_text())["pool"])
+
+
+def _golden_max_of_three(f, lo, hi, iters):
+    """The golden-section search as it took max(best, fc, fd) at every step."""
+    a, b = lo, hi
+    c = b - bounds._GOLDEN * (b - a)
+    d = a + bounds._GOLDEN * (b - a)
+    fc, fd = f(c), f(d)
+    best = max(fc, fd)
+    for _ in range(iters):
+        if b - a < 1e-12:
+            break
+        if fc > fd:
+            b, d, fd = d, c, fc
+            c = b - bounds._GOLDEN * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + bounds._GOLDEN * (b - a)
+            fd = f(d)
+        best = max(best, fc, fd)
+    return best
+
+
+def _rho_max_per_call(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi):
+    """``_cutset_rho_max`` with every term computed in the call."""
+    log1p, ln2 = math.log1p, math.log(2.0)
+    l1 = l2 = 0.0
+    if alpha > 0.0 and e > 0.0:
+        pa = e * p_src / alpha
+        l1 = alpha * (log1p((sr2 + sd2) * pa) / ln2)
+        l2 = alpha * (log1p(sd2 * pa) / ln2)
+    if alpha >= 1.0:
+        return min(l1, l2)
+    f = 1.0 - alpha
+    a = sd2 * ((1.0 - e) * p_src / f)
+    b = rd2 * (p_rel / f)
+    m = math.sqrt(a * b)
+    cut2 = l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(hi)) / ln2)
+    if l1 + f * (log1p((1.0 - hi) * a) / ln2) >= cut2:
+        return cut2
+    cut1 = l1 + f * (log1p((1.0 - lo) * a) / ln2)
+    if cut1 <= l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(lo)) / ln2):
+        return cut1
+    tm1 = math.expm1((l1 - l2) / f * ln2)
+    c = b - tm1 * (1.0 + a)
+    if c >= 0.0:
+        u = 0.0
+    else:
+        denom = 2.0 * m + math.sqrt(max(0.0, 4.0 * m * m - 4.0 * (1.0 + tm1) * a * c))
+        u = -2.0 * c / denom if denom > 0.0 else math.inf
+    u = min(max(u, math.sqrt(lo)), math.sqrt(hi))
+    rho = u * u
+    return min(l1 + f * (log1p((1.0 - rho) * a) / ln2),
+               l2 + f * (log1p(a + b + 2.0 * m * math.sqrt(rho)) / ln2))
+
+
+def _nested_golden_cutset(sd, sr, rd, p_src, p_rel):
+    """The grid's best and the nested search over (alpha, e), written as
+    lambdas over ``_rho_max_per_call`` (every term computed per evaluation)
+    and the three-way max search: ``_relay_cutset`` at finite gains and
+    p_src > 0."""
+    rho_best, best = bounds._cutset_grid(sd, sr, rd, p_src, p_rel)
+    lo = max(0.0, rho_best - 1.5 / 80)
+    hi = min(1.0, rho_best + 1.5 / 80)
+    sd2, sr2, rd2 = sd * sd, sr * sr, rd * rd
+
+    def over_energy(alpha):
+        return _golden_max_of_three(
+            lambda e: _rho_max_per_call(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi),
+            0.0, 1.0, 40)
+
+    return max(best, _golden_max_of_three(over_energy, 0.0, 1.0, 40))
+
+
+def test_cutset_search_equals_the_nested_golden_composition():
+    # The per-listen objective and the search's one comparison per step give
+    # the composition's floats exactly, on every pool triple and edge case,
+    # and so does ``_cutset_rho_max`` at the alpha = 1 edge and inside.
+    triples = [t for g, p in _pool_configs() for t in _cutset_triples(g, p).values()]
+    for triple in triples + _GRID_EDGES:
+        assert bounds._relay_cutset(*triple).hex() == _nested_golden_cutset(*triple).hex(), \
+            triple
+    for alpha in (0.0, 0.3, 1.0 - 1e-12, 1.0):
+        for e in (0.0, 0.6, 1.0):
+            args = (1.0, 4.0, 9.0, 5.0, 5.0, alpha, e, 0.2, 0.3)
+            assert bounds._cutset_rho_max(*args).hex() == _rho_max_per_call(*args).hex(), args
+
+
+@pytest.mark.parametrize("f", [
+    lambda x: -(x - 0.3) * (x - 0.3),
+    lambda x: math.nan if x > 0.5 else x,   # NaN late: never best
+    lambda x: math.nan if x < 0.5 else x,   # NaN first: best for good
+    lambda x: -0.0 if x < 0.4 else 0.0,     # equal zeros: the first stays
+    lambda x: 0.0 if x < 0.4 else -0.0,
+    lambda x: 1.0,
+])
+def test_golden_max_keeps_the_first_of_the_three_way_max(f):
+    assert repr(bounds._golden_max(f, 0.0, 1.0, 40)) == repr(_golden_max_of_three(f, 0.0, 1.0, 40))
+
+
+def _dispatch_digest():
+    """SHA-256 of the broadcast-region vertices of every pool configuration
+    and of the hull of a tie-heavy point set, by repr."""
+    vertices = [bounds.bc_region_vertices(g, p.p1 + p.p2) for g, p in _pool_configs()]
+    tied = frontier.hull(tie_heavy_points(np.random.default_rng(4), 3000))
+    return hashlib.sha256(repr((vertices, tied)).encode()).hexdigest()
+
+
 _GRID_PROBE = """
 import sys
 import numpy
@@ -229,6 +349,7 @@ sys.path.insert(0, sys.argv[1])
 import test_bounds
 cases = test_bounds._grid_cases()
 edges = test_bounds._GRID_EDGES
+print(test_bounds._dispatch_digest())
 print(test_bounds._grid_mismatches(cases[:-len(edges):5] + edges))
 """
 
@@ -236,7 +357,9 @@ print(test_bounds._grid_mismatches(cases[:-len(edges):5] + edges))
 def test_cutset_grid_is_bit_identical_at_baseline_cpu_dispatch():
     # The grid and the one-shot grid must pick the same numpy loops on every CPU:
     # every fifth draw and the edge cases, with every SIMD target numpy
-    # dispatches on this host switched off (in the child only).
+    # dispatches on this host switched off (in the child only).  The
+    # broadcast region and the hull (its stable sort and clamps) must give
+    # the child the bits they give here.
     umath = pytest.importorskip("numpy._core._multiarray_umath")
     present = [f for f in umath.__cpu_dispatch__ if umath.__cpu_features__.get(f)]
     if not present:
@@ -250,7 +373,7 @@ def test_cutset_grid_is_bit_identical_at_baseline_cpu_dispatch():
     if not lowered.stdout.startswith("numpy started"):
         pytest.skip(f"the interpreter with {present} disabled cannot start: {lowered.stderr}")
     assert lowered.returncode == 0, lowered.stderr
-    assert lowered.stdout.splitlines()[-1] == "[]"
+    assert lowered.stdout.splitlines()[-2:] == [_dispatch_digest(), "[]"]
 
 
 @pytest.mark.parametrize("estimate", ["row 0", "row 79", "random rows"])
@@ -462,6 +585,31 @@ def test_outer_regions_compose(ref_gains, ref_powers):
         bounds.mimo_mac_sum_bound(ref_gains, ref_powers), rel=1e-12)
 
 
+@pytest.mark.parametrize("region, cooperation",
+                         [(bounds.tc_outer_region, "tx"), (bounds.rc_outer_region, "rx")])
+def test_outer_region_searches_once_for_equal_relay_channels(monkeypatch, ref_gains,
+                                                             ref_powers, region, cooperation):
+    # Users whose relay channels have equal arguments share one search; the
+    # bounds are each user's own call, bit for bit.  -0.0 for 0.0 is a
+    # different argument.
+    cutset, users = bounds.relay_cutset_bound, []
+
+    def counting(g, p, user, how):
+        users.append(user)
+        return cutset(g, p, user, how)
+
+    monkeypatch.setattr(bounds, "relay_cutset_bound", counting)
+    lopsided = PowerBudget(5.0, 4.0, 5.0, 4.0)
+    unsigned = gains_with(c13=0.0, c24=-0.0)
+    for g, p, searches in ((ref_gains, ref_powers, [1]), (ref_gains, lopsided, [1, 2]),
+                           (unsigned, ref_powers, [1, 2])):
+        users.clear()
+        got = region(g, p)
+        assert users == searches
+        want = (cutset(g, p, 1, cooperation), cutset(g, p, 2, cooperation))
+        assert repr((got.r1_max, got.r2_max)) == repr(want)
+
+
 def test_outer_bound_geometry():
     region = bounds.OuterBound(r1_max=3.0, r2_max=2.0, sum_max=4.0)
     assert region.contains(3.0, 1.0)
@@ -562,6 +710,49 @@ def test_ic_outer_region_values(ref_gains, ref_powers):
 
 # ---------------------------------------------------------------------------
 # broadcast-region polygon
+
+
+def _loop_bc_vertices(g, p_total):
+    """``bc_region_vertices`` as a loop over the 2001 splits on floats."""
+    if p_total == 0.0:
+        return [(0.0, 0.0)]
+    n1 = g.c13 * g.c13 + g.c23 * g.c23
+    n2 = g.c14 * g.c14 + g.c24 * g.c24
+    points = []
+    for i in range(2001):
+        q1 = p_total * i / 2000
+        q2 = p_total - q1
+        c1 = cap(q1 * n1)
+        c2 = cap(q2 * n2)
+        s = math.log2(det_pair(g.g1, q1, g.g2, q2))
+        points.append((c1, max(s - c1, 0.0)))
+        points.append((max(s - c2, 0.0), c2))
+    return frontier.hull(points)
+
+
+def test_bc_region_vertices_equal_a_loop_over_the_splits(ref_gains):
+    for g, p in _pool_configs():
+        assert repr(bounds.bc_region_vertices(g, p.p1 + p.p2)) == \
+            repr(_loop_bc_vertices(g, p.p1 + p.p2))
+    assert bounds.bc_region_vertices(ref_gains, 0.0) == _loop_bc_vertices(ref_gains, 0.0)
+
+
+@pytest.mark.parametrize("p_total, raises", [(50.48968555507705, False),
+                                             (171541.6924389731, True)])
+def test_bc_region_vertices_last_split_above_the_total(ref_gains, p_total, raises):
+    # q1 = p_total * 2000 / 2000 rounds above p_total, so the last split's
+    # q2 * n2 is negative: cap clamps it to 0, or raises NegativeSnr below
+    # -1e-12, and the arrays do as the loop does.
+    assert p_total * 2000 / 2000 > p_total
+    if not raises:
+        assert repr(bounds.bc_region_vertices(ref_gains, p_total)) == \
+            repr(_loop_bc_vertices(ref_gains, p_total))
+        return
+    with pytest.raises(NegativeSnr) as want:
+        _loop_bc_vertices(ref_gains, p_total)
+    with pytest.raises(NegativeSnr) as got:
+        bounds.bc_region_vertices(ref_gains, p_total)
+    assert str(got.value) == str(want.value)
 
 
 def test_bc_region_vertices(ref_gains):

@@ -13,8 +13,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from conftest import odd_squares, random_gains, random_powers
+from conftest import odd_squares, random_gains, random_powers, tie_heavy_points
 from coopic.model import (ChannelGains, EvaluatorError, InfiniteGain, InvalidAllocation,
                           NotInfinite, PowerBudget)
 from coopic import frontier, model, txcoop, rxcoop
@@ -71,6 +72,84 @@ def test_hull_vertices_dominate_themselves():
 def test_hull_degenerate_single_point():
     assert frontier.hull([(0.0, 0.0), (0.0, 0.0)]) == [(0.0, 0.0)]
     assert frontier.hull([(2.0, 3.0)]) == [(2.0, 3.0)]
+
+
+def _dict_hull(points):
+    """``hull`` as it was written on floats, the reference for its array form:
+    a dict of the largest ordinate per abscissa, a strictly rising scan from
+    the largest abscissa, and the monotone chain."""
+    points = list(points)
+    for x, y in points:
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise ValueError(f"non-finite rate point ({x}, {y})")
+    best_y = {}
+    for x, y in points:
+        x, y = max(float(x), 0.0), max(float(y), 0.0)
+        if x not in best_y or y > best_y[x]:
+            best_y[x] = y
+    if not best_y:
+        return [(0.0, 0.0)]
+    pareto, top = [], -math.inf
+    for x in sorted(best_y, reverse=True):
+        if best_y[x] > top:
+            pareto.append((x, best_y[x]))
+            top = best_y[x]
+    pareto.reverse()
+    if len(pareto) <= 2:
+        return pareto[::-1]
+    span_x = pareto[-1][0] - pareto[0][0]
+    span_y = pareto[0][1] - pareto[-1][1]
+    cross_tol = 1e-9 * max(1e-30, span_x * span_y)
+    chain = []
+    for pt in pareto:
+        chain.append(pt)
+        while len(chain) >= 3:
+            (xa, ya), (xb, yb), (xc, yc) = chain[-3], chain[-2], chain[-1]
+            if (xb - xa) * (yc - ya) - (yb - ya) * (xc - xa) >= -cross_tol:
+                chain.pop(-2)
+            else:
+                break
+    chain.reverse()
+    return chain
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 5, 17, 100, 1000, 5000])
+def test_hull_equals_the_dict_hull(n):
+    # The array Pareto stage keeps the dict's choices: a +-0.0 abscissa keeps
+    # its first key, an abscissa its first largest ordinate, and the chain
+    # pops the same collinear points.  Compared by repr, so -0.0 counts.
+    rng = np.random.default_rng(n)
+    for points in (tie_heavy_points(rng, n),
+                   [tuple(q) for q in rng.uniform(0.0, 5.0, size=(n, 2)).tolist()],
+                   [tuple(q) for q in (rng.integers(-2, 6, size=(n, 2)) / 2.0).tolist()]):
+        want = repr(_dict_hull(points))
+        assert repr(frontier.hull(points)) == want
+        assert repr(frontier.hull(np.array(points).reshape(-1, 2))) == want
+    assert repr(frontier.hull([(-0.0, 1.0), (0.0, 2.0)])) == "[(-0.0, 2.0)]"
+    assert repr(frontier.hull([(1.0, 0.0), (2.0, -0.0)])) == "[(2.0, -0.0)]"
+
+
+_COORDINATES = st.one_of(st.sampled_from([0.0, -0.0, -1.0, 0.5, 1.0, 2.0]),
+                         st.floats(-1.0, 1e6, allow_nan=False, allow_infinity=False))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COORDINATES, _COORDINATES), max_size=60))
+def test_hull_equals_the_dict_hull_on_any_points(points):
+    assert repr(frontier.hull(points)) == repr(_dict_hull(points))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_hull_names_the_first_non_finite_point(bad):
+    points = [(1.0, 0.0), (0.5, bad), (bad, 2.0), (0.0, 1.0)]
+    with pytest.raises(ValueError) as want:
+        _dict_hull(points)
+    with pytest.raises(ValueError, match="non-finite rate point") as got:
+        frontier.hull(points)
+    assert str(got.value) == str(want.value)
+    with pytest.raises(ValueError) as got:
+        frontier.hull(np.array(points))
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
