@@ -25,7 +25,8 @@ The sum rate is capped by the pooled-power two-antenna broadcast bound for
 transmitter cooperation and by the two-antenna multiple-access bound for
 receiver cooperation.  ``bc_region_vertices`` samples the broadcast region
 on arrays, with libm's log1p and log2 per element, so its vertices are a
-loop's bit for bit.  ``ic_outer_region`` bounds the non-cooperative
+loop's bit for bit; every split lies inside the budget, so no split is
+evaluated again on floats.  ``ic_outer_region`` bounds the non-cooperative
 interference channel (c12 = c34 = 0) by its single-user, one-sided and
 Etkin-Tse-Wang sum bounds.
 
@@ -200,14 +201,6 @@ def _golden_max(f, lo: float, hi: float, iters: int = 80) -> float:
     return best
 
 
-def _cutset_rho_max(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: float,
-                    alpha: float, e: float, lo: float, hi: float) -> float:
-    """Max over the correlation rho in [lo, hi] of the min of the two relay
-    cuts, at the listen fraction alpha and the energy share e: the function
-    ``_cutset_over_rho`` of alpha, at e."""
-    return _cutset_over_rho(sd2, sr2, rd2, p_src, p_rel, alpha, lo, hi)(e)
-
-
 def _cutset_over_rho(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: float,
                      alpha: float, lo: float, hi: float):
     """The max over the correlation rho in [lo, hi] of the min of the two relay
@@ -278,7 +271,7 @@ def _cutset_over_rho(sd2: float, sr2: float, rd2: float, p_src: float, p_rel: fl
 def _cutset_crossing_rows(l1, l2, f, a, b):
     """Estimated grid row k of each column's cut crossing, in [0, _GRID - 2].
 
-    The arrays are the column terms of ``_cutset_rho_max`` (listen terms,
+    The arrays are the column terms of ``_cutset_over_rho`` (listen terms,
     forwarding fraction f = 1 - alpha, a = sd^2 Pb and b = rd^2 Pr), and the
     root is its closed form divided through by T, so that a large finite
     listen gap overflows nothing: a u^2 + 2 (m/T) u + c/T = 0.  k is
@@ -431,9 +424,9 @@ def _relay_cutset(sd: float, sr: float, rd: float, p_src: float, p_rel: float) -
     closed form.  Each listen fraction alpha gets its own objective in e
     (``_cutset_over_rho``), which computes the terms free of e once for that
     fraction's 42 evaluations, with the bits of computing them in every
-    call (``_cutset_rho_max``).  In the cross energy
-    K = sqrt(rho * Eb * Er) the cuts are jointly concave in (K, alpha, e), so
-    for a window that starts at rho = 0 this search is global.  The result
+    call.  In the cross energy K = sqrt(rho * Eb * Er) the cuts are jointly
+    concave in (K, alpha, e), so for a window that starts at rho = 0 this
+    search is global.  The result
     is the larger of the grid and the search values.
 
     Restricting rho to the grid's window is ROADMAP defect 4: the grid's
@@ -583,17 +576,6 @@ def strong_ic_region(g: ChannelGains, p: PowerBudget) -> OuterBound:
                                    p.p1, p.p2))
 
 
-def _bc_corners(g: ChannelGains, n1: float, n2: float, q1, q2, ops=FLOAT_OPS):
-    """(c1, s - c1, s - c2, c2), the differences clamped at 0: the two Pareto
-    corners of the multiple-access pentagon at the power split (q1, q2), with
-    c1, c2 the single-user rates (n1, n2 the squared gain norms) and s the
-    sum rate."""
-    c1 = ops.cap(q1 * n1)
-    c2 = ops.cap(q2 * n2)
-    s = ops.log2(det_pair(g.g1, q1, g.g2, q2))
-    return c1, ops.maximum(s - c1, 0.0), ops.maximum(s - c2, 0.0), c2
-
-
 def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, float]]:
     """Pareto vertices of the pooled-power two-antenna broadcast region.
 
@@ -604,9 +586,10 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
 
     The 2001 splits are evaluated at once over an ``ArrayOps`` (libm's
     log1p and log2 per element, so each corner has the bits of a loop over
-    the splits), and a split it marks is evaluated again on floats, which
-    gives its value or its error: q1 can round above p_total, and a
-    negative q2 * n2 below -1e-12 raises NegativeSnr.
+    the splits).  q1 is clamped at p_total, which only the last split can
+    round above, so every split lies inside the budget: each SNR is
+    nonnegative and each determinant at least 1, so no op warns, no lane is
+    marked and no split is evaluated again on floats.
     """
     from .frontier import hull  # local import: bounds stays usable without frontier
 
@@ -615,12 +598,13 @@ def bc_region_vertices(g: ChannelGains, p_total: float) -> list[tuple[float, flo
         return [(0.0, 0.0)]
     n1 = g.c13 * g.c13 + g.c23 * g.c23
     n2 = g.c14 * g.c14 + g.c24 * g.c24
-    splits = np.arange(2001)
-    ops = ArrayOps(splits.size)
-    with np.errstate(all="ignore"):
-        q1 = p_total * splits / 2000
-        q2 = p_total - q1
-        corners = np.column_stack(_bc_corners(g, n1, n2, q1, q2, ops))
-    for i in np.flatnonzero(ops.suspect):
-        corners[i] = _bc_corners(g, n1, n2, float(q1[i]), float(q2[i]))
-    return hull(corners.reshape(-1, 2))  # (c1, s - c1), (s - c2, c2) of each split in turn
+    ops = ArrayOps(2001)
+    q1 = np.minimum(p_total * np.arange(2001) / 2000, p_total)
+    q2 = p_total - q1
+    c1 = ops.cap(q1 * n1)
+    c2 = ops.cap(q2 * n2)
+    s = ops.log2(det_pair(g.g1, q1, g.g2, q2))
+    # the two Pareto corners of each split's multiple-access pentagon,
+    # (c1, s - c1) and (s - c2, c2), in turn
+    corners = np.column_stack((c1, ops.maximum(s - c1, 0.0), ops.maximum(s - c2, 0.0), c2))
+    return hull(corners.reshape(-1, 2))

@@ -505,8 +505,10 @@ class ArrayOps:
     for bit; a marked lane holds an arbitrary value, and the float path gives
     its value or its error.  No op clears a mark.  Python's ``min(a, b)``
     keeps ``a`` unless ``b < a`` (``max`` unless ``b > a``), and so do
-    ``minimum`` and ``maximum``, signed zeros and NaN included.  Call them
-    under ``np.errstate(all="ignore")``: marked lanes may divide by zero.
+    ``minimum`` and ``maximum``, signed zeros and NaN included.  The marking
+    ops ``rare_unless``, ``check_range`` and ``checked_pair`` take a float
+    as a value shared by every lane.  Call the ops under
+    ``np.errstate(all="ignore")``: marked lanes may divide by zero.
     """
 
     def __init__(self, size: int):
@@ -521,7 +523,7 @@ class ArrayOps:
 
     def rare_unless(self, cond) -> bool:
         """``rare`` of the lanes where ``cond`` fails (NaN comparisons included)."""
-        return self.rare(~cond)
+        return self.rare(np.logical_not(cond))
 
     def grouped(self, xs, blocks):
         """``coords, sizes``: the search vectors (the rows of ``xs``, lanes as
@@ -644,9 +646,9 @@ class ArrayOps:
         return np.sqrt(x)
 
     def check_range(self, name, value, limit=math.inf):
-        self.suspect |= ~((value >= 0.0) & (value <= limit))
+        self.suspect |= np.logical_not((value >= 0.0) & (value <= limit))
 
     def checked_pair(self, r1, r2):
-        self.suspect |= ~((r1 >= 0.0) & (r2 >= 0.0))
+        self.suspect |= np.logical_not((r1 >= 0.0) & (r2 >= 0.0))
         return r1, r2
 

@@ -195,7 +195,7 @@ def _stream_rates(c, pw, a, weight: float, ops=FLOAT_OPS):
 
 def rc_kernel(c, pw, a, weight: float = 1.0, ops=FLOAT_OPS) -> tuple[float, float]:
     """(R1, R2) of receiver cooperation; float form of ``rc_rate_pair``, and
-    its column form over an ``ArrayOps`` (``weight`` a column too)."""
+    its column form over an ``ArrayOps`` (``weight`` a float or a column)."""
     rates = _stream_rates(c, pw, a, weight, ops)
     r1_d, r2_d, _, _, r1_2r1, r1_2r2, r2_2r1, r2_2r2, r1_r1, r2_r1 = rates
     return ops.checked_pair(r1_d + r1_r1 + ops.minimum(r1_2r1, r1_2r2),

@@ -21,7 +21,7 @@ import numpy as np
 import pytest
 
 from conftest import odd_squares, random_gains
-from coopic import frontier
+from coopic import frontier, model, rxcoop
 from coopic.model import FLOAT_OPS, ArrayOps, ChannelGains, EvaluatorError, PowerBudget
 
 SQRT2 = math.sqrt(2.0)
@@ -91,6 +91,38 @@ def test_array_ops_match_float_ops():
         assert not ops.suspect.any()
         for i in range(200):
             assert _bits(got[i]) == _bits(FLOAT_OPS.quad(v0, v1, *entries[:, i]))
+
+
+def test_array_ops_take_a_float_as_a_value_shared_by_every_lane(ref_gains, ref_powers):
+    # A float argument is one value for every lane: the column op of a float
+    # is the float op on each lane, and the marking ops mark as they do for
+    # the same value in every lane (``~`` of a float comparison is ~True == -2)
+    for name in ("cap", "log2", "exp2m1"):
+        for x in EDGES:
+            ops = ArrayOps(3)
+            with np.errstate(all="ignore"):
+                got = getattr(ops, name)(x)
+            try:
+                want = getattr(FLOAT_OPS, name)(x)
+            except (EvaluatorError, ValueError):  # math.log2 raises ValueError
+                assert ops.suspect.all(), (name, x)
+                continue
+            assert ops.suspect.tolist() in ([False] * 3, [True] * 3), (name, x)
+            assert ops.suspect.all() or [_bits(v) for v in got.tolist()] == [_bits(want)] * 3, \
+                (name, x)
+    rng = np.random.default_rng(8)
+    points = _vectors(frontier._SPACES["RC"], rng)
+    with np.errstate(all="ignore"):
+        a = frontier._decode(points.T, frontier._SPACES["RC"].blocks, ArrayOps(len(points)))
+    c, pw = model.kernel_args(ref_gains, ref_powers)
+    for w in (0.0, 0.5, 1.0, 2.0, math.inf, math.nan, -1.0):
+        got, want = ArrayOps(len(points)), ArrayOps(len(points))
+        with np.errstate(all="ignore"):
+            pair = rxcoop.rc_kernel(c, pw, a, w, got)
+            pair_want = rxcoop.rc_kernel(c, pw, a, np.full(len(points), w), want)
+        assert got.suspect.tolist() == want.suspect.tolist(), w
+        assert [r.tobytes() for r in pair] == [r.tobytes() for r in pair_want], w
+        assert got.suspect.all() == (math.isnan(w) or w < 0.0), w
 
 
 def _check_fsum3_of_normalized_squares(a, b, c):

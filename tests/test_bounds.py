@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers, tie_heavy_points, zero_cooperation_channels
-from coopic.model import (GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError, NegativeSnr,
+from coopic.model import (GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError,
                           PowerBudget, cap, det_pair)
 from coopic import bounds, frontier
 
@@ -257,7 +257,7 @@ def _golden_max_of_three(f, lo, hi, iters):
 
 
 def _rho_max_per_call(sd2, sr2, rd2, p_src, p_rel, alpha, e, lo, hi):
-    """``_cutset_rho_max`` with every term computed in the call."""
+    """``_cutset_over_rho(...)(e)`` with every term computed in the call."""
     log1p, ln2 = math.log1p, math.log(2.0)
     l1 = l2 = 0.0
     if alpha > 0.0 and e > 0.0:
@@ -310,7 +310,7 @@ def _nested_golden_cutset(sd, sr, rd, p_src, p_rel):
 def test_cutset_search_equals_the_nested_golden_composition():
     # The per-listen objective and the search's one comparison per step give
     # the composition's floats exactly, on every pool triple and edge case,
-    # and so does ``_cutset_rho_max`` at the alpha = 1 edge and inside.
+    # and so does the per-listen objective at the alpha = 1 edge and inside.
     triples = [t for g, p in _pool_configs() for t in _cutset_triples(g, p).values()]
     for triple in triples + _GRID_EDGES:
         assert bounds._relay_cutset(*triple).hex() == _nested_golden_cutset(*triple).hex(), \
@@ -318,7 +318,8 @@ def test_cutset_search_equals_the_nested_golden_composition():
     for alpha in (0.0, 0.3, 1.0 - 1e-12, 1.0):
         for e in (0.0, 0.6, 1.0):
             args = (1.0, 4.0, 9.0, 5.0, 5.0, alpha, e, 0.2, 0.3)
-            assert bounds._cutset_rho_max(*args).hex() == _rho_max_per_call(*args).hex(), args
+            got = bounds._cutset_over_rho(1.0, 4.0, 9.0, 5.0, 5.0, alpha, 0.2, 0.3)(e)
+            assert got.hex() == _rho_max_per_call(*args).hex(), args
 
 
 @pytest.mark.parametrize("f", [
@@ -472,7 +473,7 @@ def test_cutset_closed_form_rho_step_matches_dense_scan():
         cases.append((sd, sr, rd, p_src, p_rel, 1.0 - rng.uniform(1e-12, 1e-9), e, lo, hi))
     for sd, sr, rd, p_src, p_rel, alpha, e, lo, hi in cases:
         args = (sd * sd, sr * sr, rd * rd, p_src, p_rel, alpha, e, lo, hi)
-        got = bounds._cutset_rho_max(*args)
+        got = bounds._cutset_over_rho(sd * sd, sr * sr, rd * rd, p_src, p_rel, alpha, lo, hi)(e)
         want = _scan_rho_max(*args)
         assert abs(got - want) <= 1e-12 * max(1.0, want), (args, got, want)
 
@@ -487,7 +488,7 @@ def test_cutset_closed_form_rho_step_sub_ulp_listen_gap():
         for alpha, e in ((1.0 - golden, 1.0 - golden), (golden, 1.0 - golden), (0.9, 0.1)):
             for lo, hi in ((0.0, 1.5 / 80), (0.0, 1.0), (0.3, 1.0)):
                 args = (1e-12, 1e-18, rd * rd, 1.0, 1.0, alpha, e, lo, hi)
-                got = bounds._cutset_rho_max(*args)
+                got = bounds._cutset_over_rho(1e-12, 1e-18, rd * rd, 1.0, 1.0, alpha, lo, hi)(e)
                 want = _scan_rho_max(*args)
                 assert got == pytest.approx(want, rel=1e-12, abs=0.0), args
         g = gains_with(c12=1e-9, c13=1e-6, c23=rd)
@@ -512,8 +513,8 @@ def test_cutset_reaches_the_full_window_maximum():
 
     def over_energy(alpha):
         return bounds._golden_max(
-            lambda e: bounds._cutset_rho_max(sd * sd, sr * sr, rd * rd, p_src, p_rel,
-                                             alpha, e, lo=0.0, hi=1.0),
+            lambda e: bounds._cutset_over_rho(sd * sd, sr * sr, rd * rd, p_src, p_rel,
+                                              alpha, lo=0.0, hi=1.0)(e),
             0.0, 1.0, iters=40)
 
     want = bounds._golden_max(over_energy, 0.0, 1.0, iters=40)
@@ -720,7 +721,7 @@ def _loop_bc_vertices(g, p_total):
     n2 = g.c14 * g.c14 + g.c24 * g.c24
     points = []
     for i in range(2001):
-        q1 = p_total * i / 2000
+        q1 = min(p_total * i / 2000, p_total)
         q2 = p_total - q1
         c1 = cap(q1 * n1)
         c2 = cap(q2 * n2)
@@ -737,22 +738,21 @@ def test_bc_region_vertices_equal_a_loop_over_the_splits(ref_gains):
     assert bounds.bc_region_vertices(ref_gains, 0.0) == _loop_bc_vertices(ref_gains, 0.0)
 
 
-@pytest.mark.parametrize("p_total, raises", [(50.48968555507705, False),
-                                             (171541.6924389731, True)])
-def test_bc_region_vertices_last_split_above_the_total(ref_gains, p_total, raises):
-    # q1 = p_total * 2000 / 2000 rounds above p_total, so the last split's
-    # q2 * n2 is negative: cap clamps it to 0, or raises NegativeSnr below
-    # -1e-12, and the arrays do as the loop does.
-    assert p_total * 2000 / 2000 > p_total
-    if not raises:
-        assert repr(bounds.bc_region_vertices(ref_gains, p_total)) == \
-            repr(_loop_bc_vertices(ref_gains, p_total))
-        return
-    with pytest.raises(NegativeSnr) as want:
-        _loop_bc_vertices(ref_gains, p_total)
-    with pytest.raises(NegativeSnr) as got:
-        bounds.bc_region_vertices(ref_gains, p_total)
-    assert str(got.value) == str(want.value)
+def test_bc_region_vertices_splits_stay_inside_the_budget(ref_gains):
+    # At these totals q1 = p_total * 2000 / 2000 rounds above p_total, so an
+    # unclamped last split would spend a negative q2; clamped at p_total,
+    # every split lies inside the budget and no total raises.  171541.69...
+    # gave a q2 * n2 below -1e-12, which cap rejects with NegativeSnr.
+    rng = np.random.default_rng(12)
+    totals = [50.48968555507705, 171541.6924389731]
+    while len(totals) < 22:
+        t = float(rng.uniform(0.0, 2 * POWER_MAX))
+        if t * 2000 / 2000 > t:
+            totals.append(t)
+    for g in (ref_gains, ChannelGains(GAIN_MAX, GAIN_MAX, 3.0, 0.5, GAIN_MAX, 1.0)):
+        for p_total in totals:
+            assert repr(bounds.bc_region_vertices(g, p_total)) == \
+                repr(_loop_bc_vertices(g, p_total)), p_total
 
 
 def test_bc_region_vertices(ref_gains):
