@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from conftest import random_gains, random_powers, tie_heavy_points, zero_cooperation_channels
-from coopic.model import (GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError,
+from coopic.model import (GAIN_MAX, POWER_MAX, ChannelGains, EvaluatorError, NegativeSnr,
                           PowerBudget, cap, det_pair)
 from coopic import bounds, frontier
 
@@ -736,6 +736,27 @@ def test_bc_region_vertices_equal_a_loop_over_the_splits(ref_gains):
         assert repr(bounds.bc_region_vertices(g, p.p1 + p.p2)) == \
             repr(_loop_bc_vertices(g, p.p1 + p.p2))
     assert bounds.bc_region_vertices(ref_gains, 0.0) == _loop_bc_vertices(ref_gains, 0.0)
+
+
+@pytest.mark.parametrize("p_total, unclamped_raises", [(50.48968555507705, False),
+                                                       (171541.6924389731, True)])
+def test_bc_region_vertices_last_split_above_the_total(ref_gains, p_total, unclamped_raises):
+    # q1 = p_total * 2000 / 2000 rounds above p_total, so an unclamped last
+    # split's q2 * n2 is negative: cap clamps it to 0, or raises NegativeSnr
+    # below -1e-12.  Clamped at p_total, the last split spends the whole
+    # budget on user 1 and the arrays do as the loop does.
+    assert p_total * 2000 / 2000 > p_total
+    n2 = ref_gains.c14 * ref_gains.c14 + ref_gains.c24 * ref_gains.c24
+    unclamped = (p_total - p_total * 2000 / 2000) * n2
+    assert (unclamped < -1e-12) == unclamped_raises
+    if unclamped_raises:
+        with pytest.raises(NegativeSnr):
+            cap(unclamped)
+    else:
+        assert cap(unclamped) == 0.0
+    verts = bounds.bc_region_vertices(ref_gains, p_total)
+    assert repr(verts) == repr(_loop_bc_vertices(ref_gains, p_total))
+    assert verts[0][1] == 0.0 and verts[0][0] == cap(p_total * (ref_gains.c13 ** 2 + ref_gains.c23 ** 2))
 
 
 def test_bc_region_vertices_splits_stay_inside_the_budget(ref_gains):
