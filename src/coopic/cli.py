@@ -32,7 +32,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
 
 from . import bounds as bounds_mod
@@ -42,6 +42,8 @@ from .model import (
     EvaluatorError,
     PowerBudget,
     RcAllocation,
+    Simplex2,
+    Simplex3,
     TcAllocation,
 )
 
@@ -199,7 +201,13 @@ def build_allocation(scheme: str, spec: dict):
 
 def _allocation_to_dict(alloc) -> dict | None:
     if isinstance(alloc, (TcAllocation, RcAllocation)):
-        return {_key(name): list(getattr(alloc, name)) for name in alloc.__dataclass_fields__}
+        # A simplex as its weights, any other field (an encoding order) as the
+        # scalar it is, as the limit's user1_clean.
+        record = {}
+        for f in fields(alloc):
+            value = getattr(alloc, f.name)
+            record[_key(f.name)] = list(value) if isinstance(value, (Simplex2, Simplex3)) else value
+        return record
     if isinstance(alloc, tuple) and len(alloc) == 3:  # limit-mode (mu, eta, order)
         return {"mu": list(alloc[0]), "eta": list(alloc[1]), "user1_clean": alloc[2]}
     return None

@@ -30,7 +30,12 @@ straddle searches and jobs.  ``minimize`` holds a chunk's simplices as one
 (runs, n + 1, n) array, and each lockstep iteration scores the reflections
 of every live run as one batch ``f(runs, X)``, then their expansions and
 contractions, then their shrinks; a run that ends leaves that array, so
-each iteration works on whole arrays of live runs.  A run's steps depend
+each iteration works on whole arrays of live runs.  While ``_COLUMN_ROWS``
+to ``_PAIRED_RUNS`` runs are live, the reflections' batch also holds each
+run's inside contraction, 0.5 xbar + 0.5 worst, which is known before the
+reflection is scored, so the second batch carries only expansions and
+outside contractions; a paired point counts (in ``nfev`` and in the
+penalties) only where its run takes it.  A run's steps depend
 on its own values alone, so each job gets the runs, counts and
 candidates, in order, of its lone trace.  What differs between the
 searches of a batch, gains ``c``, powers ``pw`` and the scheme variant
@@ -134,6 +139,12 @@ _BATCH = 256
 # 16 to 24 points for the TC, RC and TC-limit scores), so they are scored on
 # floats, with the same bits.
 _COLUMN_ROWS = 20
+# Most live runs whose inside contractions the lockstep scores in the call of
+# their reflections (from _COLUMN_ROWS runs on): the second-point call it
+# saves costs more than the points it adds up to about 69 live runs for TC,
+# 76 for RC and beyond 98 for the TC limit (lone traces), so TC's bound,
+# rounded down, serves every space.
+_PAIRED_RUNS = 64
 # Most weights ``default_weights`` builds, restarts per weight and iterations
 # per run that ``TraceOptions`` takes (a trace runs weights x restarts runs of
 # up to 2 x max_iter evaluations), so no count that passes validation makes
@@ -197,7 +208,9 @@ class TraceOptions:
 class TraceStats:
     """How a trace got its answer.
 
-    evaluations -- objective evaluations over all ``minimize`` runs (sum of nfev)
+    evaluations -- objective evaluations over all ``minimize`` runs (sum of
+                   nfev); an inside contraction scored with its reflection
+                   but not taken is none
     penalized   -- evaluations that raised, by EvaluatorError subclass name
     runs        -- Nelder-Mead runs, one per (search, weight, restart)
     unconverged -- runs that did not converge (evaluation budget or
@@ -421,7 +434,14 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
 
     ``f(runs, X)`` gets the points of one step of several runs as the rows
     of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
-    their values as an array.
+    their values as an array: each iteration makes one call of ``f`` for the
+    reflections, one for the expansions and contractions, and one for the
+    shrinks.  While ``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the
+    reflections' call also scores each run's inside contraction, which is
+    an evaluation only where the run takes it; an ``f`` with a ``count``
+    method (``_batch_objective``) is then called as ``f(runs, X, quiet)``
+    and holds the penalties of those last ``quiet`` rows until
+    ``f.count(taken)``.
     """
     sim, _, nfev, converged = _lockstep(f, np.asarray(x0, dtype=float), max_iter)
     return SearchResult(sim[:, 0], nfev, converged)
@@ -449,12 +469,17 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
     final ranked simplex and its values, evaluations and convergence flag.
     Each lockstep iteration takes one Nelder-Mead step of every live run,
     with one call of ``f`` for the reflections, one for the expansions and
-    contractions, and one for the shrinks; per-run budgets and iteration
-    counts follow ``minimize``'s rules.  A run that ends (converged, or out
-    of budget or iterations) has its simplex, values and counts written to
-    the result and leaves the working arrays, so each iteration works on
-    whole arrays of live runs, ``ids`` holding each one's row of ``x0``."""
+    contractions, and one for the shrinks; while ``_COLUMN_ROWS`` to
+    ``_PAIRED_RUNS`` runs are live, the first call also scores every run's
+    inside contraction (quietly, for an ``f`` with ``count``), and the
+    second only the expansions and outside contractions.  Per-run budgets
+    and iteration counts follow ``minimize``'s rules.  A run that ends
+    (converged, or out of budget or iterations) has its simplex, values and
+    counts written to the result and leaves the working arrays, so each
+    iteration works on whole arrays of live runs, ``ids`` holding each
+    one's row of ``x0``."""
     max_fev = 2 * max_iter
+    count_taken = getattr(f, "count", None)
     count, n = x0.shape
     sim = np.stack([_initial_simplex(x) for x in x0])
     fsim = np.full((count, n + 1), np.inf)
@@ -491,7 +516,16 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
         xbar = _centroid(sim)
         worst = sim[:, -1]
         xr = 2.0 * xbar - worst
-        fxr = f(ids, xr)
+        width = len(ids)
+        paired = _COLUMN_ROWS <= width <= _PAIRED_RUNS
+        if paired:
+            # Each run's inside contraction, 0.5 xbar + 0.5 worst, in the call
+            # of its reflection; it is an evaluation only where the run takes it.
+            both = np.concatenate((ids, ids)), np.concatenate((xr, 0.5 * xbar + 0.5 * worst))
+            values = f(*both) if count_taken is None else f(*both, width)
+            fxr, fxcc = values[:width], values[width:]
+        else:
+            fxr = f(ids, xr)
         nfev += 1
         expand = fxr < fsim[:, 0]
         reflect = ~expand & (fxr < fsim[:, -2])
@@ -499,14 +533,22 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
         # One more point for every run that does not take its reflection.
         second = ~reflect & (nfev < max_fev)
         spent = ~reflect & ~second  # the budget ends the step before its second point
-        fxs = np.full(len(ids), np.nan)
+        fxs = np.full(width, np.nan)
+        scored = second
+        if paired:
+            inside = second & ~expand & ~outside
+            fxs[inside] = fxcc[inside]
+            if count_taken is not None:
+                count_taken(inside)
+            scored = second & ~inside
         if np.count_nonzero(second):
             # a xbar - b worst: expansion (3, 2), outside contraction (1.5, 0.5)
             # and inside contraction (0.5, -0.5), which is 0.5 xbar + 0.5 worst
             a = np.where(expand, 3.0, np.where(outside, 1.5, 0.5))[:, None]
             b = np.where(expand, 2.0, np.where(outside, 0.5, -0.5))[:, None]
             xs = a * xbar - b * worst
-            fxs[second] = f(ids[second], xs[second])
+            if np.count_nonzero(scored):
+                fxs[scored] = f(ids[scored], xs[scored])
             nfev[second] += 1
         # Expansion keeps the better of its two points; an outside contraction
         # needs fxc <= fxr, an inside one fxcc < the worst value; else shrink.
@@ -541,12 +583,13 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
 
 def _neg_objective(score, weight: float, penalized: Counter):
     """The function a search minimizes: -(r1 + weight*r2) of a search vector,
-    or _PENALTY, counted in ``penalized`` by error type, when ``score`` raises.
-    At weight +inf it is -r2; the factors (0, 1) and (1, weight) are exact,
-    so each objective is the float of its formula."""
+    or _PENALTY, counted in ``penalized`` (or the counter passed) by error
+    type, when ``score`` raises.  At weight +inf it is -r2; the factors
+    (0, 1) and (1, weight) are exact, so each objective is the float of its
+    formula."""
     k1, k2 = (0.0, 1.0) if math.isinf(weight) else (1.0, weight)
 
-    def f(xs):
+    def f(xs, penalized=penalized):
         try:
             r1, r2 = score(xs, weight)
         except EvaluatorError as exc:
@@ -602,13 +645,29 @@ def _batch_objective(scores, weights, penalized):
     (``_lane_inputs``).  Each suspect lane is re-scored through the float
     path, which gives its exact value or counts its error; if the column
     call itself raises an EvaluatorError, every row is re-scored so.  Fewer
-    than ``_COLUMN_ROWS`` rows are all scored on floats."""
+    than ``_COLUMN_ROWS`` rows are all scored on floats.
+
+    ``f(runs, X, quiet)`` holds the penalties of the last ``quiet`` rows,
+    points their runs may not take (``_lockstep``'s paired inside
+    contractions), instead of counting them; ``f.count(taken)`` then counts
+    those of the held rows the mask ``taken`` marks, so only a point a run
+    takes is an evaluation."""
     weights = np.asarray(weights, dtype=float)
     infinite = np.isinf(weights)
     k1 = np.where(infinite, 0.0, 1.0)
     k2 = np.where(infinite, 1.0, weights)
-    on_floats = [_neg_objective(score, w, counter)
-                 for score, w, counter in zip(scores, weights.tolist(), penalized)]
+    scorers = [_neg_objective(score, w, counter)
+               for score, w, counter in zip(scores, weights.tolist(), penalized)]
+    held = {}  # quiet row of the last call -> (its run, the penalty it scored)
+
+    def on_floats(i, k, x, counted):
+        if i < counted:
+            return scorers[k](x)
+        tally = Counter()
+        value = scorers[k](x, tally)
+        if tally:
+            held[i - counted] = k, tally
+        return value
     # Searches by identity: equal floats need not be the same input (0.0, -0.0).
     distinct = {id(score): score for score in scores}
     position = {key: k for k, key in enumerate(distinct)}
@@ -616,10 +675,12 @@ def _batch_objective(scores, weights, penalized):
     lane_inputs = _lane_inputs(list(distinct.values()))
     kernel, blocks = scores[0].kernel, scores[0].blocks
 
-    def f(runs, points):
+    def f(runs, points, quiet=0):
+        held.clear()
+        counted = len(points) - quiet
         if len(points) < _COLUMN_ROWS:
-            return np.array([on_floats[k](x) for k, x in zip(runs.tolist(), points.tolist())],
-                            dtype=float)
+            return np.array([on_floats(i, k, x, counted) for i, (k, x)
+                             in enumerate(zip(runs.tolist(), points.tolist()))], dtype=float)
         ops = ArrayOps(len(points))
         c, pw, variants = lane_inputs(search[runs])
         try:
@@ -631,9 +692,15 @@ def _batch_objective(scores, weights, penalized):
             ops.suspect[:] = True
             values = np.empty(len(points))
         for i in np.flatnonzero(ops.suspect).tolist():
-            values[i] = on_floats[runs[i]](points[i].tolist())
+            values[i] = on_floats(i, runs[i], points[i].tolist(), counted)
         return values
 
+    def count(taken):
+        for i, (k, tally) in held.items():
+            if taken[i]:
+                penalized[k].update(tally)
+
+    f.count = count
     return f
 
 

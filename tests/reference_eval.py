@@ -29,19 +29,26 @@ def _budget_covariances(g_other, clean, first):
     return np.outer(amp_clean, amp_clean) * corr, np.outer(amp_first, amp_first)
 
 
-def tc_reference(g: dict, p: dict, a: dict, rdpc: bool = False,
-                 paper: bool = False) -> tuple[float, float]:
+def tc_reference(g: dict, p: dict, a: dict, rdpc: bool = False, paper: bool = False,
+                 user1_clean=None, weight=None) -> tuple[float, float]:
     """Transmitter-cooperation rate pair from the printed per-phase formulas.
 
     a carries tuples: lam (3), kappa, gamma, alpha, beta (2), mu, eta (3).
     The joint streams keep each source's allotted power by default, the diagonal
     baseline with ``rdpc``, and the paper's pooled duality construction with
-    ``paper``.
+    ``paper``.  Phase 3 encodes user 1's stream last (clean) where
+    ``user1_clean``, else ``a["user1_clean"]`` when present, is true; None
+    keeps the rule c13 + c23 > c14 + c24.  ``weight`` is accepted for a
+    weight-dependent scheme and not read: these rates do not depend on it.
     """
     c12, c13, c14, c23, c24 = g["c12"], g["c13"], g["c14"], g["c23"], g["c24"]
     p1, p2 = p["p1"], p["p2"]
     lam, kap, gam = a["lam"], a["kappa"], a["gamma"]
     al, be, mu, eta = a["alpha"], a["beta"], a["mu"], a["eta"]
+    if user1_clean is None:
+        user1_clean = a.get("user1_clean")
+    if user1_clean is None:
+        user1_clean = c13 + c23 > c14 + c24
 
     p1_1 = kap[0] * p1 / lam[0] if kap[0] > 0 else 0.0
     p2_1 = gam[0] * p2 / lam[1] if gam[0] > 0 else 0.0
@@ -77,7 +84,7 @@ def tc_reference(g: dict, p: dict, a: dict, rdpc: bool = False,
         iw4 = c14 ** 2 * mu[0] * p1_3
         iv4 = c24 ** 2 * eta[0] * p2_3
         iv3 = c23 ** 2 * eta[0] * p2_3
-        if c13 + c23 > c14 + c24:
+        if user1_clean:
             if rdpc:
                 s1 = np.diag([mu[1] * p1_3, eta[2] * p2_3])
                 s2 = np.diag([mu[2] * p1_3, eta[1] * p2_3])

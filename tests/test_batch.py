@@ -302,6 +302,39 @@ def test_batch_objective_matches_scalar_objective(scheme, ref_gains, ref_powers)
             assert batched == alone and sum(alone.values()) > 0
 
 
+@pytest.mark.parametrize("scheme", ["TC", "RC", "TC_inf"])
+def test_batch_objective_counts_a_quiet_row_only_when_taken(scheme, ref_gains, ref_powers):
+    # The last ``quiet`` rows give their objective bits but hold their
+    # penalties; ``count(taken)`` counts those of the rows it marks, the
+    # others never.  Over columns and, at 12 rows, on floats.
+    rng = np.random.default_rng(9)
+    g, p = _channels(scheme, ref_gains, ref_powers, rng)[0]
+    space, score, _ = frontier._searches(scheme, g, p)[0]
+    points = _vectors(space, rng)
+    raises = np.array([frontier._neg_objective(score, 1.0, Counter())(x) == frontier._PENALTY
+                       for x in points.tolist()])
+    # 12 rows, alternately penalized and not, so both halves have penalties
+    few = np.stack((points[raises][:6], points[~raises][:6]), axis=1).reshape(12, -1)
+    for points in (points, few):
+        runs = np.arange(len(points)) % len(WEIGHTS)
+        quiet = len(points) // 2
+        taken = rng.random(quiet) < 0.5
+        counted = np.concatenate((np.ones(len(points) - quiet, dtype=bool), taken))
+        batched, alone = Counter(), Counter()
+        f = frontier._batch_objective([score] * len(WEIGHTS), WEIGHTS, [batched] * len(WEIGHTS))
+        got = f(runs, points, quiet)
+        f.count(taken)
+        want = [frontier._neg_objective(score, WEIGHTS[k], alone if counted[i] else Counter())(x)
+                for i, (k, x) in enumerate(zip(runs.tolist(), points.tolist()))]
+        assert got.tobytes() == np.array(want).tobytes()
+        assert batched == alone and sum(alone.values()) > 0
+        skipped = Counter()
+        for i, (k, x) in enumerate(zip(runs.tolist(), points.tolist())):
+            if not counted[i]:
+                frontier._neg_objective(score, WEIGHTS[k], skipped)(x)
+        assert sum(skipped.values()) > 0  # some held penalty is never counted
+
+
 def _lane_searches(scheme, rng):
     """Searches of one space on channels that together take both outcomes of
     every gain comparison the kernels select on: own > cross in each

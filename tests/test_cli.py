@@ -1,5 +1,6 @@
 """Command-line surface: validation, record output, CSV round trips."""
 
+import dataclasses
 import json
 import math
 
@@ -54,6 +55,26 @@ def test_eval_matches_library_bit_exactly(tmp_path, capsys):
     rates = txcoop.tc_phase_rates(g, p, a)
     assert record["streams"]["r1_r1"] == rates.r1_r1
     assert record["streams"]["r2_3"] == rates.r2_3
+
+
+def test_allocation_record_passes_a_non_simplex_field_as_a_scalar():
+    # An allocation field that is no simplex (here an encoding order) is
+    # written as the scalar it is, after the simplices' weights, in field order.
+    @dataclasses.dataclass(frozen=True)
+    class OrderedTc(TcAllocation):
+        user1_clean: bool = False
+
+    base = TcAllocation(lam=Simplex3(*TC_ALLOCATION["lambda"]),
+                        kappa=Simplex2(*TC_ALLOCATION["kappa"]),
+                        gamma=Simplex2(*TC_ALLOCATION["gamma"]),
+                        alpha=Simplex2(*TC_ALLOCATION["alpha"]),
+                        beta=Simplex2(*TC_ALLOCATION["beta"]),
+                        mu=Simplex3(*TC_ALLOCATION["mu"]), eta=Simplex3(*TC_ALLOCATION["eta"]))
+    record = cli._allocation_to_dict(OrderedTc(*base, user1_clean=True))
+    plain = cli._allocation_to_dict(base)
+    assert list(record) == list(plain) + ["user1_clean"]
+    assert record == {**plain, "user1_clean": True} and record["user1_clean"] is True
+    assert json.loads(json.dumps(record)) == record
 
 
 def test_eval_zero_power_record(tmp_path, capsys):

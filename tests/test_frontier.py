@@ -712,10 +712,13 @@ def _same_as_single_runs(batch, single, starts, max_iter):
 def test_lockstep_runs_equal_single_runs_on_search_objectives(scheme, ref_gains, ref_powers,
                                                              monkeypatch):
     # The scipy step tests' starts and weights, stacked into one lockstep
-    # batch scored by the column kernels (however few rows): each run takes
-    # the steps (and the penalties) of its single run, with budgets that end
-    # inside the first simplex (3), mid-search (25) and near convergence (250).
+    # batch scored by the column kernels (however few rows), each inside
+    # contraction in the call of its reflection (4 runs, within the paired
+    # range at _COLUMN_ROWS = 1): each run takes the steps (and the penalties)
+    # of its single run, with budgets that end inside the first simplex (3),
+    # mid-search (25) and near convergence (250).
     monkeypatch.setattr(frontier, "_COLUMN_ROWS", 1)
+    assert 4 <= frontier._PAIRED_RUNS
     rng = np.random.default_rng(12)
     for g in (ref_gains, random_gains(rng)):
         if scheme == "TC_inf":
@@ -751,7 +754,7 @@ def _toy_plateau(xs):  # a bowl with a flat floor, where runs shrink once they r
     return max(_toy_bowl(xs), 0.5)
 
 
-def test_lockstep_runs_that_end_at_different_times_equal_single_runs():
+def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch):
     # One chunk mixes constant objectives, which shrink every step and end
     # first, steep and flat bowls, which converge at their own pace, a
     # slope, which expands until the budget ends it, and plateaus, where
@@ -759,18 +762,76 @@ def test_lockstep_runs_that_end_at_different_times_equal_single_runs():
     # have left the working set.  Budgets of 2 and 4 evaluations end every
     # run in the first simplex, and 8, 10, 14 and 16 end the constant runs
     # inside a shrink (see test_minimize_takes_scipys_steps_on_toy_objectives).
+    # Then again with each inside contraction scored in the call of its
+    # reflection while at least 2 runs are live, so the single runs (one
+    # live run) still take the unpaired, scipy-equal path.
     rng = np.random.default_rng(13)
     kinds = (lambda xs: 0.0, lambda xs: 1e3 * _toy_bowl(xs), lambda xs: 1e-3 * _toy_bowl(xs),
              _toy_tilted, _toy_plateau)
     objectives = [kinds[k % len(kinds)] for k in range(15)]
     starts = [rng.standard_normal(4) * 3.0 for _ in objectives]
 
+    calls = [0]
+
     def batch(runs, points):
+        calls[0] += 1
         return np.array([objectives[k](x) for k, x in zip(runs.tolist(), points.tolist())])
 
-    for max_iter in (1, 2, 4, 5, 7, 8, 60, 2000):
-        runs = _same_as_single_runs(batch, lambda k: objectives[k], starts, max_iter)
-    assert len(set(runs.nfev.tolist())) >= 10 and 0 < np.count_nonzero(runs.converged) < 15
+    made = []
+    for rows in (frontier._COLUMN_ROWS, 2):
+        monkeypatch.setattr(frontier, "_COLUMN_ROWS", rows)
+        calls[0] = 0
+        for max_iter in (1, 2, 4, 5, 7, 8, 60, 2000):
+            runs = _same_as_single_runs(batch, lambda k: objectives[k], starts, max_iter)
+        assert len(set(runs.nfev.tolist())) >= 10 and 0 < np.count_nonzero(runs.converged) < 15
+        made.append(calls[0])
+    assert made[1] < made[0]  # paired calls leave some iterations no second-point call
+
+
+def test_lockstep_counts_a_paired_point_only_when_its_run_takes_it(monkeypatch):
+    # A bowl with a penalized half-plane, scored by a batch that holds the
+    # penalties of its quiet rows as ``_batch_objective`` does: the paired
+    # lockstep counts the penalties each single run counts, while paired
+    # points no run takes (a reflection taken, the budget spent) raise too.
+    monkeypatch.setattr(frontier, "_COLUMN_ROWS", 2)
+
+    def walled(xs, penalized):
+        if xs[1] > -0.5:
+            penalized["Wall"] += 1
+            return frontier._PENALTY
+        return _toy_bowl(xs)
+
+    batched, held, raised = Counter(), {}, [0]
+
+    def batch(runs, points, quiet=0):
+        held.clear()
+        counted = len(points) - quiet
+        values = []
+        for i, x in enumerate(points.tolist()):
+            tally = batched if i < counted else Counter()
+            values.append(walled(x, tally))
+            raised[0] += values[-1] == frontier._PENALTY
+            if i >= counted and tally:
+                held[i - counted] = tally
+        return np.array(values)
+
+    def count(taken):
+        for i, tally in held.items():
+            if taken[i]:
+                batched.update(tally)
+
+    batch.count = count
+    rng = np.random.default_rng(19)
+    starts = [rng.standard_normal(3) - (0.0, 1.0, 0.0) for _ in range(12)]
+    untaken = 0
+    for max_iter in (3, 4, 7, 10, 25, 60):
+        batched.clear()
+        raised[0] = 0
+        alone = Counter()
+        _same_as_single_runs(batch, lambda k: lambda xs: walled(xs, alone), starts, max_iter)
+        assert batched == alone and alone["Wall"] > 0
+        untaken += raised[0] - alone["Wall"]
+    assert untaken > 0
 
 
 def test_lockstep_centroid_adds_the_kept_vertices_row_by_row():
@@ -806,6 +867,39 @@ def test_trace_does_not_depend_on_batch_size(scheme, ref_gains, ref_powers, monk
     _same_frontier(frontier.trace(traced, g, ref_powers, opts), whole)
     searches = 2 if scheme == "TC_inf" else 1  # the limit's two orders share one lockstep
     assert len(calls) == math.ceil(searches * len(opts.weights) * opts.restarts / 3)
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
+def test_trace_does_not_depend_on_pairing(scheme, ref_gains, ref_powers, monkeypatch):
+    # 5 weights x 6 restarts (both encoding orders for the limit: 60 runs)
+    # are inside the paired range: the trace whose every inside contraction
+    # is scored in the call of its reflection (bound _BATCH) is the one that
+    # scores none so (bound 0), points, options and stats, penalties included.
+    g = dataclasses.replace(ref_gains, c12=math.inf) if scheme == "TC_inf" else ref_gains
+    traced = "TC" if scheme == "TC_inf" else scheme
+    opts = frontier.TraceOptions(weights=frontier.default_weights(3), restarts=6, max_iter=40,
+                                 seed=1)
+    batch, quiet = frontier._batch_objective, []
+
+    def watched(*args):
+        f = batch(*args)
+
+        def seen(runs, points, *held):
+            quiet.extend(held)
+            return f(runs, points, *held)
+
+        seen.count = f.count
+        return seen
+
+    monkeypatch.setattr(frontier, "_batch_objective", watched)
+    frontiers = []
+    for bound in (0, frontier._BATCH):
+        monkeypatch.setattr(frontier, "_PAIRED_RUNS", bound)
+        frontiers.append(frontier.trace(traced, g, ref_powers, opts))
+        assert bool(quiet) == bool(bound)
+    never, always = frontiers
+    assert repr(always) == repr(never)
+    assert scheme == "TC_inf" or sum(never.stats.penalized.values()) > 0  # the limit raises none
 
 
 def test_trace_many_matches_trace(ref_gains, ref_powers, monkeypatch):
@@ -953,7 +1047,10 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
     # Count the rows the lockstep search evaluates at its batch boundary
     # inside Nelder-Mead runs (not the one re-validation per run), and the
     # kernel's raises (the float path, which re-scores suspect rows),
-    # independently of the trace.
+    # independently of the trace.  With pairing off: a paired inside
+    # contraction that no run takes is a row and may raise, but is no
+    # evaluation, so the same trace with pairing on must give the same stats.
+    monkeypatch.setattr(frontier, "_PAIRED_RUNS", 0)
     searching, rows, raised = [False], [0], {}
     kernel, minimize, batch = txcoop.tc_kernel, frontier.minimize, frontier._batch_objective
 
@@ -968,10 +1065,11 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
     def counting_batch(*args):
         f = batch(*args)
 
-        def counted(runs, points):
+        def counted(runs, points, *quiet):
             rows[0] += searching[0] * len(points)
-            return f(runs, points)
+            return f(runs, points, *quiet)
 
+        counted.count = f.count
         return counted
 
     def flagged_minimize(*args, **kwargs):
@@ -991,6 +1089,9 @@ def test_trace_stats_count_every_evaluation(ref_gains, ref_powers, monkeypatch):
     assert stats.evaluations == rows[0]
     assert stats.penalized == raised and sum(raised.values()) > 0  # corner starts hit faces
     assert stats.unconverged == stats.runs  # 40 iterations never meet the tolerances
+    monkeypatch.setattr(frontier, "_PAIRED_RUNS", frontier._BATCH)
+    assert frontier.trace("TC", ref_gains, ref_powers, opts).stats == stats
+    assert rows[0] > 2 * stats.evaluations  # the paired trace ran, its rows counted too
 
 
 def test_trace_whose_every_evaluation_raises(ref_gains, ref_powers, monkeypatch):

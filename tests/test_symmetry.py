@@ -12,8 +12,10 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_gains, random_powers, random_rc_allocation, random_tc_allocation
+from conftest import (gains_dict, powers_dict, random_gains, random_powers,
+                      random_rc_allocation, random_tc_allocation, tc_allocation_dict)
 from coopic import rxcoop, txcoop
+from reference_eval import tc_reference
 from coopic.model import ChannelGains, PowerBudget, RcAllocation, Simplex3, TcAllocation
 
 DRAWS = 4000
@@ -62,3 +64,31 @@ def test_swapping_the_users_swaps_the_rates(scheme):
         drawn += 1
     assert drawn > DRAWS * 0.99
     assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("scheme", ["TC", "RDPC"])
+def test_reference_order_for_user_1_is_the_swapped_order_for_user_2(scheme, ref_gains,
+                                                                    ref_powers):
+    # The reference channel maps to itself under the swap and sits on the
+    # encoding-order tie, where the rule gives user 2 the clean slot.  The
+    # oracle with user 1 clean is then the swap of the oracle with user 2
+    # clean on the swapped allocation; None (or no order) keeps the rule's bits.
+    rng = np.random.default_rng(36)
+    g, p = gains_dict(ref_gains), powers_dict(ref_powers)
+    assert swap_channel(ref_gains, ref_powers) == (ref_gains, ref_powers)
+    assert not ref_gains.c13 + ref_gains.c23 > ref_gains.c14 + ref_gains.c24
+    rdpc = scheme == "RDPC"
+    moved = 0.0
+    for _ in range(200):
+        a = random_tc_allocation(rng)
+        ad = tc_allocation_dict(a)
+        clean1 = tc_reference(g, p, ad, rdpc, user1_clean=True)
+        r1, r2 = tc_reference(g, p, tc_allocation_dict(swap_tc(a)), rdpc, user1_clean=False)
+        assert abs(clean1[0] - r2) <= 1e-12 and abs(clean1[1] - r1) <= 1e-12
+        assert tc_reference(g, p, {**ad, "user1_clean": True}, rdpc) == clean1
+        today = tc_reference(g, p, ad, rdpc)
+        for order in (None, False):
+            assert tc_reference(g, p, ad, rdpc, user1_clean=order, weight=2.0) == today
+            assert tc_reference(g, p, {**ad, "user1_clean": order}, rdpc) == today
+        moved = max(moved, abs(clean1[0] - today[0]))
+    assert moved > 1e-3  # the order matters on the tie
