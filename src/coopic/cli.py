@@ -42,9 +42,8 @@ from .model import (
     EvaluatorError,
     PowerBudget,
     RcAllocation,
-    Simplex2,
-    Simplex3,
     TcAllocation,
+    _Simplex,
 )
 
 EXIT_VALIDATION = 2
@@ -206,7 +205,7 @@ def _allocation_to_dict(alloc) -> dict | None:
         record = {}
         for f in fields(alloc):
             value = getattr(alloc, f.name)
-            record[_key(f.name)] = list(value) if isinstance(value, (Simplex2, Simplex3)) else value
+            record[_key(f.name)] = list(value) if isinstance(value, _Simplex) else value
         return record
     if isinstance(alloc, tuple) and len(alloc) == 3:  # limit-mode (mu, eta, order)
         return {"mu": list(alloc[0]), "eta": list(alloc[1]), "user1_clean": alloc[2]}

@@ -142,8 +142,8 @@ _COLUMN_ROWS = 20
 # Most live runs whose inside contractions the lockstep scores in the call of
 # their reflections (from _COLUMN_ROWS runs on): the second-point call it
 # saves costs more than the points it adds up to about 69 live runs for TC,
-# 76 for RC and beyond 98 for the TC limit (lone traces), so TC's bound,
-# rounded down, serves every space.
+# 73 for RC and 90 for the TC limit (an iteration's time by its live runs,
+# lone traces), so TC's bound, rounded down, serves every space.
 _PAIRED_RUNS = 64
 # Most weights ``default_weights`` builds, restarts per weight and iterations
 # per run that ``TraceOptions`` takes (a trace runs weights x restarts runs of
@@ -436,12 +436,13 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
     their values as an array: each iteration makes one call of ``f`` for the
     reflections, one for the expansions and contractions, and one for the
-    shrinks.  While ``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the
-    reflections' call also scores each run's inside contraction, which is
-    an evaluation only where the run takes it; an ``f`` with a ``count``
-    method (``_batch_objective``) is then called as ``f(runs, X, quiet)``
-    and holds the penalties of those last ``quiet`` rows until
-    ``f.count(taken)``.
+    shrinks.  For an ``f`` with a ``count`` method (``_batch_objective``),
+    while ``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the
+    reflections' call ``f(runs, X, quiet)`` also scores, as its last
+    ``quiet`` rows, each run's inside contraction, which is an evaluation
+    only where the run takes it: ``f`` holds those rows' penalties until
+    ``f.count(taken)``.  An ``f`` without ``count`` sees only the points
+    its runs take.
     """
     sim, _, nfev, converged = _lockstep(f, np.asarray(x0, dtype=float), max_iter)
     return SearchResult(sim[:, 0], nfev, converged)
@@ -469,10 +470,10 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
     final ranked simplex and its values, evaluations and convergence flag.
     Each lockstep iteration takes one Nelder-Mead step of every live run,
     with one call of ``f`` for the reflections, one for the expansions and
-    contractions, and one for the shrinks; while ``_COLUMN_ROWS`` to
-    ``_PAIRED_RUNS`` runs are live, the first call also scores every run's
-    inside contraction (quietly, for an ``f`` with ``count``), and the
-    second only the expansions and outside contractions.  Per-run budgets
+    contractions, and one for the shrinks; for an ``f`` with ``count``,
+    while ``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the first call
+    also scores every run's inside contraction, quietly, and the second
+    only the expansions and outside contractions.  Per-run budgets
     and iteration counts follow ``minimize``'s rules.  A run that ends
     (converged, or out of budget or iterations) has its simplex, values and
     counts written to the result and leaves the working arrays, so each
@@ -517,12 +518,12 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
         worst = sim[:, -1]
         xr = 2.0 * xbar - worst
         width = len(ids)
-        paired = _COLUMN_ROWS <= width <= _PAIRED_RUNS
+        paired = count_taken is not None and _COLUMN_ROWS <= width <= _PAIRED_RUNS
         if paired:
             # Each run's inside contraction, 0.5 xbar + 0.5 worst, in the call
             # of its reflection; it is an evaluation only where the run takes it.
-            both = np.concatenate((ids, ids)), np.concatenate((xr, 0.5 * xbar + 0.5 * worst))
-            values = f(*both) if count_taken is None else f(*both, width)
+            values = f(np.concatenate((ids, ids)),
+                       np.concatenate((xr, 0.5 * xbar + 0.5 * worst)), width)
             fxr, fxcc = values[:width], values[width:]
         else:
             fxr = f(ids, xr)
@@ -538,8 +539,7 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
         if paired:
             inside = second & ~expand & ~outside
             fxs[inside] = fxcc[inside]
-            if count_taken is not None:
-                count_taken(inside)
+            count_taken(inside)
             scored = second & ~inside
         if np.count_nonzero(second):
             # a xbar - b worst: expansion (3, 2), outside contraction (1.5, 0.5)

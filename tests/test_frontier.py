@@ -762,9 +762,10 @@ def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch
     # have left the working set.  Budgets of 2 and 4 evaluations end every
     # run in the first simplex, and 8, 10, 14 and 16 end the constant runs
     # inside a shrink (see test_minimize_takes_scipys_steps_on_toy_objectives).
-    # Then again with each inside contraction scored in the call of its
-    # reflection while at least 2 runs are live, so the single runs (one
-    # live run) still take the unpaired, scipy-equal path.
+    # Then again from 2 live runs up: a batch with a ``count`` method gets
+    # each inside contraction in the call of its reflection, a batch without
+    # one never does, and the single runs (one live run) take the unpaired,
+    # scipy-equal path.
     rng = np.random.default_rng(13)
     kinds = (lambda xs: 0.0, lambda xs: 1e3 * _toy_bowl(xs), lambda xs: 1e-3 * _toy_bowl(xs),
              _toy_tilted, _toy_plateau)
@@ -773,19 +774,24 @@ def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch
 
     calls = [0]
 
-    def batch(runs, points):
+    def plain(runs, points):
         calls[0] += 1
         return np.array([objectives[k](x) for k, x in zip(runs.tolist(), points.tolist())])
 
+    def counting(runs, points, quiet=0):  # no toy objective raises, so none is held
+        return plain(runs, points)
+
+    counting.count = lambda taken: None
     made = []
-    for rows in (frontier._COLUMN_ROWS, 2):
+    for rows, batch in ((frontier._COLUMN_ROWS, counting), (2, counting), (2, plain)):
         monkeypatch.setattr(frontier, "_COLUMN_ROWS", rows)
         calls[0] = 0
         for max_iter in (1, 2, 4, 5, 7, 8, 60, 2000):
             runs = _same_as_single_runs(batch, lambda k: objectives[k], starts, max_iter)
         assert len(set(runs.nfev.tolist())) >= 10 and 0 < np.count_nonzero(runs.converged) < 15
         made.append(calls[0])
-    assert made[1] < made[0]  # paired calls leave some iterations no second-point call
+    # Paired calls leave some iterations no second-point call; without count, no pairing.
+    assert made[1] < made[0] == made[2]
 
 
 def test_lockstep_counts_a_paired_point_only_when_its_run_takes_it(monkeypatch):
