@@ -27,15 +27,15 @@ and options form a group (TC and RDPC on any channels, RC, or TC at
 c12 = +inf), and ``_sweep`` runs every run of a group (job, search, weight,
 restart) as one lockstep, in chunks of at most ``_BATCH`` runs, which may
 straddle searches and jobs.  ``minimize`` holds a chunk's simplices as one
-(runs, n + 1, n) array, and each lockstep iteration scores the reflections
-of every live run as one batch ``f(runs, X)``, then their expansions and
-contractions, then their shrinks; a run that ends leaves that array, so
-each iteration works on whole arrays of live runs.  While ``_COLUMN_ROWS``
-to ``_PAIRED_RUNS`` runs are live, the reflections' batch also holds each
-run's inside contraction, 0.5 xbar + 0.5 worst, which is known before the
-reflection is scored, so the second batch carries only expansions and
-outside contractions; a paired point counts (in ``nfev`` and in the
-penalties) only where its run takes it.  A run's steps depend
+vertex-major (n + 1, runs, n) array, and each lockstep iteration scores the
+reflections of every live run as one batch ``f(runs, X)``, then their
+expansions and contractions, then their shrinks; a run that ends leaves
+that array, so each iteration works on whole arrays of live runs.  While
+``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the reflections' batch
+also holds each run's inside contraction, 0.5 xbar + 0.5 worst, which is
+known before the reflection is scored, so the second batch carries only
+expansions and outside contractions; a paired point counts (in ``nfev``
+and in the penalties) only where its run takes it.  A run's steps depend
 on its own values alone, so each job gets the runs, counts and
 candidates, in order, of its lone trace.  What differs between the
 searches of a batch, gains ``c``, powers ``pw`` and the scheme variant
@@ -399,8 +399,10 @@ def _start_vector(seed: int, weight_index: int, restart_index: int,
 
 
 def _initial_simplex(x0: np.ndarray) -> np.ndarray:
-    """x0 plus one vertex a fixed step along each axis (a function of x0 alone)."""
-    return np.vstack([x0, x0 + _SIMPLEX_STEP * np.eye(len(x0))])
+    """x0 plus one vertex a fixed step along each axis (a function of x0 alone):
+    (n + 1, n) for one start, (runs, n + 1, n) for starts as rows of ``x0``."""
+    x0 = x0[..., None, :]
+    return np.concatenate((x0, x0 + _SIMPLEX_STEP * np.eye(x0.shape[-1])), axis=-2)
 
 
 class SearchResult(NamedTuple):
@@ -419,7 +421,7 @@ class SearchResult(NamedTuple):
 
 def minimize(f, x0, max_iter: int) -> SearchResult:
     """Nelder-Mead minimization of ``f`` from the simplices ``_initial_simplex``
-    of the rows of ``x0``, one run per row, advanced in lockstep.
+    of the rows of ``x0`` (2-D, else ValueError), one run per row, in lockstep.
 
     Each run takes exactly the steps of scipy's Nelder-Mead (1.17,
     ``adaptive=False``, no bounds) with ``maxiter=max_iter``,
@@ -429,8 +431,9 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     ranked by ``np.argsort``, whose order of tied values (penalties,
     coordinates the objective ignores) is numpy's unstable sort's.  The
     evaluation that would exceed the budget is not made and ends the run; a
-    shrink already partly applied stays applied.  A run that has ended
-    leaves the working set, so later batches hold only live runs' points.
+    shrink already partly applied stays applied.  The working simplices are
+    one vertex-major (n + 1, runs, n) array; a run that has ended leaves it,
+    so later batches hold only live runs' points.
 
     ``f(runs, X)`` gets the points of one step of several runs as the rows
     of ``X``, ``runs`` giving the run (row of ``x0``) of each, and returns
@@ -444,49 +447,55 @@ def minimize(f, x0, max_iter: int) -> SearchResult:
     ``f.count(taken)``.  An ``f`` without ``count`` sees only the points
     its runs take.
     """
-    sim, _, nfev, converged = _lockstep(f, np.asarray(x0, dtype=float), max_iter)
+    x0 = np.asarray(x0, dtype=float)
+    if x0.ndim != 2:
+        raise ValueError(f"x0 of shape {x0.shape}: need one start per row, (runs, n)")
+    if not len(x0):  # no run, so no step could end the lockstep
+        return SearchResult(x0, np.zeros(0, dtype=int), np.zeros(0, dtype=bool))
+    sim, _, nfev, converged = _lockstep(f, x0, max_iter)
     return SearchResult(sim[:, 0], nfev, converged)
 
 
 def _ranked(sim: np.ndarray, fsim: np.ndarray):
-    """Each run's vertices and values in ``np.argsort`` order of its values."""
+    """Each run's vertices (``sim``, vertex-major) and values (``fsim``, run-major)
+    in ``np.argsort`` order of its values, each gathered by one ``take`` of flat rows."""
     order = np.argsort(fsim, axis=1)
-    rows = np.arange(len(fsim))[:, None]
-    return sim[rows, order], fsim[rows, order]
+    runs, width = np.arange(len(fsim)), fsim.shape[1]
+    return (sim.reshape(-1, sim.shape[2]).take(order.T * len(runs) + runs, axis=0),
+            fsim.take(order + width * runs[:, None]))
 
 
 def _centroid(sim: np.ndarray) -> np.ndarray:
-    """Each run's centroid of its ranked vertices but the worst, as scipy's
-    ``np.add.reduce(sim[:-1], 0) / n``: one reduction over the vertex axis,
-    which numpy adds row by row in rank order (it sums pairwise only along
-    the contiguous last axis)."""
-    xbar = np.add.reduce(sim[:, :-1], axis=1)
-    xbar /= sim.shape[2]
-    return xbar
+    """Each run's centroid of its ranked vertices but the worst, scipy's
+    ``np.add.reduce(sim[:-1], 0) / n`` on the vertex-major ``sim``: one
+    reduction over the leading vertex axis, which numpy adds row by row in
+    rank order (it sums pairwise only along the contiguous last axis)."""
+    return np.add.reduce(sim[:-1], axis=0) / sim.shape[2]
 
 
 def _lockstep(f, x0: np.ndarray, max_iter: int):
     """``minimize`` of the runs starting at the rows of ``x0``: each run's
-    final ranked simplex and its values, evaluations and convergence flag.
-    Each lockstep iteration takes one Nelder-Mead step of every live run,
-    with one call of ``f`` for the reflections, one for the expansions and
-    contractions, and one for the shrinks; for an ``f`` with ``count``,
-    while ``_COLUMN_ROWS`` to ``_PAIRED_RUNS`` runs are live, the first call
-    also scores every run's inside contraction, quietly, and the second
-    only the expansions and outside contractions.  Per-run budgets
-    and iteration counts follow ``minimize``'s rules.  A run that ends
-    (converged, or out of budget or iterations) has its simplex, values and
-    counts written to the result and leaves the working arrays, so each
-    iteration works on whole arrays of live runs, ``ids`` holding each
-    one's row of ``x0``."""
+    final ranked simplex (run-major, (runs, n + 1, n)) and its values,
+    evaluations and convergence flag.  Each lockstep iteration takes one
+    Nelder-Mead step of every live run, with one call of ``f`` for the
+    reflections, one for the expansions and contractions, and one for the
+    shrinks; for an ``f`` with ``count``, while ``_COLUMN_ROWS`` to
+    ``_PAIRED_RUNS`` runs are live, the first call also scores every run's
+    inside contraction, quietly, and the second only the expansions and
+    outside contractions.  Per-run budgets and iteration counts follow
+    ``minimize``'s rules.  A run that ends (converged, or out of budget or
+    iterations) has its simplex, values and counts written to the result
+    and leaves the working arrays of live runs: ``sim``, vertex-major
+    (n + 1, runs, n), ``fsim``, and ``ids``, each one's row of ``x0``."""
     max_fev = 2 * max_iter
     count_taken = getattr(f, "count", None)
     count, n = x0.shape
-    sim = np.stack([_initial_simplex(x) for x in x0])
+    sim = _initial_simplex(x0)  # run-major, so f gets each run's vertices without a copy
     fsim = np.full((count, n + 1), np.inf)
     first = min(n + 1, max_fev)  # a budget below n + 1 ends inside the first simplex
     fsim[:, :first] = f(np.repeat(np.arange(count), first),
                         sim[:, :first].reshape(-1, n)).reshape(count, first)
+    sim = sim.swapaxes(0, 1)  # the first ranking gathers it vertex-major
     nfev = np.full(count, first)
     for _ in range(2):  # scipy ranks the first simplex twice; the second sort may move ties
         sim, fsim = _ranked(sim, fsim)
@@ -501,21 +510,21 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
         # only runs whose values have settled need their vertex spread.
         settled = np.flatnonzero(fsim[:, -1] - fsim[:, 0] <= _FATOL)
         if settled.size:
-            near = sim[settled]
-            ended[settled[np.max(np.abs(near[:, 1:] - near[:, :1]), axis=(1, 2)) <= _XATOL]] = True
+            near = sim[:, settled]
+            ended[settled[np.max(np.abs(near[1:] - near[:1]), axis=(0, 2)) <= _XATOL]] = True
         if np.count_nonzero(ended):
             if final is None:
-                final = sim, fsim, nfev, iterations
+                final = sim.swapaxes(0, 1), fsim, nfev, iterations  # run-major, as returned
             else:
-                for out, working in zip(final, (sim, fsim, nfev, iterations)):
+                for out, working in zip(final, (sim.swapaxes(0, 1), fsim, nfev, iterations)):
                     out[ids[ended]] = working[ended]
             live = ~ended
             sim, fsim, nfev, iterations, ids = (
-                sim[live], fsim[live], nfev[live], iterations[live], ids[live])
+                sim[:, live], fsim[live], nfev[live], iterations[live], ids[live])
             if not ids.size:
                 break
         xbar = _centroid(sim)
-        worst = sim[:, -1]
+        worst = sim[-1]
         xr = 2.0 * xbar - worst
         width = len(ids)
         paired = count_taken is not None and _COLUMN_ROWS <= width <= _PAIRED_RUNS
@@ -556,23 +565,23 @@ def _lockstep(f, x0: np.ndarray, max_iter: int):
                                     np.where(outside, fxs <= fxr, fxs < fsim[:, -1]))
         shrink = second & ~expand & ~take_xs
         take_xr = reflect | (expand & second & ~take_xs)
-        sim[take_xr, -1], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
+        sim[-1, take_xr], fsim[take_xr, -1] = xr[take_xr], fxr[take_xr]
         if np.count_nonzero(take_xs):
-            sim[take_xs, -1], fsim[take_xs, -1] = xs[take_xs], fxs[take_xs]
+            sim[-1, take_xs], fsim[take_xs, -1] = xs[take_xs], fxs[take_xs]
         if np.count_nonzero(shrink):
             rows = np.flatnonzero(shrink)
             budget = max_fev - nfev[rows]
             spent[rows] = budget < n
-            best = sim[rows, :1]
-            moved = best + 0.5 * (sim[rows, 1:] - best)
-            j = np.arange(n)
+            best = sim[:1, rows]
+            moved = best + 0.5 * (sim[1:, rows] - best)
+            j = np.arange(n)[:, None]
             # Vertex j + 1 moves when evaluation j may run or is the one that ends the budget.
-            sim[rows, 1:] = np.where((j < budget[:, None] + 1)[:, :, None], moved, sim[rows, 1:])
-            evaluated = j < budget[:, None]
+            sim[1:, rows] = np.where((j < budget + 1)[:, :, None], moved, sim[1:, rows])
+            evaluated = (j < budget).T  # by run, as f gets the points
             if np.count_nonzero(evaluated):
                 made = evaluated.sum(axis=1)
                 shrunk = fsim[rows, 1:]
-                shrunk[evaluated] = f(np.repeat(ids[rows], made), moved[evaluated])
+                shrunk[evaluated] = f(np.repeat(ids[rows], made), moved.swapaxes(0, 1)[evaluated])
                 fsim[rows, 1:] = shrunk
                 nfev[rows] += made
         iterations[~spent] += 1

@@ -6,9 +6,12 @@ import itertools
 import math
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -628,18 +631,45 @@ def test_minimize_takes_scipys_steps_on_tie_free_search_objectives(scheme, ref_g
 
 def test_ranked_orders_ties_as_numpy_argsort():
     # Tied values rank in np.argsort's order, scipy's, which depends on
-    # numpy's CPU dispatch (ROADMAP defect 11): rows of 7, 14 and 18
-    # vertices (the limit, RC and TC spaces) with three values, the
-    # penalty among them.
+    # numpy's CPU dispatch (ROADMAP defect 11): vertex-major simplices of 7,
+    # 14 and 18 vertices (the limit, RC and TC spaces) of 40 and 176 runs
+    # (ref-region's TC and RDPC chunk), whose value rows hold three values,
+    # the penalty among them.
     rng = np.random.default_rng(31)
-    rows = np.arange(40)[:, None]
-    for n in (7, 14, 18):
-        fsim = rng.choice((-2.5, -1.0, frontier._PENALTY), (40, n))
-        sim = rng.standard_normal((40, n, n - 1))
+    for n, runs in itertools.product((7, 14, 18), (40, 176)):
+        fsim = rng.choice((-2.5, -1.0, frontier._PENALTY), (runs, n))
+        sim = rng.standard_normal((n, runs, n - 1))
         order = np.argsort(fsim, axis=1)
+        rows = np.arange(runs)
         ranked_sim, ranked_fsim = frontier._ranked(sim, fsim)
-        assert ranked_sim.tobytes() == sim[rows, order].tobytes()
-        assert ranked_fsim.tobytes() == fsim[rows, order].tobytes()
+        assert ranked_sim.tobytes() == sim[order.T, rows].tobytes()
+        assert ranked_fsim.tobytes() == fsim[rows[:, None], order].tobytes()
+
+
+def test_first_simplex_broadcast_equals_each_starts_simplex():
+    # The lockstep's first simplices, one broadcast over the starts (rows),
+    # are byte for byte the one-start simplex of each start, the one the
+    # scipy tests pass to scipy: on every space's corner starts, on their
+    # negatives and on random starts with -0.0 coordinates, which the step's
+    # add turns into +0.0 in every vertex but the start itself.
+    rng = np.random.default_rng(23)
+    for space in (frontier._TC, frontier._RC, frontier._LIMIT):
+        n = sum(space.blocks)
+        corners = np.array([frontier._start_vector(0, 0, k, space)
+                            for k in range(len(space.corners))])
+        signed = np.where(rng.random((9, n)) < 0.4, -0.0, rng.standard_normal((9, n)))
+        for x0 in (corners, -corners, signed):
+            sim = frontier._initial_simplex(x0)
+            assert sim.shape == (len(x0), n + 1, n)
+            for k, x in enumerate(x0):
+                one = frontier._initial_simplex(x)
+                assert one.tobytes() == np.vstack(
+                    [x, x + frontier._SIMPLEX_STEP * np.eye(n)]).tobytes()
+                assert sim[k].tobytes() == one.tobytes()
+            zero = x0 == 0.0
+            assert np.signbit(x0[zero]).any() == (x0 is not corners)
+            assert np.signbit(sim[:, 0][zero]).tobytes() == np.signbit(x0[zero]).tobytes()
+            assert not np.signbit(sim[:, 1:].swapaxes(0, 1)[:, zero]).any()
 
 
 def _toy_bowl(xs):  # convex in xs[0] and xs[1]; the rest is ignored, so values tie
@@ -754,6 +784,14 @@ def _toy_plateau(xs):  # a bowl with a flat floor, where runs shrink once they r
     return max(_toy_bowl(xs), 0.5)
 
 
+# Toy objectives whose runs end at different times: constants shrink every
+# step and end first, steep and flat bowls converge at their own pace, a
+# slope expands until the budget ends it, and on a plateau a run shrinks
+# only after reaching the floor.
+_TOY_KINDS = (lambda xs: 0.0, lambda xs: 1e3 * _toy_bowl(xs), lambda xs: 1e-3 * _toy_bowl(xs),
+              _toy_tilted, _toy_plateau)
+
+
 def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch):
     # One chunk mixes constant objectives, which shrink every step and end
     # first, steep and flat bowls, which converge at their own pace, a
@@ -767,9 +805,7 @@ def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch
     # one never does, and the single runs (one live run) take the unpaired,
     # scipy-equal path.
     rng = np.random.default_rng(13)
-    kinds = (lambda xs: 0.0, lambda xs: 1e3 * _toy_bowl(xs), lambda xs: 1e-3 * _toy_bowl(xs),
-             _toy_tilted, _toy_plateau)
-    objectives = [kinds[k % len(kinds)] for k in range(15)]
+    objectives = [_TOY_KINDS[k % len(_TOY_KINDS)] for k in range(15)]
     starts = [rng.standard_normal(4) * 3.0 for _ in objectives]
 
     calls = [0]
@@ -792,6 +828,27 @@ def test_lockstep_runs_that_end_at_different_times_equal_single_runs(monkeypatch
         made.append(calls[0])
     # Paired calls leave some iterations no second-point call; without count, no pairing.
     assert made[1] < made[0] == made[2]
+
+
+def test_lockstep_of_40_runs_that_end_at_different_times_equals_single_runs():
+    # 40 runs of the toy kinds, a chunk wide enough that the ranking's flat
+    # gather (vertex v of run r at row v*runs + r) runs at many widths after
+    # runs leave the working set, paired (a batch with ``count``, from 20
+    # live runs up) and unpaired: each run is its single, scipy-equal run.
+    rng = np.random.default_rng(29)
+    objectives = [_TOY_KINDS[k % len(_TOY_KINDS)] for k in range(40)]
+    starts = [rng.standard_normal(6) * 3.0 for _ in objectives]
+
+    def plain(runs, points):
+        return np.array([objectives[k](x) for k, x in zip(runs.tolist(), points.tolist())])
+
+    def counting(runs, points, quiet=0):  # no toy objective raises, so none is held
+        return plain(runs, points)
+
+    counting.count = lambda taken: None
+    for batch, max_iter in itertools.product((plain, counting), (9, 60, 2000)):
+        runs = _same_as_single_runs(batch, lambda k: objectives[k], starts, max_iter)
+    assert len(set(runs.nfev.tolist())) >= 20 and 0 < np.count_nonzero(runs.converged) < 40
 
 
 def test_lockstep_counts_a_paired_point_only_when_its_run_takes_it(monkeypatch):
@@ -842,19 +899,58 @@ def test_lockstep_counts_a_paired_point_only_when_its_run_takes_it(monkeypatch):
 
 def test_lockstep_centroid_adds_the_kept_vertices_row_by_row():
     # The lockstep's one reduction gives the centroid scipy's row-by-row sum
-    # gives, on each space's simplex shape and on chunks of 1 to 256 runs,
-    # with coordinates whose sum depends on the order of its terms.
+    # gives, on each space's vertex-major simplex shape (the TC limit's 7
+    # vertices, RC's 14, TC's 18) and on chunks of 1 to 256 runs (176:
+    # ref-region's TC and RDPC chunk), with coordinates whose sum depends on
+    # the order of its terms.
     rng = np.random.default_rng(17)
     for n in (6, 13, 17):
-        for count in (1, 7, 256):
-            sim = rng.standard_normal((count, n + 1, n)) * 10.0 ** rng.integers(
-                -12, 12, (count, n + 1, n))
+        for count in (1, 7, 176, 256):
+            sim = rng.standard_normal((n + 1, count, n)) * 10.0 ** rng.integers(
+                -12, 12, (n + 1, count, n))
             sim, _ = frontier._ranked(sim, rng.standard_normal((count, n + 1)))
-            want = sim[:, 0].copy()
+            want = sim[0].copy()
             for k in range(1, n):
-                want += sim[:, k]
+                want += sim[k]
             want /= n
             assert frontier._centroid(sim).tobytes() == want.tobytes()
+
+
+@contextmanager
+def _deadline(seconds):
+    """Raise TimeoutError inside the block once ``seconds`` have passed, so a
+    search that never ends fails the test instead of hanging the suite."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_minimize_ends_at_once_without_runs_and_rejects_starts_that_are_not_rows():
+    # No start row is no run: an empty result, with no call of f (no run
+    # could ever end a lockstep of none).  A start array that is not 2-D
+    # raises a ValueError that names its shape.
+    calls = []
+
+    def f(runs, points):
+        calls.append(len(points))
+        return np.zeros(len(points))
+
+    with _deadline(10):
+        for n in (5, 0):
+            empty = frontier.minimize(f, np.empty((0, n)), 100)
+            assert empty.x.shape == (0, n) and empty.nfev.shape == empty.converged.shape == (0,)
+            assert empty.success and not calls
+        for x0 in (np.zeros(5), [[[0.0] * 3] * 2], 1.0, []):
+            with pytest.raises(ValueError, match=re.escape(f"shape {np.shape(x0)}")):
+                frontier.minimize(f, x0, 100)
+    assert not calls
 
 
 @pytest.mark.parametrize("scheme", ["TC", "RDPC", "RC", "TC_inf"])
